@@ -7,7 +7,6 @@ from .aggregation import (
     aggregate,
     aggregate_ldawa,
     aggregate_mdawa,
-    aggregate_weighted_ldawa,
     coeffs_fedavg,
     coeffs_loss,
 )
@@ -36,7 +35,6 @@ from .params import (
     norm,
     save_checkpoint,
     weighted_sum,
-    weighted_sum_per_layer,
 )
 from .partition import Dataset, PartitionSpec, load_csv, make_blobs, partition
 

@@ -1,26 +1,27 @@
-"""Server-side aggregation strategies behind one dispatching interface.
+"""Server-side aggregation: every strategy is one coefficient matrix.
 
-Strategies
-----------
-fedavg        sample-count weighted average, beta_k = n_k / sum(n_j)
-fairavg       uniform 1/K average
-loss          softmax of negated mean local losses as weights
-mdawa         uniform average with each client scaled by its whole-model
-              angular divergence: (1/K) * sum_k delta_k * w_k
-ldawa         as mdawa, but with one divergence per layer:
-              layer l of the result = (1/K) * sum_k delta_k(l) * w_k(l)
-ldawa_fedavg  sample-count base weights times per-layer divergence
-ldawa_loss    loss-softmax base weights times per-layer divergence
-ldawa_fedu    server side identical to ldawa_fedavg; the client-side
-              partial-update policy lives in the engine
+Layer l of the new global is ``sum_k C[k, l] * w_k(l)`` with
+``C[k, l] = beta_k * s_k(l)``, where the strategy picks the base weight
+beta_k and the scale s_k(l):
+
+strategy      base beta_k                      scale s_k(l)
+fedavg        samples: n_k / sum_j n_j         none: 1
+fairavg       uniform: 1 / K                   none
+loss          loss: softmax of -train_loss_k   none
+mdawa         uniform                          model: whole-model divergence delta_k
+ldawa         uniform                          layer: per-layer divergence delta_k(l)
+ldawa_fedavg  samples                          layer
+ldawa_loss    loss                             layer
+ldawa_fedu    samples                          layer (client-side policy: engine)
 
 There is deliberately no renormalization by the divergence sum: when clients
 diverge the aggregate's norm contracts (an optional ``renormalize`` switch
-exists but defaults off). Clients then start from a smaller global, so on
-later rounds their cosine to it is lower than under fedavg; acceptance 7b
-checks this. Client contributions are always accumulated in
-ascending client_id order so results are bit-reproducible regardless of
-input order or worker scheduling.
+divides each column of a divergence-scaled C by its sum, leaving columns
+whose sum is within 1e-12 of zero as they are; it defaults off). Clients
+then start from a smaller global, so on later rounds their cosine to it is
+lower than under fedavg; acceptance 7b checks this. Client contributions are
+always accumulated in ascending client_id order so results are
+bit-reproducible regardless of input order.
 """
 
 from __future__ import annotations
@@ -32,21 +33,23 @@ from typing import Sequence
 import numpy as np
 
 from .divergence import DivergenceReport, layer_divergence
-from .params import ParamSet, weighted_sum, weighted_sum_per_layer
+from .params import ParamSet, weighted_sum
 
-STRATEGIES = (
-    "fedavg",
-    "fairavg",
-    "loss",
-    "mdawa",
-    "ldawa",
-    "ldawa_fedavg",
-    "ldawa_loss",
-    "ldawa_fedu",
-)
+# strategy -> (base rule, scale rule); the table in the module docstring.
+RULES = {
+    "fedavg": ("samples", None),
+    "fairavg": ("uniform", None),
+    "loss": ("loss", None),
+    "mdawa": ("uniform", "model"),
+    "ldawa": ("uniform", "layer"),
+    "ldawa_fedavg": ("samples", "layer"),
+    "ldawa_loss": ("loss", "layer"),
+    "ldawa_fedu": ("samples", "layer"),
+}
+STRATEGIES = tuple(RULES)
 
 # Strategies whose coefficients consume the uploaded client metadata.
-METADATA_STRATEGIES = ("fedavg", "loss", "ldawa_fedavg", "ldawa_loss", "ldawa_fedu")
+METADATA_STRATEGIES = tuple(s for s, (base, _) in RULES.items() if base != "uniform")
 
 
 @dataclass(frozen=True)
@@ -126,18 +129,62 @@ def divergence_reports(
     return [layer_divergence(global_params, u.params, client_id=u.client_id) for u in updates]
 
 
-def _reports_for(
+BASE_RULES = {
+    "uniform": lambda updates: [1.0 / len(updates)] * len(updates),
+    "samples": coeffs_fedavg,
+    "loss": coeffs_loss,
+}
+
+
+def coefficient_matrix(
+    strategy: str,
+    updates: Sequence[ClientUpdate],
+    reports: Sequence[DivergenceReport],
+    renormalize: bool = False,
+) -> np.ndarray:
+    """The (K, L) matrix C[k, l] = beta_k * s_k(l) of ``strategy``.
+
+    ``reports[k]`` belongs to ``updates[k]``; rows follow the given order and
+    columns the layer order of the client models. ``renormalize`` divides
+    each column of a divergence-scaled C by its sum.
+    """
+    base, scale = RULES[strategy]
+    names = updates[0].params.names
+    if scale is None:
+        s = [[1.0] * len(names) for _ in updates]
+    elif scale == "model":
+        s = [[r.model_delta] * len(names) for r in reports]
+    else:
+        s = [[r.per_layer_delta[n] for n in names] for r in reports]
+    beta = np.array(BASE_RULES[base](updates), dtype=np.float64)
+    table = beta[:, None] * np.array(s, dtype=np.float64).reshape(len(updates), len(names))
+    if renormalize and scale is not None:
+        # Clients are summed in order, as a scalar loop would add them;
+        # degenerate column sums are left untouched rather than amplified.
+        sums = np.zeros(len(names))
+        for row in table:
+            sums += row
+        keep = np.abs(sums) > 1e-12
+        table[:, keep] /= sums[keep]
+    return table
+
+
+def _aggregate_rule(
+    strategy: str,
     global_params: ParamSet,
     updates: Sequence[ClientUpdate],
     reports: Sequence[DivergenceReport] | None,
-) -> list[DivergenceReport]:
+) -> ParamSet:
+    """Apply ``strategy`` with ``reports`` matched to the updates by client id."""
+    ups = _sorted_updates(updates)
     if reports is None:
-        return divergence_reports(global_params, updates)
+        reports = divergence_reports(global_params, ups)
     by_id = {r.client_id: r for r in reports}
     try:
-        return [by_id[u.client_id] for u in updates]
+        reps = [by_id[u.client_id] for u in ups]
     except KeyError as exc:
         raise ValueError(f"no divergence report for client {exc.args[0]!r}") from exc
+    return weighted_sum([u.params for u in ups], coefficient_matrix(strategy, ups, reps))
 
 
 def aggregate_mdawa(
@@ -146,10 +193,7 @@ def aggregate_mdawa(
     reports: Sequence[DivergenceReport] | None = None,
 ) -> ParamSet:
     """Whole-model divergence scaling: (1/K) * sum_k delta_k * w_k."""
-    ups = _sorted_updates(updates)
-    reps = _reports_for(global_params, ups, reports)
-    k = len(ups)
-    return weighted_sum([u.params for u in ups], [r.model_delta / k for r in reps])
+    return _aggregate_rule("mdawa", global_params, updates, reports)
 
 
 def aggregate_ldawa(
@@ -158,46 +202,7 @@ def aggregate_ldawa(
     reports: Sequence[DivergenceReport] | None = None,
 ) -> ParamSet:
     """Layer-wise divergence scaling: layer l = (1/K) * sum_k delta_k(l) * w_k(l)."""
-    ups = _sorted_updates(updates)
-    k = len(ups)
-    return aggregate_weighted_ldawa(global_params, ups, [1.0 / k] * k, reports=reports)
-
-
-def aggregate_weighted_ldawa(
-    global_params: ParamSet,
-    updates: Sequence[ClientUpdate],
-    base_coeffs: Sequence[float],
-    reports: Sequence[DivergenceReport] | None = None,
-) -> ParamSet:
-    """Layer l of the result = sum_k base_coeffs[k] * delta_k(l) * w_k(l).
-
-    With uniform base coefficients 1/K this is exactly ``aggregate_ldawa``;
-    with sample-count or loss-softmax base coefficients it yields the
-    corresponding hybrid rule.
-    """
-    if len(base_coeffs) != len(updates):
-        raise ValueError(
-            f"{len(updates)} updates but {len(base_coeffs)} base coefficients"
-        )
-    order = sorted(range(len(updates)), key=lambda i: updates[i].client_id)
-    ups = [updates[i] for i in order]
-    coeffs = [float(base_coeffs[i]) for i in order]
-    reps = _reports_for(global_params, ups, reports)
-    table = [
-        {name: c * r.per_layer_delta[name] for name in global_params.names}
-        for c, r in zip(coeffs, reps)
-    ]
-    return weighted_sum_per_layer([u.params for u in ups], table)
-
-
-def _renormalize_table(table: list[dict[str, float]], names: Sequence[str]) -> None:
-    # Per-layer normalization so coefficients sum to 1; degenerate sums are
-    # left untouched rather than amplified.
-    for name in names:
-        s = sum(row[name] for row in table)
-        if abs(s) > 1e-12:
-            for row in table:
-                row[name] /= s
+    return _aggregate_rule("ldawa", global_params, updates, reports)
 
 
 def aggregate(
@@ -206,7 +211,7 @@ def aggregate(
     global_params: ParamSet,
     updates: Sequence[ClientUpdate],
 ) -> tuple[ParamSet, list[DivergenceReport]]:
-    """Dispatch one aggregation round.
+    """Run one aggregation round.
 
     Returns the new global model and the divergence reports of every client
     against the incoming global (computed for telemetry regardless of
@@ -217,46 +222,5 @@ def aggregate(
     for u in ups:
         global_params.require_compatible(u.params)
     reports = divergence_reports(global_params, ups)
-    strategy = effective_strategy(spec, round_index)
-    k = len(ups)
-
-    if strategy == "fedavg":
-        new_global = weighted_sum([u.params for u in ups], coeffs_fedavg(ups))
-    elif strategy == "fairavg":
-        new_global = weighted_sum([u.params for u in ups], [1.0 / k] * k)
-    elif strategy == "loss":
-        new_global = weighted_sum([u.params for u in ups], coeffs_loss(ups))
-    elif strategy == "mdawa":
-        new_global = _dawa(global_params, ups, [1.0 / k] * k, reports, spec.renormalize, whole_model=True)
-    elif strategy == "ldawa":
-        new_global = _dawa(global_params, ups, [1.0 / k] * k, reports, spec.renormalize)
-    elif strategy in ("ldawa_fedavg", "ldawa_fedu"):
-        new_global = _dawa(global_params, ups, coeffs_fedavg(ups), reports, spec.renormalize)
-    elif strategy == "ldawa_loss":
-        new_global = _dawa(global_params, ups, coeffs_loss(ups), reports, spec.renormalize)
-    else:  # pragma: no cover - AggregationSpec already validates
-        raise ValueError(f"unknown strategy {strategy!r}")
-    return new_global, reports
-
-
-def _dawa(
-    global_params: ParamSet,
-    ups: list[ClientUpdate],
-    base_coeffs: list[float],
-    reports: list[DivergenceReport],
-    renormalize: bool,
-    whole_model: bool = False,
-) -> ParamSet:
-    if not renormalize:
-        if whole_model:
-            return aggregate_mdawa(global_params, ups, reports=reports)
-        return aggregate_weighted_ldawa(global_params, ups, base_coeffs, reports=reports)
-    names = global_params.names
-    table = []
-    for c, r in zip(base_coeffs, reports):
-        if whole_model:
-            table.append({name: c * r.model_delta for name in names})
-        else:
-            table.append({name: c * r.per_layer_delta[name] for name in names})
-    _renormalize_table(table, names)
-    return weighted_sum_per_layer([u.params for u in ups], table)
+    coeffs = coefficient_matrix(effective_strategy(spec, round_index), ups, reports, spec.renormalize)
+    return weighted_sum([u.params for u in ups], coeffs), reports

@@ -106,16 +106,29 @@ def _cmd_probe(args) -> int:
     return EXIT_OK
 
 
-def _load_metadata(path, n_clients: int) -> list[dict]:
+def _load_metadata(path, n_clients: int) -> list[tuple[int, float]]:
+    """Per-client (num_samples, train_loss) pairs from the metadata JSON file."""
     with open(path, encoding="utf-8") as fh:
-        meta = json.load(fh)
+        try:
+            meta = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
     entries = meta["clients"] if isinstance(meta, dict) and "clients" in meta else meta
     if not isinstance(entries, list) or len(entries) != n_clients:
         raise ConfigError(
             f"{path}: expected a list of {n_clients} client entries "
             '(e.g. [{"num_samples": 10, "train_loss": 0.5}, ...])'
         )
-    return entries
+    pairs = []
+    for i, e in enumerate(entries):
+        try:
+            pairs.append((int(e.get("num_samples", 1)), float(e.get("train_loss", 0.0))))
+        except (AttributeError, TypeError, ValueError, OverflowError) as exc:
+            raise ConfigError(
+                f"{path}: client entry {i}: expected an object with numeric "
+                f"num_samples and train_loss ({exc})"
+            ) from exc
+    return pairs
 
 
 def _cmd_aggregate(args) -> int:
@@ -130,17 +143,12 @@ def _cmd_aggregate(args) -> int:
     global_params = load_checkpoint(args.global_ckpt)
     client_params = [load_checkpoint(p) for p in args.clients]
     if args.metadata:
-        entries = _load_metadata(args.metadata, len(client_params))
+        meta = _load_metadata(args.metadata, len(client_params))
     else:
-        entries = [{"num_samples": 1, "train_loss": 0.0}] * len(client_params)
+        meta = [(1, 0.0)] * len(client_params)
     updates = [
-        ClientUpdate(
-            client_id=i,
-            params=p,
-            num_samples=int(e.get("num_samples", 1)),
-            train_loss=float(e.get("train_loss", 0.0)),
-        )
-        for i, (p, e) in enumerate(zip(client_params, entries))
+        ClientUpdate(client_id=i, params=p, num_samples=n, train_loss=loss)
+        for i, (p, (n, loss)) in enumerate(zip(client_params, meta))
     ]
     new_global, reports = aggregate(spec, args.round_index, global_params, updates)
     save_checkpoint(new_global, args.output)

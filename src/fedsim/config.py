@@ -12,13 +12,13 @@ import json
 from dataclasses import dataclass
 from typing import Any, Mapping
 
-from .aggregation import AggregationSpec, STRATEGIES
+from .aggregation import RULES, AggregationSpec, STRATEGIES
 from .evaluation import EvalSpec
 from .learners import ModelSpec, TrainerSpec, validate_model_for_trainer
 from .partition import PartitionSpec, SCHEMES
 
-# Strategies that get the two-round fedavg warm-up by default.
-WARMUP_DEFAULT_STRATEGIES = ("ldawa", "ldawa_fedavg", "ldawa_loss", "ldawa_fedu")
+# Strategies that get the two-round fedavg warm-up by default: the per-layer ones.
+WARMUP_DEFAULT_STRATEGIES = tuple(s for s, (_, scale) in RULES.items() if scale == "layer")
 DEFAULT_WARMUP_ROUNDS = 2
 DEFAULT_FEDU_THRESHOLD = 0.5
 

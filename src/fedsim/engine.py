@@ -1,11 +1,9 @@
-"""Federated round orchestration: sampling, local-training fan-out, aggregation, artifacts.
+"""Federated round orchestration: sampling, local training, aggregation, artifacts.
 
-The round loop is sequential; within a round, client training fans out to a
-bounded thread pool (size from the ``FEDSIM_WORKERS`` environment variable).
-Every client session owns an RNG stream derived from
-(run_seed, round, client_id), and client contributions are aggregated in
-ascending client-id order, so parallel and serial execution produce
-bit-identical results.
+Rounds and the clients within a round run one after another. Every client
+session owns an RNG stream derived from (run_seed, round, client_id), and
+client contributions are aggregated in ascending client-id order, so a run
+is bit-identical given its config.
 """
 
 from __future__ import annotations
@@ -13,9 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import logging
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence
@@ -38,8 +34,6 @@ from .partition import (
 )
 
 logger = logging.getLogger(__name__)
-
-WORKERS_ENV = "FEDSIM_WORKERS"
 
 # Purpose tags keeping the derived RNG streams disjoint.
 _TAG_INIT = 1
@@ -168,7 +162,6 @@ class FederatedRunner:
         parts: Sequence[Sequence[int]],
         test_ds: Dataset | None = None,
         train_fn: TrainFn | None = None,
-        workers: int | None = None,
     ):
         if len(parts) != cfg.total_clients:
             raise ValueError(f"{len(parts)} partitions for {cfg.total_clients} clients")
@@ -177,9 +170,6 @@ class FederatedRunner:
         self.test_ds = test_ds
         self.client_data = [train_ds.subset(p) for p in parts]
         self.train_fn = train_fn or self._default_train
-        if workers is None:
-            workers = int(os.environ.get(WORKERS_ENV, "1"))
-        self.workers = max(1, workers)
 
     def _default_train(self, client_id: int, round_index: int, data: Dataset, init: ParamSet) -> ClientUpdate:
         rng = derived_rng(self.cfg.run_seed, _TAG_TRAIN, round_index, client_id)
@@ -209,25 +199,16 @@ class FederatedRunner:
         cfg = self.cfg
         r = state.round_index
         ids = sample_clients(cfg.total_clients, cfg.clients_per_round, r, cfg.run_seed)
-        inits: dict[int, ParamSet] = {}
+        updates: list[ClientUpdate] = []
         adopted: dict[int, bool] = {}
         for cid in ids:
             init, adopt = self._client_init(state, cid)
-            inits[cid] = init
             if adopt is not None:
                 adopted[cid] = adopt
-
-        def train_one(cid: int) -> ClientUpdate:
             try:
-                return self.train_fn(cid, r, self.client_data[cid], inits[cid])
+                updates.append(self.train_fn(cid, r, self.client_data[cid], init))
             except Exception as exc:
                 raise RuntimeError(f"round {r}: training failed for client {cid}: {exc}") from exc
-
-        if self.workers > 1 and len(ids) > 1:
-            with ThreadPoolExecutor(max_workers=self.workers) as pool:
-                updates = list(pool.map(train_one, ids))
-        else:
-            updates = [train_one(cid) for cid in ids]
 
         t0 = time.perf_counter()
         new_global, reports = aggregate(cfg.aggregation, r, state.global_params, updates)
@@ -326,7 +307,7 @@ def write_rounds_csv(
             writer.writerow(row)
 
 
-def run_experiment(cfg: ExperimentConfig, workers: int | None = None) -> RunResult:
+def run_experiment(cfg: ExperimentConfig) -> RunResult:
     """Execute a validated config end to end and write all artifacts.
 
     Writes ``run.json`` (resolved config echo), ``partition.json``,
@@ -344,7 +325,7 @@ def run_experiment(cfg: ExperimentConfig, workers: int | None = None) -> RunResu
         fh.write("\n")
     save_partition_manifest(parts, out / "partition.json")
 
-    runner = FederatedRunner(cfg, train_ds, parts, test_ds, workers=workers)
+    runner = FederatedRunner(cfg, train_ds, parts, test_ds)
     state = runner.initial_state()
     save_checkpoint(state.global_params, out / "checkpoint_init.bin")
     state = runner.run(state)

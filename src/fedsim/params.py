@@ -2,8 +2,7 @@
 
 A model is represented as a :class:`ParamSet`: an ordered collection of
 uniquely named flat float64 tensors. ParamSets are immutable after
-construction, so every operation in this module is a pure function that is
-safe to call concurrently.
+construction, so every operation in this module is a pure function.
 """
 
 from __future__ import annotations
@@ -17,6 +16,7 @@ import numpy as np
 
 CHECKPOINT_MAGIC = b"FSIMPSET"
 CHECKPOINT_VERSION = 1
+_PREAMBLE = struct.Struct("<IQ")
 
 
 class IncompatibleModelError(ValueError):
@@ -164,74 +164,33 @@ def norm(a: LayerTensor) -> float:
     return float(np.linalg.norm(a.values))
 
 
-def weighted_sum(models: Sequence[ParamSet], coeffs: Sequence[float]) -> ParamSet:
-    """Layer-by-layer linear combination sum_k coeffs[k] * models[k].
+def weighted_sum(models: Sequence[ParamSet], coeffs) -> ParamSet:
+    """Layer-by-layer linear combination: layer l = sum_k C[k, l] * models[k](l).
 
-    Accumulation follows the given model order, so callers that need
-    bit-reproducible output must fix that order themselves.
+    ``coeffs`` is the (K, L) matrix C with one coefficient per (model,
+    layer), or a length-K vector applied to every layer. Accumulation
+    follows the given model order, so callers that need bit-reproducible
+    output must fix that order themselves.
     """
     models = list(models)
     if not models:
         raise ValueError("weighted_sum: no models given")
-    if len(coeffs) != len(models):
-        raise ValueError(
-            f"weighted_sum: {len(models)} models but {len(coeffs)} coefficients"
-        )
     base = models[0]
     for m in models[1:]:
         base.require_compatible(m)
-    out = []
-    for idx, ref in enumerate(base.layers):
-        acc = np.zeros(ref.size, dtype=np.float64)
-        for m, c in zip(models, coeffs):
-            acc += float(c) * m.layers[idx].values
-        out.append(LayerTensor(ref.name, ref.shape, acc))
-    return ParamSet(tuple(out))
-
-
-def weighted_sum_per_layer(
-    models: Sequence[ParamSet],
-    coeffs: Sequence[Sequence[float] | Mapping[str, float]],
-) -> ParamSet:
-    """Linear combination with one coefficient per (model, layer).
-
-    ``coeffs[k]`` is either a sequence aligned with the layer order or a
-    mapping from layer name to coefficient; either way it must cover every
-    layer exactly.
-    """
-    models = list(models)
-    if not models:
-        raise ValueError("weighted_sum_per_layer: no models given")
-    if len(coeffs) != len(models):
+    table = np.asarray(coeffs, dtype=np.float64)
+    if table.shape == (len(models),):
+        table = table[:, None].repeat(len(base), axis=1)
+    if table.shape != (len(models), len(base)):
         raise ValueError(
-            f"weighted_sum_per_layer: {len(models)} models but {len(coeffs)} coefficient rows"
+            f"weighted_sum: coefficients of shape {table.shape} for "
+            f"{len(models)} models of {len(base)} layers"
         )
-    base = models[0]
-    for m in models[1:]:
-        base.require_compatible(m)
-    names = base.names
-    table = []
-    for k, entry in enumerate(coeffs):
-        if isinstance(entry, Mapping):
-            missing = [n for n in names if n not in entry]
-            if missing:
-                raise ValueError(f"model {k}: missing coefficient for layer {missing[0]!r}")
-            extra = [n for n in entry if n not in names]
-            if extra:
-                raise ValueError(f"model {k}: coefficient for unknown layer {extra[0]!r}")
-            row = [float(entry[n]) for n in names]
-        else:
-            row = [float(c) for c in entry]
-            if len(row) != len(names):
-                raise ValueError(
-                    f"model {k}: {len(row)} layer coefficients for {len(names)} layers"
-                )
-        table.append(row)
     out = []
-    for idx, ref in enumerate(base.layers):
+    for idx, (ref, column) in enumerate(zip(base.layers, table.T.tolist())):
         acc = np.zeros(ref.size, dtype=np.float64)
-        for m, row in zip(models, table):
-            acc += row[idx] * m.layers[idx].values
+        for m, c in zip(models, column):
+            acc += c * m.layers[idx].values
         out.append(LayerTensor(ref.name, ref.shape, acc))
     return ParamSet(tuple(out))
 
@@ -282,8 +241,7 @@ def save_checkpoint(params: ParamSet, path) -> None:
     header = json.dumps({"layers": entries}).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<I", CHECKPOINT_VERSION))
-        fh.write(struct.pack("<Q", len(header)))
+        fh.write(_PREAMBLE.pack(CHECKPOINT_VERSION, len(header)))
         fh.write(header)
         for raw in payloads:
             fh.write(raw)
@@ -301,7 +259,7 @@ def paramset_to_json(params: ParamSet) -> dict:
 
 
 def paramset_from_json(obj: Mapping) -> ParamSet:
-    if obj.get("format") != "fedsim-paramset":
+    if not isinstance(obj, Mapping) or obj.get("format") != "fedsim-paramset":
         raise ValueError("not a fedsim parameter-set JSON document")
     layers = tuple(
         LayerTensor(e["name"], tuple(e["shape"]), np.asarray(e["values"], dtype=np.float64))
@@ -318,33 +276,46 @@ def save_checkpoint_json(params: ParamSet, path) -> None:
 
 
 def load_checkpoint(path) -> ParamSet:
-    """Read either checkpoint variant, sniffing the binary magic."""
+    """Read either checkpoint variant, sniffing the binary magic.
+
+    Malformed content of any kind raises ValueError naming ``path``.
+    """
     with open(path, "rb") as fh:
         blob = fh.read()
-    if blob[: len(CHECKPOINT_MAGIC)] == CHECKPOINT_MAGIC:
-        return _load_binary(blob, path)
     try:
-        obj = json.loads(blob.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ValueError(f"{path}: neither a binary nor a JSON checkpoint") from exc
-    return paramset_from_json(obj)
+        if blob[: len(CHECKPOINT_MAGIC)] == CHECKPOINT_MAGIC:
+            return _load_binary(blob)
+        try:
+            obj = json.loads(blob.decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise ValueError("neither a binary nor a JSON checkpoint") from exc
+        return paramset_from_json(obj)
+    except (KeyError, TypeError, OverflowError) as exc:
+        raise ValueError(f"{path}: malformed checkpoint layout ({exc!r})") from exc
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
-def _load_binary(blob: bytes, path) -> ParamSet:
-    pos = len(CHECKPOINT_MAGIC)
-    (version,) = struct.unpack_from("<I", blob, pos)
-    pos += 4
+def _load_binary(blob: bytes) -> ParamSet:
+    pos = len(CHECKPOINT_MAGIC) + _PREAMBLE.size
+    if len(blob) < pos:
+        raise ValueError("truncated checkpoint: no version and header length")
+    version, header_len = _PREAMBLE.unpack_from(blob, len(CHECKPOINT_MAGIC))
     if version != CHECKPOINT_VERSION:
-        raise ValueError(f"{path}: unsupported checkpoint version {version}")
-    (header_len,) = struct.unpack_from("<Q", blob, pos)
-    pos += 8
+        raise ValueError(f"unsupported checkpoint version {version}")
+    if header_len > len(blob) - pos:
+        raise ValueError(f"header length {header_len} runs past the end of the file")
     header = json.loads(blob[pos : pos + header_len].decode("utf-8"))
-    payload_start = pos + header_len
+    payload = memoryview(blob)[pos + header_len :]
     layers = []
     for entry in header["layers"]:
         shape = tuple(int(s) for s in entry["shape"])
         count = int(np.prod(shape, dtype=np.int64))
-        start = payload_start + int(entry["offset"])
-        values = np.frombuffer(blob, dtype="<f8", count=count, offset=start)
+        offset = int(entry["offset"])
+        if offset < 0 or count < 0 or offset + 8 * count > len(payload):
+            raise ValueError(
+                f"layer {entry['name']!r}: {count} values at offset {offset} run past the payload"
+            )
+        values = np.frombuffer(payload, dtype="<f8", count=count, offset=offset)
         layers.append(LayerTensor(entry["name"], shape, values))
     return ParamSet(tuple(layers))

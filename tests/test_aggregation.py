@@ -4,21 +4,27 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedsim.aggregation import (
+    STRATEGIES,
     AggregationSpec,
     ClientUpdate,
     aggregate,
     aggregate_ldawa,
     aggregate_mdawa,
-    aggregate_weighted_ldawa,
+    coefficient_matrix,
     coeffs_fedavg,
     coeffs_loss,
     divergence_reports,
     effective_strategy,
 )
 from fedsim.divergence import DivergenceReport
-from fedsim.params import LayerTensor, ParamSet
+from fedsim.params import LayerTensor, ParamSet, weighted_sum
+
+# Deterministic property runs: the same examples on every tier-1 run.
+PROPERTY = settings(derandomize=True, deadline=None, database=None, max_examples=40)
 
 
 def ps(named):
@@ -60,16 +66,59 @@ def brute_force_cosine(g, c):
     return max(-1.0, min(1.0, num / (ng * nc)))
 
 
-def brute_force_layerwise(global_params, updates, base_coeffs):
-    """Scalar-loop expansion of the layer-wise divergence-scaled double sum."""
+# The strategy table of the aggregation module docstring, restated.
+ORACLE_RULES = {
+    "fedavg": ("samples", None),
+    "fairavg": ("uniform", None),
+    "loss": ("loss", None),
+    "mdawa": ("uniform", "model"),
+    "ldawa": ("uniform", "layer"),
+    "ldawa_fedavg": ("samples", "layer"),
+    "ldawa_loss": ("loss", "layer"),
+    "ldawa_fedu": ("samples", "layer"),
+}
+
+
+def brute_force_base(updates, base):
+    """Scalar base weights beta_k: uniform, sample-count or loss softmax."""
+    if base == "uniform":
+        return [1.0 / len(updates)] * len(updates)
+    if base == "samples":
+        total = sum(u.num_samples for u in updates)
+        return [u.num_samples / total for u in updates]
+    top = max(-u.train_loss for u in updates)
+    ex = [math.exp(-u.train_loss - top) for u in updates]
+    return [e / sum(ex) for e in ex]
+
+
+def brute_force_layerwise(global_params, updates, base_coeffs, scale="layer", renormalize=False):
+    """Scalar-loop expansion of layer l = sum_k beta_k * s_k(l) * w_k(l).
+
+    ``scale`` is None (s = 1), "model" (whole-model cosine) or "layer"
+    (per-layer cosine); ``renormalize`` divides each layer's coefficients of
+    a divergence-scaled rule by their sum unless that sum is within 1e-12
+    of zero.
+    """
+    flat_global = [float(x) for t in global_params.layers for x in t.values]
     result = {}
     for layer in global_params.layers:
-        acc = [0.0] * layer.size
+        coeffs = []
         for u, beta in zip(updates, base_coeffs):
+            if scale == "layer":
+                s = brute_force_cosine(layer.values, u.params.layer(layer.name).values)
+            elif scale == "model":
+                s = brute_force_cosine(flat_global, [float(x) for t in u.params.layers for x in t.values])
+            else:
+                s = 1.0
+            coeffs.append(beta * s)
+        total = sum(coeffs)
+        if renormalize and scale is not None and abs(total) > 1e-12:
+            coeffs = [c / total for c in coeffs]
+        acc = [0.0] * layer.size
+        for u, c in zip(updates, coeffs):
             client_layer = u.params.layer(layer.name)
-            delta = brute_force_cosine(layer.values, client_layer.values)
             for i in range(layer.size):
-                acc[i] += beta * delta * float(client_layer.values[i])
+                acc[i] += c * float(client_layer.values[i])
         result[layer.name] = acc
     return result
 
@@ -172,7 +221,9 @@ class TestWeightedLdawa:
         rng = np.random.default_rng(3)
         g, ups = random_fixture(rng)
         k = len(ups)
-        a = aggregate_weighted_ldawa(g, ups, [1.0 / k] * k)
+        reports = divergence_reports(g, ups)
+        table = [[c * r.per_layer_delta[n] for n in g.names] for c, r in zip([1.0 / k] * k, reports)]
+        a = weighted_sum([u.params for u in ups], table)
         b = aggregate_ldawa(g, ups)
         for la, lb in zip(a.layers, b.layers):
             assert np.abs(la.values - lb.values).max() < 1e-12
@@ -184,9 +235,7 @@ class TestWeightedLdawa:
             DivergenceReport(u.client_id, {n: 1.0 for n in g.names}, 1.0) for u in ups
         ]
         betas = coeffs_fedavg(ups)
-        out = aggregate_weighted_ldawa(g, ups, betas, reports=ones)
-        from fedsim.params import weighted_sum
-
+        out = weighted_sum([u.params for u in ups], coefficient_matrix("ldawa_fedavg", ups, ones))
         plain = weighted_sum([u.params for u in ups], betas)
         for la, lb in zip(out.layers, plain.layers):
             assert np.abs(la.values - lb.values).max() < 1e-12
@@ -196,7 +245,7 @@ class TestWeightedLdawa:
         for _ in range(10):
             g, ups = random_fixture(rng, n_clients=2, n_layers=2)
             betas = coeffs_loss(ups)
-            out = aggregate_weighted_ldawa(g, ups, betas)
+            out, _ = aggregate(AggregationSpec("ldawa_loss"), 0, g, ups)
             expected = brute_force_layerwise(g, ups, betas)
             for layer in out.layers:
                 assert np.abs(layer.values - expected[layer.name]).max() < 1e-12
@@ -204,7 +253,43 @@ class TestWeightedLdawa:
     def test_length_mismatch_rejected(self):
         g, ups = random_fixture(np.random.default_rng(6))
         with pytest.raises(ValueError, match="coefficients"):
-            aggregate_weighted_ldawa(g, ups, [1.0])
+            weighted_sum([u.params for u in ups], [1.0])
+
+
+class TestSinglePath:
+    @pytest.mark.parametrize("renormalize", [False, True])
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_matches_scalar_expansion_of_table(self, strategy, renormalize):
+        base, scale = ORACLE_RULES[strategy]
+        rng = np.random.default_rng(20)
+        for _ in range(10):
+            g, ups = random_fixture(rng)
+            out, _ = aggregate(AggregationSpec(strategy, renormalize=renormalize), 0, g, ups)
+            expected = brute_force_layerwise(g, ups, brute_force_base(ups, base), scale, renormalize)
+            for layer in out.layers:
+                assert np.abs(layer.values - expected[layer.name]).max() < 1e-12
+
+    @PROPERTY
+    @given(seed=st.integers(0, 2**32 - 1), order=st.permutations(range(5)))
+    def test_client_order_never_changes_the_bytes(self, seed, order):
+        g, ups = random_fixture(np.random.default_rng(seed), n_clients=5)
+        for shuffled in ([ups[i] for i in order], ups[::-1]):
+            for strategy in STRATEGIES:
+                for renormalize in (False, True):
+                    spec = AggregationSpec(strategy, renormalize=renormalize)
+                    assert aggregate(spec, 0, g, shuffled)[0] == aggregate(spec, 0, g, ups)[0]
+
+    @PROPERTY
+    @given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 6))
+    def test_identical_clients_are_a_fixed_point(self, seed, k):
+        rng = np.random.default_rng(seed)
+        g, _ = random_fixture(rng, n_clients=1)
+        ups = [ClientUpdate(i, g, int(rng.integers(1, 50)), float(rng.normal())) for i in range(k)]
+        for strategy in STRATEGIES:
+            for renormalize in (False, True):
+                out, _ = aggregate(AggregationSpec(strategy, renormalize=renormalize), 0, g, ups)
+                for got, want in zip(out.layers, g.layers):
+                    assert np.abs(got.values - want.values).max() < 1e-12
 
 
 class TestDispatch:
@@ -297,8 +382,6 @@ class TestDispatch:
         rng = np.random.default_rng(14)
         g, ups = random_fixture(rng)
         got, _ = aggregate(AggregationSpec("loss"), 0, g, ups)
-        from fedsim.params import weighted_sum
-
         ordered = sorted(ups, key=lambda u: u.client_id)
         direct = weighted_sum([u.params for u in ordered], coeffs_loss(ordered))
         assert got == direct

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -226,6 +227,67 @@ class TestAggregateCommand:
         assert load_checkpoint(out) == expected
         entries = json.loads(report.read_text())
         assert len(entries) == 2 and {e["client_id"] for e in entries} == {0, 1}
+
+
+def binary_blob(header, payload=b"", header_len=None):
+    raw = header if isinstance(header, bytes) else json.dumps(header).encode()
+    size = len(raw) if header_len is None else header_len
+    return b"FSIMPSET" + struct.pack("<IQ", 1, size) + raw + payload
+
+
+def one_layer(**entry):
+    return {"layers": [{"name": "w", "shape": [2], "offset": 0, **entry}]}
+
+
+MALFORMED_CHECKPOINTS = {
+    "truncated_version": b"FSIMPSET\x01\x00",
+    "truncated_header_length": b"FSIMPSET" + struct.pack("<I", 1) + b"\x05\x00",
+    "header_length_past_eof": binary_blob(b"{}", header_len=1000),
+    "header_not_utf8": binary_blob(b"\xff\xfe\xfd"),
+    "layer_offset_past_payload": binary_blob(one_layer(offset=8), b"\x00" * 16),
+    "layer_negative_offset": binary_blob(one_layer(offset=-8), b"\x00" * 16),
+    "layer_size_past_payload": binary_blob(one_layer(shape=[100]), b"\x00" * 16),
+    "header_missing_layers": binary_blob({}),
+    "header_missing_name": binary_blob({"layers": [{"shape": [2], "offset": 0}]}, b"\x00" * 16),
+    "header_missing_shape": binary_blob({"layers": [{"name": "w", "offset": 0}]}, b"\x00" * 16),
+    "header_layers_not_a_list": binary_blob({"layers": 5}),
+    "json_missing_layers": json.dumps({"format": "fedsim-paramset"}).encode(),
+    "json_missing_values": json.dumps(
+        {"format": "fedsim-paramset", "layers": [{"name": "w", "shape": [1]}]}
+    ).encode(),
+    "json_not_an_object": b"[1, 2]",
+}
+
+
+class TestMalformedInputs:
+    @pytest.mark.parametrize("name", sorted(MALFORMED_CHECKPOINTS))
+    def test_malformed_checkpoint_exits_one_naming_file(self, tmp_path, capsys, name):
+        bad = tmp_path / f"{name}.bin"
+        bad.write_bytes(MALFORMED_CHECKPOINTS[name])
+        c1, _ = checkpoint(tmp_path, "c1.bin", {"w": [1.0, 2.0]})
+        code = main(["aggregate", "--global", str(bad), "--client", c1,
+                     "--strategy", "fairavg", "--output", str(tmp_path / "x.bin")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.count("\n") == 1 and str(bad) in err
+
+    @pytest.mark.parametrize(
+        "entries, index",
+        [([1, 2], 0), ([{"num_samples": 3}, {"num_samples": None}], 1),
+         ([{"train_loss": "high"}, {}], 0), ("[{", None)],
+    )
+    def test_malformed_metadata_exits_one(self, tmp_path, capsys, entries, index):
+        g, _ = checkpoint(tmp_path, "g.bin", {"w": [1.0]})
+        c1, _ = checkpoint(tmp_path, "c1.bin", {"w": [1.0]})
+        meta = tmp_path / "meta.json"
+        meta.write_text(entries if isinstance(entries, str) else json.dumps(entries))
+        code = main(["aggregate", "--global", g, "--client", c1, "--client", c1,
+                     "--strategy", "fedavg", "--metadata", str(meta),
+                     "--output", str(tmp_path / "x.bin")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.count("\n") == 1 and str(meta) in err
+        assert ("invalid JSON" if index is None else f"client entry {index}") in err
 
 
 class TestProbeCommand:

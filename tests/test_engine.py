@@ -212,11 +212,11 @@ class TestRunExperiment:
         strategies = [rec.strategy_effective for rec in result.state.history]
         assert strategies == ["fedavg", "fedavg", "ldawa", "ldawa"]
 
-    def test_deterministic_and_worker_count_invariant(self, tmp_path):
+    def test_deterministic_across_runs(self, tmp_path):
         cfg_a = base_config(tmp_path, output_dir=str(tmp_path / "a"))
         cfg_b = base_config(tmp_path, output_dir=str(tmp_path / "b"))
-        res_a = run_experiment(cfg_a, workers=1)
-        res_b = run_experiment(cfg_b, workers=4)
+        res_a = run_experiment(cfg_a)
+        res_b = run_experiment(cfg_b)
         assert res_a.rounds_csv.read_bytes() == res_b.rounds_csv.read_bytes()
         assert res_a.final_checkpoint.read_bytes() == res_b.final_checkpoint.read_bytes()
 
@@ -273,16 +273,6 @@ class TestRunExperiment:
         res_off = run_experiment(cfg_off)
         assert res_inf.rounds_csv.read_bytes() == res_off.rounds_csv.read_bytes()
         assert res_inf.final_checkpoint.read_bytes() == res_off.final_checkpoint.read_bytes()
-
-    def test_worker_pool_size_from_environment(self, tmp_path, monkeypatch):
-        cfg = base_config(tmp_path)
-        train_ds, _ = build_datasets(cfg)
-        parts = partition(train_ds, cfg.partition)
-        monkeypatch.setenv("FEDSIM_WORKERS", "6")
-        runner = FederatedRunner(cfg, train_ds, parts)
-        assert runner.workers == 6
-        monkeypatch.delenv("FEDSIM_WORKERS")
-        assert FederatedRunner(cfg, train_ds, parts).workers == 1
 
     def test_cross_device_probes_final_round(self, tmp_path):
         cfg = base_config(

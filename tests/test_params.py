@@ -19,7 +19,6 @@ from fedsim.params import (
     save_checkpoint_json,
     unflatten,
     weighted_sum,
-    weighted_sum_per_layer,
 )
 
 
@@ -169,30 +168,34 @@ class TestWeightedSum:
 
 
 class TestWeightedSumPerLayer:
+    """``weighted_sum`` with a (K, L) matrix: one coefficient per (model, layer)."""
+
     def test_identity(self):
         m = ps([1.0, 2.0], [3.0])
-        out = weighted_sum_per_layer([m], [[1.0, 1.0]])
+        out = weighted_sum([m], [[1.0, 1.0]])
         assert out == m
 
     def test_hand_mean_single_layer(self):
-        out = weighted_sum_per_layer([ps([2.0]), ps([4.0])], [[0.5], [0.5]])
+        out = weighted_sum([ps([2.0]), ps([4.0])], [[0.5], [0.5]])
         np.testing.assert_array_equal(out.layers[0].values, [3.0])
 
     def test_two_layer_two_client_hand_expansion(self):
         a = ps([1.0, 0.0], [2.0])
         b = ps([0.0, 1.0], [4.0])
         coeffs = [[0.25, 0.5], [0.75, 0.5]]
-        out = weighted_sum_per_layer([a, b], coeffs)
+        out = weighted_sum([a, b], coeffs)
         # scalar-loop expansion of the double sum
         np.testing.assert_allclose(out.layers[0].values, 0.25 * a.layers[0].values + 0.75 * b.layers[0].values)
         np.testing.assert_allclose(out.layers[1].values, 0.5 * a.layers[1].values + 0.5 * b.layers[1].values)
 
-    def test_missing_coefficient_rejected(self):
+    def test_shape_mismatch_rejected(self):
         m = ps([1.0], [2.0])
-        with pytest.raises(ValueError, match="missing coefficient"):
-            weighted_sum_per_layer([m], [{"layer0": 1.0}])
-        with pytest.raises(ValueError, match="layer coefficients"):
-            weighted_sum_per_layer([m], [[1.0]])
+        with pytest.raises(ValueError, match=r"shape \(1, 1\) for 1 models of 2 layers"):
+            weighted_sum([m], [[1.0]])
+        with pytest.raises(ValueError, match=r"shape \(2, 2\)"):
+            weighted_sum([m], [[1.0, 1.0], [1.0, 1.0]])
+        with pytest.raises(ValueError, match=r"shape \(2,\)"):
+            weighted_sum([m], [1.0, 1.0])
 
     def test_constant_per_client_coefficient_matches_weighted_sum(self):
         rng = np.random.default_rng(4)
@@ -205,7 +208,7 @@ class TestWeightedSumPerLayer:
             ]
             coeffs = rng.normal(size=k)
             flat_out = weighted_sum(models, coeffs)
-            table_out = weighted_sum_per_layer(models, [[c] * len(ref) for c in coeffs])
+            table_out = weighted_sum(models, [[c] * len(ref) for c in coeffs])
             for a, b in zip(flat_out.layers, table_out.layers):
                 assert np.abs(a.values - b.values).max() < 1e-12
 
