@@ -71,18 +71,15 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_cfg(args):
-    raw = load_config_file(args.config)
-    raw = apply_overrides(raw, args.overrides)
+def _load_cfg(args, output_dir: str | None = None):
+    raw = apply_overrides(load_config_file(args.config), args.overrides)
+    if output_dir:
+        raw["output_dir"] = output_dir  # --output wins over any --set output_dir
     return parse_config(raw)
 
 
 def _cmd_run(args) -> int:
-    cfg = _load_cfg(args)
-    if args.output:
-        raw = apply_overrides(load_config_file(args.config), args.overrides)
-        raw["output_dir"] = args.output
-        cfg = parse_config(raw)
+    cfg = _load_cfg(args, args.output)
     result = run_experiment(cfg)
     print(f"run complete: {cfg.rounds} rounds -> {result.output_dir}")
     return EXIT_OK

@@ -140,7 +140,9 @@ def build_datasets(cfg: ExperimentConfig) -> tuple[Dataset, Dataset]:
     ds = cfg.dataset
     if isinstance(ds, BlobsConfig):
         train = make_blobs(ds.num_classes, ds.samples_per_class, ds.dim, ds.spread, ds.seed, ds.separation)
-        test = make_blobs(ds.num_classes, ds.test_count, ds.dim, ds.spread, ds.seed + 1, ds.separation)
+        test = make_blobs(
+            ds.num_classes, ds.test_samples_per_class, ds.dim, ds.spread, ds.seed + 1, ds.separation
+        )
         return train, test
     full = load_csv(ds.path, num_classes=ds.num_classes)
     if ds.test_path is not None:
@@ -233,7 +235,10 @@ class FederatedRunner:
             fedu_adopted=adopted,
         )
         if self._should_probe(r):
-            record.probe_acc = self._probe(new_global)
+            try:
+                record.probe_acc = self._probe(new_global)
+            except ValueError as exc:
+                raise RuntimeError(f"round {r}: linear probe: {exc}") from exc
         history = state.history + [record]
         return RunState(new_global, r + 1, history, client_models)
 

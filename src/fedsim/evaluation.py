@@ -49,6 +49,8 @@ class EvalSpec:
             raise ValueError("batch_size must be >= 1")
         if self.probe_every < 0:
             raise ValueError("probe_every must be >= 0")
+        if self.eval_seed < 0:
+            raise ValueError("eval_seed must be non-negative")
 
 
 def accuracy(predictions: Sequence[int], labels: Sequence[int]) -> float:
@@ -116,6 +118,8 @@ def linear_probe(
     feats = representation(encoder_params, model_spec, train_ds.features[subset])
     labels = train_ds.labels[subset]
     test_feats = representation(encoder_params, model_spec, test_ds.features)
+    if not (np.isfinite(feats).all() and np.isfinite(test_feats).all()):
+        raise ValueError("non-finite frozen features: the encoder diverged")
 
     d = feats.shape[1]
     bound = 1.0 / math.sqrt(d)
@@ -139,6 +143,8 @@ def linear_probe(
             weight = weight - lr * vel_w
             bias = bias - lr * vel_b
 
+    if not (np.isfinite(weight).all() and np.isfinite(bias).all()):
+        raise ValueError("the linear head diverged to non-finite weights")
     predictions = (test_feats @ weight + bias).argmax(axis=1)
     return accuracy(predictions, test_ds.labels)
 

@@ -273,6 +273,11 @@ def loss_xent(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray
     return loss, grad / n
 
 
+def _require_finite(*embeddings: np.ndarray) -> None:
+    if not all(np.isfinite(z).all() for z in embeddings):
+        raise ValueError("non-finite embedding: the model diverged")
+
+
 def loss_ntxent(
     z_a: np.ndarray, z_b: np.ndarray, temperature: float
 ) -> tuple[float, np.ndarray, np.ndarray]:
@@ -296,6 +301,7 @@ def loss_ntxent(
     norms_a = np.linalg.norm(z_a, axis=1, keepdims=True)
     norms_b = np.linalg.norm(z_b, axis=1, keepdims=True)
     if not (norms_a > 0).all() or not (norms_b > 0).all():
+        _require_finite(z_a, z_b)  # a NaN row fails the test above too
         raise ValueError("cannot normalize a zero embedding row")
     s = np.vstack([z_a / norms_a, z_b / norms_b])  # (2B, D), unit rows
 
@@ -306,6 +312,8 @@ def loss_ntxent(
     row_max = sim.max(axis=1, keepdims=True)
     lse = row_max[:, 0] + np.log(np.exp(sim - row_max).sum(axis=1))
     loss = float((lse - sim[np.arange(2 * b), pos]).mean())
+    if not math.isfinite(loss):
+        _require_finite(z_a, z_b)  # an inf row normalizes to NaN
 
     # d(loss)/d(sim): softmax over each anchor's candidates minus the positive.
     soft = np.exp(sim - lse[:, None])

@@ -70,6 +70,8 @@ class PartitionSpec:
             raise ValueError("dirichlet partitioning requires alpha > 0")
         if self.min_samples < 0:
             raise ValueError("min_samples must be >= 0")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
 
 
 def allocate_counts(proportions: np.ndarray, total: int) -> np.ndarray:

@@ -1,14 +1,20 @@
 """Config validation, CLI subcommands, and artifact round-trips."""
 
+import copy
 import csv
 import json
+import re
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fedsim.aggregation import STRATEGIES
 from fedsim.cli import main
-from fedsim.config import ConfigError, apply_overrides, parse_config
+from fedsim.config import ConfigError, apply_overrides, parse_config, resolved_dict
 from fedsim.params import LayerTensor, ParamSet, load_checkpoint, save_checkpoint, weighted_sum
 
 
@@ -37,6 +43,58 @@ def write_config(tmp_path, raw, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(raw))
     return str(path)
+
+
+PROPERTY = settings(derandomize=True, deadline=None, database=None, max_examples=20)
+
+# Every kind of JSON value: null, bools, ints (huge ones too), NaN and
+# +-Infinity, strings, and lists and objects of those.
+SPECIAL_NUMBERS = [float("nan"), float("inf"), -float("inf"), 10**400, -(10**400), 2**64, 0, -1, 0.5, 3.0]
+JSON_SCALARS = (
+    st.none() | st.booleans() | st.integers() | st.floats() | st.sampled_from(SPECIAL_NUMBERS) | st.text(max_size=6)
+)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda kids: st.lists(kids, max_size=4) | st.dictionaries(st.text(max_size=6), kids, max_size=4),
+    max_leaves=8,
+)
+
+# Valid configs whose keys, between them, are every key of the schema.
+SCHEMA_BASES = {
+    "blobs": minimal_raw(Path("out"), aggregation={"strategy": "ldawa_fedu"}),
+    "csv": {
+        **minimal_raw(Path("out"), trainer={"method": "supervised"}, model={"projector_dims": []}),
+        "dataset": {"type": "csv", "path": "train.csv", "num_classes": 3, "test_path": None},
+    },
+}
+
+
+def schema_paths():
+    """(base, key path) for every key of the schema and every section."""
+    paths = []
+    for base, raw in SCHEMA_BASES.items():
+        for key, value in resolved_dict(parse_config(raw)).items():
+            if base == "blobs" or key == "dataset":
+                paths.append((base, (key,)))
+                if isinstance(value, dict):
+                    paths += [(base, (key, sub)) for sub in value]
+    return paths
+
+
+def set_path(raw, path, value):
+    raw = copy.deepcopy(raw)
+    node = raw
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return raw
+
+
+def readme_config():
+    """The README's jsonc config example with its // comments stripped."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"```jsonc\n(.*?)```", text, re.S).group(1)
+    return json.loads(re.sub(r"//[^\n]*", "", block))
 
 
 class TestConfigParsing:
@@ -100,6 +158,61 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="dotted"):
             apply_overrides(minimal_raw(tmp_path), ["no_equals_sign"])
 
+    def test_type_error_carries_one_path_prefix(self, tmp_path):
+        with pytest.raises(ConfigError) as err:
+            parse_config(minimal_raw(tmp_path, evaluation={"epochs": 3.0}))
+        assert str(err.value) == "evaluation.epochs: expected an integer, got 3.0"
+
+    def test_null_means_the_default(self, tmp_path):
+        nulls = minimal_raw(tmp_path, dataset={"spread": None}, trainer={"lr": None}, evaluation=None)
+        raw = minimal_raw(tmp_path)
+        del raw["dataset"]["spread"], raw["evaluation"]
+        assert parse_config(nulls) == parse_config(raw)
+
+    def test_blobs_test_size_resolved_in_the_spec(self, tmp_path):
+        cfg = parse_config(minimal_raw(tmp_path))
+        assert cfg.dataset.test_samples_per_class == max(1, 12 // 5)
+        with pytest.raises(ConfigError, match="dataset: test_samples_per_class must be >= 1"):
+            parse_config(minimal_raw(tmp_path, dataset={"test_samples_per_class": 0}))
+
+    @pytest.mark.parametrize(
+        "over",
+        [None, {}, {"trainer": {"method": "barlow_twins", "batch_size": 8}},
+         {"aggregation": {"strategy": "ldawa_fedu", "fedu_threshold": None}},
+         {"aggregation": {"strategy": "ldawa_fedu", "fedu_threshold": "inf"}},
+         {"partition": {"scheme": "dirichlet", "alpha": 0.5}, "record_timings": True}]
+        + [{"aggregation": {"strategy": s}} for s in STRATEGIES],
+        ids=lambda over: "csv" if over is None else json.dumps(over),
+    )
+    def test_resolved_dict_round_trips(self, tmp_path, over):
+        cfg = parse_config(SCHEMA_BASES["csv"] if over is None else minimal_raw(tmp_path, **over))
+        assert parse_config(json.loads(json.dumps(resolved_dict(cfg)))) == cfg
+
+    @pytest.mark.parametrize("base, path", schema_paths(), ids=lambda p: ".".join(p) if isinstance(p, tuple) else p)
+    @PROPERTY
+    @given(value=JSON_VALUES)
+    def test_any_json_value_fails_only_with_config_error(self, base, path, value):
+        try:
+            parse_config(set_path(SCHEMA_BASES[base], path, value))
+        except ConfigError:
+            pass
+
+    @PROPERTY
+    @given(value=JSON_VALUES)
+    def test_any_top_level_value_fails_only_with_config_error(self, value):
+        try:
+            parse_config(value)
+        except ConfigError:
+            pass
+
+    def test_readme_example_states_every_key(self):
+        raw = readme_config()
+        echo = resolved_dict(parse_config(raw))
+        assert raw.keys() == echo.keys()
+        for key, value in raw.items():
+            if isinstance(value, dict):
+                assert value.keys() == echo[key].keys(), key
+
 
 class TestValidateCommand:
     def test_ok_config(self, tmp_path, capsys):
@@ -118,6 +231,33 @@ class TestValidateCommand:
         path = write_config(tmp_path, raw)
         assert main(["validate", "--config", path]) == 1
         assert "clients_per_round" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "overrides, key",
+        [
+            (["aggregation.fedu_threshold=[1]"], "aggregation.fedu_threshold"),
+            (['aggregation.fedu_threshold={"a": 1}'], "aggregation.fedu_threshold"),
+            (["aggregation.fedu_threshold=true"], "aggregation.fedu_threshold"),
+            (["model.encoder_dims=[4, Infinity, 3]"], "model.encoder_dims[1]"),
+            (["model.projector_dims=[3, Infinity]"], "model.projector_dims[1]"),
+            (["evaluation.milestones=[Infinity]"], "evaluation.milestones[0]"),
+            (["trainer.lr=NaN"], "trainer.lr"),
+            (["dataset.spread=NaN"], "dataset.spread"),
+            (["partition.scheme=dirichlet", "partition.alpha=NaN"], "partition.alpha"),
+            (["model.encoder_dims=[4.7, 8]", "model.projector_dims=[8, 4]"], "model.encoder_dims[0]"),
+            (['evaluation.label_fractions=["0.5"]'], "evaluation.label_fractions[0]"),
+            (["evaluation.label_fractions=[true]"], "evaluation.label_fractions[0]"),
+        ],
+        ids=lambda v: " ".join(v) if isinstance(v, list) else None,
+    )
+    def test_untrusted_value_exits_one_with_one_line(self, tmp_path, capsys, overrides, key):
+        path = write_config(tmp_path, minimal_raw(tmp_path))
+        argv = ["validate", "--config", path]
+        for item in overrides:
+            argv += ["--set", item]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith(f"error: {key}: expected")
 
 
 class TestRunCommand:
@@ -155,6 +295,35 @@ class TestRunCommand:
         raw = minimal_raw(tmp_path, rounds=0)
         path = write_config(tmp_path, raw)
         assert main(["run", "--config", path]) == 1
+
+    def test_output_flag_is_the_last_output_dir_override(self, tmp_path):
+        path = write_config(tmp_path, minimal_raw(tmp_path))
+        a, b = tmp_path / "A", tmp_path / "B"
+        assert main(["run", "--config", path, "--set", f"output_dir={a}", "--output", str(b)]) == 0
+        assert (b / "rounds.csv").exists() and not a.exists()
+        assert json.loads((b / "run.json").read_text())["output_dir"] == str(b)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "lr, cause",
+        [("1e30", "round 0: linear probe: the linear head diverged to non-finite weights"),
+         ("1e200", "round 0: training failed for client 0: non-finite embedding")],
+    )
+    def test_diverging_run_exits_two_naming_the_cause(self, tmp_path, capsys, lr, cause):
+        raw = {
+            "dataset": {"type": "blobs", "num_classes": 3, "samples_per_class": 20, "dim": 4},
+            "partition": {"scheme": "iid", "num_clients": 2},
+            "clients_per_round": 2,
+            "rounds": 1,
+            "trainer": {"method": "simclr", "batch_size": 8},
+            "aggregation": {"strategy": "fedavg"},
+            "run_seed": 0,
+            "output_dir": str(tmp_path / "out"),
+        }
+        path = write_config(tmp_path, raw)
+        assert main(["run", "--config", path, "--set", f"trainer.lr={lr}"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith(f"error: {cause}")
 
 
 def checkpoint(tmp_path, name, named):

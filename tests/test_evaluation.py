@@ -103,6 +103,22 @@ class TestLinearProbe:
         b = linear_probe(params, spec, train, test, FAST_PROBE, 0.5)
         assert a == b
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "scale, cause", [(1e308, "non-finite frozen features"), (1e160, "head diverged to non-finite weights")]
+    )
+    def test_diverged_encoder_rejected(self, scale, cause):
+        # 1e308 weights overflow the features themselves; 1e160 ones give
+        # finite features on which the head's SGD overflows.
+        train = make_blobs(3, 20, 4, spread=0.8, seed=5)
+        test = make_blobs(3, 10, 4, spread=0.8, seed=6)
+        spec = ModelSpec((4, 3))
+        huge = ParamSet.from_arrays(
+            {"encoder.0.weight": np.full((4, 3), scale), "encoder.0.bias": np.zeros(3)}
+        )
+        with pytest.raises(ValueError, match=cause):
+            linear_probe(huge, spec, train, test, FAST_PROBE, 1.0)
+
     def test_fraction_too_small_rejected(self):
         train = make_blobs(5, 10, 4, spread=0.5, seed=8)
         test = make_blobs(5, 5, 4, spread=0.5, seed=9)

@@ -192,6 +192,19 @@ class TestNtxent:
         with pytest.raises(ValueError, match="at least 2"):
             loss_ntxent(np.ones((1, 3)), np.ones((1, 3)), 0.5)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "row, cause",
+        [([0.0, 0.0], "zero embedding row"), ([np.nan, 1.0], "non-finite embedding"),
+         ([np.inf, 1.0], "non-finite embedding"), ([-np.inf, -np.inf], "non-finite embedding")],
+    )
+    def test_degenerate_row_named(self, row, cause):
+        z = np.ones((3, 2))
+        z[1] = row
+        for z_a, z_b in ((z, np.ones((3, 2))), (np.ones((3, 2)), z)):
+            with pytest.raises(ValueError, match=cause):
+                loss_ntxent(z_a, z_b, 0.5)
+
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(6)
         for _ in range(10):
