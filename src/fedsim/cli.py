@@ -73,7 +73,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _load_cfg(args, output_dir: str | None = None):
     raw = apply_overrides(load_config_file(args.config), args.overrides)
-    if output_dir:
+    if output_dir is not None:
         raw["output_dir"] = output_dir  # --output wins over any --set output_dir
     return parse_config(raw)
 
@@ -108,7 +108,7 @@ def _load_metadata(path, n_clients: int) -> list[tuple[int, float]]:
     with open(path, encoding="utf-8") as fh:
         try:
             meta = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:
             raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
     entries = meta["clients"] if isinstance(meta, dict) and "clients" in meta else meta
     if not isinstance(entries, list) or len(entries) != n_clients:

@@ -131,6 +131,15 @@ def _threshold(value, path: str) -> float:
     raise ConfigError(f'{path}: expected a positive number or "inf", got {value!r}')
 
 
+def _path(value, path: str) -> str:
+    if type(value) is str and value:  # "" would put every artifact in the current directory
+        return value
+    raise ConfigError(f"{path}: expected a non-empty string, got {value!r}")
+
+
+# Fields whose coercer is not read off the annotation.
+_SPECIAL = {(AggregationSpec, "fedu_threshold"): _threshold, (ExperimentConfig, "output_dir"): _path}
+
 _SCALARS = {
     int: _exact(int, "an integer"), bool: _exact(bool, "true or false"), str: _exact(str, "a string"), float: _float,
 }
@@ -163,8 +172,7 @@ def _schema(cls, section: str) -> tuple:
     for f in fields(cls):
         key = _ALIASES.get(f.name, f.name)
         path = f"{section}.{key}"
-        threshold = (cls, f.name) == (AggregationSpec, "fedu_threshold")
-        keys[key] = (f.name, _threshold if threshold else _coercer(hints[f.name]), path)
+        keys[key] = (f.name, _SPECIAL.get((cls, f.name)) or _coercer(hints[f.name]), path)
         if f.default is MISSING and f.default_factory is MISSING:
             required.append((f.name, path))
     return section, keys, tuple(required)
@@ -291,7 +299,7 @@ def load_config_file(path) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also an integer past Python's digit limit, or bad UTF-8
         raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: top level must be a JSON object")
@@ -310,6 +318,8 @@ def apply_overrides(raw: dict, overrides: list[str]) -> dict:
             value = json.loads(text)
         except json.JSONDecodeError:
             value = text
+        except ValueError as exc:  # valid JSON, but an integer past Python's digit limit
+            raise ConfigError(f"override {dotted!r}: {exc}") from exc
         node = out
         for key in keys[:-1]:
             if not isinstance(node.get(key), dict):

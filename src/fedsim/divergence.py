@@ -36,14 +36,10 @@ def cosine(a: LayerTensor, b: LayerTensor) -> float:
     """
     na = norm(a)
     nb = norm(b)
-    if na <= ZERO_NORM_TOL and nb <= ZERO_NORM_TOL:
-        if a.shape != b.shape:
-            raise ValueError(f"cosine: shape mismatch {a.shape} vs {b.shape}")
-        return 1.0
     if na <= ZERO_NORM_TOL or nb <= ZERO_NORM_TOL:
         if a.shape != b.shape:
             raise ValueError(f"cosine: shape mismatch {a.shape} vs {b.shape}")
-        return 0.0
+        return 1.0 if na <= ZERO_NORM_TOL and nb <= ZERO_NORM_TOL else 0.0
     v = dot(a, b) / (na * nb)
     if v >= 1.0 - SNAP_TOL:
         return 1.0

@@ -20,7 +20,7 @@ from typing import Mapping
 import numpy as np
 
 from .aggregation import ClientUpdate
-from .params import ParamSet
+from .params import ParamSet, segments
 
 ACTIVATIONS = ("relu", "tanh")
 TRAINER_METHODS = ("supervised", "simclr", "barlow_twins")
@@ -177,15 +177,14 @@ class ForwardPass:
     logits: np.ndarray | None
 
 
-def forward(params: ParamSet, spec: ModelSpec, batch: np.ndarray) -> ForwardPass:
-    """Run the full encoder (+projector, +head) chain on a batch."""
+def forward(params: Mapping[str, np.ndarray], spec: ModelSpec, batch: np.ndarray) -> ForwardPass:
+    """Run the full encoder (+projector, +head) chain on a batch; ``params`` maps names to shaped arrays."""
     x = np.asarray(batch, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != spec.input_dim:
         raise ValueError(
             f"batch of width {x.shape[-1] if x.ndim == 2 else '?'} "
             f"does not match input width {spec.input_dim}"
         )
-    arrays = {t.name: t.values.reshape(t.shape) for t in params.layers}
     n_enc = len(spec.encoder_dims) - 1
     inputs: list[np.ndarray] = []
     pre: list[np.ndarray] = []
@@ -195,32 +194,31 @@ def forward(params: ParamSet, spec: ModelSpec, batch: np.ndarray) -> ForwardPass
         if i > 0:
             a = _act(pre[-1], spec.activation)
         inputs.append(a)
-        a = a @ arrays[f"{prefix}.weight"] + arrays[f"{prefix}.bias"]
+        a = a @ params[f"{prefix}.weight"] + params[f"{prefix}.bias"]
         pre.append(a)
     h = pre[n_enc - 1]
     z = pre[-1] if spec.projector_dims else None
     logits = None
     if spec.head_classes is not None:
-        logits = h @ arrays["head.weight"] + arrays["head.bias"]
+        logits = h @ params["head.weight"] + params["head.bias"]
     return ForwardPass(inputs, pre, h, z, logits)
 
 
-def representation(params: ParamSet, spec: ModelSpec, batch: np.ndarray) -> np.ndarray:
+def representation(params: Mapping[str, np.ndarray], spec: ModelSpec, batch: np.ndarray) -> np.ndarray:
     """Frozen-encoder features: the raw output of the last encoder layer."""
     x = np.asarray(batch, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != spec.input_dim:
         raise ValueError(f"batch width does not match input width {spec.input_dim}")
-    arrays = {t.name: t.values.reshape(t.shape) for t in params.layers}
     a = x
     for i in range(len(spec.encoder_dims) - 1):
         if i > 0:
             a = _act(a, spec.activation)
-        a = a @ arrays[f"encoder.{i}.weight"] + arrays[f"encoder.{i}.bias"]
+        a = a @ params[f"encoder.{i}.weight"] + params[f"encoder.{i}.bias"]
     return a
 
 
 def backward(
-    params: ParamSet,
+    params: Mapping[str, np.ndarray],
     spec: ModelSpec,
     fp: ForwardPass,
     grad_out: np.ndarray,
@@ -233,7 +231,6 @@ def backward(
     ``grad_logits`` instead and ``grad_out=None`` is not allowed; the head
     contribution is routed into ``h`` automatically.
     """
-    arrays = {t.name: t.values.reshape(t.shape) for t in params.layers}
     n_enc = len(spec.encoder_dims) - 1
     grads: dict[str, np.ndarray] = {}
     n_chain = len(_chain_dims(spec))
@@ -242,7 +239,7 @@ def backward(
     if grad_logits is not None:
         grads["head.weight"] = fp.h.T @ grad_logits
         grads["head.bias"] = grad_logits.sum(axis=0)
-        g_head = grad_logits @ arrays["head.weight"].T
+        g_head = grad_logits @ params["head.weight"].T
         if n_chain == n_enc:
             g = g + g_head
     for i in range(n_chain - 1, -1, -1):
@@ -252,7 +249,7 @@ def backward(
         grads[f"{prefix}.weight"] = fp.chain_inputs[i].T @ g
         grads[f"{prefix}.bias"] = g.sum(axis=0)
         if i > 0:
-            g = (g @ arrays[f"{prefix}.weight"].T) * _act_grad(fp.pre[i - 1], spec.activation)
+            g = (g @ params[f"{prefix}.weight"].T) * _act_grad(fp.pre[i - 1], spec.activation)
     return grads
 
 
@@ -418,47 +415,42 @@ def make_views(
 
 
 def sgd_step(
-    params: ParamSet,
-    grads: Mapping[str, np.ndarray],
-    state: dict[str, np.ndarray],
-    lr: float,
-    momentum: float,
-    weight_decay: float,
-) -> tuple[ParamSet, dict[str, np.ndarray]]:
-    """One SGD-with-momentum update: v <- m*v + (g + wd*w); w <- w - lr*v.
+    w: np.ndarray, g: np.ndarray, v: np.ndarray | None, lr: float, momentum: float, weight_decay: float
+) -> np.ndarray:
+    """One in-place SGD-with-momentum update of flat arrays: v <- m*v + (g + wd*w); w <- w - lr*v.
 
-    ``state`` holds the velocity buffers and is threaded through the steps of
-    one training session; pass ``{}`` at the start of a session.
+    ``v`` is the velocity of one training session: pass None on its first
+    step (the velocity starts as g + wd*w) and the returned buffer after.
+    ``w`` and ``v`` are updated in place.
     """
-    missing = [t.name for t in params.layers if t.name not in grads]
-    if missing:
-        raise ValueError(f"no gradient for layer {missing[0]!r}")
-    arrays = {}
-    new_state = {}
-    for t in params.layers:
-        g = np.asarray(grads[t.name], dtype=np.float64).reshape(-1)
-        if g.size != t.size:
-            raise ValueError(f"gradient size mismatch for layer {t.name!r}")
-        v = state.get(t.name)
-        v = momentum * v + (g + weight_decay * t.values) if v is not None else g + weight_decay * t.values
-        new_state[t.name] = v
-        arrays[t.name] = (t.values - lr * v).reshape(t.shape)
-    return ParamSet.from_arrays(arrays), new_state
+    if g.shape != w.shape:
+        raise ValueError(f"gradient of shape {g.shape} for weights of shape {w.shape}")
+    step = g + weight_decay * w
+    if v is None:
+        v = step
+    else:
+        v *= momentum
+        v += step
+    w -= lr * v
+    return v
 
 
 def _batch_loss_and_grads(
-    params: ParamSet,
+    params: Mapping[str, np.ndarray],
     model: ModelSpec,
     trainer: TrainerSpec,
     xb: np.ndarray,
     yb: np.ndarray | None,
     rng: np.random.Generator,
-) -> tuple[float, dict[str, np.ndarray]]:
+    grads: Mapping[str, np.ndarray],
+) -> float:
+    """The batch loss; its gradient is written into the arrays of ``grads``."""
     if trainer.method == "supervised":
         fp = forward(params, model, xb)
         loss, grad_logits = loss_xent(fp.logits, yb)
-        grads = backward(params, model, fp, None, grad_logits=grad_logits)
-        return loss, grads
+        for name, g in backward(params, model, fp, None, grad_logits=grad_logits).items():
+            grads[name][...] = g
+        return loss
     view_a, view_b = make_views(xb, trainer.augment_noise_std, trainer.augment_mask_prob, rng)
     fa = forward(params, model, view_a)
     fb = forward(params, model, view_b)
@@ -468,7 +460,9 @@ def _batch_loss_and_grads(
         loss, ga, gb = loss_barlow(fa.z, fb.z, trainer.lambda_offdiag)
     grads_a = backward(params, model, fa, ga)
     grads_b = backward(params, model, fb, gb)
-    return loss, {name: grads_a[name] + grads_b[name] for name in grads_a}
+    for name, g in grads_a.items():
+        np.add(g, grads_b[name], out=grads[name])
+    return loss
 
 
 def train_local(
@@ -498,8 +492,10 @@ def train_local(
         )
     validate_model_for_trainer(model, trainer)
 
-    params = init
-    state: dict[str, np.ndarray] = {}
+    # One private copy of the weights, updated in place; the layer views share its memory.
+    w, v = init.vector.copy(), None
+    g = np.empty_like(w)
+    params, grads = segments(w, init.layout), segments(g, init.layout)
     epoch_loss = math.nan
     passes = max(trainer.local_epochs, 1)
     evaluate_only = trainer.local_epochs == 0
@@ -513,12 +509,13 @@ def train_local(
                 continue  # a lone trailing sample has no contrastive partner
             xb = x[batch_idx]
             yb = y[batch_idx] if trainer.method == "supervised" else None
-            loss, grads = _batch_loss_and_grads(params, model, trainer, xb, yb, rng)
+            loss = _batch_loss_and_grads(params, model, trainer, xb, yb, rng, grads)
             if not evaluate_only:
-                params, state = sgd_step(
-                    params, grads, state, trainer.lr, trainer.momentum, trainer.weight_decay
-                )
+                v = sgd_step(w, g, v, trainer.lr, trainer.momentum, trainer.weight_decay)
+                if not np.isfinite(w).all():
+                    bad = next(name for name, a in params.items() if not np.isfinite(a).all())
+                    raise ValueError(f"layer {bad!r} contains non-finite values")
             total_loss += loss * batch_idx.size
             total_used += batch_idx.size
         epoch_loss = total_loss / total_used
-    return ClientUpdate(client_id, params, n, float(epoch_loss))
+    return ClientUpdate(client_id, ParamSet.from_vector(w, init.layout), n, float(epoch_loss))

@@ -1,22 +1,26 @@
 """Named parameter tensors, the linear algebra behind aggregation, and checkpoint I/O.
 
-A model is represented as a :class:`ParamSet`: an ordered collection of
-uniquely named flat float64 tensors. ParamSets are immutable after
+A model is a :class:`ParamSet`: one contiguous, read-only float64 ``vector``
+plus a ``layout`` of uniquely named ``(name, shape)`` layers, each stored
+row-major in its segment of the vector. ParamSets are immutable after
 construction, so every operation in this module is a pure function.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 CHECKPOINT_MAGIC = b"FSIMPSET"
 CHECKPOINT_VERSION = 1
 _PREAMBLE = struct.Struct("<IQ")
+
+Layout = tuple[tuple[str, tuple[int, ...]], ...]
 
 
 class IncompatibleModelError(ValueError):
@@ -36,7 +40,7 @@ class LayerTensor:
         if any(s < 0 for s in shape):
             raise ValueError(f"layer {self.name!r}: negative dimension in shape {shape}")
         flat = np.ascontiguousarray(self.values, dtype=np.float64).reshape(-1)
-        expected = int(np.prod(shape, dtype=np.int64))
+        expected = math.prod(shape)
         if flat.size != expected:
             raise ValueError(
                 f"layer {self.name!r}: shape {shape} implies {expected} values, got {flat.size}"
@@ -46,8 +50,6 @@ class LayerTensor:
         flat.setflags(write=False)
         object.__setattr__(self, "shape", shape)
         object.__setattr__(self, "values", flat)
-
-    __hash__ = None
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LayerTensor):
@@ -62,43 +64,73 @@ class LayerTensor:
     def size(self) -> int:
         return self.values.size
 
-    def array(self) -> np.ndarray:
-        """Writable copy reshaped to the declared shape."""
-        return self.values.reshape(self.shape).copy()
 
-    @classmethod
-    def from_array(cls, name: str, array) -> "LayerTensor":
-        arr = np.asarray(array, dtype=np.float64)
-        return cls(name, arr.shape, arr.reshape(-1))
+def segments(vector: np.ndarray, layout: Layout) -> dict[str, np.ndarray]:
+    """Views of ``vector``'s consecutive segments in the layers' shapes, keyed by name."""
+    out, offset = {}, 0
+    for name, shape in layout:
+        size = math.prod(shape)
+        out[name] = vector[offset : offset + size].reshape(shape)
+        offset += size
+    return out
 
 
-@dataclass(frozen=True, eq=False)
 class ParamSet:
-    """Ordered, immutable collection of uniquely named layer tensors.
+    """A model: one read-only float64 vector and its (name, shape) layout.
 
-    Two ParamSets are *compatible* iff they carry the same layer names in the
-    same order with identical shapes. All aggregation operations require
-    compatibility.
+    ``layers`` holds one :class:`LayerTensor` per layer whose ``values`` view
+    the layer's segment of ``vector``; ``params[name]`` is the same segment in
+    the layer's shape. Two ParamSets are *compatible* iff their layouts are
+    equal: the same layer names in the same order with identical shapes. All
+    aggregation operations require compatibility.
     """
 
-    layers: tuple[LayerTensor, ...]
+    __slots__ = ("vector", "layout", "layers", "_by_name")
 
-    def __post_init__(self) -> None:
-        layers = tuple(self.layers)
-        names = [t.name for t in layers]
+    def __init__(self, layers: Iterable[LayerTensor]) -> None:
+        layers = tuple(layers)
+        vector = np.concatenate([t.values for t in layers]) if layers else np.zeros(0)
+        self._adopt(vector, tuple((t.name, t.shape) for t in layers))
+
+    @classmethod
+    def from_vector(cls, vector: np.ndarray, layout: Layout) -> "ParamSet":
+        """Adopt a vector as the values of ``layout``; a float64 one is frozen in place, not copied."""
+        self = cls.__new__(cls)
+        self._adopt(np.ascontiguousarray(vector, dtype=np.float64), layout)
+        return self
+
+    @classmethod
+    def from_arrays(cls, arrays: Mapping[str, np.ndarray]) -> "ParamSet":
+        """Build a ParamSet from an ordered name -> array mapping."""
+        return cls(LayerTensor(name, np.shape(arr), arr) for name, arr in arrays.items())
+
+    def _adopt(self, vector: np.ndarray, layout: Layout) -> None:
+        layout = tuple((name, tuple(int(s) for s in shape)) for name, shape in layout)
+        names = [name for name, _ in layout]
         if len(set(names)) != len(names):
             dup = next(n for n in names if names.count(n) > 1)
             raise ValueError(f"duplicate layer name {dup!r}")
+        expected = sum(math.prod(shape) for _, shape in layout)
+        if vector.shape != (expected,):
+            raise IncompatibleModelError(f"{vector.size} values for a layout of {expected} parameters")
+        vector.setflags(write=False)
+        views = segments(vector, layout)
+        layers = tuple(LayerTensor(name, shape, views[name]) for name, shape in layout)
+        object.__setattr__(self, "vector", vector)
+        object.__setattr__(self, "layout", layout)
         object.__setattr__(self, "layers", layers)
+        object.__setattr__(self, "_by_name", dict(zip(names, layers)))
 
-    __hash__ = None
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError("ParamSet is immutable")
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ParamSet):
             return NotImplemented
-        return len(self.layers) == len(other.layers) and all(
-            a == b for a, b in zip(self.layers, other.layers)
-        )
+        return self.layout == other.layout and np.array_equal(self.vector, other.vector)
+
+    def __repr__(self) -> str:
+        return f"ParamSet({self.layout!r}, vector={self.vector!r})"
 
     def __len__(self) -> int:
         return len(self.layers)
@@ -106,25 +138,21 @@ class ParamSet:
     def __iter__(self) -> Iterator[LayerTensor]:
         return iter(self.layers)
 
+    def __getitem__(self, name: str) -> np.ndarray:
+        """The layer's values as a read-only view in the layer's shape."""
+        t = self.layer(name)
+        return t.values.reshape(t.shape)
+
     @property
     def names(self) -> tuple[str, ...]:
-        return tuple(t.name for t in self.layers)
+        return tuple(name for name, _ in self.layout)
 
     @property
     def num_params(self) -> int:
-        return sum(t.size for t in self.layers)
+        return self.vector.size
 
     def layer(self, name: str) -> LayerTensor:
-        for t in self.layers:
-            if t.name == name:
-                return t
-        raise KeyError(name)
-
-    def compatible_with(self, other: "ParamSet") -> bool:
-        return len(self.layers) == len(other.layers) and all(
-            a.name == b.name and a.shape == b.shape
-            for a, b in zip(self.layers, other.layers)
-        )
+        return self._by_name[name]
 
     def require_compatible(self, other: "ParamSet") -> None:
         """Raise :class:`IncompatibleModelError` naming the first mismatching layer."""
@@ -132,22 +160,11 @@ class ParamSet:
             raise IncompatibleModelError(
                 f"layer count mismatch: {len(self.layers)} vs {len(other.layers)}"
             )
-        for a, b in zip(self.layers, other.layers):
-            if a.name != b.name:
-                raise IncompatibleModelError(f"layer name mismatch: {a.name!r} vs {b.name!r}")
-            if a.shape != b.shape:
-                raise IncompatibleModelError(
-                    f"layer {a.name!r}: shape mismatch {a.shape} vs {b.shape}"
-                )
-
-    def to_arrays(self) -> dict[str, np.ndarray]:
-        """Shaped writable copies keyed by layer name, in canonical order."""
-        return {t.name: t.array() for t in self.layers}
-
-    @classmethod
-    def from_arrays(cls, arrays: Mapping[str, np.ndarray]) -> "ParamSet":
-        """Build a ParamSet from an ordered name -> array mapping."""
-        return cls(tuple(LayerTensor.from_array(name, arr) for name, arr in arrays.items()))
+        for (a, a_shape), (b, b_shape) in zip(self.layout, other.layout):
+            if a != b:
+                raise IncompatibleModelError(f"layer name mismatch: {a!r} vs {b!r}")
+            if a_shape != b_shape:
+                raise IncompatibleModelError(f"layer {a!r}: shape mismatch {a_shape} vs {b_shape}")
 
 
 def dot(a: LayerTensor, b: LayerTensor) -> float:
@@ -186,35 +203,16 @@ def weighted_sum(models: Sequence[ParamSet], coeffs) -> ParamSet:
             f"weighted_sum: coefficients of shape {table.shape} for "
             f"{len(models)} models of {len(base)} layers"
         )
-    out = []
-    for idx, (ref, column) in enumerate(zip(base.layers, table.T.tolist())):
-        acc = np.zeros(ref.size, dtype=np.float64)
-        for m, c in zip(models, column):
-            acc += c * m.layers[idx].values
-        out.append(LayerTensor(ref.name, ref.shape, acc))
-    return ParamSet(tuple(out))
+    sizes = [t.size for t in base.layers]
+    acc = np.zeros(base.num_params)
+    for m, row in zip(models, table):
+        acc += np.repeat(row, sizes) * m.vector
+    return ParamSet.from_vector(acc, base.layout)
 
 
 def flatten(m: ParamSet, name: str = "flat") -> LayerTensor:
-    """Concatenate all layers into one flat tensor in canonical order."""
-    if not m.layers:
-        return LayerTensor(name, (0,), np.zeros(0))
-    values = np.concatenate([t.values for t in m.layers])
-    return LayerTensor(name, (values.size,), values)
-
-
-def unflatten(flat: LayerTensor, like: ParamSet) -> ParamSet:
-    """Split a flat tensor back into the layer layout of ``like``."""
-    if flat.size != like.num_params:
-        raise IncompatibleModelError(
-            f"unflatten: {flat.size} values for a layout of {like.num_params} parameters"
-        )
-    out = []
-    offset = 0
-    for ref in like.layers:
-        out.append(LayerTensor(ref.name, ref.shape, flat.values[offset : offset + ref.size]))
-        offset += ref.size
-    return ParamSet(tuple(out))
+    """The whole model as one flat tensor in canonical order: a view of its vector."""
+    return LayerTensor(name, (m.num_params,), m.vector)
 
 
 # ---------------------------------------------------------------------------
@@ -230,21 +228,16 @@ def unflatten(flat: LayerTensor, like: ParamSet) -> ParamSet:
 
 def save_checkpoint(params: ParamSet, path) -> None:
     """Write the binary checkpoint container."""
-    entries = []
-    offset = 0
-    payloads = []
-    for t in params.layers:
-        entries.append({"name": t.name, "shape": list(t.shape), "offset": offset})
-        raw = t.values.astype("<f8").tobytes()
-        payloads.append(raw)
-        offset += len(raw)
+    entries, offset = [], 0
+    for name, shape in params.layout:
+        entries.append({"name": name, "shape": list(shape), "offset": offset})
+        offset += 8 * math.prod(shape)
     header = json.dumps({"layers": entries}).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(_PREAMBLE.pack(CHECKPOINT_VERSION, len(header)))
         fh.write(header)
-        for raw in payloads:
-            fh.write(raw)
+        fh.write(params.vector.astype("<f8").tobytes())
 
 
 def paramset_to_json(params: ParamSet) -> dict:
@@ -307,15 +300,15 @@ def _load_binary(blob: bytes) -> ParamSet:
         raise ValueError(f"header length {header_len} runs past the end of the file")
     header = json.loads(blob[pos : pos + header_len].decode("utf-8"))
     payload = memoryview(blob)[pos + header_len :]
-    layers = []
+    layout, segs = [], []
     for entry in header["layers"]:
         shape = tuple(int(s) for s in entry["shape"])
-        count = int(np.prod(shape, dtype=np.int64))
+        count = math.prod(shape)  # exact: a huge shape cannot wrap around
         offset = int(entry["offset"])
         if offset < 0 or count < 0 or offset + 8 * count > len(payload):
             raise ValueError(
                 f"layer {entry['name']!r}: {count} values at offset {offset} run past the payload"
             )
-        values = np.frombuffer(payload, dtype="<f8", count=count, offset=offset)
-        layers.append(LayerTensor(entry["name"], shape, values))
-    return ParamSet(tuple(layers))
+        layout.append((entry["name"], shape))
+        segs.append(np.frombuffer(payload, dtype="<f8", count=count, offset=offset))
+    return ParamSet.from_vector(np.concatenate(segs) if segs else np.zeros(0), layout)

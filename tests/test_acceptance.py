@@ -262,9 +262,9 @@ def test_03_gradient_verification():
         grads_b = backward(params, spec, fb, gb)
         for t in params.layers:
             def f(v, name=t.name):
-                arrays = params.to_arrays()
+                arrays = {n: params[n] for n in params.names}
                 arrays[name] = v.reshape(t.shape)
-                return chain_loss(ParamSet.from_arrays(arrays))
+                return chain_loss(arrays)
 
             fd = fd_grad(f, t.values.copy())
             analytic = (grads_a[t.name] + grads_b[t.name]).reshape(-1)

@@ -247,6 +247,8 @@ class TestValidateCommand:
             (["model.encoder_dims=[4.7, 8]", "model.projector_dims=[8, 4]"], "model.encoder_dims[0]"),
             (['evaluation.label_fractions=["0.5"]'], "evaluation.label_fractions[0]"),
             (["evaluation.label_fractions=[true]"], "evaluation.label_fractions[0]"),
+            (["output_dir="], "config.output_dir"),
+            (['output_dir=""'], "config.output_dir"),
         ],
         ids=lambda v: " ".join(v) if isinstance(v, list) else None,
     )
@@ -258,6 +260,22 @@ class TestValidateCommand:
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith(f"error: {key}: expected")
+
+    @pytest.mark.parametrize("source", ["file", "override"])
+    def test_overlong_integer_names_its_source(self, tmp_path, capsys, source):
+        digits = "1" * 5001  # past Python's 4,300-digit limit for int(str)
+        path = tmp_path / "config.json"
+        argv = ["validate", "--config", str(path)]
+        if source == "file":
+            path.write_text(json.dumps(minimal_raw(tmp_path)).replace('"rounds": 2', f'"rounds": {digits}'))
+            expected = f"error: {path}: invalid JSON (Exceeds the limit (4300 digits)"
+        else:
+            path.write_text(json.dumps(minimal_raw(tmp_path)))
+            argv += ["--set", f"rounds={digits}"]
+            expected = "error: override 'rounds': Exceeds the limit (4300 digits)"
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith(expected)
 
 
 class TestRunCommand:
@@ -302,6 +320,22 @@ class TestRunCommand:
         assert main(["run", "--config", path, "--set", f"output_dir={a}", "--output", str(b)]) == 0
         assert (b / "rounds.csv").exists() and not a.exists()
         assert json.loads((b / "run.json").read_text())["output_dir"] == str(b)
+
+    @pytest.mark.parametrize(
+        "config_value, argv",
+        [("", []), (None, ["--set", "output_dir="]), (None, ["--output", ""])],
+        ids=["config", "set", "output"],
+    )
+    def test_empty_output_dir_exits_one_with_one_line(self, tmp_path, monkeypatch, capsys, config_value, argv):
+        raw = minimal_raw(tmp_path) if config_value is None else minimal_raw(tmp_path, output_dir=config_value)
+        path = write_config(tmp_path, raw)
+        cwd = tmp_path / "cwd"
+        cwd.mkdir()
+        monkeypatch.chdir(cwd)
+        assert main(["run", "--config", path, *argv]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: config.output_dir: expected a non-empty string, got ''\n"
+        assert not list(cwd.iterdir())
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize(
@@ -457,6 +491,9 @@ class TestMalformedInputs:
         assert code == 1
         assert err.count("\n") == 1 and str(meta) in err
         assert ("invalid JSON" if index is None else f"client entry {index}") in err
+
+    def test_overlong_integer_in_metadata_names_the_file(self, tmp_path, capsys):
+        self.test_malformed_metadata_exits_one(tmp_path, capsys, '[{"num_samples": ' + "1" * 5001 + "}, {}]", None)
 
 
 class TestProbeCommand:

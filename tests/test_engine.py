@@ -181,6 +181,19 @@ class TestRunRound:
         with pytest.raises(RuntimeError, match="client 1"):
             runner.run_round(runner.initial_state())
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_training_step_names_round_client_and_layer(self, tmp_path):
+        # lr * (g + wd*w) overflows on the first step of every client.
+        cfg = base_config(tmp_path, trainer={"method": "simclr", "batch_size": 8, "lr": 10.0, "weight_decay": 1e308})
+        train_ds, _ = build_datasets(cfg)
+        runner = FederatedRunner(cfg, train_ds, partition(train_ds, cfg.partition))
+        with pytest.raises(RuntimeError) as info:
+            runner.run_round(runner.initial_state())
+        assert str(info.value) == (
+            "round 0: training failed for client 0: layer 'encoder.0.weight' contains non-finite values"
+        )
+        assert isinstance(info.value.__cause__, ValueError)
+
 
 class TestRunExperiment:
     def test_zero_epoch_single_client_round_trip(self, tmp_path):

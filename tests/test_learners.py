@@ -23,7 +23,7 @@ from fedsim.learners import (
     train_local,
     validate_model_for_trainer,
 )
-from fedsim.params import LayerTensor, ParamSet
+from fedsim.params import ParamSet
 from fedsim.partition import Dataset, make_blobs
 
 FD_STEP = 1e-5
@@ -72,19 +72,18 @@ class TestForward:
         x = rng.normal(size=(6, 4))
         fp = forward(params, spec, x)
 
-        arrays = params.to_arrays()
         expected = np.empty((6, 2))
         for row in range(6):  # explicit per-sample loops, independent of the library path
             hidden = [0.0] * 3
             for j in range(3):
-                s = arrays["encoder.0.bias"][j]
+                s = params["encoder.0.bias"][j]
                 for i in range(4):
-                    s += x[row, i] * arrays["encoder.0.weight"][i, j]
+                    s += x[row, i] * params["encoder.0.weight"][i, j]
                 hidden[j] = math.tanh(s)
             for j in range(2):
-                s = arrays["encoder.1.bias"][j]
+                s = params["encoder.1.bias"][j]
                 for i in range(3):
-                    s += hidden[i] * arrays["encoder.1.weight"][i, j]
+                    s += hidden[i] * params["encoder.1.weight"][i, j]
                 expected[row, j] = s
         np.testing.assert_allclose(fp.h, expected, atol=1e-12)
 
@@ -318,9 +317,9 @@ class TestFullBackprop:
             grads_b = backward(params, spec, fb, gb)
             for t in params.layers:
                 def f(v, name=t.name):
-                    arrays = params.to_arrays()
+                    arrays = {n: params[n] for n in params.names}
                     arrays[name] = v.reshape(t.shape)
-                    return full_loss(ParamSet.from_arrays(arrays))
+                    return full_loss(arrays)
                 fd = fd_grad(f, t.values.copy())
                 analytic = (grads_a[t.name] + grads_b[t.name]).reshape(-1)
                 assert_grad_close(analytic, fd)
@@ -341,9 +340,9 @@ class TestFullBackprop:
             grads = backward(params, spec, fp, None, grad_logits=glog)
             for t in params.layers:
                 def f(v, name=t.name):
-                    arrays = params.to_arrays()
+                    arrays = {n: params[n] for n in params.names}
                     arrays[name] = v.reshape(t.shape)
-                    return full_loss(ParamSet.from_arrays(arrays))
+                    return full_loss(arrays)
                 fd = fd_grad(f, t.values.copy())
                 assert_grad_close(grads[t.name].reshape(-1), fd)
 
@@ -374,36 +373,39 @@ class TestMakeViews:
 
 
 class TestSgdStep:
-    def make(self, w):
-        return ParamSet((LayerTensor("w", (len(w),), np.asarray(w, dtype=np.float64)),))
+    """``sgd_step`` updates the flat weights ``w`` and velocity ``v`` in place."""
 
     def test_vanilla_sgd(self):
-        params = self.make([1.0, 2.0])
-        out, _ = sgd_step(params, {"w": np.array([0.5, -0.5])}, {}, lr=0.1, momentum=0.0, weight_decay=0.0)
-        np.testing.assert_allclose(out.layer("w").values, [0.95, 2.05])
+        w = np.array([1.0, 2.0])
+        sgd_step(w, np.array([0.5, -0.5]), None, lr=0.1, momentum=0.0, weight_decay=0.0)
+        np.testing.assert_allclose(w, [0.95, 2.05])
 
     def test_zero_gradient_fixed_point(self):
-        params = self.make([1.0, 2.0])
-        out, _ = sgd_step(params, {"w": np.zeros(2)}, {}, lr=0.1, momentum=0.9, weight_decay=0.0)
-        assert out == params
+        w = np.array([1.0, 2.0])
+        v = sgd_step(w, np.zeros(2), None, lr=0.1, momentum=0.9, weight_decay=0.0)
+        v = sgd_step(w, np.zeros(2), v, lr=0.1, momentum=0.9, weight_decay=0.0)
+        np.testing.assert_array_equal(w, [1.0, 2.0])
+        np.testing.assert_array_equal(v, [0.0, 0.0])
 
     def test_two_momentum_steps_match_hand_recursion(self):
-        params = self.make([0.0])
-        g = {"w": np.array([1.0])}
-        p1, state = sgd_step(params, g, {}, lr=0.1, momentum=0.9, weight_decay=0.0)
-        p2, _ = sgd_step(p1, g, state, lr=0.1, momentum=0.9, weight_decay=0.0)
+        w = np.array([0.0])
+        g = np.array([1.0])
+        v = sgd_step(w, g, None, lr=0.1, momentum=0.9, weight_decay=0.0)
+        assert sgd_step(w, g, v, lr=0.1, momentum=0.9, weight_decay=0.0) is v
         # v1 = g, v2 = 0.9 g + g = 1.9 g, total displacement lr*(1 + 1.9)*g
-        assert p2.layer("w").values[0] == pytest.approx(-0.1 * 2.9, abs=1e-15)
+        assert v[0] == pytest.approx(1.9, abs=1e-15)
+        assert w[0] == pytest.approx(-0.1 * 2.9, abs=1e-15)
 
     def test_weight_decay_pulls_toward_zero(self):
-        params = self.make([10.0])
-        out, _ = sgd_step(params, {"w": np.zeros(1)}, {}, lr=0.1, momentum=0.0, weight_decay=0.5)
-        assert out.layer("w").values[0] == pytest.approx(10.0 - 0.1 * 5.0)
+        w = np.array([10.0])
+        sgd_step(w, np.zeros(1), None, lr=0.1, momentum=0.0, weight_decay=0.5)
+        assert w[0] == pytest.approx(10.0 - 0.1 * 5.0)
 
     def test_missing_gradient_rejected(self):
-        params = self.make([1.0])
-        with pytest.raises(ValueError, match="no gradient"):
-            sgd_step(params, {}, {}, 0.1, 0.9, 0.0)
+        w = np.array([1.0, 2.0])
+        with pytest.raises(ValueError, match=r"gradient of shape \(1,\) for weights of shape \(2,\)"):
+            sgd_step(w, np.zeros(1), None, 0.1, 0.9, 0.0)
+        np.testing.assert_array_equal(w, [1.0, 2.0])
 
 
 def client_dataset(rng, n=40, num_classes=2, dim=4, spread=0.3):
@@ -474,6 +476,17 @@ class TestTrainLocal:
         init = init_params(model, rng)
         with pytest.raises(ValueError, match="empty"):
             train_local(ds, init, self.ssl_trainer(), model, np.random.default_rng(8))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_step_names_the_layer(self):
+        rng = np.random.default_rng(21)
+        ds = client_dataset(rng)
+        model = self.ssl_model()
+        init = init_params(model, rng)
+        # v = g + wd*w is finite, lr*v overflows: the first step sends weights to +-inf.
+        trainer = self.ssl_trainer(lr=10.0, weight_decay=1e308)
+        with pytest.raises(ValueError, match="^layer 'encoder.0.weight' contains non-finite values$"):
+            train_local(ds, init, trainer, model, np.random.default_rng(10))
 
     def test_barlow_method_runs(self):
         rng = np.random.default_rng(20)

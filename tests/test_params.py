@@ -1,11 +1,17 @@
 """Tensor algebra, parameter-set invariants, and checkpoint round-trips."""
 
 import json
+import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedsim.params import (
+    CHECKPOINT_MAGIC,
     IncompatibleModelError,
     LayerTensor,
     ParamSet,
@@ -17,9 +23,50 @@ from fedsim.params import (
     paramset_to_json,
     save_checkpoint,
     save_checkpoint_json,
-    unflatten,
     weighted_sum,
 )
+
+
+PROPERTY = settings(derandomize=True, deadline=None, database=None, max_examples=100)
+
+# Layouts of 0-5 uniquely named layers, zero-size and 0-d layers included.
+LAYOUTS = st.lists(
+    st.tuples(st.text(min_size=1, max_size=8), st.lists(st.integers(0, 4), max_size=3).map(tuple)),
+    max_size=5,
+    unique_by=lambda entry: entry[0],
+)
+
+
+@st.composite
+def paramsets(draw):
+    layout = draw(LAYOUTS)
+    size = sum(int(np.prod(shape)) for _, shape in layout)
+    values = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=size, max_size=size))
+    return ParamSet.from_vector(np.array(values, dtype=np.float64).reshape(-1), layout)
+
+
+def header_entries():
+    number = st.integers(-2, 40) | st.sampled_from([2**63, -(2**63), 10**30])
+    odd = st.text(max_size=2) | st.none() | st.just(float("inf")) | st.lists(st.integers(), max_size=1)
+    shape = st.one_of(st.lists(st.integers(-1, 5), max_size=3), st.lists(number | odd, max_size=3), odd)
+    entry = st.fixed_dictionaries(
+        {"shape": shape}, optional={"name": st.text(max_size=3) | st.integers(), "offset": number | odd}
+    )
+    return st.lists(entry | st.integers(), max_size=4)
+
+
+@st.composite
+def checkpoint_blobs(draw):
+    """Arbitrary bytes; bytes behind the magic; or a preamble and a JSON header of random layer entries."""
+    kind = draw(st.sampled_from(["bytes", "magic", "header", "header", "header"]))
+    tail = draw(st.binary(max_size=64))
+    if kind == "bytes":
+        return tail
+    if kind == "magic":
+        return CHECKPOINT_MAGIC + tail
+    header = json.dumps({"layers": draw(header_entries())}).encode()
+    length = draw(st.sampled_from([len(header)] * 4 + [len(header) + 1, 0, 2**64 - 1]))
+    return CHECKPOINT_MAGIC + struct.pack("<IQ", draw(st.sampled_from([1] * 5 + [2])), length) + header + tail
 
 
 def lt(values, name="t", shape=None):
@@ -60,7 +107,7 @@ class TestLayerTensor:
             t.values[0] = 5.0
 
     def test_row_major_flattening(self):
-        t = LayerTensor.from_array("w", np.array([[1.0, 2.0], [3.0, 4.0]]))
+        t = LayerTensor("w", (2, 2), np.array([[1.0, 2.0], [3.0, 4.0]]))
         assert t.values.tolist() == [1.0, 2.0, 3.0, 4.0]
         assert t.shape == (2, 2)
 
@@ -75,17 +122,31 @@ class TestParamSet:
     def test_compatibility(self):
         a = ps([1.0, 2.0], [3.0])
         b = ps([4.0, 5.0], [6.0])
-        assert a.compatible_with(b)
+        assert a.layout == b.layout
+        a.require_compatible(b)
         c = ps([1.0, 2.0, 3.0], [3.0])
-        assert not a.compatible_with(c)
+        assert a.layout != c.layout
         with pytest.raises(IncompatibleModelError, match="layer0"):
             a.require_compatible(c)
+
+    def test_layers_and_flatten_view_one_vector(self):
+        m = ps([[1.0, 2.0], [3.0, 4.0]], [5.0], [])
+        assert m.vector.tolist() == [1.0, 2.0, 3.0, 4.0, 5.0]
+        assert m.layout == (("layer0", (2, 2)), ("layer1", (1,)), ("layer2", (0,)))
+        for t in m.layers:
+            assert np.shares_memory(t.values, m.vector) or t.size == 0
+        assert np.shares_memory(m["layer0"], m.vector) and m["layer0"].shape == (2, 2)
+        assert np.shares_memory(flatten(m).values, m.vector)
+        assert not m.vector.flags.writeable and not m["layer0"].flags.writeable
+        with pytest.raises(AttributeError):
+            m.vector = np.zeros(5)
 
     def test_array_round_trip(self):
         rng = np.random.default_rng(0)
         original = random_paramset(rng)
-        rebuilt = ParamSet.from_arrays(original.to_arrays())
+        rebuilt = ParamSet.from_arrays({name: original[name] for name in original.names})
         assert rebuilt == original
+        assert original["layer0"].shape == original.layer("layer0").shape
 
 
 class TestDot:
@@ -224,7 +285,7 @@ class TestFlatten:
     def test_round_trip(self):
         rng = np.random.default_rng(5)
         m = random_paramset(rng)
-        assert unflatten(flatten(m), m) == m
+        assert ParamSet.from_vector(flatten(m).values, m.layout) == m
 
     def test_preserves_total_l2_norm(self):
         rng = np.random.default_rng(6)
@@ -288,8 +349,36 @@ class TestCheckpointIO:
             load_checkpoint(path)
 
 
-class TestUnflattenErrors:
+class TestCheckpointProperties:
+    @PROPERTY
+    @given(m=paramsets())
+    def test_binary_and_json_round_trip_bit_exact(self, m):
+        with tempfile.TemporaryDirectory() as tmp:
+            for save, name in ((save_checkpoint, "m.bin"), (save_checkpoint_json, "m.json")):
+                save(m, Path(tmp) / name)
+                loaded = load_checkpoint(Path(tmp) / name)
+                assert loaded.layout == m.layout
+                assert loaded.vector.tobytes() == m.vector.tobytes()
+
+    def test_empty_paramset_round_trips(self, tmp_path):
+        for save in (save_checkpoint, save_checkpoint_json):
+            save(ParamSet(()), tmp_path / "empty")
+            assert load_checkpoint(tmp_path / "empty") == ParamSet(())
+
+    @PROPERTY
+    @given(blob=checkpoint_blobs())
+    def test_arbitrary_bytes_raise_only_value_error(self, blob):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "blob"
+            path.write_bytes(blob)
+            try:
+                load_checkpoint(path)
+            except ValueError as exc:
+                assert str(path) in str(exc)
+
+
+class TestFromVectorErrors:
     def test_size_mismatch_rejected(self):
         m = ps([1.0, 2.0], [3.0])
-        with pytest.raises(IncompatibleModelError, match="unflatten"):
-            unflatten(lt([1.0, 2.0]), m)
+        with pytest.raises(IncompatibleModelError, match="2 values for a layout of 3 parameters"):
+            ParamSet.from_vector(np.array([1.0, 2.0]), m.layout)
