@@ -24,6 +24,7 @@ from .learners import (
     loss_xent,
     make_views,
     sgd_step,
+    train_clients,
     train_local,
 )
 from .params import (

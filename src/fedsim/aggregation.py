@@ -32,7 +32,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .divergence import DivergenceReport, layer_divergence
+from .divergence import DivergenceReport, global_norms, layer_divergence
 from .params import ParamSet, weighted_sum
 
 # strategy -> (base rule, scale rule); the table in the module docstring.
@@ -126,7 +126,8 @@ def divergence_reports(
     global_params: ParamSet, updates: Sequence[ClientUpdate]
 ) -> list[DivergenceReport]:
     """Per-client divergence against the incoming global, in the given order."""
-    return [layer_divergence(global_params, u.params, client_id=u.client_id) for u in updates]
+    norms = global_norms(global_params)  # once per round, not once per client
+    return [layer_divergence(global_params, u.params, u.client_id, norms) for u in updates]
 
 
 BASE_RULES = {

@@ -26,15 +26,16 @@ SNAP_TOL = 1e-12
 MEAN_DELTA_MODES = ("model", "layer")
 
 
-def cosine(a: LayerTensor, b: LayerTensor) -> float:
+def cosine(a: LayerTensor, b: LayerTensor, norm_a: float | None = None) -> float:
     """Cosine similarity of two same-shaped tensors, clamped to [-1, 1].
 
     Zero-norm convention: if both tensors are degenerate they count as
     identical (1.0); if exactly one is degenerate they count as orthogonal
     (0.0). This keeps round-zero aggregation of identically initialized
-    models equal to plain averaging and never produces NaN.
+    models equal to plain averaging and never produces NaN. ``norm_a``, if
+    given, is ``norm(a)`` computed beforehand.
     """
-    na = norm(a)
+    na = norm(a) if norm_a is None else norm_a
     nb = norm(b)
     if na <= ZERO_NORM_TOL or nb <= ZERO_NORM_TOL:
         if a.shape != b.shape:
@@ -72,17 +73,31 @@ class DivergenceReport:
         }
 
 
+def global_norms(global_params: ParamSet) -> tuple[float, ...]:
+    """The norm of every layer, then of the whole vector: what :func:`layer_divergence` needs of the global."""
+    return tuple(norm(t) for t in global_params.layers) + (norm(flatten(global_params)),)
+
+
 def layer_divergence(
-    global_params: ParamSet, client_params: ParamSet, client_id: int | str = ""
+    global_params: ParamSet,
+    client_params: ParamSet,
+    client_id: int | str = "",
+    norms: Sequence[float] | None = None,
 ) -> DivergenceReport:
-    """Divergence of a client model against the global, per layer and whole-model."""
+    """Divergence of a client model against the global, per layer and whole-model.
+
+    ``norms`` is ``global_norms(global_params)``, computed once when many
+    clients are compared with the same global.
+    """
     global_params.require_compatible(client_params)
+    if norms is None:
+        norms = global_norms(global_params)
     per_layer: dict[str, float] = {}
     euclid: dict[str, float] = {}
-    for g, c in zip(global_params.layers, client_params.layers):
-        per_layer[g.name] = cosine(g, c)
+    for g, c, ng in zip(global_params.layers, client_params.layers, norms):
+        per_layer[g.name] = cosine(g, c, ng)
         euclid[g.name] = float(np.linalg.norm(g.values - c.values))
-    model_delta = cosine(flatten(global_params), flatten(client_params))
+    model_delta = cosine(flatten(global_params), flatten(client_params), norms[-1])
     return DivergenceReport(client_id, per_layer, model_delta, euclid)
 
 

@@ -1,9 +1,13 @@
 """Federated round orchestration: sampling, local training, aggregation, artifacts.
 
-Rounds and the clients within a round run one after another. Every client
-session owns an RNG stream derived from (run_seed, round, client_id), and
-client contributions are aggregated in ascending client-id order, so a run
-is bit-identical given its config.
+Rounds run one after another. A round trains its K sampled clients together
+as the rows of one (K, P) weight block (``learners.train_clients``): at each
+local step, the clients that share a batch size form one group and take the
+step in one batched pass, and a client whose epoch has ended sits out. Every
+client session owns an RNG stream derived from (run_seed, round, client_id),
+each row is bit-identical to training that client alone, and client
+contributions are aggregated in ascending client-id order, so a run is
+bit-identical given its config.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from .aggregation import ClientUpdate, aggregate, effective_strategy
 from .config import BlobsConfig, CsvConfig, ExperimentConfig, resolved_dict
 from .divergence import mean_delta
 from .evaluation import linear_probe
-from .learners import init_params, train_local
+from .learners import ClientTrainingError, init_params, train_clients
 from .params import ParamSet, save_checkpoint
 from .partition import (
     Dataset,
@@ -132,7 +136,8 @@ class RunState:
     client_models: dict[int, ParamSet] = field(default_factory=dict)
 
 
-TrainFn = Callable[[int, int, Dataset, ParamSet], ClientUpdate]
+# (round index, [(client_id, data, init), ...]) -> one ClientUpdate per client, in order.
+TrainFn = Callable[[int, list[tuple[int, Dataset, ParamSet]]], list[ClientUpdate]]
 
 
 def build_datasets(cfg: ExperimentConfig) -> tuple[Dataset, Dataset]:
@@ -153,8 +158,9 @@ def build_datasets(cfg: ExperimentConfig) -> tuple[Dataset, Dataset]:
 class FederatedRunner:
     """Drives the round loop for one experiment.
 
-    ``train_fn`` defaults to local SGD training and exists so tests can
-    inject scripted client models.
+    ``train_fn`` trains one round's clients. It defaults to local SGD
+    training and exists so tests can inject scripted client models; it
+    reports a failed client by raising :class:`ClientTrainingError`.
     """
 
     def __init__(
@@ -173,9 +179,12 @@ class FederatedRunner:
         self.client_data = [train_ds.subset(p) for p in parts]
         self.train_fn = train_fn or self._default_train
 
-    def _default_train(self, client_id: int, round_index: int, data: Dataset, init: ParamSet) -> ClientUpdate:
-        rng = derived_rng(self.cfg.run_seed, _TAG_TRAIN, round_index, client_id)
-        return train_local(data, init, self.cfg.trainer, self.cfg.model, rng, client_id=client_id)
+    def _default_train(self, round_index: int, clients: list[tuple[int, Dataset, ParamSet]]) -> list[ClientUpdate]:
+        sessions = [
+            (cid, data, init, derived_rng(self.cfg.run_seed, _TAG_TRAIN, round_index, cid))
+            for cid, data, init in clients
+        ]
+        return train_clients(sessions, self.cfg.trainer, self.cfg.model)
 
     def initial_state(self) -> RunState:
         rng = derived_rng(self.cfg.run_seed, _TAG_INIT)
@@ -201,16 +210,17 @@ class FederatedRunner:
         cfg = self.cfg
         r = state.round_index
         ids = sample_clients(cfg.total_clients, cfg.clients_per_round, r, cfg.run_seed)
-        updates: list[ClientUpdate] = []
+        clients = []
         adopted: dict[int, bool] = {}
         for cid in ids:
             init, adopt = self._client_init(state, cid)
             if adopt is not None:
                 adopted[cid] = adopt
-            try:
-                updates.append(self.train_fn(cid, r, self.client_data[cid], init))
-            except Exception as exc:
-                raise RuntimeError(f"round {r}: training failed for client {cid}: {exc}") from exc
+            clients.append((cid, self.client_data[cid], init))
+        try:
+            updates = self.train_fn(r, clients)
+        except ClientTrainingError as exc:
+            raise RuntimeError(f"round {r}: training failed for client {exc.client_id}: {exc}") from exc
 
         t0 = time.perf_counter()
         new_global, reports = aggregate(cfg.aggregation, r, state.global_params, updates)

@@ -9,6 +9,11 @@ with a linear classifier head on ``h``.
 All gradients (cross-entropy, the contrastive loss, the cross-correlation
 redundancy loss, and full backprop through the chain) are written out by
 hand and validated against central finite differences in the test suite.
+
+The passes and losses also take a leading client axis: K clients' (K, B, D)
+batches through their (K, *shape) layers give K independent results, each
+bit-identical to the one-client call. ``train_clients`` trains a round's
+clients that way, as the rows of one (K, P) weight block.
 """
 
 from __future__ import annotations
@@ -177,12 +182,23 @@ class ForwardPass:
     logits: np.ndarray | None
 
 
+def _t(a: np.ndarray) -> np.ndarray:
+    """Transpose of the last two axes (of every stacked matrix)."""
+    return a.swapaxes(-1, -2)
+
+
 def forward(params: Mapping[str, np.ndarray], spec: ModelSpec, batch: np.ndarray) -> ForwardPass:
-    """Run the full encoder (+projector, +head) chain on a batch; ``params`` maps names to shaped arrays."""
+    """Run the full encoder (+projector, +head) chain on a batch.
+
+    ``params`` maps names to shaped arrays and ``batch`` is (B, D). With a
+    leading client axis, ``params`` maps names to (K, *shape) stacks and
+    ``batch`` is (K, B, D): client k's batch runs through client k's layers,
+    and every output keeps the leading axis.
+    """
     x = np.asarray(batch, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != spec.input_dim:
+    if x.ndim < 2 or x.shape[-1] != spec.input_dim:
         raise ValueError(
-            f"batch of width {x.shape[-1] if x.ndim == 2 else '?'} "
+            f"batch of width {x.shape[-1] if x.ndim >= 2 else '?'} "
             f"does not match input width {spec.input_dim}"
         )
     n_enc = len(spec.encoder_dims) - 1
@@ -194,13 +210,13 @@ def forward(params: Mapping[str, np.ndarray], spec: ModelSpec, batch: np.ndarray
         if i > 0:
             a = _act(pre[-1], spec.activation)
         inputs.append(a)
-        a = a @ params[f"{prefix}.weight"] + params[f"{prefix}.bias"]
+        a = a @ params[f"{prefix}.weight"] + params[f"{prefix}.bias"][..., None, :]
         pre.append(a)
     h = pre[n_enc - 1]
     z = pre[-1] if spec.projector_dims else None
     logits = None
     if spec.head_classes is not None:
-        logits = h @ params["head.weight"] + params["head.bias"]
+        logits = h @ params["head.weight"] + params["head.bias"][..., None, :]
     return ForwardPass(inputs, pre, h, z, logits)
 
 
@@ -229,7 +245,8 @@ def backward(
     ``grad_out`` is the gradient with respect to the final chain output
     (``z`` for SSL models, ``h`` otherwise). For supervised models pass
     ``grad_logits`` instead and ``grad_out=None`` is not allowed; the head
-    contribution is routed into ``h`` automatically.
+    contribution is routed into ``h`` automatically. With a leading client
+    axis (see :func:`forward`) every gradient is a (K, *shape) stack.
     """
     n_enc = len(spec.encoder_dims) - 1
     grads: dict[str, np.ndarray] = {}
@@ -237,37 +254,40 @@ def backward(
 
     g = np.zeros_like(fp.pre[-1]) if grad_out is None else np.asarray(grad_out, dtype=np.float64)
     if grad_logits is not None:
-        grads["head.weight"] = fp.h.T @ grad_logits
-        grads["head.bias"] = grad_logits.sum(axis=0)
-        g_head = grad_logits @ params["head.weight"].T
+        grads["head.weight"] = _t(fp.h) @ grad_logits
+        grads["head.bias"] = grad_logits.sum(axis=-2)
+        g_head = grad_logits @ _t(params["head.weight"])
         if n_chain == n_enc:
             g = g + g_head
     for i in range(n_chain - 1, -1, -1):
         prefix = f"encoder.{i}" if i < n_enc else f"projector.{i - n_enc}"
         if grad_logits is not None and n_chain != n_enc and i == n_enc - 1:
             g = g + g_head  # head branch joins at the representation
-        grads[f"{prefix}.weight"] = fp.chain_inputs[i].T @ g
-        grads[f"{prefix}.bias"] = g.sum(axis=0)
+        grads[f"{prefix}.weight"] = _t(fp.chain_inputs[i]) @ g
+        grads[f"{prefix}.bias"] = g.sum(axis=-2)
         if i > 0:
-            g = (g @ params[f"{prefix}.weight"].T) * _act_grad(fp.pre[i - 1], spec.activation)
+            g = (g @ _t(params[f"{prefix}.weight"])) * _act_grad(fp.pre[i - 1], spec.activation)
     return grads
 
 
-def loss_xent(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
-    """Mean softmax cross-entropy and its gradient (softmax - onehot)/batch."""
+def loss_xent(logits: np.ndarray, labels: np.ndarray) -> tuple[float | np.ndarray, np.ndarray]:
+    """Mean softmax cross-entropy and its gradient (softmax - onehot)/batch.
+
+    ``logits`` is (B, C) with (B,) labels, or (K, B, C) with (K, B) labels
+    for K clients; the loss is then one value per client.
+    """
     logits = np.asarray(logits, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
-    if logits.shape[0] != labels.shape[0]:
-        raise ValueError(f"{logits.shape[0]} logit rows but {labels.shape[0]} labels")
-    n, c = logits.shape
+    if logits.shape[:-1] != labels.shape:
+        raise ValueError(f"{logits.shape[-2]} logit rows but {labels.shape[-1]} labels")
+    n, c = logits.shape[-2:]
     if labels.size and (labels.min() < 0 or labels.max() >= c):
         raise ValueError(f"label outside [0, {c})")
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    loss = float(-logp[np.arange(n), labels].mean())
-    grad = np.exp(logp)
-    grad[np.arange(n), labels] -= 1.0
-    return loss, grad / n
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    logp = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    onehot = labels[..., None] == np.arange(c)
+    loss = -np.take_along_axis(logp, labels[..., None], axis=-1)[..., 0].mean(axis=-1)
+    return loss, (np.exp(logp) - onehot) / n
 
 
 def _require_finite(*embeddings: np.ndarray) -> None:
@@ -277,72 +297,74 @@ def _require_finite(*embeddings: np.ndarray) -> None:
 
 def loss_ntxent(
     z_a: np.ndarray, z_b: np.ndarray, temperature: float
-) -> tuple[float, np.ndarray, np.ndarray]:
+) -> tuple[float | np.ndarray, np.ndarray, np.ndarray]:
     """Symmetric normalized temperature-scaled contrastive loss.
 
     Rows are L2-normalized internally. Each of the 2B normalized embeddings
     anchors one term whose positive is the matching row of the other view and
     whose negatives are all remaining rows of both views; the loss is the
     mean over anchors. Returns exact gradients with respect to the raw
-    (unnormalized) inputs.
+    (unnormalized) inputs. (K, B, D) embeddings of K clients give one loss
+    per client.
     """
     z_a = np.asarray(z_a, dtype=np.float64)
     z_b = np.asarray(z_b, dtype=np.float64)
     if z_a.shape != z_b.shape:
         raise ValueError("view embeddings must have the same shape")
-    b = z_a.shape[0]
+    b = z_a.shape[-2]
     if b < 2:
         raise ValueError("contrastive loss needs a batch of at least 2")
     tau = float(temperature)
 
-    norms_a = np.linalg.norm(z_a, axis=1, keepdims=True)
-    norms_b = np.linalg.norm(z_b, axis=1, keepdims=True)
+    norms_a = np.linalg.norm(z_a, axis=-1, keepdims=True)
+    norms_b = np.linalg.norm(z_b, axis=-1, keepdims=True)
     if not (norms_a > 0).all() or not (norms_b > 0).all():
         _require_finite(z_a, z_b)  # a NaN row fails the test above too
         raise ValueError("cannot normalize a zero embedding row")
-    s = np.vstack([z_a / norms_a, z_b / norms_b])  # (2B, D), unit rows
+    s = np.concatenate([z_a / norms_a, z_b / norms_b], axis=-2)  # (..., 2B, D), unit rows
 
-    sim = (s @ s.T) / tau
-    np.fill_diagonal(sim, -np.inf)  # anchors never pair with themselves
-    pos = (np.arange(2 * b) + b) % (2 * b)
+    anchors = np.arange(2 * b)
+    pos = (anchors + b) % (2 * b)
+    sim = (s @ _t(s)) / tau
+    sim[..., anchors, anchors] = -np.inf  # anchors never pair with themselves
 
-    row_max = sim.max(axis=1, keepdims=True)
-    lse = row_max[:, 0] + np.log(np.exp(sim - row_max).sum(axis=1))
-    loss = float((lse - sim[np.arange(2 * b), pos]).mean())
-    if not math.isfinite(loss):
+    row_max = sim.max(axis=-1, keepdims=True)
+    lse = row_max[..., 0] + np.log(np.exp(sim - row_max).sum(axis=-1))
+    loss = (lse - sim[..., anchors, pos]).mean(axis=-1)
+    if not np.isfinite(loss).all():
         _require_finite(z_a, z_b)  # an inf row normalizes to NaN
 
     # d(loss)/d(sim): softmax over each anchor's candidates minus the positive.
-    soft = np.exp(sim - lse[:, None])
-    soft[np.arange(2 * b), pos] -= 1.0
+    soft = np.exp(sim - lse[..., None])
+    soft[..., anchors, pos] -= 1.0
     soft /= 2 * b
-    np.fill_diagonal(soft, 0.0)
+    soft[..., anchors, anchors] = 0.0
 
-    grad_s = ((soft + soft.T) @ s) / tau
-    grad_u, grad_v = grad_s[:b], grad_s[b:]
+    grad_s = ((soft + _t(soft)) @ s) / tau
+    grad_u, grad_v = grad_s[..., :b, :], grad_s[..., b:, :]
 
     # Through row normalization u = z/|z|: dz = (g - (g.u) u)/|z|.
-    ua, vb = s[:b], s[b:]
-    grad_a = (grad_u - (grad_u * ua).sum(axis=1, keepdims=True) * ua) / norms_a
-    grad_b = (grad_v - (grad_v * vb).sum(axis=1, keepdims=True) * vb) / norms_b
+    ua, vb = s[..., :b, :], s[..., b:, :]
+    grad_a = (grad_u - (grad_u * ua).sum(axis=-1, keepdims=True) * ua) / norms_a
+    grad_b = (grad_v - (grad_v * vb).sum(axis=-1, keepdims=True) * vb) / norms_b
     return loss, grad_a, grad_b
 
 
 def _standardize(z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    mean = z.mean(axis=0, keepdims=True)
+    mean = z.mean(axis=-2, keepdims=True)
     centered = z - mean
-    std = np.sqrt((centered**2).mean(axis=0, keepdims=True))
+    std = np.sqrt((centered**2).mean(axis=-2, keepdims=True))
     return centered / (std + BARLOW_STD_EPS), centered, std
 
 
 def _standardize_backward(
     grad_hat: np.ndarray, centered: np.ndarray, std: np.ndarray
 ) -> np.ndarray:
-    n = centered.shape[0]
+    n = centered.shape[-2]
     denom = std + BARLOW_STD_EPS
-    g = (grad_hat - grad_hat.mean(axis=0, keepdims=True)) / denom
+    g = (grad_hat - grad_hat.mean(axis=-2, keepdims=True)) / denom
     # d(std)/dx term; a constant dimension has no std direction to move along.
-    coef = (grad_hat * centered).sum(axis=0, keepdims=True) / (n * denom**2)
+    coef = (grad_hat * centered).sum(axis=-2, keepdims=True) / (n * denom**2)
     g -= centered * np.divide(coef, std, out=np.zeros_like(coef), where=std > 0)
     return g
 
@@ -353,48 +375,58 @@ def cross_correlation(z_a: np.ndarray, z_b: np.ndarray) -> np.ndarray:
     z_b = np.asarray(z_b, dtype=np.float64)
     if z_a.shape != z_b.shape:
         raise ValueError("view embeddings must have the same shape")
-    if z_a.shape[0] < 2:
+    if z_a.shape[-2] < 2:
         raise ValueError("cross-correlation needs a batch of at least 2")
     a_hat, _, _ = _standardize(z_a)
     b_hat, _, _ = _standardize(z_b)
-    return (a_hat.T @ b_hat) / z_a.shape[0]
+    return (_t(a_hat) @ b_hat) / z_a.shape[-2]
 
 
-def redundancy_loss_from_corr(corr: np.ndarray, lambda_offdiag: float) -> float:
-    """sum_i (1 - C_ii)^2 + lambda * sum_{i != j} C_ij^2; exactly 0 at C == I."""
+def redundancy_loss_from_corr(corr: np.ndarray, lambda_offdiag: float) -> float | np.ndarray:
+    """sum_i (1 - C_ii)^2 + lambda * sum_{i != j} C_ij^2; exactly 0 at C == I.
+
+    A (K, D, D) stack of correlation matrices gives one loss per matrix.
+    """
     corr = np.asarray(corr, dtype=np.float64)
-    diag = np.diagonal(corr)
-    off = corr - np.diag(diag)
-    return float(((1.0 - diag) ** 2).sum() + lambda_offdiag * (off**2).sum())
+    dims = np.arange(corr.shape[-1])
+    # A view, not corr[..., dims, dims]: that copy is column-major when K > 1, and
+    # its row sums would then round differently from the one-client sum.
+    diag = np.diagonal(corr, axis1=-2, axis2=-1)
+    diag_matrix = np.zeros_like(corr)
+    diag_matrix[..., dims, dims] = diag
+    off = (corr - diag_matrix).reshape(*corr.shape[:-2], -1)
+    return ((1.0 - diag) ** 2).sum(axis=-1) + lambda_offdiag * (off**2).sum(axis=-1)
 
 
 def loss_barlow(
     z_a: np.ndarray, z_b: np.ndarray, lambda_offdiag: float
-) -> tuple[float, np.ndarray, np.ndarray]:
+) -> tuple[float | np.ndarray, np.ndarray, np.ndarray]:
     """Redundancy-reduction loss on the batch cross-correlation matrix.
 
     Embedding dimensions are standardized across the batch (mean 0, unit
     std, ddof 0) before correlating, so diagonal entries live in [-1, 1].
     Returns exact gradients with respect to the raw inputs, including the
-    path through the standardization.
+    path through the standardization. (K, B, D) embeddings of K clients are
+    standardized per client and give one loss per client.
     """
     z_a = np.asarray(z_a, dtype=np.float64)
     z_b = np.asarray(z_b, dtype=np.float64)
     if z_a.shape != z_b.shape:
         raise ValueError("view embeddings must have the same shape")
-    n = z_a.shape[0]
+    n = z_a.shape[-2]
     if n < 2:
         raise ValueError("redundancy loss needs a batch of at least 2")
     lam = float(lambda_offdiag)
 
     a_hat, a_centered, a_std = _standardize(z_a)
     b_hat, b_centered, b_std = _standardize(z_b)
-    corr = (a_hat.T @ b_hat) / n
+    corr = (_t(a_hat) @ b_hat) / n
     loss = redundancy_loss_from_corr(corr, lam)
 
+    dims = np.arange(corr.shape[-1])
     grad_corr = 2.0 * lam * corr
-    np.fill_diagonal(grad_corr, -2.0 * (1.0 - np.diagonal(corr)))
-    grad_a_hat = (b_hat @ grad_corr.T) / n
+    grad_corr[..., dims, dims] = -2.0 * (1.0 - corr[..., dims, dims])
+    grad_a_hat = (b_hat @ _t(grad_corr)) / n
     grad_b_hat = (a_hat @ grad_corr) / n
     grad_a = _standardize_backward(grad_a_hat, a_centered, a_std)
     grad_b = _standardize_backward(grad_b_hat, b_centered, b_std)
@@ -421,7 +453,8 @@ def sgd_step(
 
     ``v`` is the velocity of one training session: pass None on its first
     step (the velocity starts as g + wd*w) and the returned buffer after.
-    ``w`` and ``v`` are updated in place.
+    ``w`` and ``v`` are updated in place. The arrays may be rows of a
+    (K, P) block: the update is elementwise.
     """
     if g.shape != w.shape:
         raise ValueError(f"gradient of shape {g.shape} for weights of shape {w.shape}")
@@ -435,25 +468,98 @@ def sgd_step(
     return v
 
 
-def _batch_loss_and_grads(
-    params: Mapping[str, np.ndarray],
-    model: ModelSpec,
-    trainer: TrainerSpec,
-    xb: np.ndarray,
-    yb: np.ndarray | None,
-    rng: np.random.Generator,
-    grads: Mapping[str, np.ndarray],
-) -> float:
-    """The batch loss; its gradient is written into the arrays of ``grads``."""
+class ClientTrainingError(ValueError):
+    """Local training of one client failed; the message is the cause's own."""
+
+    def __init__(self, client_id: int | str, message: str):
+        super().__init__(message)
+        self.client_id = client_id
+
+
+def _batch_sizes(n: int, trainer: TrainerSpec) -> list[int]:
+    """One epoch's mini-batch sizes; SSL skips a lone trailing sample (it has no contrastive partner)."""
+    sizes = [min(trainer.batch_size, n - start) for start in range(0, n, trainer.batch_size)]
+    if trainer.is_ssl and sizes[-1] < 2:
+        sizes.pop()
+    return sizes
+
+
+@dataclass
+class _Session:
+    """One client's training session: its round position, data, RNG and mini-batch sizes."""
+
+    pos: int
+    client_id: int | str
+    x: np.ndarray
+    y: np.ndarray
+    rng: np.random.Generator
+    sizes: list[int]
+    perm: np.ndarray | None = None  # the current epoch's shuffle
+
+
+class _Block:
+    """A round's sessions as the rows of one (K, P) weight block, with gradient and velocity blocks.
+
+    ``params`` and ``grads`` map each layer to its (K, *shape) view. Rows are
+    sorted by (steps desc, last batch size desc), so the sessions taking step
+    t of an epoch are a prefix of the rows and the ones sharing a batch size
+    at that step are a contiguous run: every group is a slice of the block,
+    never a gather.
+    """
+
+    def __init__(self, sessions: list[_Session], vectors: list[np.ndarray], layout):
+        self.rows = sessions
+        self.layout = layout
+        self.w = np.stack(vectors)
+        self.v = np.empty_like(self.w)
+        self.total = np.zeros(len(sessions))  # loss x batch size, summed over the current epoch
+        self._views()
+
+    def _views(self) -> None:
+        self.g = np.empty_like(self.w)
+        self.params, self.grads = segments(self.w, self.layout), segments(self.g, self.layout)
+
+    def keep(self, rows: list[int]) -> None:
+        """Drop every other row (a gather, made only after a failure)."""
+        self.rows = [self.rows[r] for r in rows]
+        self.w, self.v, self.total = self.w[rows], self.v[rows], self.total[rows]
+        self._views()
+
+    def groups(self, t: int):
+        """(lo, hi, batch size) for each run of rows that take step ``t`` with one batch size."""
+        active = sum(len(s.sizes) > t for s in self.rows)
+        lo = 0
+        while lo < active:
+            b, hi = self.rows[lo].sizes[t], lo + 1
+            while hi < active and self.rows[hi].sizes[t] == b:
+                hi += 1
+            yield lo, hi, b
+            lo = hi
+
+    def inputs(self, lo: int, hi: int, start: int, b: int, trainer: TrainerSpec) -> tuple[np.ndarray, np.ndarray]:
+        """Rows lo:hi's next batches, stacked: (features, labels), or the two SSL views."""
+        batches = [(s, s.perm[start : start + b]) for s in self.rows[lo:hi]]
+        if trainer.method == "supervised":
+            return np.stack([s.x[idx] for s, idx in batches]), np.stack([s.y[idx] for s, idx in batches])
+        views = [
+            make_views(s.x[idx], trainer.augment_noise_std, trainer.augment_mask_prob, s.rng)
+            for s, idx in batches
+        ]
+        return np.stack([va for va, _ in views]), np.stack([vb for _, vb in views])
+
+
+def _group_loss(block: _Block, lo: int, hi: int, inputs, model: ModelSpec, trainer: TrainerSpec) -> np.ndarray:
+    """Rows lo:hi's batch losses; their gradients are written into the block's gradient rows."""
+    params = {name: a[lo:hi] for name, a in block.params.items()}
+    grads = {name: a[lo:hi] for name, a in block.grads.items()}
     if trainer.method == "supervised":
-        fp = forward(params, model, xb)
-        loss, grad_logits = loss_xent(fp.logits, yb)
+        fp = forward(params, model, inputs[0])
+        loss, grad_logits = loss_xent(fp.logits, inputs[1])
         for name, g in backward(params, model, fp, None, grad_logits=grad_logits).items():
             grads[name][...] = g
         return loss
-    view_a, view_b = make_views(xb, trainer.augment_noise_std, trainer.augment_mask_prob, rng)
-    fa = forward(params, model, view_a)
-    fb = forward(params, model, view_b)
+    fa = forward(params, model, inputs[0])
+    fb = forward(params, model, inputs[1])
     if trainer.method == "simclr":
         loss, ga, gb = loss_ntxent(fa.z, fb.z, trainer.temperature)
     else:
@@ -465,6 +571,98 @@ def _batch_loss_and_grads(
     return loss
 
 
+def _train_block(block: _Block, trainer: TrainerSpec, model: ModelSpec, failures: dict[int, ValueError]) -> None:
+    """Run every epoch on the block's rows, recording failures by round position."""
+    train = trainer.local_epochs > 0
+    hyper = (trainer.lr, trainer.momentum, trainer.weight_decay)
+    steps = len(block.rows[0].sizes)
+    for epoch in range(max(trainer.local_epochs, 1)):
+        for s in block.rows:
+            s.perm = s.rng.permutation(len(s.x))
+        block.total[:] = 0.0
+        for t in range(steps):
+            failed, active = len(failures), 0
+            for lo, hi, b in block.groups(t):
+                inputs = block.inputs(lo, hi, t * trainer.batch_size, b, trainer)
+                try:
+                    runs = [(lo, hi, _group_loss(block, lo, hi, inputs, model, trainer))]
+                except ValueError:
+                    runs = []  # some row failed: redo the group one row at a time
+                    for r in range(lo, hi):
+                        row_inputs = tuple(a[r - lo : r - lo + 1] for a in inputs)
+                        try:
+                            runs.append((r, r + 1, _group_loss(block, r, r + 1, row_inputs, model, trainer)))
+                        except ValueError as exc:
+                            failures[block.rows[r].pos] = exc
+                for r0, r1, loss in runs:
+                    if train and epoch == 0 and t == 0:  # a session's velocity starts as g + wd*w
+                        block.v[r0:r1] = sgd_step(block.w[r0:r1], block.g[r0:r1], None, *hyper)
+                    elif train:
+                        sgd_step(block.w[r0:r1], block.g[r0:r1], block.v[r0:r1], *hyper)
+                    block.total[r0:r1] += loss * b
+                active = hi
+            if train and not np.isfinite(block.w[:active]).all():
+                for r in np.flatnonzero(~np.isfinite(block.w[:active]).all(axis=1)):
+                    bad = next(name for name, a in block.params.items() if not np.isfinite(a[r]).all())
+                    failures[block.rows[r].pos] = ValueError(f"layer {bad!r} contains non-finite values")
+            if len(failures) > failed:
+                first = min(failures)
+                block.keep([r for r, s in enumerate(block.rows) if s.pos < first and s.pos not in failures])
+                if not block.rows:
+                    return
+
+
+def train_clients(clients, trainer: TrainerSpec, model: ModelSpec) -> list[ClientUpdate]:
+    """Train a round's clients together, each for ``local_epochs`` epochs of shuffled mini-batches.
+
+    ``clients`` lists ``(client_id, data, init, rng)`` in round order. The
+    clients are the rows of one (K, P) weight block (see :class:`_Block`).
+    Each step runs the forward pass, loss, backward pass and SGD step once
+    per group of rows that share a batch size; a client that has finished
+    its epoch is not touched. Every client draws its permutations and views
+    from its own ``rng`` as it would alone, so each row is bit-identical to
+    training that client by itself (K=1).
+
+    Returns one :class:`ClientUpdate` per client in round order: the final
+    parameters, the sample count and the mean loss over the final epoch
+    (with ``local_epochs == 0``, a single evaluation pass supplies the loss
+    and the parameters are untouched). Momentum buffers live and die inside
+    this call. If clients fail, raises :class:`ClientTrainingError` for the
+    earliest in round order, the one a client-by-client loop would name: a
+    failed row drops out, and only the rows ahead of it keep training.
+    """
+    failures: dict[int, ValueError] = {}  # round position -> cause
+    sessions: list[_Session] = []
+    for pos, (cid, data, init, rng) in enumerate(clients):
+        n = len(data.features)
+        try:
+            if n == 0:
+                raise ValueError(f"client {cid}: empty dataset")
+            if trainer.is_ssl and n < 2:
+                raise ValueError(f"client {cid}: cannot assemble a batch of 2 from {n} sample(s)")
+            validate_model_for_trainer(model, trainer)
+            clients[0][2].require_compatible(init)
+        except ValueError as exc:
+            failures[pos] = exc
+            break  # clients after the first failure never train
+        x, y = np.asarray(data.features, dtype=np.float64), np.asarray(data.labels, dtype=np.int64)
+        sessions.append(_Session(pos, cid, x, y, rng, _batch_sizes(n, trainer)))
+
+    updates: list[ClientUpdate] = [None] * len(clients)
+    if sessions:
+        sessions.sort(key=lambda s: (-len(s.sizes), -s.sizes[-1]))
+        layout = clients[0][2].layout
+        block = _Block(sessions, [clients[s.pos][2].vector for s in sessions], layout)
+        _train_block(block, trainer, model, failures)
+        for s, w, total in zip(block.rows, block.w, block.total):
+            params = ParamSet.from_vector(w.copy(), layout)
+            updates[s.pos] = ClientUpdate(s.client_id, params, len(s.x), float(total / sum(s.sizes)))
+    if failures:
+        first = min(failures)
+        raise ClientTrainingError(clients[first][0], str(failures[first])) from failures[first]
+    return updates
+
+
 def train_local(
     client_data,
     init: ParamSet,
@@ -473,49 +671,9 @@ def train_local(
     rng: np.random.Generator,
     client_id: int | str = 0,
 ) -> ClientUpdate:
-    """Train for ``local_epochs`` epochs of shuffled mini-batches from ``init``.
+    """Train one client from ``init``: :func:`train_clients` with K=1.
 
-    Returns the final parameters, the client's sample count, and the mean
-    loss over the final epoch (with ``local_epochs == 0``, a single
-    evaluation pass supplies the loss and the parameters are untouched).
-    Momentum buffers live and die inside this call. Deterministic given the
-    rng state.
+    Deterministic given the rng state. A failure raises
+    :class:`ClientTrainingError`, a ValueError with the cause's message.
     """
-    x = np.asarray(client_data.features, dtype=np.float64)
-    y = np.asarray(client_data.labels, dtype=np.int64)
-    n = x.shape[0]
-    if n == 0:
-        raise ValueError(f"client {client_id}: empty dataset")
-    if trainer.is_ssl and n < 2:
-        raise ValueError(
-            f"client {client_id}: cannot assemble a batch of 2 from {n} sample(s)"
-        )
-    validate_model_for_trainer(model, trainer)
-
-    # One private copy of the weights, updated in place; the layer views share its memory.
-    w, v = init.vector.copy(), None
-    g = np.empty_like(w)
-    params, grads = segments(w, init.layout), segments(g, init.layout)
-    epoch_loss = math.nan
-    passes = max(trainer.local_epochs, 1)
-    evaluate_only = trainer.local_epochs == 0
-    for _ in range(passes):
-        order = rng.permutation(n)
-        total_loss = 0.0
-        total_used = 0
-        for start in range(0, n, trainer.batch_size):
-            batch_idx = order[start : start + trainer.batch_size]
-            if trainer.is_ssl and batch_idx.size < 2:
-                continue  # a lone trailing sample has no contrastive partner
-            xb = x[batch_idx]
-            yb = y[batch_idx] if trainer.method == "supervised" else None
-            loss = _batch_loss_and_grads(params, model, trainer, xb, yb, rng, grads)
-            if not evaluate_only:
-                v = sgd_step(w, g, v, trainer.lr, trainer.momentum, trainer.weight_decay)
-                if not np.isfinite(w).all():
-                    bad = next(name for name, a in params.items() if not np.isfinite(a).all())
-                    raise ValueError(f"layer {bad!r} contains non-finite values")
-            total_loss += loss * batch_idx.size
-            total_used += batch_idx.size
-        epoch_loss = total_loss / total_used
-    return ClientUpdate(client_id, ParamSet.from_vector(w, init.layout), n, float(epoch_loss))
+    return train_clients([(client_id, client_data, init, rng)], trainer, model)[0]

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -66,11 +67,14 @@ class LayerTensor:
 
 
 def segments(vector: np.ndarray, layout: Layout) -> dict[str, np.ndarray]:
-    """Views of ``vector``'s consecutive segments in the layers' shapes, keyed by name."""
+    """Views of ``vector``'s consecutive segments in the layers' shapes, keyed by name.
+
+    A (K, P) block of K vectors gives (K, *shape) views, one row per vector.
+    """
     out, offset = {}, 0
     for name, shape in layout:
         size = math.prod(shape)
-        out[name] = vector[offset : offset + size].reshape(shape)
+        out[name] = vector[..., offset : offset + size].reshape(vector.shape[:-1] + shape)
         offset += size
     return out
 
@@ -211,8 +215,16 @@ def weighted_sum(models: Sequence[ParamSet], coeffs) -> ParamSet:
 
 
 def flatten(m: ParamSet, name: str = "flat") -> LayerTensor:
-    """The whole model as one flat tensor in canonical order: a view of its vector."""
-    return LayerTensor(name, (m.num_params,), m.vector)
+    """The whole model as one flat tensor in canonical order: a view of its vector.
+
+    The vector is not validated again: a ParamSet's values are already
+    finite, read-only float64.
+    """
+    flat = object.__new__(LayerTensor)  # skips __post_init__: no copy and no isfinite pass
+    object.__setattr__(flat, "name", name)
+    object.__setattr__(flat, "shape", (m.num_params,))
+    object.__setattr__(flat, "values", m.vector)
+    return flat
 
 
 # ---------------------------------------------------------------------------
@@ -274,41 +286,50 @@ def load_checkpoint(path) -> ParamSet:
     Malformed content of any kind raises ValueError naming ``path``.
     """
     with open(path, "rb") as fh:
-        blob = fh.read()
-    try:
-        if blob[: len(CHECKPOINT_MAGIC)] == CHECKPOINT_MAGIC:
-            return _load_binary(blob)
         try:
-            obj = json.loads(blob.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise ValueError("neither a binary nor a JSON checkpoint") from exc
-        return paramset_from_json(obj)
-    except (KeyError, TypeError, OverflowError) as exc:
-        raise ValueError(f"{path}: malformed checkpoint layout ({exc!r})") from exc
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
+            if fh.read(len(CHECKPOINT_MAGIC)) == CHECKPOINT_MAGIC:
+                return _load_binary(fh)
+            fh.seek(0)
+            try:
+                obj = json.loads(fh.read().decode("utf-8"))
+            except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+                raise ValueError("neither a binary nor a JSON checkpoint") from exc
+            return paramset_from_json(obj)
+        except (KeyError, TypeError, OverflowError) as exc:
+            raise ValueError(f"{path}: malformed checkpoint layout ({exc!r})") from exc
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
 
 
-def _load_binary(blob: bytes) -> ParamSet:
-    pos = len(CHECKPOINT_MAGIC) + _PREAMBLE.size
-    if len(blob) < pos:
+def _load_binary(fh) -> ParamSet:
+    """The rest of a binary checkpoint after its magic; each layer's payload is read straight into the vector."""
+    file_size = os.fstat(fh.fileno()).st_size
+    preamble = fh.read(_PREAMBLE.size)
+    if len(preamble) < _PREAMBLE.size:
         raise ValueError("truncated checkpoint: no version and header length")
-    version, header_len = _PREAMBLE.unpack_from(blob, len(CHECKPOINT_MAGIC))
+    version, header_len = _PREAMBLE.unpack(preamble)
     if version != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {version}")
-    if header_len > len(blob) - pos:
+    payload_start = len(CHECKPOINT_MAGIC) + _PREAMBLE.size + header_len
+    if payload_start > file_size:
         raise ValueError(f"header length {header_len} runs past the end of the file")
-    header = json.loads(blob[pos : pos + header_len].decode("utf-8"))
-    payload = memoryview(blob)[pos + header_len :]
-    layout, segs = [], []
+    header = json.loads(fh.read(header_len).decode("utf-8"))
+    layout, extents = [], []
     for entry in header["layers"]:
         shape = tuple(int(s) for s in entry["shape"])
         count = math.prod(shape)  # exact: a huge shape cannot wrap around
         offset = int(entry["offset"])
-        if offset < 0 or count < 0 or offset + 8 * count > len(payload):
+        if offset < 0 or count < 0 or offset + 8 * count > file_size - payload_start:
             raise ValueError(
                 f"layer {entry['name']!r}: {count} values at offset {offset} run past the payload"
             )
         layout.append((entry["name"], shape))
-        segs.append(np.frombuffer(payload, dtype="<f8", count=count, offset=offset))
-    return ParamSet.from_vector(np.concatenate(segs) if segs else np.zeros(0), layout)
+        extents.append((offset, count))
+    vector = np.empty(sum(count for _, count in extents), dtype="<f8")
+    at = 0
+    for offset, count in extents:
+        fh.seek(payload_start + offset)
+        if fh.readinto(memoryview(vector[at : at + count]).cast("B")) != 8 * count:
+            raise ValueError("checkpoint payload ended early")
+        at += count
+    return ParamSet.from_vector(vector, layout)

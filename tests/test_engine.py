@@ -1,18 +1,22 @@
 """Round orchestration: sampling, FedU policy, warm-up telemetry, determinism."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from fedsim.aggregation import AggregationSpec, ClientUpdate
 from fedsim.config import parse_config
 from fedsim.engine import (
+    _TAG_TRAIN,
     FederatedRunner,
     build_datasets,
+    derived_rng,
     fedu_policy,
     run_experiment,
     sample_clients,
 )
-from fedsim.learners import init_params
+from fedsim.learners import ClientTrainingError, init_params
 from fedsim.params import LayerTensor, ParamSet, load_checkpoint
 from fedsim.partition import make_blobs, partition
 
@@ -148,8 +152,8 @@ class TestRunRound:
         }
         global_params = ps({n: rng.normal(size=s) for n, s in layer_shapes.items()})
 
-        def train_fn(cid, r, data, init):
-            return ClientUpdate(cid, scripted[cid], 10, 0.5)
+        def train_fn(r, clients):
+            return [ClientUpdate(cid, scripted[cid], 10, 0.5) for cid, _, _ in clients]
 
         runner = FederatedRunner(cfg, train_ds, parts, train_fn=train_fn)
         from fedsim.engine import RunState
@@ -172,10 +176,11 @@ class TestRunRound:
         train_ds, _ = build_datasets(cfg)
         parts = partition(train_ds, cfg.partition)
 
-        def train_fn(cid, r, data, init):
-            if cid == 1:
-                raise ValueError("boom")
-            return ClientUpdate(cid, init, 1, 0.0)
+        def train_fn(r, clients):
+            for cid, _, _ in clients:
+                if cid == 1:
+                    raise ClientTrainingError(cid, "boom")
+            return [ClientUpdate(cid, init, 1, 0.0) for cid, _, init in clients]
 
         runner = FederatedRunner(cfg, train_ds, parts, train_fn=train_fn)
         with pytest.raises(RuntimeError, match="client 1"):
@@ -193,6 +198,49 @@ class TestRunRound:
             "round 0: training failed for client 0: layer 'encoder.0.weight' contains non-finite values"
         )
         assert isinstance(info.value.__cause__, ValueError)
+
+
+class TestFailureAttribution:
+    """A round trains its clients together but names the client a one-by-one loop would."""
+
+    def runner(self, tmp_path, fail_at):
+        """Four clients of 15 samples; client c's batch number fail_at[c] holds an infinite feature."""
+        cfg = base_config(
+            tmp_path,
+            partition={"scheme": "iid", "num_clients": 4},
+            clients_per_round=4,
+            trainer={"method": "supervised", "batch_size": 4, "local_epochs": 1},
+            model={"encoder_dims": [4, 8, 4], "projector_dims": [], "head_classes": 3},
+            aggregation={"strategy": "fedavg"},
+        )
+        train_ds, _ = build_datasets(cfg)
+        runner = FederatedRunner(cfg, train_ds, partition(train_ds, cfg.partition))
+        for cid, step in fail_at.items():
+            data = runner.client_data[cid]
+            # the client's round-0 shuffle, drawn first from its own training stream
+            order = derived_rng(cfg.run_seed, _TAG_TRAIN, 0, cid).permutation(len(data))
+            features = data.features.copy()
+            features[order[4 * step]] = np.inf
+            runner.client_data[cid] = dataclasses.replace(data, features=features)
+        return runner
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_only_overflowing_client_is_named(self, tmp_path):
+        runner = self.runner(tmp_path, {2: 0})
+        with pytest.raises(RuntimeError) as info:
+            runner.run_round(runner.initial_state())
+        assert str(info.value) == (
+            "round 0: training failed for client 2: layer 'encoder.0.weight' contains non-finite values"
+        )
+        assert isinstance(info.value.__cause__, ValueError)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_earlier_client_in_round_order_wins_over_earlier_step(self, tmp_path):
+        # client 3 fails on its first step, client 1 only on its third; a client-by-client
+        # loop trains client 1 first, so it is the one named
+        runner = self.runner(tmp_path, {1: 2, 3: 0})
+        with pytest.raises(RuntimeError, match=r"^round 0: training failed for client 1: layer '"):
+            runner.run_round(runner.initial_state())
 
 
 class TestRunExperiment:
@@ -244,10 +292,10 @@ class TestRunExperiment:
         runner = FederatedRunner(cfg, train_ds, parts)
         original_fn = runner.train_fn
 
-        def capturing(cid, r, data, init):
-            up = original_fn(cid, r, data, init)
-            captured[cid] = up
-            return up
+        def capturing(r, clients):
+            ups = original_fn(r, clients)
+            captured.update((up.client_id, up) for up in ups)
+            return ups
 
         runner.train_fn = capturing
         state = runner.initial_state()

@@ -4,8 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fedsim.learners import (
+    ClientTrainingError,
     ModelSpec,
     TrainerSpec,
     backward,
@@ -20,14 +23,17 @@ from fedsim.learners import (
     redundancy_loss_from_corr,
     representation,
     sgd_step,
+    train_clients,
     train_local,
     validate_model_for_trainer,
 )
-from fedsim.params import ParamSet
+from fedsim.params import ParamSet, segments
 from fedsim.partition import Dataset, make_blobs
 
 FD_STEP = 1e-5
 FD_RTOL = 1e-4
+
+PROPERTY = settings(derandomize=True, deadline=None, database=None, max_examples=30)
 
 
 def fd_grad(f, x, h=FD_STEP):
@@ -488,6 +494,23 @@ class TestTrainLocal:
         with pytest.raises(ValueError, match="^layer 'encoder.0.weight' contains non-finite values$"):
             train_local(ds, init, trainer, model, np.random.default_rng(10))
 
+    def test_loss_error_names_the_earliest_failing_client(self):
+        rng = np.random.default_rng(22)
+        ds = client_dataset(rng)
+        model = self.ssl_model()
+        good = init_params(model, rng)
+        # a zero projector maps every input to the zero embedding, which cannot be normalized
+        dead = ParamSet.from_arrays(
+            {name: good[name] * (not name.startswith("projector.")) for name in good.names}
+        )
+        clients = [(7, ds, good), (8, ds, dead), (9, ds, dead), (10, ds, good)]
+        with pytest.raises(ClientTrainingError, match="^cannot normalize a zero embedding row$") as info:
+            train_clients(
+                [(cid, d, init, np.random.default_rng(k)) for k, (cid, d, init) in enumerate(clients)],
+                self.ssl_trainer(), model,
+            )
+        assert info.value.client_id == 8
+
     def test_barlow_method_runs(self):
         rng = np.random.default_rng(20)
         ds = client_dataset(rng)
@@ -497,6 +520,115 @@ class TestTrainLocal:
         up = train_local(ds, init, trainer, model, np.random.default_rng(9))
         assert math.isfinite(up.train_loss)
         assert not (up.params == init)
+
+
+class TestBatchedGradients:
+    """The passes over a leading client axis: one (K, B, D) batch against finite differences."""
+
+    K, B, D = 3, 4, 3
+
+    def test_loss_gradients_per_client(self):
+        rng = np.random.default_rng(31)
+        z_a, z_b = rng.normal(size=(2, self.K, self.B, self.D))
+        for loss_fn, arg in ((loss_ntxent, 0.5), (loss_barlow, 0.05)):
+            losses, ga, gb = loss_fn(z_a, z_b, arg)
+            assert losses.shape == (self.K,)
+            # the clients do not interact, so the gradient of the summed loss is each client's own
+            fda = fd_grad(lambda v: loss_fn(v.reshape(z_a.shape), z_b, arg)[0].sum(), z_a.reshape(-1))
+            fdb = fd_grad(lambda v: loss_fn(z_a, v.reshape(z_b.shape), arg)[0].sum(), z_b.reshape(-1))
+            assert_grad_close(ga.reshape(-1), fda)
+            assert_grad_close(gb.reshape(-1), fdb)
+        logits = rng.normal(size=(self.K, self.B, 4))
+        labels = rng.integers(0, 4, size=(self.K, self.B))
+        losses, grad = loss_xent(logits, labels)
+        assert losses.shape == (self.K,)
+        fd = fd_grad(lambda v: loss_xent(v.reshape(logits.shape), labels)[0].sum(), logits.reshape(-1))
+        assert_grad_close(grad.reshape(-1), fd)
+
+    @pytest.mark.parametrize("method", ["barlow_twins", "simclr", "supervised"])
+    def test_chain_gradients_per_client(self, method):
+        rng = np.random.default_rng(32)
+        if method == "supervised":
+            spec = ModelSpec((self.D, 4, 3), activation="tanh", head_classes=3)
+        else:
+            spec = ModelSpec((self.D, 4, 3), projector_dims=(3, 2), activation="tanh")
+        layout = init_params(spec, rng).layout
+        block = np.stack([init_params(spec, rng).vector for _ in range(self.K)])
+        x_a, x_b = rng.normal(size=(2, self.K, self.B, self.D))
+        y = rng.integers(0, 3, size=(self.K, self.B))
+
+        def passes(w):
+            params = segments(w, layout)
+            if method == "supervised":
+                fp = forward(params, spec, x_a)
+                loss, glog = loss_xent(fp.logits, y)
+                return loss.sum(), backward(params, spec, fp, None, grad_logits=glog)
+            fa, fb = forward(params, spec, x_a), forward(params, spec, x_b)
+            loss_fn, arg = (loss_ntxent, 0.5) if method == "simclr" else (loss_barlow, 0.05)
+            loss, ga, gb = loss_fn(fa.z, fb.z, arg)
+            grads_a, grads_b = backward(params, spec, fa, ga), backward(params, spec, fb, gb)
+            return loss.sum(), {name: grads_a[name] + grads_b[name] for name in grads_a}
+
+        _, grads = passes(block)
+        analytic = np.concatenate([grads[name].reshape(self.K, -1) for name, _ in layout], axis=1)
+        fd = fd_grad(lambda v: passes(v.reshape(block.shape))[0], block.reshape(-1))
+        assert_grad_close(analytic.reshape(-1), fd)
+
+
+def own_projector(glob: ParamSet, own: ParamSet) -> ParamSet:
+    """The global backbone with another model's projector (a FedU client's merged init)."""
+    return ParamSet.from_arrays(
+        {name: (own if name.startswith("projector.") else glob)[name] for name in glob.names}
+    )
+
+
+class TestTrainClientsProperties:
+    """Training a round's clients together gives each one exactly what training it alone gives."""
+
+    @pytest.mark.parametrize("method", ["barlow_twins", "simclr", "supervised"])
+    @PROPERTY
+    @given(
+        sizes=st.lists(st.integers(1, 13), min_size=1, max_size=5),
+        batch_size=st.integers(2, 5),
+        local_epochs=st.sampled_from([0, 1, 2]),
+        proj_out=st.sampled_from([3, 32]),
+        inits=st.lists(st.sampled_from(["global", "own", "merged"]), min_size=5, max_size=5),
+        seed=st.integers(0, 2**16),
+    )
+    # three clients end an epoch on a lone sample (skipped under SSL), one on a full batch of 2
+    @example(sizes=[9, 5, 2, 13], batch_size=4, local_epochs=2, proj_out=32,
+             inits=["global", "merged", "own", "merged", "global"], seed=3)
+    def test_batched_equals_alone(self, method, sizes, batch_size, local_epochs, proj_out, inits, seed):
+        rng = np.random.default_rng(seed)
+        if method == "supervised":
+            model = ModelSpec((4, 6, proj_out), head_classes=3)
+        else:
+            model = ModelSpec((4, 6, 5), projector_dims=(5, proj_out), activation="tanh")
+            sizes = [max(n, 2) for n in sizes]  # an SSL client needs a pair
+        trainer = TrainerSpec(
+            method=method, batch_size=batch_size, local_epochs=local_epochs, lr=0.05,
+            weight_decay=1e-3, augment_mask_prob=0.2,
+        )
+        glob = init_params(model, rng)
+        data = make_blobs(3, 10, 4, 0.5, seed=seed)
+        clients = []
+        for k, n in enumerate(sizes):
+            own = init_params(model, rng)
+            init = {"global": glob, "own": own, "merged": own_projector(glob, own)}[inits[k]]
+            clients.append((10 + k, data.subset(rng.choice(len(data), n, replace=False)), init))
+
+        def session(k):
+            return np.random.default_rng([seed, k])
+
+        together = train_clients(
+            [(cid, d, init, session(k)) for k, (cid, d, init) in enumerate(clients)], trainer, model
+        )
+        for k, ((cid, d, init), up) in enumerate(zip(clients, together)):
+            alone = train_local(d, init, trainer, model, session(k), client_id=cid)
+            assert up.client_id == alone.client_id == cid
+            assert up.num_samples == alone.num_samples == len(d)
+            assert up.params.vector.tobytes() == alone.params.vector.tobytes()
+            assert up.train_loss == alone.train_loss
 
 
 class TestSpecValidation:

@@ -1,0 +1,126 @@
+"""Print the sha256 of the byte-reproducible artifacts of a fixed set of small runs.
+
+Usage (from the repository root):
+
+    PYTHONPATH=src python tools/artifact_hashes.py > hashes.txt
+
+Each line is ``<variant> seed=<n> <file> <sha256>`` for ``rounds.csv``,
+``checkpoint_init.bin`` and ``checkpoint_final.bin`` of every run: the
+desk-scale SimCLR runs under fedavg, ldawa, mdawa and ldawa_fedu, a Barlow
+Twins run on a Dirichlet partition (uneven clients, ragged and lone trailing
+batches), and a small supervised cross-device run from a generated CSV file,
+each at seeds 1, 2 and 3. A change that must not alter results leaves the
+output of this script identical: run it on both trees and diff the files.
+"""
+
+from __future__ import annotations
+
+import copy
+import hashlib
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+from fedsim.config import parse_config
+from fedsim.engine import run_experiment
+
+SEEDS = (1, 2, 3)
+ARTIFACTS = ("rounds.csv", "checkpoint_init.bin", "checkpoint_final.bin")
+
+
+def desk_scale(strategy: str, seed: int) -> dict:
+    """The acceptance suite's cross-silo single-class SimCLR run."""
+    return {
+        "dataset": {
+            "type": "blobs",
+            "num_classes": 8,
+            "samples_per_class": 200,
+            "dim": 16,
+            "spread": 1.0,
+            "seed": seed,
+            "test_samples_per_class": 40,
+        },
+        "partition": {"scheme": "single_class", "num_clients": 10, "seed": seed, "allow_class_reuse": True},
+        "clients_per_round": 10,
+        "rounds": 30,
+        "trainer": {
+            "method": "simclr",
+            "temperature": 0.5,
+            "lr": 0.1,
+            "batch_size": 16,
+            "local_epochs": 1,
+            "augment_noise_std": 0.3,
+            "augment_mask_prob": 0.0,
+        },
+        "model": {"encoder_dims": [16, 64, 32], "projector_dims": [32, 32]},
+        "aggregation": {"strategy": strategy, "warmup_rounds": 2},
+        "evaluation": {"epochs": 30, "milestones": [20, 26], "lr": 0.1, "probe_every": 0},
+        "run_seed": seed,
+    }
+
+
+def barlow(seed: int) -> dict:
+    """Barlow Twins, two local epochs, uneven Dirichlet clients sampled 6 of 12 per round."""
+    raw = desk_scale("ldawa", seed)
+    raw["dataset"]["samples_per_class"] = 61
+    raw["partition"] = {"scheme": "dirichlet", "num_clients": 12, "alpha": 0.5, "seed": seed}
+    raw["clients_per_round"] = 6
+    raw["rounds"] = 10
+    raw["trainer"].update(method="barlow_twins", batch_size=8, local_epochs=2, lr=0.02, augment_mask_prob=0.1)
+    raw["evaluation"]["probe_every"] = 5
+    return raw
+
+
+def supervised_csv(seed: int, path: Path) -> dict:
+    """Supervised cross-device training from a CSV file on a Dirichlet partition."""
+    rng = np.random.default_rng([seed, 7])
+    classes, dim = 5, 8
+    labels = rng.integers(0, classes, size=400)
+    means = rng.normal(0.0, 2.0, size=(classes, dim))
+    table = np.column_stack([means[labels] + rng.normal(size=(labels.size, dim)), labels])
+    header = ",".join([f"f{j}" for j in range(dim)] + ["label"])
+    np.savetxt(path, table, fmt=["%.5f"] * dim + ["%d"], delimiter=",", header=header, comments="")
+    return {
+        "dataset": {"type": "csv", "path": str(path), "num_classes": classes, "test_fraction": 0.2},
+        "partition": {"scheme": "dirichlet", "num_clients": 20, "alpha": 0.1, "seed": seed},
+        "clients_per_round": 8,
+        "rounds": 10,
+        "trainer": {"method": "supervised", "lr": 0.05, "batch_size": 8, "local_epochs": 1},
+        "model": {"encoder_dims": [dim, 16, 8]},
+        "aggregation": {"strategy": "ldawa_loss"},
+        "evaluation": {"epochs": 10, "milestones": [6], "lr": 0.1, "probe_every": 5},
+        "run_seed": seed,
+    }
+
+
+def variants(seed: int, work: Path):
+    for strategy in ("fedavg", "ldawa", "mdawa"):
+        yield strategy, desk_scale(strategy, seed)
+    fedu = desk_scale("ldawa_fedu", seed)
+    fedu["aggregation"]["fedu_threshold"] = 1.0  # about one client session in five keeps its projector
+    yield "ldawa_fedu", fedu
+    yield "barlow_twins", barlow(seed)
+    yield "supervised_csv", supervised_csv(seed, work / f"train_{seed}.csv")
+
+
+def sha256(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        for seed in SEEDS:
+            for name, raw in variants(seed, work):
+                out = work / f"{name}_{seed}"
+                result = run_experiment(parse_config(dict(copy.deepcopy(raw), output_dir=str(out))))
+                for artifact in ARTIFACTS:
+                    print(f"{name} seed={seed} {artifact} {sha256(result.output_dir / artifact)}")
+                sys.stdout.flush()
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
