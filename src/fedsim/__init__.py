@@ -5,13 +5,12 @@ from .aggregation import (
     ClientUpdate,
     STRATEGIES,
     aggregate,
-    aggregate_ldawa,
-    aggregate_mdawa,
+    coefficient_matrix,
     coeffs_fedavg,
     coeffs_loss,
 )
 from .config import ExperimentConfig, parse_config
-from .divergence import DivergenceReport, cosine, layer_divergence, mean_delta
+from .divergence import Divergence
 from .engine import FederatedRunner, RunState, fedu_policy, run_experiment, sample_clients
 from .evaluation import EvalSpec, accuracy, divergence_series, linear_probe
 from .learners import (
@@ -27,16 +26,7 @@ from .learners import (
     train_clients,
     train_local,
 )
-from .params import (
-    LayerTensor,
-    ParamSet,
-    dot,
-    flatten,
-    load_checkpoint,
-    norm,
-    save_checkpoint,
-    weighted_sum,
-)
+from .params import ParamSet, load_checkpoint, save_checkpoint, weighted_sum
 from .partition import Dataset, PartitionSpec, load_csv, make_blobs, partition
 
 __version__ = "0.1.0"

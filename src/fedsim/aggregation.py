@@ -32,7 +32,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .divergence import DivergenceReport, global_norms, layer_divergence
+from .divergence import Divergence, divergence
 from .params import ParamSet, weighted_sum
 
 # strategy -> (base rule, scale rule); the table in the module docstring.
@@ -97,13 +97,6 @@ def effective_strategy(spec: AggregationSpec, round_index: int) -> str:
     return "fedavg" if round_index < spec.warmup_rounds else spec.strategy
 
 
-def _sorted_updates(updates: Sequence[ClientUpdate]) -> list[ClientUpdate]:
-    ups = list(updates)
-    if not ups:
-        raise ValueError("no client updates to aggregate")
-    return sorted(ups, key=lambda u: u.client_id)
-
-
 def coeffs_fedavg(updates: Sequence[ClientUpdate]) -> list[float]:
     """Coefficients proportional to sample counts, summing to 1."""
     if not updates:
@@ -122,14 +115,6 @@ def coeffs_loss(updates: Sequence[ClientUpdate]) -> list[float]:
     return [float(v) for v in ex / ex.sum()]
 
 
-def divergence_reports(
-    global_params: ParamSet, updates: Sequence[ClientUpdate]
-) -> list[DivergenceReport]:
-    """Per-client divergence against the incoming global, in the given order."""
-    norms = global_norms(global_params)  # once per round, not once per client
-    return [layer_divergence(global_params, u.params, u.client_id, norms) for u in updates]
-
-
 BASE_RULES = {
     "uniform": lambda updates: [1.0 / len(updates)] * len(updates),
     "samples": coeffs_fedavg,
@@ -138,31 +123,26 @@ BASE_RULES = {
 
 
 def coefficient_matrix(
-    strategy: str,
-    updates: Sequence[ClientUpdate],
-    reports: Sequence[DivergenceReport],
-    renormalize: bool = False,
+    strategy: str, updates: Sequence[ClientUpdate], div: Divergence, renormalize: bool = False
 ) -> np.ndarray:
     """The (K, L) matrix C[k, l] = beta_k * s_k(l) of ``strategy``.
 
-    ``reports[k]`` belongs to ``updates[k]``; rows follow the given order and
-    columns the layer order of the client models. ``renormalize`` divides
-    each column of a divergence-scaled C by its sum.
+    Row k of ``div`` belongs to ``updates[k]``; rows follow the given order
+    and columns the layer order of ``div``. ``renormalize`` divides each
+    column of a divergence-scaled C by its sum.
     """
     base, scale = RULES[strategy]
-    names = updates[0].params.names
-    if scale is None:
-        s = [[1.0] * len(names) for _ in updates]
+    if scale == "layer":
+        s = div.layer
     elif scale == "model":
-        s = [[r.model_delta] * len(names) for r in reports]
+        s = np.repeat(div.model[:, None], len(div.names), axis=1)
     else:
-        s = [[r.per_layer_delta[n] for n in names] for r in reports]
-    beta = np.array(BASE_RULES[base](updates), dtype=np.float64)
-    table = beta[:, None] * np.array(s, dtype=np.float64).reshape(len(updates), len(names))
+        s = np.ones(div.layer.shape)
+    table = np.array(BASE_RULES[base](updates), dtype=np.float64)[:, None] * s
     if renormalize and scale is not None:
         # Clients are summed in order, as a scalar loop would add them;
         # degenerate column sums are left untouched rather than amplified.
-        sums = np.zeros(len(names))
+        sums = np.zeros(len(div.names))
         for row in table:
             sums += row
         keep = np.abs(sums) > 1e-12
@@ -170,58 +150,21 @@ def coefficient_matrix(
     return table
 
 
-def _aggregate_rule(
-    strategy: str,
-    global_params: ParamSet,
-    updates: Sequence[ClientUpdate],
-    reports: Sequence[DivergenceReport] | None,
-) -> ParamSet:
-    """Apply ``strategy`` with ``reports`` matched to the updates by client id."""
-    ups = _sorted_updates(updates)
-    if reports is None:
-        reports = divergence_reports(global_params, ups)
-    by_id = {r.client_id: r for r in reports}
-    try:
-        reps = [by_id[u.client_id] for u in ups]
-    except KeyError as exc:
-        raise ValueError(f"no divergence report for client {exc.args[0]!r}") from exc
-    return weighted_sum([u.params for u in ups], coefficient_matrix(strategy, ups, reps))
-
-
-def aggregate_mdawa(
-    global_params: ParamSet,
-    updates: Sequence[ClientUpdate],
-    reports: Sequence[DivergenceReport] | None = None,
-) -> ParamSet:
-    """Whole-model divergence scaling: (1/K) * sum_k delta_k * w_k."""
-    return _aggregate_rule("mdawa", global_params, updates, reports)
-
-
-def aggregate_ldawa(
-    global_params: ParamSet,
-    updates: Sequence[ClientUpdate],
-    reports: Sequence[DivergenceReport] | None = None,
-) -> ParamSet:
-    """Layer-wise divergence scaling: layer l = (1/K) * sum_k delta_k(l) * w_k(l)."""
-    return _aggregate_rule("ldawa", global_params, updates, reports)
-
-
 def aggregate(
-    spec: AggregationSpec,
-    round_index: int,
-    global_params: ParamSet,
-    updates: Sequence[ClientUpdate],
-) -> tuple[ParamSet, list[DivergenceReport]]:
+    spec: AggregationSpec, round_index: int, global_params: ParamSet, updates: Sequence[ClientUpdate]
+) -> tuple[ParamSet, Divergence]:
     """Run one aggregation round.
 
-    Returns the new global model and the divergence reports of every client
-    against the incoming global (computed for telemetry regardless of
-    strategy). While ``round_index < spec.warmup_rounds`` the fedavg rule is
-    applied no matter what ``spec.strategy`` says.
+    Returns the new global model and the divergence of every client against
+    the incoming global (computed for telemetry regardless of strategy),
+    rows in ascending client-id order. While ``round_index <
+    spec.warmup_rounds`` the fedavg rule is applied no matter what
+    ``spec.strategy`` says.
     """
-    ups = _sorted_updates(updates)
-    for u in ups:
-        global_params.require_compatible(u.params)
-    reports = divergence_reports(global_params, ups)
-    coeffs = coefficient_matrix(effective_strategy(spec, round_index), ups, reports, spec.renormalize)
-    return weighted_sum([u.params for u in ups], coeffs), reports
+    if not updates:
+        raise ValueError("no client updates to aggregate")
+    ups = sorted(updates, key=lambda u: u.client_id)
+    models = [u.params for u in ups]
+    div = divergence(global_params, models, [u.client_id for u in ups])
+    coeffs = coefficient_matrix(effective_strategy(spec, round_index), ups, div, spec.renormalize)
+    return weighted_sum(models, coeffs), div

@@ -18,7 +18,7 @@ import sys
 from pathlib import Path
 
 from .aggregation import METADATA_STRATEGIES, AggregationSpec, ClientUpdate, aggregate
-from .config import ConfigError, apply_overrides, load_config_file, parse_config
+from .config import SCALARS, ConfigError, apply_overrides, load_config_file, parse_config
 from .engine import ROUNDS_CSV_PREFIX, build_datasets, run_experiment
 from .evaluation import linear_probe
 from .params import IncompatibleModelError, load_checkpoint, save_checkpoint
@@ -103,6 +103,10 @@ def _cmd_probe(args) -> int:
     return EXIT_OK
 
 
+# Metadata key -> (value when absent, coercer); values follow the config file's rules.
+_METADATA = {"num_samples": (1, SCALARS[int]), "train_loss": (0.0, SCALARS[float])}
+
+
 def _load_metadata(path, n_clients: int) -> list[tuple[int, float]]:
     """Per-client (num_samples, train_loss) pairs from the metadata JSON file."""
     with open(path, encoding="utf-8") as fh:
@@ -118,13 +122,13 @@ def _load_metadata(path, n_clients: int) -> list[tuple[int, float]]:
         )
     pairs = []
     for i, e in enumerate(entries):
-        try:
-            pairs.append((int(e.get("num_samples", 1)), float(e.get("train_loss", 0.0))))
-        except (AttributeError, TypeError, ValueError, OverflowError) as exc:
-            raise ConfigError(
-                f"{path}: client entry {i}: expected an object with numeric "
-                f"num_samples and train_loss ({exc})"
-            ) from exc
+        where = f"{path}: client entry {i}"
+        if not isinstance(e, dict):
+            raise ConfigError(f"{where}: expected an object with num_samples and train_loss, got {e!r}")
+        pairs.append(tuple(
+            coerce(e[key], f"{where}: {key}") if key in e else default
+            for key, (default, coerce) in _METADATA.items()
+        ))
     return pairs
 
 
@@ -147,12 +151,10 @@ def _cmd_aggregate(args) -> int:
         ClientUpdate(client_id=i, params=p, num_samples=n, train_loss=loss)
         for i, (p, (n, loss)) in enumerate(zip(client_params, meta))
     ]
-    new_global, reports = aggregate(spec, args.round_index, global_params, updates)
+    new_global, div = aggregate(spec, args.round_index, global_params, updates)
     save_checkpoint(new_global, args.output)
-    report_path = args.report or f"{args.output}.divergence.json"
-    with open(report_path, "w", encoding="utf-8") as fh:
-        json.dump([r.to_json_dict() for r in reports], fh, indent=2)
-        fh.write("\n")
+    with open(args.report or f"{args.output}.divergence.json", "w", encoding="utf-8") as fh:
+        fh.write(div.to_json())
     print(f"aggregated {len(updates)} clients with {strategy} -> {args.output}")
     return EXIT_OK
 

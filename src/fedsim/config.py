@@ -140,7 +140,8 @@ def _path(value, path: str) -> str:
 # Fields whose coercer is not read off the annotation.
 _SPECIAL = {(AggregationSpec, "fedu_threshold"): _threshold, (ExperimentConfig, "output_dir"): _path}
 
-_SCALARS = {
+# The JSON value rules (the aggregation metadata reader shares them).
+SCALARS = {
     int: _exact(int, "an integer"), bool: _exact(bool, "true or false"), str: _exact(str, "a string"), float: _float,
 }
 
@@ -158,8 +159,8 @@ def _coercer(hint) -> Coercer:
             return tuple(item(v, f"{path}[{i}]") for i, v in enumerate(value))
 
         return coerce_list
-    if hint in _SCALARS:
-        return _SCALARS[hint]
+    if hint in SCALARS:
+        return SCALARS[hint]
     if is_dataclass(hint) or (args and all(is_dataclass(a) for a in args)):
         return lambda value, path: value  # a nested section, read by parse_config
     raise TypeError(f"no config coercion for the annotation {hint!r}")

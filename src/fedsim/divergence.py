@@ -1,4 +1,4 @@
-"""Angular and Euclidean divergence between a client model and the global model.
+"""Angular and Euclidean divergence between client models and the global model.
 
 The angular divergence of a tensor pair is the cosine of the angle between
 them: 1 means aligned, 0 orthogonal, -1 opposed. Negative values are kept
@@ -9,12 +9,14 @@ range from [180deg, 0deg] down to [90deg, 0deg].
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import json
+import math
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .params import LayerTensor, ParamSet, dot, flatten, norm
+from .params import ParamSet, segments
 
 # Below this norm a tensor is treated as degenerate (e.g. an all-zero bias).
 ZERO_NORM_TOL = 1e-12
@@ -23,95 +25,89 @@ ZERO_NORM_TOL = 1e-12
 # a few ulps inside the unit interval; snap so they report exactly +-1.
 SNAP_TOL = 1e-12
 
-MEAN_DELTA_MODES = ("model", "layer")
 
+def _cosine(g: np.ndarray, c: np.ndarray, norm_g: float) -> float:
+    """Cosine of two flat same-sized arrays, snapped to +-1 near the ends.
 
-def cosine(a: LayerTensor, b: LayerTensor, norm_a: float | None = None) -> float:
-    """Cosine similarity of two same-shaped tensors, clamped to [-1, 1].
-
-    Zero-norm convention: if both tensors are degenerate they count as
-    identical (1.0); if exactly one is degenerate they count as orthogonal
-    (0.0). This keeps round-zero aggregation of identically initialized
-    models equal to plain averaging and never produces NaN. ``norm_a``, if
-    given, is ``norm(a)`` computed beforehand.
+    Zero-norm convention: if both are degenerate they count as identical
+    (1.0); if exactly one is degenerate they count as orthogonal (0.0). This
+    keeps round-zero aggregation of identically initialized models equal to
+    plain averaging and never produces NaN. ``norm_g`` is the norm of ``g``,
+    computed once per round.
     """
-    na = norm(a) if norm_a is None else norm_a
-    nb = norm(b)
-    if na <= ZERO_NORM_TOL or nb <= ZERO_NORM_TOL:
-        if a.shape != b.shape:
-            raise ValueError(f"cosine: shape mismatch {a.shape} vs {b.shape}")
-        return 1.0 if na <= ZERO_NORM_TOL and nb <= ZERO_NORM_TOL else 0.0
-    v = dot(a, b) / (na * nb)
+    norm_c = float(np.linalg.norm(c))
+    if norm_g <= ZERO_NORM_TOL or norm_c <= ZERO_NORM_TOL:
+        return 1.0 if norm_g <= ZERO_NORM_TOL and norm_c <= ZERO_NORM_TOL else 0.0
+    v = float(np.dot(g, c)) / (norm_g * norm_c)
     if v >= 1.0 - SNAP_TOL:
         return 1.0
     if v <= -1.0 + SNAP_TOL:
         return -1.0
-    return float(v)
+    return v
 
 
-@dataclass(frozen=True)
-class DivergenceReport:
-    """Per-layer and whole-model divergence of one client against the global."""
+@dataclass(frozen=True, eq=False)
+class Divergence:
+    """One round's divergence of K client models against the global model.
 
-    client_id: int | str
-    per_layer_delta: dict[str, float]
-    model_delta: float
-    per_layer_euclid: dict[str, float] = field(default_factory=dict)
-
-    def layer_mean(self) -> float:
-        """Unweighted mean of the per-layer divergences."""
-        if not self.per_layer_delta:
-            raise ValueError("report has no layers")
-        return float(np.mean(list(self.per_layer_delta.values())))
-
-    def to_json_dict(self) -> dict:
-        return {
-            "client_id": self.client_id,
-            "model_delta": self.model_delta,
-            "per_layer_delta": dict(self.per_layer_delta),
-            "per_layer_euclid": dict(self.per_layer_euclid),
-        }
-
-
-def global_norms(global_params: ParamSet) -> tuple[float, ...]:
-    """The norm of every layer, then of the whole vector: what :func:`layer_divergence` needs of the global."""
-    return tuple(norm(t) for t in global_params.layers) + (norm(flatten(global_params)),)
-
-
-def layer_divergence(
-    global_params: ParamSet,
-    client_params: ParamSet,
-    client_id: int | str = "",
-    norms: Sequence[float] | None = None,
-) -> DivergenceReport:
-    """Divergence of a client model against the global, per layer and whole-model.
-
-    ``norms`` is ``global_norms(global_params)``, computed once when many
-    clients are compared with the same global.
+    ``layer[k, l]`` is the cosine between client k's layer l and the
+    global's, ``euclid[k, l]`` their Euclidean distance, and ``model[k]`` the
+    cosine between the whole vectors. Rows follow ``client_ids`` and columns
+    ``names``.
     """
-    global_params.require_compatible(client_params)
-    if norms is None:
-        norms = global_norms(global_params)
-    per_layer: dict[str, float] = {}
-    euclid: dict[str, float] = {}
-    for g, c, ng in zip(global_params.layers, client_params.layers, norms):
-        per_layer[g.name] = cosine(g, c, ng)
-        euclid[g.name] = float(np.linalg.norm(g.values - c.values))
-    model_delta = cosine(flatten(global_params), flatten(client_params), norms[-1])
-    return DivergenceReport(client_id, per_layer, model_delta, euclid)
+
+    client_ids: tuple
+    names: tuple[str, ...]
+    layer: np.ndarray
+    euclid: np.ndarray
+    model: np.ndarray
+
+    def mean(self, mode: str = "model") -> float:
+        """Mean divergence across clients.
+
+        ``model`` averages the whole-model cosines; ``layer`` first averages
+        each client's per-layer cosines, then averages across clients.
+        """
+        if mode == "model":
+            return float(np.mean(self.model))
+        if mode == "layer":
+            return float(np.mean([np.mean(row) for row in self.layer]))
+        raise ValueError(f"mean: unknown mode {mode!r} (expected 'model' or 'layer')")
+
+    def to_json(self) -> str:
+        """The ``aggregate --report`` document: one entry per client, in row order."""
+        rows = zip(self.client_ids, self.model.tolist(), self.layer.tolist(), self.euclid.tolist())
+        doc = [
+            {"client_id": cid, "model_delta": model, "per_layer_delta": dict(zip(self.names, layer)),
+             "per_layer_euclid": dict(zip(self.names, euclid))}
+            for cid, model, layer, euclid in rows
+        ]
+        return json.dumps(doc, indent=2) + "\n"
 
 
-def mean_delta(reports: Sequence[DivergenceReport], mode: str = "model") -> float:
-    """Mean divergence across clients.
+def divergence(
+    global_params: ParamSet, models: Sequence[ParamSet], client_ids: Sequence
+) -> Divergence:
+    """Divergence of each of ``models`` against the global, per layer and whole-model.
 
-    ``model`` averages the whole-model deltas; ``layer`` first averages each
-    client's per-layer deltas across layers, then averages across clients.
+    Row k belongs to ``models[k]`` and ``client_ids[k]``. The global's norms
+    are computed once; each cosine is one ``np.dot`` and two norms over flat
+    views of the layer's segments.
     """
-    reports = list(reports)
-    if not reports:
-        raise ValueError("mean_delta: no reports")
-    if mode == "model":
-        return float(np.mean([r.model_delta for r in reports]))
-    if mode == "layer":
-        return float(np.mean([r.layer_mean() for r in reports]))
-    raise ValueError(f"mean_delta: unknown mode {mode!r} (expected one of {MEAN_DELTA_MODES})")
+    if not models:
+        raise ValueError("divergence: no client models")
+    if len(client_ids) != len(models):
+        raise ValueError(f"divergence: {len(client_ids)} client ids for {len(models)} models")
+    for m in models:
+        global_params.require_compatible(m)
+    flat = tuple((name, (math.prod(shape),)) for name, shape in global_params.layout)
+    g_layers = list(segments(global_params.vector, flat).values())
+    g_norms = [float(np.linalg.norm(g)) for g in g_layers]
+    g_norm = float(np.linalg.norm(global_params.vector))
+    layer, euclid = np.zeros((2, len(models), len(flat)))
+    for k, m in enumerate(models):
+        for l, (g, c) in enumerate(zip(g_layers, segments(m.vector, flat).values())):
+            layer[k, l] = _cosine(g, c, g_norms[l])
+            euclid[k, l] = np.linalg.norm(g - c)
+    model = np.array([_cosine(global_params.vector, m.vector, g_norm) for m in models])
+    return Divergence(tuple(client_ids), global_params.names, layer, euclid, model)

@@ -24,10 +24,9 @@ import numpy as np
 
 from .aggregation import ClientUpdate, aggregate, effective_strategy
 from .config import BlobsConfig, CsvConfig, ExperimentConfig, resolved_dict
-from .divergence import mean_delta
 from .evaluation import linear_probe
 from .learners import ClientTrainingError, init_params, train_clients
-from .params import ParamSet, save_checkpoint
+from .params import ParamSet, save_checkpoint, segments
 from .partition import (
     Dataset,
     load_csv,
@@ -92,10 +91,12 @@ def fedu_policy(global_params: ParamSet, client_init: ParamSet, threshold: float
     if not threshold > 0:
         raise ValueError("fedu threshold must be positive")
     global_params.require_compatible(client_init)
+    layout = global_params.layout
+    g, c = segments(global_params.vector, layout), segments(client_init.vector, layout)
     sq = 0.0
-    for g, c in zip(global_params.layers, client_init.layers):
-        if not g.name.startswith("projector."):
-            diff = g.values - c.values
+    for name, _ in layout:
+        if not name.startswith("projector."):
+            diff = (g[name] - c[name]).reshape(-1)
             sq += float(np.dot(diff, diff))
     distance = float(np.sqrt(sq))
     return FeduDecision(adopt_projector=distance <= threshold, backbone_distance=distance)
@@ -103,11 +104,12 @@ def fedu_policy(global_params: ParamSet, client_init: ParamSet, threshold: float
 
 def _merge_projector(global_params: ParamSet, local_params: ParamSet) -> ParamSet:
     """Global backbone with the client's own projector layers."""
-    layers = tuple(
-        local_params.layer(t.name) if t.name.startswith("projector.") else t
-        for t in global_params.layers
-    )
-    return ParamSet(layers)
+    layout, vector = global_params.layout, global_params.vector.copy()
+    merged, local = segments(vector, layout), segments(local_params.vector, layout)
+    for name, _ in layout:
+        if name.startswith("projector."):
+            merged[name][...] = local[name]
+    return ParamSet(vector, layout)
 
 
 @dataclass
@@ -223,7 +225,7 @@ class FederatedRunner:
             raise RuntimeError(f"round {r}: training failed for client {exc.client_id}: {exc}") from exc
 
         t0 = time.perf_counter()
-        new_global, reports = aggregate(cfg.aggregation, r, state.global_params, updates)
+        new_global, div = aggregate(cfg.aggregation, r, state.global_params, updates)
         agg_ms = (time.perf_counter() - t0) * 1000.0
 
         if cfg.aggregation.strategy == "ldawa_fedu" and cfg.aggregation.fedu_threshold is not None:
@@ -235,13 +237,15 @@ class FederatedRunner:
         record = RoundRecord(
             round_index=r,
             strategy_effective=effective_strategy(cfg.aggregation, r),
-            mu_delta_model=mean_delta(reports, "model"),
-            mu_delta_layer=mean_delta(reports, "layer"),
+            mu_delta_model=div.mean("model"),
+            mu_delta_layer=div.mean("layer"),
             mean_local_loss=float(np.mean([u.train_loss for u in updates])),
             agg_time_ms=agg_ms,
             probe_acc=None,
-            client_deltas={int(rep.client_id): rep.model_delta for rep in reports},
-            client_layer_deltas={int(rep.client_id): rep.layer_mean() for rep in reports},
+            client_deltas=dict(zip(map(int, div.client_ids), div.model.tolist())),
+            client_layer_deltas={
+                int(cid): float(np.mean(row)) for cid, row in zip(div.client_ids, div.layer)
+            },
             fedu_adopted=adopted,
         )
         if self._should_probe(r):

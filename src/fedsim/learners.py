@@ -655,7 +655,7 @@ def train_clients(clients, trainer: TrainerSpec, model: ModelSpec) -> list[Clien
         block = _Block(sessions, [clients[s.pos][2].vector for s in sessions], layout)
         _train_block(block, trainer, model, failures)
         for s, w, total in zip(block.rows, block.w, block.total):
-            params = ParamSet.from_vector(w.copy(), layout)
+            params = ParamSet(w.copy(), layout)
             updates[s.pos] = ClientUpdate(s.client_id, params, len(s.x), float(total / sum(s.sizes)))
     if failures:
         first = min(failures)

@@ -12,8 +12,7 @@ import json
 import math
 import os
 import struct
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -25,45 +24,7 @@ Layout = tuple[tuple[str, tuple[int, ...]], ...]
 
 
 class IncompatibleModelError(ValueError):
-    """Tensors or parameter sets do not share names, order, or shapes."""
-
-
-@dataclass(frozen=True, eq=False)
-class LayerTensor:
-    """One named parameter tensor, stored flat in row-major order."""
-
-    name: str
-    shape: tuple[int, ...]
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        shape = tuple(int(s) for s in self.shape)
-        if any(s < 0 for s in shape):
-            raise ValueError(f"layer {self.name!r}: negative dimension in shape {shape}")
-        flat = np.ascontiguousarray(self.values, dtype=np.float64).reshape(-1)
-        expected = math.prod(shape)
-        if flat.size != expected:
-            raise ValueError(
-                f"layer {self.name!r}: shape {shape} implies {expected} values, got {flat.size}"
-            )
-        if flat.size and not np.isfinite(flat).all():
-            raise ValueError(f"layer {self.name!r} contains non-finite values")
-        flat.setflags(write=False)
-        object.__setattr__(self, "shape", shape)
-        object.__setattr__(self, "values", flat)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, LayerTensor):
-            return NotImplemented
-        return (
-            self.name == other.name
-            and self.shape == other.shape
-            and np.array_equal(self.values, other.values)
-        )
-
-    @property
-    def size(self) -> int:
-        return self.values.size
+    """Parameter sets do not share names, order, or shapes."""
 
 
 def segments(vector: np.ndarray, layout: Layout) -> dict[str, np.ndarray]:
@@ -79,51 +40,54 @@ def segments(vector: np.ndarray, layout: Layout) -> dict[str, np.ndarray]:
     return out
 
 
+class _Layer(NamedTuple):
+    name: str
+    shape: tuple[int, ...]
+    values: np.ndarray  # flat view of the layer's segment
+
+    @property
+    def size(self) -> int:
+        return self.values.size
+
+
 class ParamSet:
     """A model: one read-only float64 vector and its (name, shape) layout.
 
-    ``layers`` holds one :class:`LayerTensor` per layer whose ``values`` view
-    the layer's segment of ``vector``; ``params[name]`` is the same segment in
-    the layer's shape. Two ParamSets are *compatible* iff their layouts are
-    equal: the same layer names in the same order with identical shapes. All
-    aggregation operations require compatibility.
+    ``params[name]`` is a layer's segment of ``vector`` in the layer's shape.
+    Two ParamSets are *compatible* iff their layouts are equal: the same
+    layer names in the same order with identical shapes. All aggregation
+    operations require compatibility.
     """
 
-    __slots__ = ("vector", "layout", "layers", "_by_name")
+    __slots__ = ("vector", "layout")
 
-    def __init__(self, layers: Iterable[LayerTensor]) -> None:
-        layers = tuple(layers)
-        vector = np.concatenate([t.values for t in layers]) if layers else np.zeros(0)
-        self._adopt(vector, tuple((t.name, t.shape) for t in layers))
-
-    @classmethod
-    def from_vector(cls, vector: np.ndarray, layout: Layout) -> "ParamSet":
-        """Adopt a vector as the values of ``layout``; a float64 one is frozen in place, not copied."""
-        self = cls.__new__(cls)
-        self._adopt(np.ascontiguousarray(vector, dtype=np.float64), layout)
-        return self
-
-    @classmethod
-    def from_arrays(cls, arrays: Mapping[str, np.ndarray]) -> "ParamSet":
-        """Build a ParamSet from an ordered name -> array mapping."""
-        return cls(LayerTensor(name, np.shape(arr), arr) for name, arr in arrays.items())
-
-    def _adopt(self, vector: np.ndarray, layout: Layout) -> None:
+    def __init__(self, vector: np.ndarray, layout: Layout) -> None:
+        """Adopt ``vector`` as the values of ``layout``; a float64 one is frozen in place, not copied."""
+        vector = np.ascontiguousarray(vector, dtype=np.float64)
         layout = tuple((name, tuple(int(s) for s in shape)) for name, shape in layout)
         names = [name for name, _ in layout]
         if len(set(names)) != len(names):
             dup = next(n for n in names if names.count(n) > 1)
             raise ValueError(f"duplicate layer name {dup!r}")
+        for name, shape in layout:
+            if any(s < 0 for s in shape):
+                raise ValueError(f"layer {name!r}: negative dimension in shape {shape}")
         expected = sum(math.prod(shape) for _, shape in layout)
         if vector.shape != (expected,):
             raise IncompatibleModelError(f"{vector.size} values for a layout of {expected} parameters")
+        if not np.isfinite(vector).all():
+            bad = next(n for n, seg in segments(vector, layout).items() if not np.isfinite(seg).all())
+            raise ValueError(f"layer {bad!r} contains non-finite values")
         vector.setflags(write=False)
-        views = segments(vector, layout)
-        layers = tuple(LayerTensor(name, shape, views[name]) for name, shape in layout)
         object.__setattr__(self, "vector", vector)
         object.__setattr__(self, "layout", layout)
-        object.__setattr__(self, "layers", layers)
-        object.__setattr__(self, "_by_name", dict(zip(names, layers)))
+
+    @classmethod
+    def from_arrays(cls, arrays: Mapping[str, np.ndarray]) -> "ParamSet":
+        """Build a ParamSet from an ordered name -> array mapping (copied)."""
+        flat = [np.asarray(arr, dtype=np.float64).reshape(-1) for arr in arrays.values()]
+        vector = np.concatenate(flat) if flat else np.zeros(0)
+        return cls(vector, tuple((name, np.shape(arr)) for name, arr in arrays.items()))
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError("ParamSet is immutable")
@@ -136,16 +100,20 @@ class ParamSet:
     def __repr__(self) -> str:
         return f"ParamSet({self.layout!r}, vector={self.vector!r})"
 
-    def __len__(self) -> int:
-        return len(self.layers)
-
-    def __iter__(self) -> Iterator[LayerTensor]:
-        return iter(self.layers)
-
     def __getitem__(self, name: str) -> np.ndarray:
         """The layer's values as a read-only view in the layer's shape."""
-        t = self.layer(name)
-        return t.values.reshape(t.shape)
+        return segments(self.vector, self.layout)[name]
+
+    @property
+    def layers(self) -> tuple[_Layer, ...]:
+        """``(name, shape, values)`` records over flat views of the vector, built on each access.
+
+        Kept for readers outside this package; fedsim itself uses ``layout``
+        and ``params[name]``.
+        """
+        flat = tuple((name, (math.prod(shape),)) for name, shape in self.layout)
+        views = segments(self.vector, flat).values()
+        return tuple(_Layer(name, shape, v) for (name, shape), v in zip(self.layout, views))
 
     @property
     def names(self) -> tuple[str, ...]:
@@ -155,34 +123,15 @@ class ParamSet:
     def num_params(self) -> int:
         return self.vector.size
 
-    def layer(self, name: str) -> LayerTensor:
-        return self._by_name[name]
-
     def require_compatible(self, other: "ParamSet") -> None:
         """Raise :class:`IncompatibleModelError` naming the first mismatching layer."""
-        if len(self.layers) != len(other.layers):
-            raise IncompatibleModelError(
-                f"layer count mismatch: {len(self.layers)} vs {len(other.layers)}"
-            )
+        if len(self.layout) != len(other.layout):
+            raise IncompatibleModelError(f"layer count mismatch: {len(self.layout)} vs {len(other.layout)}")
         for (a, a_shape), (b, b_shape) in zip(self.layout, other.layout):
             if a != b:
                 raise IncompatibleModelError(f"layer name mismatch: {a!r} vs {b!r}")
             if a_shape != b_shape:
                 raise IncompatibleModelError(f"layer {a!r}: shape mismatch {a_shape} vs {b_shape}")
-
-
-def dot(a: LayerTensor, b: LayerTensor) -> float:
-    """Inner product of two same-shaped tensors."""
-    if a.shape != b.shape:
-        raise IncompatibleModelError(
-            f"dot: shape mismatch {a.shape} vs {b.shape} ({a.name!r} vs {b.name!r})"
-        )
-    return float(np.dot(a.values, b.values))
-
-
-def norm(a: LayerTensor) -> float:
-    """Euclidean norm of a tensor."""
-    return float(np.linalg.norm(a.values))
 
 
 def weighted_sum(models: Sequence[ParamSet], coeffs) -> ParamSet:
@@ -199,32 +148,19 @@ def weighted_sum(models: Sequence[ParamSet], coeffs) -> ParamSet:
     base = models[0]
     for m in models[1:]:
         base.require_compatible(m)
+    n_layers = len(base.layout)
     table = np.asarray(coeffs, dtype=np.float64)
     if table.shape == (len(models),):
-        table = table[:, None].repeat(len(base), axis=1)
-    if table.shape != (len(models), len(base)):
+        table = table[:, None].repeat(n_layers, axis=1)
+    if table.shape != (len(models), n_layers):
         raise ValueError(
-            f"weighted_sum: coefficients of shape {table.shape} for "
-            f"{len(models)} models of {len(base)} layers"
+            f"weighted_sum: coefficients of shape {table.shape} for {len(models)} models of {n_layers} layers"
         )
-    sizes = [t.size for t in base.layers]
+    sizes = [math.prod(shape) for _, shape in base.layout]
     acc = np.zeros(base.num_params)
     for m, row in zip(models, table):
         acc += np.repeat(row, sizes) * m.vector
-    return ParamSet.from_vector(acc, base.layout)
-
-
-def flatten(m: ParamSet, name: str = "flat") -> LayerTensor:
-    """The whole model as one flat tensor in canonical order: a view of its vector.
-
-    The vector is not validated again: a ParamSet's values are already
-    finite, read-only float64.
-    """
-    flat = object.__new__(LayerTensor)  # skips __post_init__: no copy and no isfinite pass
-    object.__setattr__(flat, "name", name)
-    object.__setattr__(flat, "shape", (m.num_params,))
-    object.__setattr__(flat, "values", m.vector)
-    return flat
+    return ParamSet(acc, base.layout)
 
 
 # ---------------------------------------------------------------------------
@@ -233,8 +169,7 @@ def flatten(m: ParamSet, name: str = "flat") -> LayerTensor:
 # Binary container: 8-byte magic, uint32 LE version, uint64 LE header length,
 # UTF-8 JSON header listing (name, shape, offset) per layer, then the
 # concatenated little-endian float64 payloads. Offsets are relative to the
-# start of the payload section. A JSON text variant exists for small models;
-# both round-trip bit-exactly.
+# start of the payload section. A checkpoint round-trips bit-exactly.
 # ---------------------------------------------------------------------------
 
 
@@ -252,49 +187,11 @@ def save_checkpoint(params: ParamSet, path) -> None:
         fh.write(params.vector.astype("<f8").tobytes())
 
 
-def paramset_to_json(params: ParamSet) -> dict:
-    return {
-        "format": "fedsim-paramset",
-        "version": CHECKPOINT_VERSION,
-        "layers": [
-            {"name": t.name, "shape": list(t.shape), "values": [float(v) for v in t.values]}
-            for t in params.layers
-        ],
-    }
-
-
-def paramset_from_json(obj: Mapping) -> ParamSet:
-    if not isinstance(obj, Mapping) or obj.get("format") != "fedsim-paramset":
-        raise ValueError("not a fedsim parameter-set JSON document")
-    layers = tuple(
-        LayerTensor(e["name"], tuple(e["shape"]), np.asarray(e["values"], dtype=np.float64))
-        for e in obj["layers"]
-    )
-    return ParamSet(layers)
-
-
-def save_checkpoint_json(params: ParamSet, path) -> None:
-    """Write the JSON text variant of the checkpoint."""
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(paramset_to_json(params), fh)
-        fh.write("\n")
-
-
 def load_checkpoint(path) -> ParamSet:
-    """Read either checkpoint variant, sniffing the binary magic.
-
-    Malformed content of any kind raises ValueError naming ``path``.
-    """
+    """Read a binary checkpoint; malformed content of any kind raises ValueError naming ``path``."""
     with open(path, "rb") as fh:
         try:
-            if fh.read(len(CHECKPOINT_MAGIC)) == CHECKPOINT_MAGIC:
-                return _load_binary(fh)
-            fh.seek(0)
-            try:
-                obj = json.loads(fh.read().decode("utf-8"))
-            except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-                raise ValueError("neither a binary nor a JSON checkpoint") from exc
-            return paramset_from_json(obj)
+            return _load_binary(fh)
         except (KeyError, TypeError, OverflowError) as exc:
             raise ValueError(f"{path}: malformed checkpoint layout ({exc!r})") from exc
         except ValueError as exc:
@@ -302,7 +199,9 @@ def load_checkpoint(path) -> ParamSet:
 
 
 def _load_binary(fh) -> ParamSet:
-    """The rest of a binary checkpoint after its magic; each layer's payload is read straight into the vector."""
+    """Each layer's payload is read straight into its segment of the vector."""
+    if fh.read(len(CHECKPOINT_MAGIC)) != CHECKPOINT_MAGIC:
+        raise ValueError("not a fedsim checkpoint (no FSIMPSET magic)")
     file_size = os.fstat(fh.fileno()).st_size
     preamble = fh.read(_PREAMBLE.size)
     if len(preamble) < _PREAMBLE.size:
@@ -332,4 +231,4 @@ def _load_binary(fh) -> ParamSet:
         if fh.readinto(memoryview(vector[at : at + count]).cast("B")) != 8 * count:
             raise ValueError("checkpoint payload ended early")
         at += count
-    return ParamSet.from_vector(vector, layout)
+    return ParamSet(vector, layout)

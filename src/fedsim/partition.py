@@ -227,6 +227,19 @@ def make_blobs(
     return Dataset(name, features, labels, num_classes)
 
 
+# Labels are stored as int64, and the class count max(label) + 1 must fit too.
+_MAX_LABEL = np.iinfo(np.int64).max - 1
+
+
+def _csv_rows(fh, path):
+    """``csv.reader`` rows; a malformed file (say, an over-long field) raises ValueError naming the line."""
+    reader = csv.reader(fh)
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise ValueError(f"{path}:{reader.line_num}: {exc}") from exc
+
+
 def load_csv(path, num_classes: int | None = None) -> Dataset:
     """Parse a dataset from CSV: header row, float feature columns, final integer label column.
 
@@ -235,7 +248,7 @@ def load_csv(path, num_classes: int | None = None) -> Dataset:
     otherwise the class count is inferred as max(label) + 1.
     """
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+        reader = _csv_rows(fh, path)
         try:
             header = next(reader)
         except StopIteration:
@@ -261,10 +274,9 @@ def load_csv(path, num_classes: int | None = None) -> Dataset:
                 raise ValueError(f"{path}:{lineno}: non-integer label {raw_label!r}") from exc
             if label < 0:
                 raise ValueError(f"{path}:{lineno}: negative label {label}")
-            if num_classes is not None and label >= num_classes:
-                raise ValueError(
-                    f"{path}:{lineno}: label {label} outside [0, {num_classes})"
-                )
+            limit = _MAX_LABEL + 1 if num_classes is None else num_classes
+            if label >= limit:
+                raise ValueError(f"{path}:{lineno}: label {label} outside [0, {limit})")
             features.append(values)
             labels.append(label)
     if not features:

@@ -16,13 +16,12 @@ from fedsim.aggregation import (
     AggregationSpec,
     ClientUpdate,
     aggregate,
-    aggregate_ldawa,
-    aggregate_mdawa,
+    coefficient_matrix,
     coeffs_fedavg,
     coeffs_loss,
 )
 from fedsim.config import parse_config
-from fedsim.divergence import DivergenceReport
+from fedsim.divergence import Divergence
 from fedsim.engine import build_datasets, fedu_policy, run_experiment, sample_clients
 from fedsim.evaluation import classifier_accuracy
 from fedsim.learners import (
@@ -35,7 +34,7 @@ from fedsim.learners import (
     loss_xent,
     redundancy_loss_from_corr,
 )
-from fedsim.params import LayerTensor, ParamSet, flatten, load_checkpoint
+from fedsim.params import ParamSet, load_checkpoint, weighted_sum
 from fedsim.partition import PartitionSpec, make_blobs, partition
 
 
@@ -62,15 +61,21 @@ def scalar_cosine(g, c):
 
 def scalar_layerwise_sum(global_params, updates, base_coeffs):
     out = {}
-    for layer in global_params.layers:
+    for name in global_params.names:
+        layer = global_params[name].reshape(-1)
         acc = [0.0] * layer.size
         for u, beta in zip(updates, base_coeffs):
-            client = u.params.layer(layer.name)
-            delta = scalar_cosine(layer.values, client.values)
+            client = u.params[name].reshape(-1)
+            delta = scalar_cosine(layer, client)
             for i in range(layer.size):
-                acc[i] += beta * delta * float(client.values[i])
-        out[layer.name] = np.asarray(acc)
+                acc[i] += beta * delta * float(client[i])
+        out[name] = np.asarray(acc)
     return out
+
+
+def rule(strategy, global_params, updates):
+    """The new global under ``strategy``, past any warm-up."""
+    return aggregate(AggregationSpec(strategy), 0, global_params, updates)[0]
 
 
 def random_agg_fixture(rng):
@@ -79,12 +84,7 @@ def random_agg_fixture(rng):
     sizes = [int(rng.integers(1, 65)) for _ in range(n_layers)]
 
     def draw():
-        return ParamSet(
-            tuple(
-                LayerTensor(f"layer{i}", (s,), rng.normal(size=s))
-                for i, s in enumerate(sizes)
-            )
-        )
+        return ParamSet.from_arrays({f"layer{i}": rng.normal(size=s) for i, s in enumerate(sizes)})
 
     updates = [
         ClientUpdate(k, draw(), int(rng.integers(1, 100)), float(rng.normal()))
@@ -128,31 +128,33 @@ def test_01_aggregation_oracle_equivalence():
         global_params, updates = random_agg_fixture(rng)
         k = len(updates)
 
-        got = aggregate_ldawa(global_params, updates)
+        got = rule("ldawa", global_params, updates)
         expected = scalar_layerwise_sum(global_params, updates, [1.0 / k] * k)
-        for layer in got.layers:
-            worst_a = max(worst_a, float(np.abs(layer.values - expected[layer.name]).max()))
+        for name in got.names:
+            worst_a = max(worst_a, float(np.abs(got[name] - expected[name]).max()))
 
-        single = ParamSet((global_params.layers[0],))
+        def first_layer(params):
+            return ParamSet.from_arrays({"layer0": params["layer0"]})
+
+        single = first_layer(global_params)
         single_ups = [
-            ClientUpdate(u.client_id, ParamSet((u.params.layers[0],)), u.num_samples, u.train_loss)
-            for u in updates
+            ClientUpdate(u.client_id, first_layer(u.params), u.num_samples, u.train_loss) for u in updates
         ]
-        ld = aggregate_ldawa(single, single_ups)
-        md = aggregate_mdawa(single, single_ups)
-        worst_b = max(worst_b, float(np.abs(ld.layers[0].values - md.layers[0].values).max()))
+        ld = rule("ldawa", single, single_ups)
+        md = rule("mdawa", single, single_ups)
+        worst_b = max(worst_b, float(np.abs(ld["layer0"] - md["layer0"]).max()))
 
-        unit_reports = [
-            DivergenceReport(u.client_id, {n: 1.0 for n in global_params.names}, 1.0)
-            for u in updates
-        ]
-        forced = aggregate_ldawa(global_params, updates, reports=unit_reports)
+        n_layers = len(global_params.layout)
+        unit = Divergence(
+            tuple(u.client_id for u in updates), global_params.names,
+            np.ones((k, n_layers)), np.zeros((k, n_layers)), np.ones(k),
+        )
+        forced = weighted_sum([u.params for u in updates], coefficient_matrix("ldawa", updates, unit))
         fair, _ = aggregate(AggregationSpec("fairavg"), 0, global_params, updates)
         equal_n = [ClientUpdate(u.client_id, u.params, 7, u.train_loss) for u in updates]
         fed, _ = aggregate(AggregationSpec("fedavg"), 0, global_params, equal_n)
-        for la, lb, lc in zip(forced.layers, fair.layers, fed.layers):
-            worst_c = max(worst_c, float(np.abs(la.values - lb.values).max()))
-            worst_c = max(worst_c, float(np.abs(lb.values - lc.values).max()))
+        worst_c = max(worst_c, float(np.abs(forced.vector - fair.vector).max()))
+        worst_c = max(worst_c, float(np.abs(fair.vector - fed.vector).max()))
 
     elapsed = time.perf_counter() - start
     ok = worst_a < 1e-12 and worst_b < 1e-12 and worst_c < 1e-12 and elapsed < 5.0
@@ -176,7 +178,7 @@ def test_02_coefficient_correctness():
     start = time.perf_counter()
 
     def up(n, loss):
-        return ClientUpdate(0, ParamSet((LayerTensor("w", (1,), [1.0]),)), n, loss)
+        return ClientUpdate(0, ParamSet.from_arrays({"w": [1.0]}), n, loss)
 
     fed = coeffs_fedavg([up(3, 0.0), up(1, 0.0)])
     assert fed == [0.75, 0.25]
@@ -260,14 +262,14 @@ def test_03_gradient_verification():
         _, ga, gb = loss_ntxent(fa.z, fb.z, 0.5)
         grads_a = backward(params, spec, fa, ga)
         grads_b = backward(params, spec, fb, gb)
-        for t in params.layers:
-            def f(v, name=t.name):
+        for name, shape in params.layout:
+            def f(v, name=name, shape=shape):
                 arrays = {n: params[n] for n in params.names}
-                arrays[name] = v.reshape(t.shape)
+                arrays[name] = v.reshape(shape)
                 return chain_loss(arrays)
 
-            fd = fd_grad(f, t.values.copy())
-            analytic = (grads_a[t.name] + grads_b[t.name]).reshape(-1)
+            fd = fd_grad(f, params[name].reshape(-1).copy())
+            analytic = (grads_a[name] + grads_b[name]).reshape(-1)
             worst["chain"] = max(worst["chain"], max_rel_err(analytic, fd))
 
     elapsed = time.perf_counter() - start
@@ -524,7 +526,7 @@ def test_07b_divergence_statistic_direction(desk_scale_runs, desk_scale_renormal
         return float(np.mean([r.mu_delta_model for r in result.state.history if r.round_index >= 2]))
 
     def global_norm(result):
-        return float(np.linalg.norm(flatten(result.state.global_params).values))
+        return float(np.linalg.norm(result.state.global_params.vector))
 
     wins = 0
     details = []
@@ -657,18 +659,8 @@ def test_09_cross_device_sampling():
 
 def test_10_fedu_policy_boundary(tmp_path):
     def models(shift):
-        g = ParamSet(
-            (
-                LayerTensor("encoder.0.weight", (2,), [1.0, 0.0]),
-                LayerTensor("projector.0.weight", (1,), [1.0]),
-            )
-        )
-        c = ParamSet(
-            (
-                LayerTensor("encoder.0.weight", (2,), [1.0 + shift, 0.0]),
-                LayerTensor("projector.0.weight", (1,), [9.0]),
-            )
-        )
+        g = ParamSet.from_arrays({"encoder.0.weight": [1.0, 0.0], "projector.0.weight": [1.0]})
+        c = ParamSet.from_arrays({"encoder.0.weight": [1.0 + shift, 0.0], "projector.0.weight": [9.0]})
         return g, c
 
     below = fedu_policy(*models(0.4), threshold=0.5)

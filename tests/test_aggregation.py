@@ -11,29 +11,31 @@ from fedsim.aggregation import (
     STRATEGIES,
     AggregationSpec,
     ClientUpdate,
+    RULES,
     aggregate,
-    aggregate_ldawa,
-    aggregate_mdawa,
     coefficient_matrix,
     coeffs_fedavg,
     coeffs_loss,
-    divergence_reports,
     effective_strategy,
 )
-from fedsim.divergence import DivergenceReport
-from fedsim.params import LayerTensor, ParamSet, weighted_sum
+from fedsim.divergence import Divergence, divergence
+from fedsim.params import ParamSet, weighted_sum
 
 # Deterministic property runs: the same examples on every tier-1 run.
 PROPERTY = settings(derandomize=True, deadline=None, database=None, max_examples=40)
 
 
 def ps(named):
-    return ParamSet(
-        tuple(
-            LayerTensor(n, np.asarray(v, dtype=np.float64).shape, np.asarray(v, dtype=np.float64))
-            for n, v in named.items()
-        )
-    )
+    return ParamSet.from_arrays({n: np.asarray(v, dtype=np.float64) for n, v in named.items()})
+
+
+def rule(strategy, global_params, updates):
+    """The new global under ``strategy``, past any warm-up."""
+    return aggregate(AggregationSpec(strategy), 0, global_params, updates)[0]
+
+
+def divergence_of(global_params, updates):
+    return divergence(global_params, [u.params for u in updates], [u.client_id for u in updates])
 
 
 def update(client_id, named, n=1, loss=0.0):
@@ -99,27 +101,28 @@ def brute_force_layerwise(global_params, updates, base_coeffs, scale="layer", re
     a divergence-scaled rule by their sum unless that sum is within 1e-12
     of zero.
     """
-    flat_global = [float(x) for t in global_params.layers for x in t.values]
+    flat_global = global_params.vector.tolist()
     result = {}
-    for layer in global_params.layers:
+    for name in global_params.names:
+        layer = global_params[name].reshape(-1).tolist()
         coeffs = []
         for u, beta in zip(updates, base_coeffs):
             if scale == "layer":
-                s = brute_force_cosine(layer.values, u.params.layer(layer.name).values)
+                s = brute_force_cosine(layer, u.params[name].reshape(-1).tolist())
             elif scale == "model":
-                s = brute_force_cosine(flat_global, [float(x) for t in u.params.layers for x in t.values])
+                s = brute_force_cosine(flat_global, u.params.vector.tolist())
             else:
                 s = 1.0
             coeffs.append(beta * s)
         total = sum(coeffs)
         if renormalize and scale is not None and abs(total) > 1e-12:
             coeffs = [c / total for c in coeffs]
-        acc = [0.0] * layer.size
+        acc = [0.0] * len(layer)
         for u, c in zip(updates, coeffs):
-            client_layer = u.params.layer(layer.name)
-            for i in range(layer.size):
-                acc[i] += c * float(client_layer.values[i])
-        result[layer.name] = acc
+            client_layer = u.params[name].reshape(-1).tolist()
+            for i in range(len(layer)):
+                acc[i] += c * client_layer[i]
+        result[name] = acc
     return result
 
 
@@ -173,47 +176,47 @@ class TestCoeffsLoss:
 class TestMdawa:
     def test_single_identical_client_is_fixed_point(self):
         g = ps({"w": [1.0, 2.0]})
-        out = aggregate_mdawa(g, [ClientUpdate(0, g, 1, 0.0)])
+        out = rule("mdawa", g, [ClientUpdate(0, g, 1, 0.0)])
         assert out == g
 
     def test_orthogonal_client_contributes_nothing(self):
         g = ps({"w": [1.0, 0.0]})
         ups = [update(0, {"w": [2.0, 0.0]}), update(1, {"w": [0.0, 2.0]})]
-        out = aggregate_mdawa(g, ups)
-        np.testing.assert_allclose(out.layer("w").values, [1.0, 0.0], atol=1e-15)
+        out = rule("mdawa", g, ups)
+        np.testing.assert_allclose(out["w"], [1.0, 0.0], atol=1e-15)
 
     def test_negated_client_flips_back(self):
         g = ps({"w": [1.0, 2.0]})
         c = ps({"w": [-1.0, -2.0]})
-        out = aggregate_mdawa(g, [ClientUpdate(0, c, 1, 0.0)])
-        np.testing.assert_allclose(out.layer("w").values, g.layer("w").values, atol=1e-15)
+        out = rule("mdawa", g, [ClientUpdate(0, c, 1, 0.0)])
+        np.testing.assert_allclose(out["w"], g["w"], atol=1e-15)
 
 
 class TestLdawa:
     def test_identical_clients_are_fixed_point(self):
         g = ps({"a": [1.0, 2.0], "b": [3.0]})
         ups = [ClientUpdate(i, g, 1, 0.0) for i in range(3)]
-        out = aggregate_ldawa(g, ups)
-        for layer in out.layers:
-            np.testing.assert_allclose(layer.values, g.layer(layer.name).values, atol=1e-15)
+        out = rule("ldawa", g, ups)
+        for name in out.names:
+            np.testing.assert_allclose(out[name], g[name], atol=1e-15)
 
     def test_single_layer_equals_mdawa(self):
         rng = np.random.default_rng(1)
         for _ in range(20):
             g, ups = random_fixture(rng, n_layers=1)
-            a = aggregate_ldawa(g, ups)
-            b = aggregate_mdawa(g, ups)
-            assert np.abs(a.layers[0].values - b.layers[0].values).max() < 1e-12
+            a = rule("ldawa", g, ups)
+            b = rule("mdawa", g, ups)
+            assert np.abs(a["layer0"] - b["layer0"]).max() < 1e-12
 
     def test_matches_brute_force_expansion(self):
         rng = np.random.default_rng(2)
         for _ in range(20):
             g, ups = random_fixture(rng)
             k = len(ups)
-            out = aggregate_ldawa(g, ups)
+            out = rule("ldawa", g, ups)
             expected = brute_force_layerwise(g, ups, [1.0 / k] * k)
-            for layer in out.layers:
-                assert np.abs(layer.values - expected[layer.name]).max() < 1e-12
+            for name in out.names:
+                assert np.abs(out[name].reshape(-1) - expected[name]).max() < 1e-12
 
 
 class TestWeightedLdawa:
@@ -221,24 +224,23 @@ class TestWeightedLdawa:
         rng = np.random.default_rng(3)
         g, ups = random_fixture(rng)
         k = len(ups)
-        reports = divergence_reports(g, ups)
-        table = [[c * r.per_layer_delta[n] for n in g.names] for c, r in zip([1.0 / k] * k, reports)]
+        div = divergence_of(g, ups)
+        table = [[c * d for d in row] for c, row in zip([1.0 / k] * k, div.layer.tolist())]
         a = weighted_sum([u.params for u in ups], table)
-        b = aggregate_ldawa(g, ups)
-        for la, lb in zip(a.layers, b.layers):
-            assert np.abs(la.values - lb.values).max() < 1e-12
+        b = rule("ldawa", g, ups)
+        assert np.abs(a.vector - b.vector).max() < 1e-12
 
     def test_unit_deltas_reduce_to_plain_fedavg(self):
         rng = np.random.default_rng(4)
         g, ups = random_fixture(rng)
-        ones = [
-            DivergenceReport(u.client_id, {n: 1.0 for n in g.names}, 1.0) for u in ups
-        ]
+        k, n_layers = len(ups), len(g.layout)
+        ones = Divergence(
+            tuple(u.client_id for u in ups), g.names, np.ones((k, n_layers)), np.zeros((k, n_layers)), np.ones(k)
+        )
         betas = coeffs_fedavg(ups)
         out = weighted_sum([u.params for u in ups], coefficient_matrix("ldawa_fedavg", ups, ones))
         plain = weighted_sum([u.params for u in ups], betas)
-        for la, lb in zip(out.layers, plain.layers):
-            assert np.abs(la.values - lb.values).max() < 1e-12
+        assert np.abs(out.vector - plain.vector).max() < 1e-12
 
     def test_loss_weighted_matches_brute_force(self):
         rng = np.random.default_rng(5)
@@ -247,8 +249,8 @@ class TestWeightedLdawa:
             betas = coeffs_loss(ups)
             out, _ = aggregate(AggregationSpec("ldawa_loss"), 0, g, ups)
             expected = brute_force_layerwise(g, ups, betas)
-            for layer in out.layers:
-                assert np.abs(layer.values - expected[layer.name]).max() < 1e-12
+            for name in out.names:
+                assert np.abs(out[name].reshape(-1) - expected[name]).max() < 1e-12
 
     def test_length_mismatch_rejected(self):
         g, ups = random_fixture(np.random.default_rng(6))
@@ -266,8 +268,8 @@ class TestSinglePath:
             g, ups = random_fixture(rng)
             out, _ = aggregate(AggregationSpec(strategy, renormalize=renormalize), 0, g, ups)
             expected = brute_force_layerwise(g, ups, brute_force_base(ups, base), scale, renormalize)
-            for layer in out.layers:
-                assert np.abs(layer.values - expected[layer.name]).max() < 1e-12
+            for name in out.names:
+                assert np.abs(out[name].reshape(-1) - expected[name]).max() < 1e-12
 
     @PROPERTY
     @given(seed=st.integers(0, 2**32 - 1), order=st.permutations(range(5)))
@@ -288,8 +290,25 @@ class TestSinglePath:
         for strategy in STRATEGIES:
             for renormalize in (False, True):
                 out, _ = aggregate(AggregationSpec(strategy, renormalize=renormalize), 0, g, ups)
-                for got, want in zip(out.layers, g.layers):
-                    assert np.abs(got.values - want.values).max() < 1e-12
+                assert np.abs(out.vector - g.vector).max() < 1e-12
+
+
+    @PROPERTY
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_renormalized_columns_sum_to_one(self, seed):
+        g, ups = random_fixture(np.random.default_rng(seed))
+        div = divergence_of(g, ups)
+        for strategy, (_, scale) in RULES.items():
+            if scale is None:
+                continue
+            raw = coefficient_matrix(strategy, ups, div)
+            table = coefficient_matrix(strategy, ups, div, renormalize=True)
+            for column, raw_column in zip(table.T, raw.T):
+                total = raw_column.sum()
+                if abs(total) > 1e-12:
+                    # Opposed clients can cancel in the sum; the bound grows
+                    # with that cancellation, sum |C| / |sum C| (1 without it).
+                    assert abs(column.sum() - 1.0) <= 1e-12 * max(1.0, np.abs(raw_column).sum() / abs(total))
 
 
 class TestDispatch:
@@ -301,7 +320,7 @@ class TestDispatch:
         fed, _ = aggregate(AggregationSpec("fedavg"), 0, g, ups)
         assert warm == fed
         after, _ = aggregate(spec, 2, g, ups)
-        direct = aggregate_ldawa(g, ups)
+        direct = rule("ldawa", g, ups)
         assert after == direct
         assert effective_strategy(spec, 1) == "fedavg"
         assert effective_strategy(spec, 2) == "ldawa"
@@ -310,7 +329,7 @@ class TestDispatch:
         g = ps({"w": [1.0, 1.0]})
         ups = [update(0, {"w": [2.0, 0.0]}), update(1, {"w": [0.0, 2.0]})]
         out, _ = aggregate(AggregationSpec("fairavg"), 0, g, ups)
-        np.testing.assert_array_equal(out.layer("w").values, [1.0, 1.0])
+        np.testing.assert_array_equal(out["w"], [1.0, 1.0])
 
     def test_fedavg_equal_counts_equals_fairavg(self):
         rng = np.random.default_rng(8)
@@ -318,15 +337,15 @@ class TestDispatch:
         ups = [ClientUpdate(u.client_id, u.params, 13, u.train_loss) for u in ups]
         a, _ = aggregate(AggregationSpec("fedavg"), 0, g, ups)
         b, _ = aggregate(AggregationSpec("fairavg"), 0, g, ups)
-        for la, lb in zip(a.layers, b.layers):
-            assert np.abs(la.values - lb.values).max() < 1e-12
+        assert np.abs(a.vector - b.vector).max() < 1e-12
 
     def test_reports_returned_for_every_strategy(self):
         rng = np.random.default_rng(9)
         g, ups = random_fixture(rng, n_clients=3)
         for strategy in ("fedavg", "fairavg", "loss", "mdawa", "ldawa", "ldawa_fedavg", "ldawa_loss", "ldawa_fedu"):
-            _, reports = aggregate(AggregationSpec(strategy), 5, g, ups)
-            assert [r.client_id for r in reports] == [0, 1, 2]
+            _, div = aggregate(AggregationSpec(strategy), 5, g, ups)
+            assert div.client_ids == (0, 1, 2)
+            assert div.layer.shape == div.euclid.shape == (3, len(g.layout)) and div.model.shape == (3,)
 
     def test_ldawa_fedu_server_side_equals_ldawa_fedavg(self):
         rng = np.random.default_rng(10)
@@ -351,8 +370,7 @@ class TestDispatch:
         for strategy in ("fedavg", "fairavg", "loss", "mdawa", "ldawa", "ldawa_fedavg", "ldawa_loss"):
             a, _ = aggregate(AggregationSpec(strategy), 0, g, ups)
             b, _ = aggregate(AggregationSpec(strategy), 0, g, permuted)
-            for la, lb in zip(a.layers, b.layers):
-                assert np.abs(la.values - lb.values).max() < 1e-12
+            assert np.abs(a.vector - b.vector).max() < 1e-12
 
     def test_renormalize_restores_scale_for_identical_direction(self):
         # Clients at half the global's scale: ldawa contracts, the
@@ -361,12 +379,12 @@ class TestDispatch:
         ups = [update(0, {"w": [1.0, 0.0]}), update(1, {"w": [1.0, 0.0]})]
         plain, _ = aggregate(AggregationSpec("ldawa"), 0, g, ups)
         renorm, _ = aggregate(AggregationSpec("ldawa", renormalize=True), 0, g, ups)
-        np.testing.assert_allclose(plain.layer("w").values, [1.0, 0.0])
-        np.testing.assert_allclose(renorm.layer("w").values, [1.0, 0.0])
+        np.testing.assert_allclose(plain["w"], [1.0, 0.0])
+        np.testing.assert_allclose(renorm["w"], [1.0, 0.0])
         # opposed client shrinks the unnormalized aggregate
         ups2 = [update(0, {"w": [1.0, 0.0]}), update(1, {"w": [-1.0, 0.0]})]
         plain2, _ = aggregate(AggregationSpec("ldawa"), 0, g, ups2)
-        np.testing.assert_allclose(plain2.layer("w").values, [1.0, 0.0])
+        np.testing.assert_allclose(plain2["w"], [1.0, 0.0])
 
     def test_renormalize_divides_out_partial_alignment(self):
         # one aligned client, one orthogonal: coefficients (1, 0)/2 sum to
@@ -374,9 +392,9 @@ class TestDispatch:
         g = ps({"w": [1.0, 0.0]})
         ups = [update(0, {"w": [2.0, 0.0]}), update(1, {"w": [0.0, 2.0]})]
         plain, _ = aggregate(AggregationSpec("ldawa", renormalize=True), 0, g, ups)
-        np.testing.assert_allclose(plain.layer("w").values, [2.0, 0.0], atol=1e-15)
+        np.testing.assert_allclose(plain["w"], [2.0, 0.0], atol=1e-15)
         whole, _ = aggregate(AggregationSpec("mdawa", renormalize=True), 0, g, ups)
-        np.testing.assert_allclose(whole.layer("w").values, [2.0, 0.0], atol=1e-15)
+        np.testing.assert_allclose(whole["w"], [2.0, 0.0], atol=1e-15)
 
     def test_loss_strategy_dispatch_matches_direct_weighting(self):
         rng = np.random.default_rng(14)
@@ -390,20 +408,18 @@ class TestDispatch:
 class TestRangeCorrection:
     def test_scaled_contribution_never_opposes_global(self):
         rng = np.random.default_rng(12)
-        from fedsim.divergence import cosine
-        from fedsim.params import LayerTensor as LT
-
         for _ in range(50):
             g, ups = random_fixture(rng, n_clients=2, n_layers=2)
-            reports = divergence_reports(g, ups)
-            for u, rep in zip(ups, reports):
-                for layer in g.layers:
-                    delta = rep.per_layer_delta[layer.name]
-                    base = cosine(layer, u.params.layer(layer.name))
+            div = divergence_of(g, ups)
+            for u, row in zip(ups, div.layer):
+                # Each client layer scaled by its own divergence delta(l).
+                sizes = [math.prod(shape) for _, shape in g.layout]
+                scaled = ParamSet(np.repeat(row, sizes) * u.params.vector, g.layout)
+                scaled_div = divergence(g, [scaled], [u.client_id])
+                for base, after in zip(row, scaled_div.layer[0]):
                     if base == 0.0:
                         continue
-                    scaled = LT(layer.name, layer.shape, delta * u.params.layer(layer.name).values)
-                    assert cosine(layer, scaled) >= 0.0
+                    assert after >= 0.0
 
 
 class TestDominanceBias:
@@ -415,7 +431,7 @@ class TestDominanceBias:
         ups = [big] + small
         fed, _ = aggregate(AggregationSpec("fedavg"), 0, g, ups)
         fair, _ = aggregate(AggregationSpec("fairavg"), 0, g, ups)
-        d = lambda a, b: float(np.linalg.norm(a.layer("w").values - b.layer("w").values))
+        d = lambda a, b: float(np.linalg.norm(a["w"] - b["w"]))
         assert d(fed, big.params) < d(fair, big.params)
 
 

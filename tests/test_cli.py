@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from fedsim.aggregation import STRATEGIES
 from fedsim.cli import main
 from fedsim.config import ConfigError, apply_overrides, parse_config, resolved_dict
-from fedsim.params import LayerTensor, ParamSet, load_checkpoint, save_checkpoint, weighted_sum
+from fedsim.params import ParamSet, load_checkpoint, save_checkpoint, weighted_sum
 
 
 def minimal_raw(tmp_path, **over):
@@ -361,12 +361,7 @@ class TestRunCommand:
 
 
 def checkpoint(tmp_path, name, named):
-    params = ParamSet(
-        tuple(
-            LayerTensor(n, np.asarray(v, dtype=np.float64).shape, np.asarray(v, dtype=np.float64))
-            for n, v in named.items()
-        )
-    )
+    params = ParamSet.from_arrays({n: np.asarray(v, dtype=np.float64) for n, v in named.items()})
     path = tmp_path / name
     save_checkpoint(params, path)
     return str(path), params
@@ -396,7 +391,7 @@ class TestAggregateCommand:
             assert main(["aggregate", "--global", g, "--client", c1,
                          "--strategy", strategy, "--output", str(out)]) == 0
         a, b = load_checkpoint(out_l), load_checkpoint(out_m)
-        assert np.abs(a.layers[0].values - b.layers[0].values).max() < 1e-12
+        assert np.abs(a["w"] - b["w"]).max() < 1e-12
 
     def test_incompatible_shapes_exit_two_naming_layer(self, tmp_path, capsys):
         g, _ = checkpoint(tmp_path, "g.bin", {"w": [1.0, 2.0]})
@@ -459,6 +454,10 @@ MALFORMED_CHECKPOINTS = {
         {"format": "fedsim-paramset", "layers": [{"name": "w", "shape": [1]}]}
     ).encode(),
     "json_not_an_object": b"[1, 2]",
+    "json_checkpoint_no_magic": json.dumps(
+        {"format": "fedsim-paramset", "version": 1, "layers": [{"name": "w", "shape": [2], "values": [1.0, 2.0]}]}
+    ).encode(),
+    "empty_file": b"",
 }
 
 
@@ -477,7 +476,12 @@ class TestMalformedInputs:
     @pytest.mark.parametrize(
         "entries, index",
         [([1, 2], 0), ([{"num_samples": 3}, {"num_samples": None}], 1),
-         ([{"train_loss": "high"}, {}], 0), ("[{", None)],
+         ([{"train_loss": "high"}, {}], 0), ("[{", None),
+         # mistyped values are rejected, not coerced: a float, a bool or a string is no
+         # count, and a string is no loss; the message names the entry and the key
+         ([{"num_samples": 3.7}, {}], "0: num_samples"), ([{}, {"num_samples": True}], "1: num_samples"),
+         ([{"num_samples": "7"}, {}], "0: num_samples"), ([{}, {"train_loss": "0.5"}], "1: train_loss"),
+         ([{"train_loss": False}, {}], "0: train_loss")],
     )
     def test_malformed_metadata_exits_one(self, tmp_path, capsys, entries, index):
         g, _ = checkpoint(tmp_path, "g.bin", {"w": [1.0]})
@@ -494,6 +498,17 @@ class TestMalformedInputs:
 
     def test_overlong_integer_in_metadata_names_the_file(self, tmp_path, capsys):
         self.test_malformed_metadata_exits_one(tmp_path, capsys, '[{"num_samples": ' + "1" * 5001 + "}, {}]", None)
+
+    def test_absent_metadata_keys_take_their_defaults(self, tmp_path):
+        g, _ = checkpoint(tmp_path, "g.bin", {"w": [1.0]})
+        c1, p1 = checkpoint(tmp_path, "c1.bin", {"w": [4.0]})
+        c2, p2 = checkpoint(tmp_path, "c2.bin", {"w": [8.0]})
+        meta = tmp_path / "meta.json"
+        meta.write_text(json.dumps([{"num_samples": 3}, {"train_loss": 0.5}]))
+        out = tmp_path / "x.bin"
+        assert main(["aggregate", "--global", g, "--client", c1, "--client", c2,
+                     "--strategy", "fedavg", "--metadata", str(meta), "--output", str(out)]) == 0
+        assert load_checkpoint(out) == weighted_sum([p1, p2], [0.75, 0.25])
 
 
 class TestProbeCommand:

@@ -17,7 +17,7 @@ from fedsim.engine import (
     sample_clients,
 )
 from fedsim.learners import ClientTrainingError, init_params
-from fedsim.params import LayerTensor, ParamSet, load_checkpoint
+from fedsim.params import ParamSet, load_checkpoint
 from fedsim.partition import make_blobs, partition
 
 
@@ -43,12 +43,7 @@ def base_config(tmp_path, **over):
 
 
 def ps(named):
-    return ParamSet(
-        tuple(
-            LayerTensor(n, np.asarray(v, dtype=np.float64).shape, np.asarray(v, dtype=np.float64))
-            for n, v in named.items()
-        )
-    )
+    return ParamSet.from_arrays({n: np.asarray(v, dtype=np.float64) for n, v in named.items()})
 
 
 class TestSampleClients:
@@ -131,8 +126,7 @@ class TestRunRound:
         runner = FederatedRunner(cfg, train_ds, parts)
         state = runner.initial_state()
         new_state = runner.run_round(state)
-        for a, b in zip(new_state.global_params.layers, state.global_params.layers):
-            assert np.abs(a.values - b.values).max() < 1e-12
+        assert np.abs(new_state.global_params.vector - state.global_params.vector).max() < 1e-12
         assert new_state.history[-1].mu_delta_model == 1.0
 
     def test_scripted_updates_match_brute_force_expansion(self, tmp_path):
@@ -163,13 +157,13 @@ class TestRunRound:
 
         # brute-force scalar expansion of the layer-wise double sum
         for name, size in layer_shapes.items():
-            g = global_params.layer(name).values
+            g = global_params[name]
             acc = np.zeros(size)
             for cid in (0, 1):
-                c = scripted[cid].layer(name).values
+                c = scripted[cid][name]
                 delta = float(np.dot(g, c) / (np.linalg.norm(g) * np.linalg.norm(c)))
                 acc += delta * c / 2.0
-            np.testing.assert_allclose(new_state.global_params.layer(name).values, acc, atol=1e-12)
+            np.testing.assert_allclose(new_state.global_params[name], acc, atol=1e-12)
 
     def test_failing_client_is_named(self, tmp_path):
         cfg = base_config(tmp_path)

@@ -140,9 +140,9 @@ class TestLinearProbe:
         train = make_blobs(3, 20, 4, spread=0.5, seed=10)
         test = make_blobs(3, 10, 4, spread=0.5, seed=11)
         params, spec = self.encoder(seed=12)
-        before = [t.values.tobytes() for t in params.layers]
+        before = params.vector.tobytes()
         linear_probe(params, spec, train, test, FAST_PROBE, 1.0)
-        after = [t.values.tobytes() for t in params.layers]
+        after = params.vector.tobytes()
         assert before == after
 
 

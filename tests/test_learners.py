@@ -321,13 +321,13 @@ class TestFullBackprop:
             _, ga, gb = loss_ntxent(fa.z, fb.z, 0.5)
             grads_a = backward(params, spec, fa, ga)
             grads_b = backward(params, spec, fb, gb)
-            for t in params.layers:
-                def f(v, name=t.name):
+            for name, shape in params.layout:
+                def f(v, name=name, shape=shape):
                     arrays = {n: params[n] for n in params.names}
-                    arrays[name] = v.reshape(t.shape)
+                    arrays[name] = v.reshape(shape)
                     return full_loss(arrays)
-                fd = fd_grad(f, t.values.copy())
-                analytic = (grads_a[t.name] + grads_b[t.name]).reshape(-1)
+                fd = fd_grad(f, params[name].reshape(-1).copy())
+                analytic = (grads_a[name] + grads_b[name]).reshape(-1)
                 assert_grad_close(analytic, fd)
 
     def test_supervised_chain_gradients_match_finite_differences(self):
@@ -344,13 +344,13 @@ class TestFullBackprop:
             fp = forward(params, spec, x)
             _, glog = loss_xent(fp.logits, y)
             grads = backward(params, spec, fp, None, grad_logits=glog)
-            for t in params.layers:
-                def f(v, name=t.name):
+            for name, shape in params.layout:
+                def f(v, name=name, shape=shape):
                     arrays = {n: params[n] for n in params.names}
-                    arrays[name] = v.reshape(t.shape)
+                    arrays[name] = v.reshape(shape)
                     return full_loss(arrays)
-                fd = fd_grad(f, t.values.copy())
-                assert_grad_close(grads[t.name].reshape(-1), fd)
+                fd = fd_grad(f, params[name].reshape(-1).copy())
+                assert_grad_close(grads[name].reshape(-1), fd)
 
 
 class TestMakeViews:

@@ -1,7 +1,14 @@
 """Blob generation, CSV ingestion, and Non-IID partition invariants."""
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from fedsim.config import ConfigError
 
 from fedsim.partition import (
     Dataset,
@@ -237,6 +244,45 @@ class TestLoadCsv:
         path.write_text("x0,x1,label\n1.0,2.0,0\n1.0,0\n")
         with pytest.raises(ValueError, match=":3"):
             load_csv(path)
+
+
+# Cells that reach each parse branch: numbers, non-finite and non-numeric
+# text, labels past int64, quoting, NUL bytes and a field past the csv
+# module's size limit.
+CSV_CELLS = st.sampled_from(
+    ["1", "-2.5", "0", " 3 ", "nan", "-inf", "x", "", '"', '"a,b"', "\x00", "label",
+     "9" * 20, "-" + "9" * 20, "1e400", "7" * 131073]
+) | st.text(max_size=4)
+NUMBERS = st.sampled_from(["1", "-2.5", "0", " 3 ", "nan", "1e400"])
+LABELS = st.sampled_from(["0", "1", "7", " 2", "-1", "x", "9" * 19, "9" * 20, "1" * 5000])
+
+
+@st.composite
+def csv_texts(draw):
+    """Arbitrary text, rows of arbitrary cells, or a table of numeric features and a label column."""
+    kind = draw(st.sampled_from(["text", "cells", "table"]))
+    if kind == "text":
+        return draw(st.text(max_size=200))
+    if kind == "cells":
+        rows = draw(st.lists(st.lists(CSV_CELLS, max_size=4), max_size=5))
+    else:
+        width = draw(st.integers(1, 3))
+        row = st.tuples(st.lists(NUMBERS, min_size=width, max_size=width), LABELS).map(lambda r: r[0] + [r[1]])
+        rows = [[f"x{i}" for i in range(width)] + ["label"]] + draw(st.lists(row, min_size=1, max_size=4))
+    return draw(st.sampled_from(["\n", "\r\n", "\r"])).join(",".join(row) for row in rows)
+
+
+class TestLoadCsvProperties:
+    @settings(derandomize=True, deadline=None, database=None, max_examples=200)
+    @given(text=csv_texts(), num_classes=st.none() | st.integers(2, 5))
+    def test_arbitrary_text_raises_only_value_errors(self, text, num_classes):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "data.csv"
+            path.write_text(text, encoding="utf-8", newline="")
+            try:
+                load_csv(path, num_classes=num_classes)
+            except (ValueError, ConfigError) as exc:
+                assert str(path) in str(exc)
 
 
 class TestSplitTrainTest:

@@ -9,22 +9,33 @@ Each line is ``<variant> seed=<n> <file> <sha256>`` for ``rounds.csv``,
 desk-scale SimCLR runs under fedavg, ldawa, mdawa and ldawa_fedu, a Barlow
 Twins run on a Dirichlet partition (uneven clients, ragged and lone trailing
 batches), and a small supervised cross-device run from a generated CSV file,
-each at seeds 1, 2 and 3. A change that must not alter results leaves the
-output of this script identical: run it on both trees and diff the files.
+each at seeds 1, 2 and 3. Then come lines ``offline <strategy> round=<r>
+<file> <sha256>`` for the output checkpoint and the ``--report`` JSON of
+``fedsim aggregate`` on six hand-built client checkpoints, for every
+strategy at rounds 0 and 5 with two warm-up rounds. A change that must not
+alter results leaves the output of this script identical: run it on both
+trees and diff the files.
 """
 
 from __future__ import annotations
 
+import contextlib
 import copy
 import hashlib
+import io
+import json
 import sys
 import tempfile
 from pathlib import Path
 
 import numpy as np
 
+from fedsim import cli
+from fedsim.aggregation import STRATEGIES
 from fedsim.config import parse_config
 from fedsim.engine import run_experiment
+from fedsim.learners import ModelSpec, init_params
+from fedsim.params import ParamSet, save_checkpoint
 
 SEEDS = (1, 2, 3)
 ARTIFACTS = ("rounds.csv", "checkpoint_init.bin", "checkpoint_final.bin")
@@ -109,6 +120,66 @@ def sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def offline_clients(work: Path) -> tuple[Path, list[Path], Path]:
+    """A global checkpoint, six client checkpoints and their metadata file.
+
+    The clients cover the divergence edge cases: a noisy copy of the global,
+    one with all-zero biases, the negated global, a positive multiple of it
+    (cosine exactly 1), an unrelated model and a heavily perturbed one.
+    """
+    spec = ModelSpec(encoder_dims=(6, 5, 4), projector_dims=(4, 3))
+    rng = np.random.default_rng(20231)
+    glob = init_params(spec, rng)
+    other = init_params(spec, np.random.default_rng(20232))
+
+    def build(fn) -> ParamSet:
+        return ParamSet.from_arrays({name: fn(name, glob[name]) for name in glob.names})
+
+    clients = [
+        build(lambda name, g: 0.9 * g + 0.05 * rng.normal(size=g.shape)),
+        build(lambda name, g: 0.0 * g if name.endswith(".bias") else g + 0.1 * rng.normal(size=g.shape)),
+        build(lambda name, g: -g),
+        build(lambda name, g: 2.0 * g),
+        build(lambda name, g: other[name]),
+        build(lambda name, g: g + rng.normal(size=g.shape)),
+    ]
+    global_path = work / "global.bin"
+    save_checkpoint(glob, global_path)
+    paths = []
+    for k, params in enumerate(clients):
+        paths.append(work / f"client{k}.bin")
+        save_checkpoint(params, paths[-1])
+    counts, losses = rng.integers(3, 90, 6), rng.uniform(0.2, 3.0, 6)
+    meta = [{"num_samples": int(n), "train_loss": float(x)} for n, x in zip(counts, losses)]
+    meta_path = work / "meta.json"
+    meta_path.write_text(json.dumps(meta))
+    return global_path, paths, meta_path
+
+
+def offline_lines(work: Path):
+    """``fedsim aggregate`` over every strategy at rounds 0 and 5, with two warm-up rounds."""
+    global_path, paths, meta_path = offline_clients(work)
+    order = (3, 0, 5, 1, 4, 2)  # not in file order
+    for strategy in STRATEGIES:
+        for round_index in (0, 5):
+            out = work / f"agg_{strategy}_{round_index}.bin"
+            report = work / f"agg_{strategy}_{round_index}.json"
+            argv = ["aggregate", "--global", str(global_path)]
+            for k in order:
+                argv += ["--client", str(paths[k])]
+            argv += [
+                "--strategy", strategy, "--metadata", str(meta_path),
+                "--round", str(round_index), "--warmup-rounds", "2",
+                "--output", str(out), "--report", str(report),
+            ]
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = cli.main(argv)
+            if code != 0:
+                raise RuntimeError(f"aggregate {strategy} round {round_index} exited {code}")
+            for path, label in ((out, "output"), (report, "report")):
+                yield f"offline {strategy} round={round_index} {label} {sha256(path)}"
+
+
 def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
@@ -119,6 +190,8 @@ def main() -> int:
                 for artifact in ARTIFACTS:
                     print(f"{name} seed={seed} {artifact} {sha256(result.output_dir / artifact)}")
                 sys.stdout.flush()
+        for line in offline_lines(work):
+            print(line)
     return 0
 
 
