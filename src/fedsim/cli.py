@@ -103,8 +103,15 @@ def _cmd_probe(args) -> int:
     return EXIT_OK
 
 
+def _count(value, path: str) -> int:
+    n = SCALARS[int](value, path)
+    if n < 1:
+        raise ConfigError(f"{path}: expected a positive integer, got {n!r}")
+    return n
+
+
 # Metadata key -> (value when absent, coercer); values follow the config file's rules.
-_METADATA = {"num_samples": (1, SCALARS[int]), "train_loss": (0.0, SCALARS[float])}
+_METADATA = {"num_samples": (1, _count), "train_loss": (0.0, SCALARS[float])}
 
 
 def _load_metadata(path, n_clients: int) -> list[tuple[int, float]]:

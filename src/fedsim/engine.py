@@ -161,8 +161,8 @@ class FederatedRunner:
     """Drives the round loop for one experiment.
 
     ``train_fn`` trains one round's clients. It defaults to local SGD
-    training and exists so tests can inject scripted client models; it
-    reports a failed client by raising :class:`ClientTrainingError`.
+    training (``None``) and exists so tests can inject scripted client
+    models; it reports a failed client by raising :class:`ClientTrainingError`.
     """
 
     def __init__(
@@ -179,7 +179,7 @@ class FederatedRunner:
         self.train_ds = train_ds
         self.test_ds = test_ds
         self.client_data = [train_ds.subset(p) for p in parts]
-        self.train_fn = train_fn or self._default_train
+        self.train_fn = train_fn  # None: _default_train, looked up per round (a stored bound method is a cycle)
 
     def _default_train(self, round_index: int, clients: list[tuple[int, Dataset, ParamSet]]) -> list[ClientUpdate]:
         sessions = [
@@ -220,7 +220,7 @@ class FederatedRunner:
                 adopted[cid] = adopt
             clients.append((cid, self.client_data[cid], init))
         try:
-            updates = self.train_fn(r, clients)
+            updates = (self.train_fn or self._default_train)(r, clients)
         except ClientTrainingError as exc:
             raise RuntimeError(f"round {r}: training failed for client {exc.client_id}: {exc}") from exc
 

@@ -433,17 +433,28 @@ def loss_barlow(
     return loss, grad_a, grad_b
 
 
-def make_views(
-    batch: np.ndarray, noise_std: float, mask_prob: float, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    """Two independently perturbed copies: additive Gaussian noise, then zero-masking."""
+def make_views(batch: np.ndarray, noise_std: float, mask_prob: float, rng) -> tuple[np.ndarray, np.ndarray]:
+    """Two independently perturbed copies of each batch: additive Gaussian noise, then zero-masking.
+
+    ``batch`` is one (B, D) batch with one generator ``rng``, or a (K, B, D)
+    stack of K clients' batches with a sequence of K generators. Each client
+    draws view a's noise and mask, then view b's, from its own generator, so
+    its views are bit-identical to making them alone.
+    """
     batch = np.asarray(batch, dtype=np.float64)
-    views = []
-    for _ in range(2):
-        v = batch + rng.normal(0.0, noise_std, size=batch.shape)
-        keep = rng.random(batch.shape) >= mask_prob
-        views.append(v * keep)
-    return views[0], views[1]
+    rngs = [rng] if isinstance(rng, np.random.Generator) else rng
+    rows = batch.reshape(len(rngs), *batch.shape[-2:])
+    noise = np.empty((2, *rows.shape))
+    mask = np.empty_like(noise)
+    for k, g in enumerate(rngs):
+        for view in range(2):
+            g.standard_normal(out=noise[view, k])
+            g.random(out=mask[view, k])
+    noise *= noise_std
+    noise += 0.0  # Generator.normal's loc + scale * z, down to the sign of zero
+    noise += rows
+    noise *= mask >= mask_prob
+    return noise[0].reshape(batch.shape), noise[1].reshape(batch.shape)
 
 
 def sgd_step(
@@ -539,13 +550,10 @@ class _Block:
     def inputs(self, lo: int, hi: int, start: int, b: int, trainer: TrainerSpec) -> tuple[np.ndarray, np.ndarray]:
         """Rows lo:hi's next batches, stacked: (features, labels), or the two SSL views."""
         batches = [(s, s.perm[start : start + b]) for s in self.rows[lo:hi]]
+        x = np.stack([s.x[idx] for s, idx in batches])
         if trainer.method == "supervised":
-            return np.stack([s.x[idx] for s, idx in batches]), np.stack([s.y[idx] for s, idx in batches])
-        views = [
-            make_views(s.x[idx], trainer.augment_noise_std, trainer.augment_mask_prob, s.rng)
-            for s, idx in batches
-        ]
-        return np.stack([va for va, _ in views]), np.stack([vb for _, vb in views])
+            return x, np.stack([s.y[idx] for s, idx in batches])
+        return make_views(x, trainer.augment_noise_std, trainer.augment_mask_prob, [s.rng for s, _ in batches])
 
 
 def _group_loss(block: _Block, lo: int, hi: int, inputs, model: ModelSpec, trainer: TrainerSpec) -> np.ndarray:

@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import csv
+import io
 import json
+import math
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -230,58 +233,114 @@ def make_blobs(
 # Labels are stored as int64, and the class count max(label) + 1 must fit too.
 _MAX_LABEL = np.iinfo(np.int64).max - 1
 
+# The characters of a plain numeric CSV body (see _is_plain).
+_PLAIN = b"0123456789+-.eE, \t\r\n"
 
-def _csv_rows(fh, path):
-    """``csv.reader`` rows; a malformed file (say, an over-long field) raises ValueError naming the line."""
-    reader = csv.reader(fh)
+
+def _is_plain(text: str) -> bool:
+    """Whether ``np.loadtxt`` reads ``text`` exactly as the row-by-row parse does.
+
+    On text of ``_PLAIN`` characters alone, with no line longer than the csv
+    field limit or int()'s digit limit, both accept the same cells and read
+    the same values. Other text (quotes, letters, other whitespace, non-ASCII)
+    takes its values from the row-by-row parse: numpy's integer parser, for
+    one, reads some non-ASCII letters as digits.
+    """
+    if not text.isascii():
+        return False
+    data = text.encode("ascii")
+    if data.translate(None, _PLAIN):
+        return False
+    codes = np.frombuffer(data, np.uint8)
+    ends = np.flatnonzero((codes == 10) | (codes == 13))
+    longest = int(np.diff(ends, prepend=-1, append=codes.size).max()) - 1
+    return longest <= min(csv.field_size_limit(), sys.get_int_max_str_digits() or csv.field_size_limit())
+
+
+def _csv_rows(reader, path, skipped_lines: int = 0):
+    """The reader's rows; a malformed file (say, an over-long field) raises ValueError naming the line."""
     try:
         yield from reader
     except csv.Error as exc:
-        raise ValueError(f"{path}:{reader.line_num}: {exc}") from exc
+        raise ValueError(f"{path}:{skipped_lines + reader.line_num}: {exc}") from exc
+
+
+def _parse_rows(rows, path, width: int, limit: int) -> tuple[list[list[float]], list[int]]:
+    """Row-by-row parse of the data rows (numbered from line 2); the first bad row raises naming its line."""
+    features: list[list[float]] = []
+    labels: list[int] = []
+    for lineno, row in enumerate(rows, start=2):
+        if not row:
+            continue
+        if len(row) != width:
+            raise ValueError(f"{path}:{lineno}: expected {width} columns, got {len(row)}")
+        try:
+            values = [float(v) for v in row[:-1]]
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: non-numeric feature value") from exc
+        if not all(map(math.isfinite, values)):
+            raise ValueError(f"{path}:{lineno}: non-finite feature value")
+        raw_label = row[-1].strip()
+        try:
+            label = int(raw_label)
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: non-integer label {raw_label!r}") from exc
+        if label < 0:
+            raise ValueError(f"{path}:{lineno}: negative label {label}")
+        if label >= limit:
+            raise ValueError(f"{path}:{lineno}: label {label} outside [0, {limit})")
+        features.append(values)
+        labels.append(label)
+    return features, labels
 
 
 def load_csv(path, num_classes: int | None = None) -> Dataset:
     """Parse a dataset from CSV: header row, float feature columns, final integer label column.
 
-    Row order is preserved. Malformed rows raise a parse error naming the
-    line; if ``num_classes`` is given, labels are validated against it,
-    otherwise the class count is inferred as max(label) + 1.
+    Row order is preserved. The data rows are parsed in one ``np.loadtxt``
+    call and checked in bulk; only when that fails (or the text is not plain
+    numeric CSV) are they parsed row by row, and a bad row raises naming its
+    line. Feature cells must be finite, and cells ``np.loadtxt`` refuses
+    (such as ``1_0``) raise naming the file. If ``num_classes`` is given,
+    labels are validated against it, otherwise the class count is inferred
+    as max(label) + 1.
     """
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = _csv_rows(fh, path)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: empty file") from None
+        reader = csv.reader(fh)
+        header = next(_csv_rows(reader, path), None)
+        if header is None:
+            raise ValueError(f"{path}: empty file")
         if len(header) < 2:
             raise ValueError(f"{path}: need at least one feature column and a label column")
-        width = len(header)
-        features: list[list[float]] = []
-        labels: list[int] = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != width:
-                raise ValueError(f"{path}:{lineno}: expected {width} columns, got {len(row)}")
-            try:
-                values = [float(v) for v in row[:-1]]
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: non-numeric feature value") from exc
-            raw_label = row[-1].strip()
-            try:
-                label = int(raw_label)
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: non-integer label {raw_label!r}") from exc
-            if label < 0:
-                raise ValueError(f"{path}:{lineno}: negative label {label}")
-            limit = _MAX_LABEL + 1 if num_classes is None else num_classes
-            if label >= limit:
-                raise ValueError(f"{path}:{lineno}: label {label} outside [0, {limit})")
-            features.append(values)
-            labels.append(label)
-    if not features:
+        header_lines = reader.line_num
+        text = fh.read()
+    width = len(header)
+    limit = _MAX_LABEL + 1 if num_classes is None else num_classes
+    data, cause = None, None
+    if text.strip("\r\n"):  # np.loadtxt warns on input without data rows
+        row = np.dtype([("x", np.float64, (width - 1,)), ("y", np.int64)])
+        try:
+            data = np.loadtxt(
+                io.StringIO(text, newline=""), dtype=row, delimiter=",", quotechar='"', comments=None, ndmin=1
+            )
+        except ValueError as exc:
+            cause = exc
+    if (
+        data is not None
+        and np.isfinite(data["x"]).all()
+        and data["y"].min() >= 0
+        and data["y"].max() < limit
+        and _is_plain(text)
+    ):
+        features, labels = data["x"], data["y"]
+    else:
+        rows = _csv_rows(csv.reader(io.StringIO(text, newline="")), path, header_lines)
+        features, labels = _parse_rows(rows, path, width, limit)
+        if cause is not None:
+            raise ValueError(f"{path}: {cause}") from cause
+    if not len(labels):
         raise ValueError(f"{path}: no data rows")
-    c = num_classes if num_classes is not None else max(labels) + 1
+    c = num_classes if num_classes is not None else int(np.max(labels)) + 1
     return Dataset(str(path), np.asarray(features), np.asarray(labels), c)
 
 

@@ -337,6 +337,20 @@ class TestRunCommand:
         assert err == "error: config.output_dir: expected a non-empty string, got ''\n"
         assert not list(cwd.iterdir())
 
+    def test_non_finite_csv_cell_exits_naming_the_line(self, tmp_path, capsys):
+        data = tmp_path / "train.csv"
+        rows = [f"{i / 10},{-i / 5},{i % 3}" for i in range(40)]
+        rows[4] = "nan,1.0,1"
+        data.write_text("x0,x1,label\n" + "\n".join(rows) + "\n")
+        raw = {
+            **minimal_raw(tmp_path, trainer={"method": "supervised"}, model={"encoder_dims": [2, 4], "projector_dims": []}),
+            "dataset": {"type": "csv", "path": str(data), "num_classes": 3},
+        }
+        code = main(["run", "--config", write_config(tmp_path, raw)])
+        err = capsys.readouterr().err
+        assert code in (1, 2)
+        assert err == f"error: {data}:6: non-finite feature value\n"
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize(
         "lr, cause",
@@ -481,7 +495,9 @@ class TestMalformedInputs:
          # count, and a string is no loss; the message names the entry and the key
          ([{"num_samples": 3.7}, {}], "0: num_samples"), ([{}, {"num_samples": True}], "1: num_samples"),
          ([{"num_samples": "7"}, {}], "0: num_samples"), ([{}, {"train_loss": "0.5"}], "1: train_loss"),
-         ([{"train_loss": False}, {}], "0: train_loss")],
+         ([{"train_loss": False}, {}], "0: train_loss"),
+         # a count must be positive
+         ([{"num_samples": 0}, {}], "0: num_samples"), ([{}, {"num_samples": -3}], "1: num_samples")],
     )
     def test_malformed_metadata_exits_one(self, tmp_path, capsys, entries, index):
         g, _ = checkpoint(tmp_path, "g.bin", {"w": [1.0]})

@@ -1,6 +1,8 @@
 """Round orchestration: sampling, FedU policy, warm-up telemetry, determinism."""
 
 import dataclasses
+import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -102,6 +104,22 @@ class TestFeduPolicy:
 
 
 class TestRunRound:
+    def test_runner_is_freed_without_a_gc_pass(self, tmp_path):
+        # A runner must not reference itself: with its datasets and client
+        # subsets it would otherwise live until the next full collection.
+        cfg = base_config(tmp_path, rounds=1)
+        train_ds, test_ds = build_datasets(cfg)
+        parts = partition(train_ds, cfg.partition)
+        gc.disable()
+        try:
+            runner = FederatedRunner(cfg, train_ds, parts, test_ds)
+            runner.run_round(runner.initial_state())
+            ref = weakref.ref(runner)
+            del runner
+            assert ref() is None
+        finally:
+            gc.enable()
+
     def test_noop_training_under_fairavg_is_identity(self, tmp_path):
         cfg = base_config(
             tmp_path,
@@ -284,7 +302,7 @@ class TestRunExperiment:
         captured = {}
 
         runner = FederatedRunner(cfg, train_ds, parts)
-        original_fn = runner.train_fn
+        original_fn = runner._default_train
 
         def capturing(r, clients):
             ups = original_fn(r, clients)

@@ -377,6 +377,19 @@ class TestMakeViews:
         a, b = make_views(batch, 0.5, 0.0, np.random.default_rng(2))
         assert not np.array_equal(a, b)
 
+    @pytest.mark.parametrize("noise_std", [0.0, 0.3])
+    def test_stacked_clients_match_per_client_draws(self, noise_std):
+        # Reference: each client alone draws normal, uniform, normal, uniform.
+        batch = np.random.default_rng(5).normal(size=(3, 4, 2))
+        batch[0] = -0.0  # -0.0 plus a zero noise must give +0.0, as Generator.normal's 0.0 + scale * z does
+        a, b = make_views(batch, noise_std, 0.25, [np.random.default_rng(k) for k in range(3)])
+        for k in range(3):
+            rng = np.random.default_rng(k)
+            for view in (a, b):
+                ref = batch[k] + rng.normal(0.0, noise_std, size=batch[k].shape)
+                ref = ref * (rng.random(batch[k].shape) >= 0.25)
+                assert view[k].tobytes() == ref.tobytes()
+
 
 class TestSgdStep:
     """``sgd_step`` updates the flat weights ``w`` and velocity ``v`` in place."""

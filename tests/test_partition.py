@@ -1,5 +1,6 @@
 """Blob generation, CSV ingestion, and Non-IID partition invariants."""
 
+import csv
 import tempfile
 from pathlib import Path
 
@@ -221,9 +222,11 @@ class TestLoadCsv:
         np.testing.assert_array_equal(ds.features[1], [-3.25, 4.0])
         np.testing.assert_array_equal(ds.labels, [0, 1, 1])
 
-    def test_header_only_rejected(self, tmp_path):
+    @pytest.mark.filterwarnings("error")  # np.loadtxt's "input contained no data" must not leak
+    @pytest.mark.parametrize("body", ["", "\n", "\r\n\r\n"])
+    def test_header_only_rejected(self, tmp_path, body):
         path = tmp_path / "empty.csv"
-        path.write_text("x0,x1,label\n")
+        path.write_text("x0,x1,label\n" + body, newline="")
         with pytest.raises(ValueError, match="no data rows"):
             load_csv(path)
 
@@ -245,6 +248,64 @@ class TestLoadCsv:
         with pytest.raises(ValueError, match=":3"):
             load_csv(path)
 
+    @pytest.mark.parametrize(
+        "row, where",
+        [("nan,0", ":3: non-finite feature value"), ("-inf,0", ":3: non-finite feature value"),
+         ("1e400,0", ":3: non-finite feature value"),
+         # cells float() or int() take but np.loadtxt refuses: the message names the file
+         ("1_0,0", ": could not convert"), ("1.0,1_0", ": could not convert"),
+         # cells np.loadtxt takes but the row-by-row parse refuses: a separator
+         # control character, a letter numpy's integer parser reads as a digit,
+         # and a label past int()'s 4,300-digit limit
+         ("1\x1c,0", ":3: non-numeric feature value"), ("1.0,1\u01fe", ":3: non-integer label"),
+         ("1.0," + "0" * 5000 + "1", ":3: non-integer label")],
+        ids=["nan", "-inf", "1e400", "1_0", "label 1_0", "x1c", "u01fe", "5001 digits"],
+    )
+    def test_rejected_cells_name_the_path(self, tmp_path, row, where):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"x0,label\n1.0,0\n{row}\n", encoding="utf-8")
+        with pytest.raises(ValueError) as info:
+            load_csv(path)
+        assert str(info.value).startswith(f"{path}{where}")
+
+    def test_matches_reference_on_a_generated_table(self, tmp_path):
+        rng = np.random.default_rng(3)
+        features = rng.normal(size=(300, 5)) * 10.0 ** rng.integers(-300, 300, size=(300, 5))
+        features[0, 0] = -0.0
+        labels = rng.integers(0, 7, size=300)
+        path = tmp_path / "table.csv"
+        table = np.column_stack([features, labels])
+        np.savetxt(path, table, fmt=["%.17g"] * 5 + ["%d"], delimiter=",", header="a,b,c,d,e,y", comments="")
+        ds, ref = load_csv(path), reference_load_csv(path)
+        assert ds.features.tobytes() == ref.features.tobytes()
+        np.testing.assert_array_equal(ds.labels, labels)
+        assert ds.num_classes == ref.num_classes == labels.max() + 1
+
+
+def reference_load_csv(path, num_classes=None):
+    """The row-by-row parser ``load_csv`` replaced (before non-finite cells were refused)."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = next(reader)
+        width = len(header)
+        features, labels = [], []
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != width:
+                raise ValueError(f"{path}:{lineno}: expected {width} columns, got {len(row)}")
+            values = [float(v) for v in row[:-1]]
+            label = int(row[-1].strip())
+            limit = np.iinfo(np.int64).max if num_classes is None else num_classes
+            if not 0 <= label < limit:
+                raise ValueError(f"{path}:{lineno}: label {label} outside [0, {limit})")
+            features.append(values)
+            labels.append(label)
+    if not features:
+        raise ValueError(f"{path}: no data rows")
+    c = num_classes if num_classes is not None else max(labels) + 1
+    return Dataset(str(path), np.asarray(features), np.asarray(labels), c)
+
 
 # Cells that reach each parse branch: numbers, non-finite and non-numeric
 # text, labels past int64, quoting, NUL bytes and a field past the csv
@@ -255,16 +316,29 @@ CSV_CELLS = st.sampled_from(
 ) | st.text(max_size=4)
 NUMBERS = st.sampled_from(["1", "-2.5", "0", " 3 ", "nan", "1e400"])
 LABELS = st.sampled_from(["0", "1", "7", " 2", "-1", "x", "9" * 19, "9" * 20, "1" * 5000])
+# Numbers with a character before or after them, or short strings of number
+# characters: whitespace, quotes, an underscore, a separator control character
+# and non-ASCII letters and digits mixed in.
+ODD_CHARS = "\t\"_\x1c\u01fe\u0661\u2003"
+NUMERIC_CELLS = st.tuples(
+    st.sampled_from(["", "", " ", "0", *ODD_CHARS]),
+    st.sampled_from(["1", "-2.5", "0", "3e2", ".5", "+7", "12", "-0"]),
+    st.sampled_from(["", "", " ", "0", *ODD_CHARS]),
+).map("".join) | st.text(alphabet="0123456789+-.eE " + ODD_CHARS, max_size=5)
 
 
 @st.composite
 def csv_texts(draw):
-    """Arbitrary text, rows of arbitrary cells, or a table of numeric features and a label column."""
-    kind = draw(st.sampled_from(["text", "cells", "table"]))
+    """Arbitrary text, rows of arbitrary or numeric-looking cells, or a table of numeric features and a label column."""
+    kind = draw(st.sampled_from(["text", "cells", "numeric", "table"]))
     if kind == "text":
         return draw(st.text(max_size=200))
     if kind == "cells":
         rows = draw(st.lists(st.lists(CSV_CELLS, max_size=4), max_size=5))
+    elif kind == "numeric":
+        width = draw(st.integers(1, 3))
+        cells = st.lists(NUMERIC_CELLS, min_size=width + 1, max_size=width + 1)
+        rows = [[f"x{i}" for i in range(width)] + ["label"]] + draw(st.lists(cells, max_size=4))
     else:
         width = draw(st.integers(1, 3))
         row = st.tuples(st.lists(NUMBERS, min_size=width, max_size=width), LABELS).map(lambda r: r[0] + [r[1]])
@@ -283,6 +357,22 @@ class TestLoadCsvProperties:
                 load_csv(path, num_classes=num_classes)
             except (ValueError, ConfigError) as exc:
                 assert str(path) in str(exc)
+
+    @settings(derandomize=True, deadline=None, database=None, max_examples=400)
+    @given(text=csv_texts(), num_classes=st.none() | st.integers(2, 5))
+    def test_accepted_files_match_the_reference(self, text, num_classes):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "data.csv"
+            path.write_text(text, encoding="utf-8", newline="")
+            try:
+                ds = load_csv(path, num_classes=num_classes)
+            except ValueError:
+                return
+            ref = reference_load_csv(path, num_classes=num_classes)
+            assert ds.features.tobytes() == ref.features.tobytes()
+            assert ds.features.shape == ref.features.shape
+            np.testing.assert_array_equal(ds.labels, ref.labels)
+            assert ds.num_classes == ref.num_classes
 
 
 class TestSplitTrainTest:
