@@ -24,7 +24,6 @@ from .learners import (
     make_views,
     sgd_step,
     train_clients,
-    train_local,
 )
 from .params import ParamSet, load_checkpoint, save_checkpoint, weighted_sum
 from .partition import Dataset, PartitionSpec, load_csv, make_blobs, partition

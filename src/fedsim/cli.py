@@ -17,7 +17,7 @@ import logging
 import sys
 from pathlib import Path
 
-from .aggregation import METADATA_STRATEGIES, AggregationSpec, ClientUpdate, aggregate
+from .aggregation import METADATA_STRATEGIES, AggregationSpec, ClientUpdate, aggregate, effective_strategy
 from .config import SCALARS, ConfigError, apply_overrides, load_config_file, parse_config
 from .engine import ROUNDS_CSV_PREFIX, build_datasets, run_experiment
 from .evaluation import linear_probe
@@ -141,12 +141,12 @@ def _load_metadata(path, n_clients: int) -> list[tuple[int, float]]:
 
 def _cmd_aggregate(args) -> int:
     strategy = args.strategy
+    if args.round_index < 0:
+        raise ConfigError(f"--round must be >= 0, got {args.round_index}")
     spec = AggregationSpec(strategy=strategy, warmup_rounds=args.warmup_rounds)
-    needs_meta = spec.strategy in METADATA_STRATEGIES
-    if args.round_index < spec.warmup_rounds:
-        needs_meta = True  # warm-up applies the sample-count rule
-    if needs_meta and not args.metadata:
-        raise ConfigError(f"strategy {strategy!r} needs --metadata with num_samples/train_loss")
+    rule = effective_strategy(spec, args.round_index)
+    if rule in METADATA_STRATEGIES and not args.metadata:
+        raise ConfigError(f"round {args.round_index} applies {rule!r}, which needs per-client --metadata")
 
     global_params = load_checkpoint(args.global_ckpt)
     client_params = [load_checkpoint(p) for p in args.clients]

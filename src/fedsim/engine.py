@@ -333,12 +333,11 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
     ``rounds.csv`` and the initial/final checkpoints into the output
     directory. Fully deterministic given the config.
     """
-    out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-
     train_ds, test_ds = build_datasets(cfg)
     parts = partition(train_ds, cfg.partition)
 
+    out = Path(cfg.output_dir)
+    out.mkdir(parents=True, exist_ok=True)
     with open(out / "run.json", "w", encoding="utf-8") as fh:
         json.dump(resolved_dict(cfg), fh, indent=2)
         fh.write("\n")

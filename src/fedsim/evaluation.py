@@ -8,7 +8,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .learners import ModelSpec, forward, loss_xent, representation
+from .learners import ModelSpec, forward, loss_xent, require_layers
 from .params import ParamSet
 from .partition import Dataset, allocate_counts
 
@@ -103,8 +103,11 @@ def linear_probe(
 
     The encoder is never updated (it is immutable); only the linear head
     trains, with SGD momentum and the milestone learning-rate schedule.
-    Deterministic given ``spec.eval_seed``.
+    Deterministic given ``spec.eval_seed``. ``encoder_params`` must hold the
+    encoder layers of ``model_spec``; any other layers are ignored.
     """
+    encoder = ModelSpec(model_spec.encoder_dims, activation=model_spec.activation)
+    require_layers(encoder_params, encoder)
     if not 0 < fraction <= 1:
         raise ValueError("fraction must lie in (0, 1]")
     c = train_ds.num_classes
@@ -115,9 +118,9 @@ def linear_probe(
         )
     rng = np.random.default_rng([int(spec.eval_seed), 0x5EED])
     subset = stratified_subset(train_ds.labels, fraction, rng)
-    feats = representation(encoder_params, model_spec, train_ds.features[subset])
+    feats = forward(encoder_params, encoder, train_ds.features[subset]).h
     labels = train_ds.labels[subset]
-    test_feats = representation(encoder_params, model_spec, test_ds.features)
+    test_feats = forward(encoder_params, encoder, test_ds.features).h
     if not (np.isfinite(feats).all() and np.isfinite(test_feats).all()):
         raise ValueError("non-finite frozen features: the encoder diverged")
 

@@ -4,7 +4,9 @@ The model is a chain of linear layers with an elementwise activation between
 consecutive layers (never after the last one): the representation ``h`` is
 the raw output of the final encoder layer, the projection ``z`` the raw
 output of the final projector layer. Supervised models replace the projector
-with a linear classifier head on ``h``.
+with a linear classifier head on the raw ``h``. One private list,
+:func:`_layers`, states those layers; names, init, both passes and the
+checkpoint check read it.
 
 All gradients (cross-entropy, the contrastive loss, the cross-correlation
 redundancy loss, and full backprop through the chain) are written out by
@@ -25,7 +27,7 @@ from typing import Mapping
 import numpy as np
 
 from .aggregation import ClientUpdate
-from .params import ParamSet, segments
+from .params import IncompatibleModelError, ParamSet, segments
 
 ACTIVATIONS = ("relu", "tanh")
 TRAINER_METHODS = ("supervised", "simclr", "barlow_twins")
@@ -37,7 +39,7 @@ BARLOW_STD_EPS = 1e-8
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """Layer widths of the encoder, optional projector, and optional head."""
+    """Layer widths of the encoder and of an optional projector or head (not both)."""
 
     encoder_dims: tuple[int, ...]
     projector_dims: tuple[int, ...] = ()
@@ -62,6 +64,8 @@ class ModelSpec:
             raise ValueError(f"unknown activation {self.activation!r}")
         if self.head_classes is not None and self.head_classes < 2:
             raise ValueError("head_classes must be >= 2")
+        if self.projector_dims and self.head_classes is not None:
+            raise ValueError("a model has a projector or a classifier head, not both")
 
     @property
     def input_dim(self) -> int:
@@ -112,52 +116,57 @@ class TrainerSpec:
 
 
 def validate_model_for_trainer(model: ModelSpec, trainer: TrainerSpec) -> None:
-    """SSL methods need a projector and no head; supervised the reverse."""
-    if trainer.is_ssl:
-        if not model.projector_dims:
-            raise ValueError(f"{trainer.method} requires projector_dims")
-        if model.head_classes is not None:
-            raise ValueError(f"{trainer.method} does not use a classifier head")
-    else:
-        if model.head_classes is None:
-            raise ValueError("supervised training requires head_classes")
-        if model.projector_dims:
-            raise ValueError("supervised training does not use a projector")
+    """SSL methods need a projector, supervised training a head."""
+    if trainer.is_ssl and not model.projector_dims:
+        raise ValueError(f"{trainer.method} requires projector_dims")
+    if not trainer.is_ssl and model.head_classes is None:
+        raise ValueError("supervised training requires head_classes")
 
 
-def _chain_dims(spec: ModelSpec) -> list[tuple[int, int]]:
-    dims = list(spec.encoder_dims) + list(spec.projector_dims[1:])
-    return list(zip(dims[:-1], dims[1:]))
+def _layers(spec: ModelSpec) -> list[tuple[str, int, int]]:
+    """The model's linear layers as (name prefix, fan_in, fan_out), in parameter order.
+
+    The encoder's layers come first, then the projector's or the head. Each
+    layer's weight is (fan_in, fan_out) and its bias (fan_out,).
+    """
+    n_enc = len(spec.encoder_dims) - 1
+    dims = spec.encoder_dims + spec.projector_dims[1:]
+    layers = [
+        (f"encoder.{i}" if i < n_enc else f"projector.{i - n_enc}", fan_in, fan_out)
+        for i, (fan_in, fan_out) in enumerate(zip(dims[:-1], dims[1:]))
+    ]
+    if spec.head_classes is not None:
+        layers.append(("head", spec.representation_dim, spec.head_classes))
+    return layers
 
 
 def layer_names(spec: ModelSpec) -> list[str]:
     """Canonical parameter order: encoder, projector, then head."""
-    names = []
-    n_enc = len(spec.encoder_dims) - 1
-    for i in range(n_enc):
-        names += [f"encoder.{i}.weight", f"encoder.{i}.bias"]
-    for i in range(len(spec.projector_dims) - 1 if spec.projector_dims else 0):
-        names += [f"projector.{i}.weight", f"projector.{i}.bias"]
-    if spec.head_classes is not None:
-        names += ["head.weight", "head.bias"]
-    return names
+    return [f"{prefix}.{kind}" for prefix, _, _ in _layers(spec) for kind in ("weight", "bias")]
 
 
 def init_params(spec: ModelSpec, rng: np.random.Generator) -> ParamSet:
     """Uniform init in [-1/sqrt(fan_in), 1/sqrt(fan_in)] per layer."""
     arrays: dict[str, np.ndarray] = {}
-    n_enc = len(spec.encoder_dims) - 1
-    for i, (fan_in, fan_out) in enumerate(_chain_dims(spec)):
-        prefix = f"encoder.{i}" if i < n_enc else f"projector.{i - n_enc}"
+    for prefix, fan_in, fan_out in _layers(spec):
         bound = 1.0 / math.sqrt(fan_in)
         arrays[f"{prefix}.weight"] = rng.uniform(-bound, bound, size=(fan_in, fan_out))
         arrays[f"{prefix}.bias"] = rng.uniform(-bound, bound, size=fan_out)
-    if spec.head_classes is not None:
-        fan_in = spec.representation_dim
-        bound = 1.0 / math.sqrt(fan_in)
-        arrays["head.weight"] = rng.uniform(-bound, bound, size=(fan_in, spec.head_classes))
-        arrays["head.bias"] = rng.uniform(-bound, bound, size=spec.head_classes)
     return ParamSet.from_arrays(arrays)
+
+
+def require_layers(params: ParamSet, spec: ModelSpec) -> None:
+    """Raise :class:`IncompatibleModelError` at the first layer of ``spec`` that ``params`` lacks or misshapes.
+
+    Layers of ``params`` that ``spec`` does not have are ignored.
+    """
+    shapes = dict(params.layout)
+    for prefix, fan_in, fan_out in _layers(spec):
+        for name, shape in ((f"{prefix}.weight", (fan_in, fan_out)), (f"{prefix}.bias", (fan_out,))):
+            if name not in shapes:
+                raise IncompatibleModelError(f"missing layer {name!r}")
+            if shapes[name] != shape:
+                raise IncompatibleModelError(f"layer {name!r}: shape {shapes[name]}, expected {shape}")
 
 
 def _act(x: np.ndarray, kind: str) -> np.ndarray:
@@ -176,7 +185,7 @@ class ForwardPass:
     """Everything the backward pass needs, plus h / z / logits."""
 
     chain_inputs: list[np.ndarray]  # input fed to each linear layer
-    pre: list[np.ndarray]  # raw linear outputs, per chain layer
+    pre: list[np.ndarray]  # raw linear outputs, per layer
     h: np.ndarray
     z: np.ndarray | None
     logits: np.ndarray | None
@@ -188,7 +197,7 @@ def _t(a: np.ndarray) -> np.ndarray:
 
 
 def forward(params: Mapping[str, np.ndarray], spec: ModelSpec, batch: np.ndarray) -> ForwardPass:
-    """Run the full encoder (+projector, +head) chain on a batch.
+    """Run the full encoder (+projector or +head) chain on a batch.
 
     ``params`` maps names to shaped arrays and ``batch`` is (B, D). With a
     leading client axis, ``params`` maps names to (K, *shape) stacks and
@@ -201,72 +210,40 @@ def forward(params: Mapping[str, np.ndarray], spec: ModelSpec, batch: np.ndarray
             f"batch of width {x.shape[-1] if x.ndim >= 2 else '?'} "
             f"does not match input width {spec.input_dim}"
         )
-    n_enc = len(spec.encoder_dims) - 1
     inputs: list[np.ndarray] = []
     pre: list[np.ndarray] = []
     a = x
-    for i in range(len(_chain_dims(spec))):
-        prefix = f"encoder.{i}" if i < n_enc else f"projector.{i - n_enc}"
-        if i > 0:
-            a = _act(pre[-1], spec.activation)
+    for i, (prefix, _, _) in enumerate(_layers(spec)):
+        if i > 0:  # the head reads the raw representation
+            a = pre[-1] if prefix == "head" else _act(pre[-1], spec.activation)
         inputs.append(a)
         a = a @ params[f"{prefix}.weight"] + params[f"{prefix}.bias"][..., None, :]
         pre.append(a)
-    h = pre[n_enc - 1]
+        if prefix.startswith("encoder."):
+            h = a
     z = pre[-1] if spec.projector_dims else None
-    logits = None
-    if spec.head_classes is not None:
-        logits = h @ params["head.weight"] + params["head.bias"][..., None, :]
+    logits = pre[-1] if spec.head_classes is not None else None
     return ForwardPass(inputs, pre, h, z, logits)
 
 
-def representation(params: Mapping[str, np.ndarray], spec: ModelSpec, batch: np.ndarray) -> np.ndarray:
-    """Frozen-encoder features: the raw output of the last encoder layer."""
-    x = np.asarray(batch, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != spec.input_dim:
-        raise ValueError(f"batch width does not match input width {spec.input_dim}")
-    a = x
-    for i in range(len(spec.encoder_dims) - 1):
-        if i > 0:
-            a = _act(a, spec.activation)
-        a = a @ params[f"encoder.{i}.weight"] + params[f"encoder.{i}.bias"]
-    return a
-
-
 def backward(
-    params: Mapping[str, np.ndarray],
-    spec: ModelSpec,
-    fp: ForwardPass,
-    grad_out: np.ndarray,
-    grad_logits: np.ndarray | None = None,
+    params: Mapping[str, np.ndarray], spec: ModelSpec, fp: ForwardPass, grad: np.ndarray
 ) -> dict[str, np.ndarray]:
-    """Gradients for every parameter given d(loss)/d(chain output).
+    """Gradients for every parameter given ``grad``, d(loss)/d(the last layer's output).
 
-    ``grad_out`` is the gradient with respect to the final chain output
-    (``z`` for SSL models, ``h`` otherwise). For supervised models pass
-    ``grad_logits`` instead and ``grad_out=None`` is not allowed; the head
-    contribution is routed into ``h`` automatically. With a leading client
-    axis (see :func:`forward`) every gradient is a (K, *shape) stack.
+    That output is ``z`` for SSL models, the logits for supervised ones and
+    ``h`` for an encoder alone. With a leading client axis (see
+    :func:`forward`) every gradient is a (K, *shape) stack.
     """
-    n_enc = len(spec.encoder_dims) - 1
     grads: dict[str, np.ndarray] = {}
-    n_chain = len(_chain_dims(spec))
-
-    g = np.zeros_like(fp.pre[-1]) if grad_out is None else np.asarray(grad_out, dtype=np.float64)
-    if grad_logits is not None:
-        grads["head.weight"] = _t(fp.h) @ grad_logits
-        grads["head.bias"] = grad_logits.sum(axis=-2)
-        g_head = grad_logits @ _t(params["head.weight"])
-        if n_chain == n_enc:
-            g = g + g_head
-    for i in range(n_chain - 1, -1, -1):
-        prefix = f"encoder.{i}" if i < n_enc else f"projector.{i - n_enc}"
-        if grad_logits is not None and n_chain != n_enc and i == n_enc - 1:
-            g = g + g_head  # head branch joins at the representation
+    g = np.asarray(grad, dtype=np.float64)
+    for i, (prefix, _, _) in reversed(list(enumerate(_layers(spec)))):
         grads[f"{prefix}.weight"] = _t(fp.chain_inputs[i]) @ g
         grads[f"{prefix}.bias"] = g.sum(axis=-2)
         if i > 0:
-            g = (g @ _t(params[f"{prefix}.weight"])) * _act_grad(fp.pre[i - 1], spec.activation)
+            g = g @ _t(params[f"{prefix}.weight"])
+            if prefix != "head":  # the head reads the raw representation
+                g *= _act_grad(fp.pre[i - 1], spec.activation)
     return grads
 
 
@@ -433,18 +410,16 @@ def loss_barlow(
     return loss, grad_a, grad_b
 
 
-def make_views(batch: np.ndarray, noise_std: float, mask_prob: float, rng) -> tuple[np.ndarray, np.ndarray]:
+def make_views(batch: np.ndarray, noise_std: float, mask_prob: float, rngs) -> tuple[np.ndarray, np.ndarray]:
     """Two independently perturbed copies of each batch: additive Gaussian noise, then zero-masking.
 
-    ``batch`` is one (B, D) batch with one generator ``rng``, or a (K, B, D)
-    stack of K clients' batches with a sequence of K generators. Each client
-    draws view a's noise and mask, then view b's, from its own generator, so
-    its views are bit-identical to making them alone.
+    ``batch`` is a (K, B, D) stack of K clients' batches and ``rngs`` their
+    K generators. Each client draws view a's noise and mask, then view b's,
+    from its own generator, so its views are bit-identical to making them
+    alone.
     """
     batch = np.asarray(batch, dtype=np.float64)
-    rngs = [rng] if isinstance(rng, np.random.Generator) else rng
-    rows = batch.reshape(len(rngs), *batch.shape[-2:])
-    noise = np.empty((2, *rows.shape))
+    noise = np.empty((2, *batch.shape))
     mask = np.empty_like(noise)
     for k, g in enumerate(rngs):
         for view in range(2):
@@ -452,31 +427,23 @@ def make_views(batch: np.ndarray, noise_std: float, mask_prob: float, rng) -> tu
             g.random(out=mask[view, k])
     noise *= noise_std
     noise += 0.0  # Generator.normal's loc + scale * z, down to the sign of zero
-    noise += rows
+    noise += batch
     noise *= mask >= mask_prob
-    return noise[0].reshape(batch.shape), noise[1].reshape(batch.shape)
+    return noise[0], noise[1]
 
 
-def sgd_step(
-    w: np.ndarray, g: np.ndarray, v: np.ndarray | None, lr: float, momentum: float, weight_decay: float
-) -> np.ndarray:
+def sgd_step(w: np.ndarray, g: np.ndarray, v: np.ndarray, lr: float, momentum: float, weight_decay: float) -> None:
     """One in-place SGD-with-momentum update of flat arrays: v <- m*v + (g + wd*w); w <- w - lr*v.
 
-    ``v`` is the velocity of one training session: pass None on its first
-    step (the velocity starts as g + wd*w) and the returned buffer after.
+    ``v`` is the velocity of one training session; it starts at zero.
     ``w`` and ``v`` are updated in place. The arrays may be rows of a
     (K, P) block: the update is elementwise.
     """
     if g.shape != w.shape:
         raise ValueError(f"gradient of shape {g.shape} for weights of shape {w.shape}")
-    step = g + weight_decay * w
-    if v is None:
-        v = step
-    else:
-        v *= momentum
-        v += step
+    v *= momentum
+    v += g + weight_decay * w
     w -= lr * v
-    return v
 
 
 class ClientTrainingError(ValueError):
@@ -522,7 +489,7 @@ class _Block:
         self.rows = sessions
         self.layout = layout
         self.w = np.stack(vectors)
-        self.v = np.empty_like(self.w)
+        self.v = np.zeros_like(self.w)
         self.total = np.zeros(len(sessions))  # loss x batch size, summed over the current epoch
         self._views()
 
@@ -563,7 +530,7 @@ def _group_loss(block: _Block, lo: int, hi: int, inputs, model: ModelSpec, train
     if trainer.method == "supervised":
         fp = forward(params, model, inputs[0])
         loss, grad_logits = loss_xent(fp.logits, inputs[1])
-        for name, g in backward(params, model, fp, None, grad_logits=grad_logits).items():
+        for name, g in backward(params, model, fp, grad_logits).items():
             grads[name][...] = g
         return loss
     fa = forward(params, model, inputs[0])
@@ -603,9 +570,7 @@ def _train_block(block: _Block, trainer: TrainerSpec, model: ModelSpec, failures
                         except ValueError as exc:
                             failures[block.rows[r].pos] = exc
                 for r0, r1, loss in runs:
-                    if train and epoch == 0 and t == 0:  # a session's velocity starts as g + wd*w
-                        block.v[r0:r1] = sgd_step(block.w[r0:r1], block.g[r0:r1], None, *hyper)
-                    elif train:
+                    if train:
                         sgd_step(block.w[r0:r1], block.g[r0:r1], block.v[r0:r1], *hyper)
                     block.total[r0:r1] += loss * b
                 active = hi
@@ -670,18 +635,3 @@ def train_clients(clients, trainer: TrainerSpec, model: ModelSpec) -> list[Clien
         raise ClientTrainingError(clients[first][0], str(failures[first])) from failures[first]
     return updates
 
-
-def train_local(
-    client_data,
-    init: ParamSet,
-    trainer: TrainerSpec,
-    model: ModelSpec,
-    rng: np.random.Generator,
-    client_id: int | str = 0,
-) -> ClientUpdate:
-    """Train one client from ``init``: :func:`train_clients` with K=1.
-
-    Deterministic given the rng state. A failure raises
-    :class:`ClientTrainingError`, a ValueError with the cause's message.
-    """
-    return train_clients([(client_id, client_data, init, rng)], trainer, model)[0]

@@ -213,7 +213,7 @@ def test_02_coefficient_correctness():
 def test_03_gradient_verification():
     start = time.perf_counter()
     rng = np.random.default_rng(103)
-    worst = {"xent": 0.0, "contrastive": 0.0, "redundancy": 0.0, "chain": 0.0}
+    worst = {"xent": 0.0, "contrastive": 0.0, "redundancy": 0.0, "chain": 0.0, "head chain": 0.0}
 
     for _ in range(10):
         n, c = int(rng.integers(2, 7)), int(rng.integers(2, 6))
@@ -271,6 +271,22 @@ def test_03_gradient_verification():
             fd = fd_grad(f, params[name].reshape(-1).copy())
             analytic = (grads_a[name] + grads_b[name]).reshape(-1)
             worst["chain"] = max(worst["chain"], max_rel_err(analytic, fd))
+
+    # a supervised model: backward takes d(loss)/d(logits) and goes through the head into the encoder
+    spec = ModelSpec((3, 4, 3), activation="tanh", head_classes=3)
+    for _ in range(10):
+        params = init_params(spec, rng)
+        x, y = rng.normal(size=(5, 3)), rng.integers(0, 3, 5)
+        _, glog = loss_xent(forward(params, spec, x).logits, y)
+        grads = backward(params, spec, forward(params, spec, x), glog)
+        for name, shape in params.layout:
+            def f(v, name=name, shape=shape):
+                arrays = {n: params[n] for n in params.names}
+                arrays[name] = v.reshape(shape)
+                return loss_xent(forward(arrays, spec, x).logits, y)[0]
+
+            fd = fd_grad(f, params[name].reshape(-1).copy())
+            worst["head chain"] = max(worst["head chain"], max_rel_err(grads[name].reshape(-1), fd))
 
     elapsed = time.perf_counter() - start
     ok = all(v < 1e-4 for v in worst.values()) and elapsed < 30.0

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from fedsim.aggregation import STRATEGIES
 from fedsim.cli import main
 from fedsim.config import ConfigError, apply_overrides, parse_config, resolved_dict
+from fedsim.learners import ModelSpec, init_params
 from fedsim.params import ParamSet, load_checkpoint, save_checkpoint, weighted_sum
 
 
@@ -232,6 +233,11 @@ class TestValidateCommand:
         assert main(["validate", "--config", path]) == 1
         assert "clients_per_round" in capsys.readouterr().err
 
+    def test_projector_and_head_exit_one_with_one_line(self, tmp_path, capsys):
+        path = write_config(tmp_path, minimal_raw(tmp_path, model={"head_classes": 3}))
+        assert main(["validate", "--config", path]) == 1
+        assert capsys.readouterr().err == "error: model: a model has a projector or a classifier head, not both\n"
+
     @pytest.mark.parametrize(
         "overrides, key",
         [
@@ -350,6 +356,7 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert code in (1, 2)
         assert err == f"error: {data}:6: non-finite feature value\n"
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize(
@@ -407,14 +414,6 @@ class TestAggregateCommand:
         a, b = load_checkpoint(out_l), load_checkpoint(out_m)
         assert np.abs(a["w"] - b["w"]).max() < 1e-12
 
-    def test_incompatible_shapes_exit_two_naming_layer(self, tmp_path, capsys):
-        g, _ = checkpoint(tmp_path, "g.bin", {"w": [1.0, 2.0]})
-        c1, _ = checkpoint(tmp_path, "c1.bin", {"w": [1.0, 2.0, 3.0]})
-        code = main(["aggregate", "--global", g, "--client", c1,
-                     "--strategy", "fairavg", "--output", str(tmp_path / "x.bin")])
-        assert code == 2
-        assert "'w'" in capsys.readouterr().err
-
     def test_metadata_required_for_weighted_strategies(self, tmp_path, capsys):
         g, _ = checkpoint(tmp_path, "g.bin", {"w": [1.0]})
         c1, _ = checkpoint(tmp_path, "c1.bin", {"w": [1.0]})
@@ -422,6 +421,15 @@ class TestAggregateCommand:
                      "--strategy", "fedavg", "--output", str(tmp_path / "x.bin")])
         assert code == 1
         assert "metadata" in capsys.readouterr().err
+        # ldawa needs no metadata, but its warm-up rounds apply fedavg, which does
+        warmup = ["aggregate", "--global", g, "--client", c1, "--strategy", "ldawa", "--warmup-rounds", "2",
+                  "--output", str(tmp_path / "y.bin")]
+        assert main([*warmup, "--round", "0"]) == 1
+        assert "--metadata" in capsys.readouterr().err
+        assert main([*warmup, "--round", "2"]) == 0
+        capsys.readouterr()
+        assert main([*warmup, "--round", "-1"]) == 1
+        assert capsys.readouterr().err == "error: --round must be >= 0, got -1\n"
 
     def test_metadata_driven_fedavg_and_report(self, tmp_path):
         g, _ = checkpoint(tmp_path, "g.bin", {"w": [1.0, 1.0]})
@@ -540,6 +548,30 @@ class TestProbeCommand:
         value = float(out.strip().splitlines()[-1].split(",")[1])
         assert 0.0 <= value <= 1.0
 
+    @pytest.mark.parametrize(
+        "model",
+        [ModelSpec((4, 6, 3), projector_dims=(3, 7)), ModelSpec((4, 6, 3), head_classes=5)],
+        ids=["other_projector", "head"],
+    )
+    def test_matching_encoder_probes_whatever_follows_it(self, tmp_path, capsys, model):
+        path = write_config(tmp_path, minimal_raw(tmp_path))  # encoder [4, 6, 3], projector [3, 3]
+        ckpt = tmp_path / "other.bin"
+        save_checkpoint(init_params(model, np.random.default_rng(0)), ckpt)
+        assert main(["probe", "--config", path, "--checkpoint", str(ckpt), "--fraction", "1.0"]) == 0
+        assert capsys.readouterr().out.startswith("fraction,accuracy\n1.0,")
+
+    @pytest.mark.parametrize(
+        "layers, message",
+        [({"w": [1.0, 2.0]}, "missing layer 'encoder.0.weight'"),
+         ({"encoder.0.weight": np.zeros((5, 6))}, "layer 'encoder.0.weight': shape (5, 6), expected (4, 6)")],
+        ids=["no_encoder", "misshaped_encoder"],
+    )
+    def test_other_encoder_exits_two_naming_the_layer(self, tmp_path, capsys, layers, message):
+        path = write_config(tmp_path, minimal_raw(tmp_path))
+        ckpt, _ = checkpoint(tmp_path, "other.bin", layers)
+        assert main(["probe", "--config", path, "--checkpoint", ckpt]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
 
 class TestCompareCommand:
     def run_once(self, tmp_path, name, strategy):
@@ -566,16 +598,86 @@ class TestCompareCommand:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 2 and rows[0]["run_name"] == "solo"
 
-    def test_missing_column_names_schema(self, tmp_path, capsys):
-        bad = tmp_path / "bad"
-        bad.mkdir()
-        (bad / "rounds.csv").write_text("round,foo\n0,1\n")
-        assert main(["compare", str(bad), "--output", str(tmp_path / "m.csv")]) == 1
-        err = capsys.readouterr().err
-        assert "mu_delta_model" in err
 
-    def test_missing_file_names_directory(self, tmp_path, capsys):
-        empty = tmp_path / "empty"
-        empty.mkdir()
-        assert main(["compare", str(empty), "--output", str(tmp_path / "m.csv")]) == 1
-        assert "rounds.csv" in capsys.readouterr().err
+def _contract_fixture(tmp_path):
+    """A valid config, checkpoint and run directory for the error cases to break one piece of."""
+    write_config(tmp_path, minimal_raw(tmp_path))
+    checkpoint(tmp_path, "good.bin", {"w": [1.0, 2.0]})
+    (tmp_path / "malformed.bin").write_bytes(MALFORMED_CHECKPOINTS["header_not_utf8"])
+    checkpoint(tmp_path, "longer.bin", {"w": [1.0, 2.0, 3.0]})
+    (tmp_path / "bad.json").write_text("{")
+    (tmp_path / "unknown_key.json").write_text(json.dumps({**minimal_raw(tmp_path), "bogus": 1}))
+    (tmp_path / "meta.json").write_text(json.dumps([{"num_samples": "many"}]))
+    rows = [f"{i / 10},{-i / 5},{i % 3}" for i in range(40)]
+    rows[4] = "nan,1.0,1"
+    (tmp_path / "train.csv").write_text("x0,x1,label\n" + "\n".join(rows) + "\n")
+    (tmp_path / "nocol").mkdir()
+    (tmp_path / "nocol" / "rounds.csv").write_text("round,foo\n0,1\n")
+    (tmp_path / "norun").mkdir()
+
+
+CONFIG = "{tmp}/config.json"
+CSV_DATASET = 'dataset={"type": "csv", "path": "{tmp}/train.csv", "num_classes": 3}'
+
+
+def _probe(ckpt):
+    return ["probe", "--config", CONFIG, "--checkpoint", ckpt]
+
+
+def _aggregate(global_ckpt, client, *extra):
+    return ["aggregate", "--global", global_ckpt, "--client", client, "--strategy", "fairavg",
+            "--output", "{tmp}/agg.bin", *extra]
+
+
+# case -> (argv, with {tmp} for the test directory; exit code; a piece of the one error line that
+# names the cause). The fixture above makes the files.
+ERROR_PATHS = {
+    "config_bad_json": (["validate", "--config", "{tmp}/bad.json"], 1, "invalid JSON"),
+    "config_unknown_key": (["validate", "--config", "{tmp}/unknown_key.json"], 1, "unknown key 'bogus'"),
+    "config_bad_set": (["validate", "--config", CONFIG, "--set", "rounds"], 1, "expected dotted.key=value"),
+    "config_missing_file": (["run", "--config", "{tmp}/absent.json"], 2, "absent.json"),
+    "run_bad_csv": (
+        ["run", "--config", CONFIG, "--set", "trainer.method=supervised", "--set", "model.encoder_dims=[2, 4]",
+         "--set", "model.projector_dims=[]", "--set", CSV_DATASET],
+        1, "train.csv:6: non-finite feature value",
+    ),
+    "run_empty_output_dir": (["run", "--config", CONFIG, "--set", "output_dir="], 1, "config.output_dir"),
+    "run_diverging": (["run", "--config", CONFIG, "--set", "trainer.lr=1e200"], 2, "training failed for client 0"),
+    "probe_missing_checkpoint": (_probe("{tmp}/absent.bin"), 2, "absent.bin"),
+    "probe_malformed_checkpoint": (_probe("{tmp}/malformed.bin"), 1, "malformed.bin"),
+    "probe_mismatched_checkpoint": (_probe("{tmp}/good.bin"), 2, "missing layer 'encoder.0.weight'"),
+    "aggregate_missing_checkpoint": (_aggregate("{tmp}/absent.bin", "{tmp}/good.bin"), 2, "absent.bin"),
+    "aggregate_malformed_checkpoint": (_aggregate("{tmp}/good.bin", "{tmp}/malformed.bin"), 1, "malformed.bin"),
+    "aggregate_mismatched_checkpoint": (
+        _aggregate("{tmp}/good.bin", "{tmp}/longer.bin"), 2, "layer 'w': shape mismatch (2,) vs (3,)",
+    ),
+    "aggregate_bad_metadata": (
+        _aggregate("{tmp}/good.bin", "{tmp}/good.bin", "--metadata", "{tmp}/meta.json"),
+        1, "client entry 0: num_samples",
+    ),
+    "aggregate_negative_round": (
+        _aggregate("{tmp}/good.bin", "{tmp}/good.bin", "--round", "-1"), 1, "--round must be >= 0",
+    ),
+    "compare_missing_rounds_csv": (
+        ["compare", "{tmp}/norun", "--output", "{tmp}/merged.csv"], 1, "norun/rounds.csv: no rounds.csv in",
+    ),
+    "compare_missing_column": (
+        ["compare", "{tmp}/nocol", "--output", "{tmp}/merged.csv"], 1,
+        "missing column 'strategy_effective'; expected schema starts with round,strategy_effective,mu_delta_model",
+    ),
+}
+
+
+class TestErrorContract:
+    """Every error path of every subcommand: exit 1 or 2, one ``error: `` line on stderr, no traceback."""
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("case", sorted(ERROR_PATHS))
+    def test_one_error_line(self, tmp_path, capsys, case):
+        _contract_fixture(tmp_path)
+        argv, code, cause = ERROR_PATHS[case]
+        assert main([arg.replace("{tmp}", str(tmp_path)) for arg in argv]) == code
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert cause in captured.err
+        assert "Traceback" not in captured.err + captured.out

@@ -21,13 +21,12 @@ from fedsim.learners import (
     loss_xent,
     make_views,
     redundancy_loss_from_corr,
-    representation,
+    require_layers,
     sgd_step,
     train_clients,
-    train_local,
     validate_model_for_trainer,
 )
-from fedsim.params import ParamSet, segments
+from fedsim.params import IncompatibleModelError, ParamSet, segments
 from fedsim.partition import Dataset, make_blobs
 
 FD_STEP = 1e-5
@@ -99,13 +98,6 @@ class TestForward:
         with pytest.raises(ValueError, match="width"):
             forward(params, spec, np.ones((2, 5)))
 
-    def test_representation_matches_forward_h(self):
-        rng = np.random.default_rng(2)
-        spec = ModelSpec((3, 5, 4), projector_dims=(4, 2))
-        params = init_params(spec, rng)
-        x = rng.normal(size=(7, 3))
-        np.testing.assert_array_equal(representation(params, spec, x), forward(params, spec, x).h)
-
     def test_layer_names_order(self):
         spec = ModelSpec((3, 4, 2), projector_dims=(2, 2))
         assert layer_names(spec) == [
@@ -118,6 +110,75 @@ class TestForward:
         ]
         sup = ModelSpec((3, 2), head_classes=4)
         assert layer_names(sup)[-2:] == ["head.weight", "head.bias"]
+
+
+def expected_layout(encoder, projector, classes):
+    """(name, shape) of every parameter, written out independently of the library."""
+    widths = list(encoder) + list(projector[1:])
+    n_enc = len(encoder) - 1
+    layout = []
+    for i, (fan_in, fan_out) in enumerate(zip(widths[:-1], widths[1:])):
+        prefix = f"encoder.{i}" if i < n_enc else f"projector.{i - n_enc}"
+        layout += [(f"{prefix}.weight", (fan_in, fan_out)), (f"{prefix}.bias", (fan_out,))]
+    if classes is not None:
+        layout += [("head.weight", (encoder[-1], classes)), ("head.bias", (classes,))]
+    return layout
+
+
+class TestLayerList:
+    """Names, init and the backward pass follow the one layer list, for any valid model."""
+
+    @PROPERTY
+    @given(
+        supervised=st.booleans(),
+        activation=st.sampled_from(["relu", "tanh"]),
+        encoder=st.lists(st.integers(1, 5), min_size=2, max_size=4),
+        projector=st.lists(st.integers(1, 5), min_size=1, max_size=2),
+        classes=st.integers(2, 4),
+        seed=st.integers(0, 2**16),
+    )
+    def test_layout_and_gradients_follow_the_layer_list(
+        self, supervised, activation, encoder, projector, classes, seed
+    ):
+        projector = () if supervised else (encoder[-1], *projector)
+        classes = classes if supervised else None
+        spec = ModelSpec(encoder, projector_dims=projector, activation=activation, head_classes=classes)
+        rng = np.random.default_rng(seed)
+        params = init_params(spec, rng)
+        layout = expected_layout(encoder, projector, classes)
+        assert params.layout == tuple(layout)
+        assert layer_names(spec) == [name for name, _ in layout]
+
+        x = rng.normal(size=(3, encoder[0]))
+        fp = forward(params, spec, x)
+        grads = backward(params, spec, fp, rng.normal(size=fp.pre[-1].shape))
+        assert {name: g.shape for name, g in grads.items()} == dict(layout)
+
+        # with a leading client axis: two clients' (2, *shape) layers and (2, B, D) batches
+        block = np.stack([params.vector, init_params(spec, rng).vector])
+        stacked = segments(block, params.layout)
+        fp = forward(stacked, spec, np.stack([x, x]))
+        grads = backward(stacked, spec, fp, rng.normal(size=fp.pre[-1].shape))
+        assert {name: g.shape for name, g in grads.items()} == {name: (2, *shape) for name, shape in layout}
+
+
+class TestRequireLayers:
+    def test_extra_layers_are_ignored(self):
+        spec = ModelSpec((3, 4, 2), projector_dims=(2, 2))
+        params = init_params(spec, np.random.default_rng(0))
+        require_layers(params, ModelSpec((3, 4, 2)))  # the encoder alone
+        require_layers(params, spec)
+
+    def test_first_missing_layer_named(self):
+        params = ParamSet.from_arrays({"encoder.0.weight": np.zeros((3, 4)), "w": np.zeros(2)})
+        with pytest.raises(IncompatibleModelError, match="^missing layer 'encoder.0.bias'$"):
+            require_layers(params, ModelSpec((3, 4)))
+
+    def test_first_misshaped_layer_named(self):
+        params = init_params(ModelSpec((3, 5, 2)), np.random.default_rng(1))
+        message = r"^layer 'encoder.0.weight': shape \(3, 5\), expected \(3, 4\)$"
+        with pytest.raises(IncompatibleModelError, match=message):
+            require_layers(params, ModelSpec((3, 4, 2)))
 
 
 class TestCrossEntropy:
@@ -343,7 +404,7 @@ class TestFullBackprop:
 
             fp = forward(params, spec, x)
             _, glog = loss_xent(fp.logits, y)
-            grads = backward(params, spec, fp, None, grad_logits=glog)
+            grads = backward(params, spec, fp, glog)
             for name, shape in params.layout:
                 def f(v, name=name, shape=shape):
                     arrays = {n: params[n] for n in params.names}
@@ -354,27 +415,30 @@ class TestFullBackprop:
 
 
 class TestMakeViews:
+    """``make_views`` takes a (K, B, D) stack and K generators; these cases use one client."""
+
     def test_no_perturbation_is_identity(self):
         rng = np.random.default_rng(13)
-        batch = rng.normal(size=(5, 3))
-        a, b = make_views(batch, 0.0, 0.0, np.random.default_rng(0))
+        batch = rng.normal(size=(1, 5, 3))
+        a, b = make_views(batch, 0.0, 0.0, [np.random.default_rng(0)])
         np.testing.assert_array_equal(a, batch)
         np.testing.assert_array_equal(b, batch)
 
     def test_full_masking_zeroes_everything(self):
-        batch = np.ones((4, 3))
-        a, b = make_views(batch, 0.5, 1.0, np.random.default_rng(1))
+        batch = np.ones((1, 4, 3))
+        a, b = make_views(batch, 0.5, 1.0, [np.random.default_rng(1)])
         assert (a == 0).all() and (b == 0).all()
 
     def test_deterministic_given_seed(self):
-        batch = np.ones((4, 3))
-        a1, b1 = make_views(batch, 0.3, 0.2, np.random.default_rng(42))
-        a2, b2 = make_views(batch, 0.3, 0.2, np.random.default_rng(42))
+        batch = np.ones((1, 4, 3))
+        a1, b1 = make_views(batch, 0.3, 0.2, [np.random.default_rng(42)])
+        a2, b2 = make_views(batch, 0.3, 0.2, [np.random.default_rng(42)])
         assert np.array_equal(a1, a2) and np.array_equal(b1, b2)
 
     def test_views_differ_from_each_other(self):
-        batch = np.ones((4, 3))
-        a, b = make_views(batch, 0.5, 0.0, np.random.default_rng(2))
+        batch = np.ones((1, 4, 3))
+        a, b = make_views(batch, 0.5, 0.0, [np.random.default_rng(2)])
+        assert a.shape == b.shape == batch.shape
         assert not np.array_equal(a, b)
 
     @pytest.mark.parametrize("noise_std", [0.0, 0.3])
@@ -392,44 +456,53 @@ class TestMakeViews:
 
 
 class TestSgdStep:
-    """``sgd_step`` updates the flat weights ``w`` and velocity ``v`` in place."""
+    """``sgd_step`` updates the flat weights ``w`` and velocity ``v`` in place; ``v`` starts at zero."""
 
     def test_vanilla_sgd(self):
-        w = np.array([1.0, 2.0])
-        sgd_step(w, np.array([0.5, -0.5]), None, lr=0.1, momentum=0.0, weight_decay=0.0)
+        w, v = np.array([1.0, 2.0]), np.zeros(2)
+        sgd_step(w, np.array([0.5, -0.5]), v, lr=0.1, momentum=0.0, weight_decay=0.0)
         np.testing.assert_allclose(w, [0.95, 2.05])
 
     def test_zero_gradient_fixed_point(self):
-        w = np.array([1.0, 2.0])
-        v = sgd_step(w, np.zeros(2), None, lr=0.1, momentum=0.9, weight_decay=0.0)
-        v = sgd_step(w, np.zeros(2), v, lr=0.1, momentum=0.9, weight_decay=0.0)
+        w, v = np.array([1.0, 2.0]), np.zeros(2)
+        sgd_step(w, np.zeros(2), v, lr=0.1, momentum=0.9, weight_decay=0.0)
+        sgd_step(w, np.zeros(2), v, lr=0.1, momentum=0.9, weight_decay=0.0)
         np.testing.assert_array_equal(w, [1.0, 2.0])
         np.testing.assert_array_equal(v, [0.0, 0.0])
 
     def test_two_momentum_steps_match_hand_recursion(self):
-        w = np.array([0.0])
+        w, v = np.array([0.0]), np.zeros(1)
         g = np.array([1.0])
-        v = sgd_step(w, g, None, lr=0.1, momentum=0.9, weight_decay=0.0)
-        assert sgd_step(w, g, v, lr=0.1, momentum=0.9, weight_decay=0.0) is v
-        # v1 = g, v2 = 0.9 g + g = 1.9 g, total displacement lr*(1 + 1.9)*g
+        sgd_step(w, g, v, lr=0.1, momentum=0.9, weight_decay=0.0)
+        # v1 = 0.9 * 0 + g = g
+        assert v[0] == 1.0 and w[0] == pytest.approx(-0.1, abs=1e-15)
+        sgd_step(w, g, v, lr=0.1, momentum=0.9, weight_decay=0.0)
+        # v2 = 0.9 g + g = 1.9 g, total displacement lr*(1 + 1.9)*g
         assert v[0] == pytest.approx(1.9, abs=1e-15)
         assert w[0] == pytest.approx(-0.1 * 2.9, abs=1e-15)
 
     def test_weight_decay_pulls_toward_zero(self):
-        w = np.array([10.0])
-        sgd_step(w, np.zeros(1), None, lr=0.1, momentum=0.0, weight_decay=0.5)
+        w, v = np.array([10.0]), np.zeros(1)
+        sgd_step(w, np.zeros(1), v, lr=0.1, momentum=0.0, weight_decay=0.5)
         assert w[0] == pytest.approx(10.0 - 0.1 * 5.0)
+        assert v[0] == 5.0
 
     def test_missing_gradient_rejected(self):
-        w = np.array([1.0, 2.0])
+        w, v = np.array([1.0, 2.0]), np.zeros(2)
         with pytest.raises(ValueError, match=r"gradient of shape \(1,\) for weights of shape \(2,\)"):
-            sgd_step(w, np.zeros(1), None, 0.1, 0.9, 0.0)
+            sgd_step(w, np.zeros(1), v, 0.1, 0.9, 0.0)
         np.testing.assert_array_equal(w, [1.0, 2.0])
+        np.testing.assert_array_equal(v, [0.0, 0.0])
 
 
 def client_dataset(rng, n=40, num_classes=2, dim=4, spread=0.3):
     ds = make_blobs(num_classes, n // num_classes, dim, spread, seed=int(rng.integers(10_000)))
     return ds
+
+
+def train_one(data, init, trainer, model, rng):
+    """One client trained alone: a round of K=1."""
+    return train_clients([(0, data, init, rng)], trainer, model)[0]
 
 
 class TestTrainLocal:
@@ -446,7 +519,7 @@ class TestTrainLocal:
         ds = client_dataset(rng)
         model = self.ssl_model()
         init = init_params(model, rng)
-        up = train_local(ds, init, self.ssl_trainer(local_epochs=0), model, np.random.default_rng(1))
+        up = train_one(ds, init, self.ssl_trainer(local_epochs=0), model, np.random.default_rng(1))
         assert up.params == init
         assert math.isfinite(up.train_loss)
         assert up.num_samples == len(ds)
@@ -457,8 +530,8 @@ class TestTrainLocal:
         model = ModelSpec((4, 8, 4), head_classes=2)
         trainer = TrainerSpec(method="supervised", batch_size=16, local_epochs=20, lr=0.05)
         init = init_params(model, rng)
-        before = train_local(ds, init, TrainerSpec(method="supervised", batch_size=16, local_epochs=0), model, np.random.default_rng(2))
-        after = train_local(ds, init, trainer, model, np.random.default_rng(2))
+        before = train_one(ds, init, TrainerSpec(method="supervised", batch_size=16, local_epochs=0), model, np.random.default_rng(2))
+        after = train_one(ds, init, trainer, model, np.random.default_rng(2))
         assert after.train_loss < before.train_loss
 
     def test_deterministic_given_seed(self):
@@ -467,8 +540,8 @@ class TestTrainLocal:
         model = self.ssl_model()
         init = init_params(model, rng)
         trainer = self.ssl_trainer(local_epochs=2)
-        a = train_local(ds, init, trainer, model, np.random.default_rng(5))
-        b = train_local(ds, init, trainer, model, np.random.default_rng(5))
+        a = train_one(ds, init, trainer, model, np.random.default_rng(5))
+        b = train_one(ds, init, trainer, model, np.random.default_rng(5))
         assert a.params == b.params
         assert a.train_loss == b.train_loss
 
@@ -477,7 +550,7 @@ class TestTrainLocal:
         ds = client_dataset(rng)
         model = self.ssl_model()
         init = init_params(model, rng)
-        up = train_local(ds, init, self.ssl_trainer(lr=0.0, local_epochs=3), model, np.random.default_rng(6))
+        up = train_one(ds, init, self.ssl_trainer(lr=0.0, local_epochs=3), model, np.random.default_rng(6))
         assert up.params == init
 
     def test_ssl_single_sample_rejected(self):
@@ -486,7 +559,7 @@ class TestTrainLocal:
         model = self.ssl_model()
         init = init_params(model, rng)
         with pytest.raises(ValueError, match="batch of 2"):
-            train_local(ds, init, self.ssl_trainer(), model, np.random.default_rng(7))
+            train_one(ds, init, self.ssl_trainer(), model, np.random.default_rng(7))
 
     def test_empty_client_rejected(self):
         rng = np.random.default_rng(19)
@@ -494,7 +567,7 @@ class TestTrainLocal:
         model = self.ssl_model()
         init = init_params(model, rng)
         with pytest.raises(ValueError, match="empty"):
-            train_local(ds, init, self.ssl_trainer(), model, np.random.default_rng(8))
+            train_one(ds, init, self.ssl_trainer(), model, np.random.default_rng(8))
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflowing_step_names_the_layer(self):
@@ -505,7 +578,7 @@ class TestTrainLocal:
         # v = g + wd*w is finite, lr*v overflows: the first step sends weights to +-inf.
         trainer = self.ssl_trainer(lr=10.0, weight_decay=1e308)
         with pytest.raises(ValueError, match="^layer 'encoder.0.weight' contains non-finite values$"):
-            train_local(ds, init, trainer, model, np.random.default_rng(10))
+            train_one(ds, init, trainer, model, np.random.default_rng(10))
 
     def test_loss_error_names_the_earliest_failing_client(self):
         rng = np.random.default_rng(22)
@@ -530,7 +603,7 @@ class TestTrainLocal:
         model = self.ssl_model()
         init = init_params(model, rng)
         trainer = self.ssl_trainer(method="barlow_twins")
-        up = train_local(ds, init, trainer, model, np.random.default_rng(9))
+        up = train_one(ds, init, trainer, model, np.random.default_rng(9))
         assert math.isfinite(up.train_loss)
         assert not (up.params == init)
 
@@ -575,7 +648,7 @@ class TestBatchedGradients:
             if method == "supervised":
                 fp = forward(params, spec, x_a)
                 loss, glog = loss_xent(fp.logits, y)
-                return loss.sum(), backward(params, spec, fp, None, grad_logits=glog)
+                return loss.sum(), backward(params, spec, fp, glog)
             fa, fb = forward(params, spec, x_a), forward(params, spec, x_b)
             loss_fn, arg = (loss_ntxent, 0.5) if method == "simclr" else (loss_barlow, 0.05)
             loss, ga, gb = loss_fn(fa.z, fb.z, arg)
@@ -637,7 +710,7 @@ class TestTrainClientsProperties:
             [(cid, d, init, session(k)) for k, (cid, d, init) in enumerate(clients)], trainer, model
         )
         for k, ((cid, d, init), up) in enumerate(zip(clients, together)):
-            alone = train_local(d, init, trainer, model, session(k), client_id=cid)
+            (alone,) = train_clients([(cid, d, init, session(k))], trainer, model)
             assert up.client_id == alone.client_id == cid
             assert up.num_samples == alone.num_samples == len(d)
             assert up.params.vector.tobytes() == alone.params.vector.tobytes()
@@ -648,6 +721,10 @@ class TestSpecValidation:
     def test_projector_requires_matching_width(self):
         with pytest.raises(ValueError, match="width"):
             ModelSpec((3, 4), projector_dims=(5, 2))
+
+    def test_projector_and_head_rejected(self):
+        with pytest.raises(ValueError, match="projector or a classifier head, not both"):
+            ModelSpec((3, 4), projector_dims=(4, 2), head_classes=3)
 
     def test_ssl_needs_projector(self):
         with pytest.raises(ValueError, match="projector"):

@@ -8,8 +8,10 @@ Each line is ``<variant> seed=<n> <file> <sha256>`` for ``rounds.csv``,
 ``checkpoint_init.bin`` and ``checkpoint_final.bin`` of every run: the
 desk-scale SimCLR runs under fedavg, ldawa, mdawa and ldawa_fedu, a Barlow
 Twins run on a Dirichlet partition (uneven clients, ragged and lone trailing
-batches), and a small supervised cross-device run from a generated CSV file,
-each at seeds 1, 2 and 3. Then come lines ``offline <strategy> round=<r>
+batches), a small supervised cross-device run from a generated CSV file,
+and deeper tanh versions of the SimCLR ldawa and supervised runs (three
+encoder layers; the SimCLR one with a two-layer projector and two local
+epochs), each at seeds 1, 2 and 3. Then come lines ``offline <strategy> round=<r>
 <file> <sha256>`` for the output checkpoint and the ``--report`` JSON of
 ``fedsim aggregate`` on six hand-built client checkpoints, for every
 strategy at rounds 0 and 5 with two warm-up rounds. A change that must not
@@ -114,6 +116,14 @@ def variants(seed: int, work: Path):
     yield "ldawa_fedu", fedu
     yield "barlow_twins", barlow(seed)
     yield "supervised_csv", supervised_csv(seed, work / f"train_{seed}.csv")
+    deep = desk_scale("ldawa", seed)
+    deep["model"] = {"encoder_dims": [16, 32, 24, 16], "projector_dims": [16, 16, 8], "activation": "tanh"}
+    deep["rounds"] = 8
+    deep["trainer"]["local_epochs"] = 2
+    yield "simclr_deep_tanh", deep
+    deep = supervised_csv(seed, work / f"train_{seed}.csv")
+    deep["model"] = {"encoder_dims": [8, 16, 12, 8], "activation": "tanh"}
+    yield "supervised_deep_tanh", deep
 
 
 def sha256(path: Path) -> str:
