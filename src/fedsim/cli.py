@@ -5,7 +5,8 @@ without touching the output directory), ``probe`` (linear-probe a saved
 checkpoint), ``aggregate`` (offline aggregation of checkpoints), and
 ``compare`` (merge the telemetry of several runs into one long CSV).
 
-Exit codes: 0 success, 1 validation error, 2 runtime error.
+Exit codes: 0 success, 1 validation or usage error, 2 runtime error. Every
+error is one ``error: ...`` line on stderr.
 """
 
 from __future__ import annotations
@@ -17,10 +18,12 @@ import logging
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .aggregation import METADATA_STRATEGIES, AggregationSpec, ClientUpdate, aggregate, effective_strategy
 from .config import SCALARS, ConfigError, apply_overrides, load_config_file, parse_config
 from .engine import ROUNDS_CSV_PREFIX, build_datasets, run_experiment
-from .evaluation import linear_probe
+from .evaluation import linear_probes
 from .params import IncompatibleModelError, load_checkpoint, save_checkpoint
 
 EXIT_OK = 0
@@ -28,8 +31,15 @@ EXIT_VALIDATION = 1
 EXIT_RUNTIME = 2
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as a :class:`ConfigError`: one ``error:`` line and exit 1, not a usage block."""
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="fedsim")
+    parser = _Parser(prog="fedsim")
     parser.add_argument("-v", "--verbose", action="store_true", help="enable info logging")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -96,9 +106,9 @@ def _cmd_probe(args) -> int:
     params = load_checkpoint(args.checkpoint)
     train_ds, test_ds = build_datasets(cfg)
     fractions = args.fraction if args.fraction else list(cfg.evaluation.label_fractions)
+    probes = linear_probes(params, cfg.model, train_ds, test_ds, cfg.evaluation, fractions)
     print("fraction,accuracy")
-    for fraction in fractions:
-        acc = linear_probe(params, cfg.model, train_ds, test_ds, cfg.evaluation, fraction)
+    for fraction, acc in zip(fractions, probes):
         print(f"{fraction},{acc}")
     return EXIT_OK
 
@@ -215,13 +225,15 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
-    logging.basicConfig(
-        level=logging.INFO if args.verbose else logging.WARNING,
-        format="%(levelname)s %(name)s: %(message)s",
-    )
     try:
-        return _COMMANDS[args.command](args)
+        args = _build_parser().parse_args(argv)
+        logging.basicConfig(
+            level=logging.INFO if args.verbose else logging.WARNING,
+            format="%(levelname)s %(name)s: %(message)s",
+        )
+        # Every stage checks finiteness and names the cause; numpy's warnings would only precede that line.
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return _COMMANDS[args.command](args)
     except IncompatibleModelError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME

@@ -24,9 +24,10 @@ import numpy as np
 
 from .aggregation import ClientUpdate, aggregate, effective_strategy
 from .config import BlobsConfig, CsvConfig, ExperimentConfig, resolved_dict
+from .divergence import Divergence
 from .evaluation import linear_probe
-from .learners import ClientTrainingError, init_params, train_clients
-from .params import ParamSet, save_checkpoint, segments
+from .learners import ClientTrainingError, init_params, projector_start, train_clients
+from .params import ParamSet, save_checkpoint
 from .partition import (
     Dataset,
     load_csv,
@@ -83,48 +84,35 @@ class FeduDecision:
 def fedu_policy(global_params: ParamSet, client_init: ParamSet, threshold: float) -> FeduDecision:
     """Keep the client's own projector when its backbone drifted beyond the threshold.
 
-    The backbone is the encoder (every layer not named ``projector.*``); its
-    distance is the Euclidean norm of the concatenated differences. A
-    distance exactly at the threshold still adopts (ties break toward
-    adoption). Backbone layers always adopt the global regardless.
+    The backbone is every parameter before the projector
+    (:func:`learners.projector_start`) and its distance the Euclidean norm of
+    the difference. A distance exactly at the threshold still adopts (ties
+    break toward adoption). The backbone always adopts the global.
     """
     if not threshold > 0:
         raise ValueError("fedu threshold must be positive")
     global_params.require_compatible(client_init)
-    layout = global_params.layout
-    g, c = segments(global_params.vector, layout), segments(client_init.vector, layout)
-    sq = 0.0
-    for name, _ in layout:
-        if not name.startswith("projector."):
-            diff = (g[name] - c[name]).reshape(-1)
-            sq += float(np.dot(diff, diff))
-    distance = float(np.sqrt(sq))
+    n = projector_start(global_params.layout)
+    distance = float(np.linalg.norm(global_params.vector[:n] - client_init.vector[:n]))
     return FeduDecision(adopt_projector=distance <= threshold, backbone_distance=distance)
 
 
 def _merge_projector(global_params: ParamSet, local_params: ParamSet) -> ParamSet:
     """Global backbone with the client's own projector layers."""
-    layout, vector = global_params.layout, global_params.vector.copy()
-    merged, local = segments(vector, layout), segments(local_params.vector, layout)
-    for name, _ in layout:
-        if name.startswith("projector."):
-            merged[name][...] = local[name]
-    return ParamSet(vector, layout)
+    n = projector_start(global_params.layout)
+    return ParamSet(np.concatenate([global_params.vector[:n], local_params.vector[n:]]), global_params.layout)
 
 
 @dataclass
 class RoundRecord:
-    """Per-round telemetry."""
+    """Per-round telemetry; ``div`` is the round's divergence table from :func:`aggregate`."""
 
     round_index: int
     strategy_effective: str
-    mu_delta_model: float
-    mu_delta_layer: float
+    div: Divergence
     mean_local_loss: float
     agg_time_ms: float
     probe_acc: float | None
-    client_deltas: dict[int, float]
-    client_layer_deltas: dict[int, float]
     fedu_adopted: dict[int, bool] = field(default_factory=dict)
 
 
@@ -179,6 +167,8 @@ class FederatedRunner:
         self.train_ds = train_ds
         self.test_ds = test_ds
         self.client_data = [train_ds.subset(p) for p in parts]
+        agg = cfg.aggregation
+        self.fedu_threshold = agg.fedu_threshold if agg.strategy == "ldawa_fedu" else None  # None: FedU off
         self.train_fn = train_fn  # None: _default_train, looked up per round (a stored bound method is a cycle)
 
     def _default_train(self, round_index: int, clients: list[tuple[int, Dataset, ParamSet]]) -> list[ClientUpdate]:
@@ -192,19 +182,17 @@ class FederatedRunner:
         rng = derived_rng(self.cfg.run_seed, _TAG_INIT)
         return RunState(global_params=init_params(self.cfg.model, rng))
 
-    def _client_init(self, state: RunState, client_id: int) -> tuple[ParamSet, bool | None]:
-        spec = self.cfg.aggregation
-        if spec.strategy != "ldawa_fedu" or spec.fedu_threshold is None:
-            return state.global_params, None
+    def _fedu_init(self, state: RunState, client_id: int) -> tuple[ParamSet, bool]:
+        """The client's starting model under FedU, and whether it adopts the global projector."""
         previous = state.client_models.get(client_id)
         if previous is None:
             return state.global_params, True
-        decision = fedu_policy(state.global_params, previous, spec.fedu_threshold)
+        decision = fedu_policy(state.global_params, previous, self.fedu_threshold)
         if decision.adopt_projector:
             return state.global_params, True
         logger.debug(
             "round %d client %d keeps its projector (backbone distance %.4f > %.4f)",
-            state.round_index, client_id, decision.backbone_distance, spec.fedu_threshold,
+            state.round_index, client_id, decision.backbone_distance, self.fedu_threshold,
         )
         return _merge_projector(state.global_params, previous), False
 
@@ -212,12 +200,11 @@ class FederatedRunner:
         cfg = self.cfg
         r = state.round_index
         ids = sample_clients(cfg.total_clients, cfg.clients_per_round, r, cfg.run_seed)
-        clients = []
-        adopted: dict[int, bool] = {}
+        clients, adopted = [], {}
         for cid in ids:
-            init, adopt = self._client_init(state, cid)
-            if adopt is not None:
-                adopted[cid] = adopt
+            init = state.global_params
+            if self.fedu_threshold is not None:
+                init, adopted[cid] = self._fedu_init(state, cid)
             clients.append((cid, self.client_data[cid], init))
         try:
             updates = (self.train_fn or self._default_train)(r, clients)
@@ -228,7 +215,7 @@ class FederatedRunner:
         new_global, div = aggregate(cfg.aggregation, r, state.global_params, updates)
         agg_ms = (time.perf_counter() - t0) * 1000.0
 
-        if cfg.aggregation.strategy == "ldawa_fedu" and cfg.aggregation.fedu_threshold is not None:
+        if self.fedu_threshold is not None:
             client_models = dict(state.client_models)
             client_models.update({u.client_id: u.params for u in updates})
         else:
@@ -237,38 +224,27 @@ class FederatedRunner:
         record = RoundRecord(
             round_index=r,
             strategy_effective=effective_strategy(cfg.aggregation, r),
-            mu_delta_model=div.mean("model"),
-            mu_delta_layer=div.mean("layer"),
+            div=div,
             mean_local_loss=float(np.mean([u.train_loss for u in updates])),
             agg_time_ms=agg_ms,
             probe_acc=None,
-            client_deltas=dict(zip(map(int, div.client_ids), div.model.tolist())),
-            client_layer_deltas={
-                int(cid): float(np.mean(row)) for cid, row in zip(div.client_ids, div.layer)
-            },
             fedu_adopted=adopted,
         )
         if self._should_probe(r):
             try:
-                record.probe_acc = self._probe(new_global)
+                fraction = cfg.evaluation.label_fractions[0]
+                record.probe_acc = linear_probe(
+                    new_global, cfg.model, self.train_ds, self.test_ds, cfg.evaluation, fraction
+                )
             except ValueError as exc:
                 raise RuntimeError(f"round {r}: linear probe: {exc}") from exc
         history = state.history + [record]
         return RunState(new_global, r + 1, history, client_models)
 
     def _should_probe(self, round_index: int) -> bool:
-        if self.test_ds is None:
-            return False
-        if round_index == self.cfg.rounds - 1:
-            return True
         every = self.cfg.evaluation.probe_every
-        return every > 0 and (round_index + 1) % every == 0
-
-    def _probe(self, params: ParamSet) -> float:
-        fraction = self.cfg.evaluation.label_fractions[0]
-        return linear_probe(
-            params, self.cfg.model, self.train_ds, self.test_ds, self.cfg.evaluation, fraction
-        )
+        last = round_index == self.cfg.rounds - 1
+        return self.test_ds is not None and (last or every > 0 and (round_index + 1) % every == 0)
 
     def run(self, state: RunState | None = None) -> RunState:
         if state is None:
@@ -276,13 +252,10 @@ class FederatedRunner:
         for _ in range(self.cfg.rounds):
             state = self.run_round(state)
             last = state.history[-1]
+            probe = "" if last.probe_acc is None else f" probe_acc={last.probe_acc:.4f}"
             logger.info(
                 "round %d [%s] mu_delta=%.4f loss=%.4f%s",
-                last.round_index,
-                last.strategy_effective,
-                last.mu_delta_model,
-                last.mean_local_loss,
-                "" if last.probe_acc is None else f" probe_acc={last.probe_acc:.4f}",
+                last.round_index, last.strategy_effective, last.div.mean("model"), last.mean_local_loss, probe,
             )
         return state
 
@@ -298,9 +271,7 @@ class RunResult:
     partition_manifest: Path
 
 
-def write_rounds_csv(
-    history: Sequence[RoundRecord], total_clients: int, path, record_timings: bool
-) -> None:
+def write_rounds_csv(history: Sequence[RoundRecord], total_clients: int, path, record_timings: bool) -> None:
     """Fixed-schema telemetry CSV; one row per round.
 
     Wall-clock aggregation times are inherently irreproducible, so the
@@ -312,17 +283,17 @@ def write_rounds_csv(
         writer = csv.writer(fh)
         writer.writerow(header)
         for rec in history:
+            deltas = dict(zip(rec.div.client_ids, rec.div.model.tolist()))
             row = [
                 rec.round_index,
                 rec.strategy_effective,
-                repr(rec.mu_delta_model),
-                repr(rec.mu_delta_layer),
+                repr(rec.div.mean("model")),
+                repr(rec.div.mean("layer")),
                 repr(rec.mean_local_loss),
                 repr(rec.agg_time_ms) if record_timings else repr(0.0),
                 "" if rec.probe_acc is None else repr(rec.probe_acc),
             ]
-            for i in range(total_clients):
-                row.append(repr(rec.client_deltas[i]) if i in rec.client_deltas else "")
+            row += [repr(deltas[i]) if i in deltas else "" for i in range(total_clients)]
             writer.writerow(row)
 
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -92,64 +92,72 @@ def stratified_subset(labels: np.ndarray, fraction: float, rng: np.random.Genera
 
 
 def linear_probe(
-    encoder_params: ParamSet,
-    model_spec: ModelSpec,
-    train_ds: Dataset,
-    test_ds: Dataset,
-    spec: EvalSpec,
-    fraction: float = 1.0,
+    encoder_params: ParamSet, model_spec: ModelSpec, train_ds: Dataset, test_ds: Dataset,
+    spec: EvalSpec, fraction: float = 1.0,
 ) -> float:
-    """Last-epoch test accuracy of a fresh linear classifier on frozen features.
+    """:func:`linear_probes` at one label fraction."""
+    (acc,) = linear_probes(encoder_params, model_spec, train_ds, test_ds, spec, [fraction])
+    return acc
+
+
+def linear_probes(
+    encoder_params: ParamSet, model_spec: ModelSpec, train_ds: Dataset, test_ds: Dataset,
+    spec: EvalSpec, fractions: Sequence[float],
+) -> Iterator[float]:
+    """Per label fraction, lazily: last-epoch test accuracy of a fresh linear classifier on frozen features.
 
     The encoder is never updated (it is immutable); only the linear head
     trains, with SGD momentum and the milestone learning-rate schedule.
-    Deterministic given ``spec.eval_seed``. ``encoder_params`` must hold the
-    encoder layers of ``model_spec``; any other layers are ignored.
+    Deterministic given ``spec.eval_seed``, and each fraction's accuracy is
+    the same alone or among others: the encoder's layers are checked and the
+    test set encoded once per call. ``encoder_params`` must hold the encoder
+    layers of ``model_spec``; any other layers are ignored.
     """
     encoder = ModelSpec(model_spec.encoder_dims, activation=model_spec.activation)
     require_layers(encoder_params, encoder)
-    if not 0 < fraction <= 1:
-        raise ValueError("fraction must lie in (0, 1]")
-    c = train_ds.num_classes
-    n_take = int(round(fraction * len(train_ds)))
-    if n_take < c:
-        raise ValueError(
-            f"fraction {fraction} yields {n_take} samples for {c} classes"
-        )
-    rng = np.random.default_rng([int(spec.eval_seed), 0x5EED])
-    subset = stratified_subset(train_ds.labels, fraction, rng)
-    feats = forward(encoder_params, encoder, train_ds.features[subset]).h
-    labels = train_ds.labels[subset]
-    test_feats = forward(encoder_params, encoder, test_ds.features).h
-    if not (np.isfinite(feats).all() and np.isfinite(test_feats).all()):
-        raise ValueError("non-finite frozen features: the encoder diverged")
+    test_feats = None
+    for fraction in fractions:
+        if not 0 < fraction <= 1:
+            raise ValueError("fraction must lie in (0, 1]")
+        c = train_ds.num_classes
+        n_take = int(round(fraction * len(train_ds)))
+        if n_take < c:
+            raise ValueError(f"fraction {fraction} yields {n_take} samples for {c} classes")
+        rng = np.random.default_rng([int(spec.eval_seed), 0x5EED])
+        subset = stratified_subset(train_ds.labels, fraction, rng)
+        feats = forward(encoder_params, encoder, train_ds.features[subset]).h
+        labels = train_ds.labels[subset]
+        if test_feats is None:
+            test_feats = forward(encoder_params, encoder, test_ds.features).h
+        if not (np.isfinite(feats).all() and np.isfinite(test_feats).all()):
+            raise ValueError("non-finite frozen features: the encoder diverged")
 
-    d = feats.shape[1]
-    bound = 1.0 / math.sqrt(d)
-    weight = rng.uniform(-bound, bound, size=(d, c))
-    bias = rng.uniform(-bound, bound, size=c)
-    vel_w = np.zeros_like(weight)
-    vel_b = np.zeros_like(bias)
+        d = feats.shape[1]
+        bound = 1.0 / math.sqrt(d)
+        weight = rng.uniform(-bound, bound, size=(d, c))
+        bias = rng.uniform(-bound, bound, size=c)
+        vel_w = np.zeros_like(weight)
+        vel_b = np.zeros_like(bias)
 
-    n = feats.shape[0]
-    for epoch in range(spec.epochs):
-        lr = spec.lr * spec.decay_factor ** int(
-            np.searchsorted(np.asarray(spec.milestones), epoch, side="right")
-        )
-        order = rng.permutation(n)
-        for start in range(0, n, spec.batch_size):
-            idx = order[start : start + spec.batch_size]
-            logits = feats[idx] @ weight + bias
-            _, grad = loss_xent(logits, labels[idx])
-            vel_w = spec.momentum * vel_w + feats[idx].T @ grad
-            vel_b = spec.momentum * vel_b + grad.sum(axis=0)
-            weight = weight - lr * vel_w
-            bias = bias - lr * vel_b
+        n = feats.shape[0]
+        for epoch in range(spec.epochs):
+            lr = spec.lr * spec.decay_factor ** int(
+                np.searchsorted(np.asarray(spec.milestones), epoch, side="right")
+            )
+            order = rng.permutation(n)
+            for start in range(0, n, spec.batch_size):
+                idx = order[start : start + spec.batch_size]
+                logits = feats[idx] @ weight + bias
+                _, grad = loss_xent(logits, labels[idx])
+                vel_w = spec.momentum * vel_w + feats[idx].T @ grad
+                vel_b = spec.momentum * vel_b + grad.sum(axis=0)
+                weight = weight - lr * vel_w
+                bias = bias - lr * vel_b
 
-    if not (np.isfinite(weight).all() and np.isfinite(bias).all()):
-        raise ValueError("the linear head diverged to non-finite weights")
-    predictions = (test_feats @ weight + bias).argmax(axis=1)
-    return accuracy(predictions, test_ds.labels)
+        if not (np.isfinite(weight).all() and np.isfinite(bias).all()):
+            raise ValueError("the linear head diverged to non-finite weights")
+        predictions = (test_feats @ weight + bias).argmax(axis=1)
+        yield accuracy(predictions, test_ds.labels)
 
 
 def classifier_accuracy(params: ParamSet, model_spec: ModelSpec, ds: Dataset) -> float:
@@ -161,25 +169,22 @@ def classifier_accuracy(params: ParamSet, model_spec: ModelSpec, ds: Dataset) ->
 
 
 def divergence_series(history: Sequence, mode: str = "model") -> tuple[list[float], dict[int, float]]:
-    """Two aggregations of the recorded per-client divergences.
+    """Two aggregations of the rounds' divergence tables (``record.div``).
 
     Returns the per-round mean across participating clients and, per client,
     the mean across the rounds it participated in. ``mode`` selects the
-    whole-model deltas or the per-layer-averaged ones.
+    whole-model deltas or each client's mean of its per-layer ones.
     """
     history = list(history)
     if not history:
         raise ValueError("divergence_series: empty history")
     if mode not in ("model", "layer"):
         raise ValueError(f"unknown mode {mode!r}")
-    per_round: list[float] = []
-    totals: dict[int, float] = {}
-    counts: dict[int, int] = {}
+    per_round, per_client = [], {}
     for record in history:
-        deltas = record.client_deltas if mode == "model" else record.client_layer_deltas
-        per_round.append(float(np.mean(list(deltas.values()))))
-        for client, value in deltas.items():
-            totals[client] = totals.get(client, 0.0) + value
-            counts[client] = counts.get(client, 0) + 1
-    per_client = {client: totals[client] / counts[client] for client in sorted(totals)}
-    return per_round, per_client
+        div = record.div
+        per_round.append(div.mean(mode))
+        deltas = div.model.tolist() if mode == "model" else [float(np.mean(row)) for row in div.layer]
+        for client, value in zip(div.client_ids, deltas):
+            per_client.setdefault(client, []).append(value)
+    return per_round, {client: sum(values) / len(values) for client, values in sorted(per_client.items())}

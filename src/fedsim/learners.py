@@ -27,7 +27,7 @@ from typing import Mapping
 import numpy as np
 
 from .aggregation import ClientUpdate
-from .params import IncompatibleModelError, ParamSet, segments
+from .params import IncompatibleModelError, Layout, ParamSet, segments
 
 ACTIVATIONS = ("relu", "tanh")
 TRAINER_METHODS = ("supervised", "simclr", "barlow_twins")
@@ -138,6 +138,16 @@ def _layers(spec: ModelSpec) -> list[tuple[str, int, int]]:
     if spec.head_classes is not None:
         layers.append(("head", spec.representation_dim, spec.head_classes))
     return layers
+
+
+def projector_start(layout: Layout) -> int:
+    """Leading (backbone) parameters before the projector, which :func:`_layers` puts last; all if none."""
+    start = 0
+    for name, shape in layout:
+        if name.startswith("projector."):
+            break
+        start += math.prod(shape)
+    return start
 
 
 def layer_names(spec: ModelSpec) -> list[str]:

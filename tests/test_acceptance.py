@@ -539,7 +539,7 @@ def test_07b_divergence_statistic_direction(desk_scale_runs, desk_scale_renormal
     runs, _ = desk_scale_runs
 
     def post_warmup_mean(result):
-        return float(np.mean([r.mu_delta_model for r in result.state.history if r.round_index >= 2]))
+        return float(np.mean([r.div.mean("model") for r in result.state.history if r.round_index >= 2]))
 
     def global_norm(result):
         return float(np.linalg.norm(result.state.global_params.vector))

@@ -12,9 +12,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fedsim import evaluation
 from fedsim.aggregation import STRATEGIES
 from fedsim.cli import main
 from fedsim.config import ConfigError, apply_overrides, parse_config, resolved_dict
+from fedsim.engine import build_datasets
 from fedsim.learners import ModelSpec, init_params
 from fedsim.params import ParamSet, load_checkpoint, save_checkpoint, weighted_sum
 
@@ -358,7 +360,6 @@ class TestRunCommand:
         assert err == f"error: {data}:6: non-finite feature value\n"
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize(
         "lr, cause",
         [("1e30", "round 0: linear probe: the linear head diverged to non-finite weights"),
@@ -560,6 +561,43 @@ class TestProbeCommand:
         assert main(["probe", "--config", path, "--checkpoint", str(ckpt), "--fraction", "1.0"]) == 0
         assert capsys.readouterr().out.startswith("fraction,accuracy\n1.0,")
 
+    FRACTIONS = ("1.0", "0.5", "0.25")
+
+    def probe_argv(self, tmp_path, *fractions):
+        path = write_config(tmp_path, minimal_raw(tmp_path))
+        ckpt = tmp_path / "init.bin"
+        if not ckpt.exists():
+            save_checkpoint(init_params(ModelSpec((4, 6, 3), projector_dims=(3, 3)), np.random.default_rng(1)), ckpt)
+        return ["probe", "--config", path, "--checkpoint", str(ckpt)] + [a for f in fractions for a in ("--fraction", f)]
+
+    def test_several_fractions_check_and_encode_the_test_set_once(self, tmp_path, capsys, monkeypatch):
+        test_features = build_datasets(parse_config(minimal_raw(tmp_path)))[1].features
+        calls = {"test_passes": 0, "layer_checks": 0}
+        forward, require_layers = evaluation.forward, evaluation.require_layers
+
+        def counting_forward(params, spec, batch):
+            calls["test_passes"] += np.array_equal(batch, test_features)
+            return forward(params, spec, batch)
+
+        def counting_require_layers(params, spec):
+            calls["layer_checks"] += 1
+            return require_layers(params, spec)
+
+        monkeypatch.setattr(evaluation, "forward", counting_forward)
+        monkeypatch.setattr(evaluation, "require_layers", counting_require_layers)
+        assert main(self.probe_argv(tmp_path, *self.FRACTIONS)) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 1 + len(self.FRACTIONS)
+        assert calls == {"test_passes": 1, "layer_checks": 1}
+
+    def test_several_fractions_print_what_separate_calls_print(self, tmp_path, capsys):
+        lines = ["fraction,accuracy"]
+        for fraction in self.FRACTIONS:
+            assert main(self.probe_argv(tmp_path, fraction)) == 0
+            header, line = capsys.readouterr().out.splitlines()
+            lines.append(line)
+        assert main(self.probe_argv(tmp_path, *self.FRACTIONS)) == 0
+        assert capsys.readouterr().out == "\n".join(lines) + "\n"
+
     @pytest.mark.parametrize(
         "layers, message",
         [({"w": [1.0, 2.0]}, "missing layer 'encoder.0.weight'"),
@@ -661,6 +699,19 @@ ERROR_PATHS = {
     "compare_missing_rounds_csv": (
         ["compare", "{tmp}/norun", "--output", "{tmp}/merged.csv"], 1, "norun/rounds.csv: no rounds.csv in",
     ),
+    "usage_aggregate_round_not_int": (
+        _aggregate("{tmp}/good.bin", "{tmp}/good.bin", "--round", "abc"), 1,
+        "fedsim aggregate: argument --round: invalid int value: 'abc'",
+    ),
+    "usage_compare_bad_delta_mode": (
+        ["compare", "{tmp}/norun", "--output", "{tmp}/merged.csv", "--delta-mode", "bad"], 1,
+        "argument --delta-mode: invalid choice: 'bad'",
+    ),
+    "usage_unknown_command": (["bogus"], 1, "argument command: invalid choice: 'bogus'"),
+    "usage_run_without_config": (["run"], 1, "fedsim run: the following arguments are required: --config"),
+    "usage_probe_fraction_not_float": (
+        _probe("{tmp}/good.bin") + ["--fraction", "half"], 1, "argument --fraction: invalid float value: 'half'",
+    ),
     "compare_missing_column": (
         ["compare", "{tmp}/nocol", "--output", "{tmp}/merged.csv"], 1,
         "missing column 'strategy_effective'; expected schema starts with round,strategy_effective,mu_delta_model",
@@ -671,7 +722,6 @@ ERROR_PATHS = {
 class TestErrorContract:
     """Every error path of every subcommand: exit 1 or 2, one ``error: `` line on stderr, no traceback."""
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("case", sorted(ERROR_PATHS))
     def test_one_error_line(self, tmp_path, capsys, case):
         _contract_fixture(tmp_path)
@@ -681,3 +731,11 @@ class TestErrorContract:
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         assert cause in captured.err
         assert "Traceback" not in captured.err + captured.out
+
+    @pytest.mark.parametrize("argv", [["-h"], ["probe", "--help"]], ids=["fedsim", "probe"])
+    def test_help_still_prints_and_exits_zero(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith("usage: fedsim") and captured.err == ""

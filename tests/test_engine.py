@@ -18,7 +18,7 @@ from fedsim.engine import (
     run_experiment,
     sample_clients,
 )
-from fedsim.learners import ClientTrainingError, init_params
+from fedsim.learners import ClientTrainingError, init_params, projector_start
 from fedsim.params import ParamSet, load_checkpoint
 from fedsim.partition import make_blobs, partition
 
@@ -145,7 +145,7 @@ class TestRunRound:
         state = runner.initial_state()
         new_state = runner.run_round(state)
         assert np.abs(new_state.global_params.vector - state.global_params.vector).max() < 1e-12
-        assert new_state.history[-1].mu_delta_model == 1.0
+        assert new_state.history[-1].div.mean("model") == 1.0
 
     def test_scripted_updates_match_brute_force_expansion(self, tmp_path):
         cfg = base_config(
@@ -182,6 +182,40 @@ class TestRunRound:
                 delta = float(np.dot(g, c) / (np.linalg.norm(g) * np.linalg.norm(c)))
                 acc += delta * c / 2.0
             np.testing.assert_allclose(new_state.global_params[name], acc, atol=1e-12)
+
+    def test_rounds_csv_cells_are_the_records_divergence(self, tmp_path):
+        cfg = base_config(tmp_path, partition={"scheme": "iid", "num_clients": 5}, clients_per_round=2, rounds=3)
+        result = run_experiment(cfg)
+        rows = result.rounds_csv.read_text().splitlines()[1:]
+        assert len(rows) == len(result.state.history) == 3
+        for line, rec in zip(rows, result.state.history):
+            cells = line.split(",")
+            assert cells[2:4] == [repr(rec.div.mean("model")), repr(rec.div.mean("layer"))]
+            present = dict(zip(rec.div.client_ids, rec.div.model))
+            assert 0 < len(present) < 5  # some clients sit the round out
+            assert cells[7:] == [repr(float(present[k])) if k in present else "" for k in range(5)]
+
+    def test_fedu_client_keeping_its_projector_starts_from_global_backbone(self, tmp_path):
+        cfg = base_config(tmp_path, rounds=2, aggregation={"strategy": "ldawa_fedu", "fedu_threshold": 1e-9})
+        train_ds, _ = build_datasets(cfg)
+        parts = partition(train_ds, cfg.partition)
+        inits = {}
+
+        def train_fn(r, clients):
+            inits.update({(r, cid): init for cid, _, init in clients})
+            return runner._default_train(r, clients)
+
+        runner = FederatedRunner(cfg, train_ds, parts, train_fn=train_fn)
+        after_round_0 = runner.run_round(runner.initial_state())
+        after_round_1 = runner.run_round(after_round_0)
+        assert after_round_1.history[-1].fedu_adopted == dict.fromkeys(range(3), False)
+        n = projector_start(after_round_0.global_params.layout)
+        assert 0 < n < after_round_0.global_params.num_params
+        for cid in range(3):
+            own = after_round_0.client_models[cid].vector
+            expected = np.concatenate([after_round_0.global_params.vector[:n], own[n:]])
+            assert inits[(1, cid)].vector.tobytes() == expected.tobytes()
+            assert inits[(1, cid)].vector[n:].tobytes() != after_round_0.global_params.vector[n:].tobytes()
 
     def test_failing_client_is_named(self, tmp_path):
         cfg = base_config(tmp_path)

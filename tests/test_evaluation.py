@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from fedsim.divergence import Divergence
 from fedsim.engine import RoundRecord
 from fedsim.evaluation import (
     EvalSpec,
@@ -166,16 +167,17 @@ class TestClassifierAccuracy:
 
 
 def record(round_index, deltas, layer_deltas=None):
+    """A round whose one-layer divergence table has ``deltas`` as model and ``layer_deltas`` as layer cosines."""
+    layer = np.array([[v] for v in (layer_deltas or deltas).values()])
+    model = np.array(list(deltas.values()))
+    div = Divergence(tuple(deltas), ("w",), layer, np.zeros_like(layer), model)
     return RoundRecord(
         round_index=round_index,
         strategy_effective="ldawa",
-        mu_delta_model=float(np.mean(list(deltas.values()))),
-        mu_delta_layer=0.0,
+        div=div,
         mean_local_loss=0.0,
         agg_time_ms=0.0,
         probe_acc=None,
-        client_deltas=deltas,
-        client_layer_deltas=layer_deltas or deltas,
     )
 
 

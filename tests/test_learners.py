@@ -20,6 +20,7 @@ from fedsim.learners import (
     loss_ntxent,
     loss_xent,
     make_views,
+    projector_start,
     redundancy_loss_from_corr,
     require_layers,
     sgd_step,
@@ -160,6 +161,20 @@ class TestLayerList:
         fp = forward(stacked, spec, np.stack([x, x]))
         grads = backward(stacked, spec, fp, rng.normal(size=fp.pre[-1].shape))
         assert {name: g.shape for name, g in grads.items()} == {name: (2, *shape) for name, shape in layout}
+
+
+class TestProjectorStart:
+    """The backbone/projector split: the encoder's parameters, or all of them without a projector."""
+
+    def test_ssl_split_is_the_encoders_parameter_count(self):
+        spec = ModelSpec((4, 6, 3), projector_dims=(3, 5, 2))
+        layout = init_params(spec, np.random.default_rng(0)).layout
+        assert projector_start(layout) == (4 * 6 + 6) + (6 * 3 + 3)
+        assert layout[2 * 2][0] == "projector.0.weight"  # the split falls where the projector begins
+
+    def test_supervised_layout_is_all_backbone(self):
+        params = init_params(ModelSpec((4, 6, 3), head_classes=5), np.random.default_rng(0))
+        assert projector_start(params.layout) == params.num_params
 
 
 class TestRequireLayers:

@@ -11,7 +11,9 @@ Twins run on a Dirichlet partition (uneven clients, ragged and lone trailing
 batches), a small supervised cross-device run from a generated CSV file,
 and deeper tanh versions of the SimCLR ldawa and supervised runs (three
 encoder layers; the SimCLR one with a two-layer projector and two local
-epochs), each at seeds 1, 2 and 3. Then come lines ``offline <strategy> round=<r>
+epochs), and the supervised run under ldawa_fedu (a head model has no
+projector, so the FedU policy's "own projector" is empty), each at seeds
+1, 2 and 3. Then come lines ``offline <strategy> round=<r>
 <file> <sha256>`` for the output checkpoint and the ``--report`` JSON of
 ``fedsim aggregate`` on six hand-built client checkpoints, for every
 strategy at rounds 0 and 5 with two warm-up rounds. A change that must not
@@ -124,6 +126,9 @@ def variants(seed: int, work: Path):
     deep = supervised_csv(seed, work / f"train_{seed}.csv")
     deep["model"] = {"encoder_dims": [8, 16, 12, 8], "activation": "tanh"}
     yield "supervised_deep_tanh", deep
+    fedu = supervised_csv(seed, work / f"train_{seed}.csv")
+    fedu["aggregation"] = {"strategy": "ldawa_fedu", "fedu_threshold": 1.0}  # 7 to 17 of 80 sessions keep
+    yield "supervised_fedu", fedu
 
 
 def sha256(path: Path) -> str:
