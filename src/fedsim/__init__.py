@@ -2,7 +2,7 @@
 
 from .aggregation import (
     AggregationSpec,
-    ClientUpdate,
+    ClientUpdates,
     STRATEGIES,
     aggregate,
     coefficient_matrix,

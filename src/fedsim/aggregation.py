@@ -19,21 +19,20 @@ diverge the aggregate's norm contracts (an optional ``renormalize`` switch
 divides each column of a divergence-scaled C by its sum, leaving columns
 whose sum is within 1e-12 of zero as they are; it defaults off). Clients
 then start from a smaller global, so on later rounds their cosine to it is
-lower than under fedavg; acceptance 7b checks this. Client contributions are
-always accumulated in ascending client_id order so results are
-bit-reproducible regardless of input order.
+lower than under fedavg; acceptance 7b checks this. A round's clients are
+the rows of one :class:`ClientUpdates` block in ascending client_id order,
+accumulated in row order, so results are bit-reproducible.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .divergence import Divergence, divergence
-from .params import ParamSet, weighted_sum
+from .params import Layout, ParamSet, weighted_sum
 
 # strategy -> (base rule, scale rule); the table in the module docstring.
 RULES = {
@@ -52,20 +51,46 @@ STRATEGIES = tuple(RULES)
 METADATA_STRATEGIES = tuple(s for s, (base, _) in RULES.items() if base != "uniform")
 
 
-@dataclass(frozen=True)
-class ClientUpdate:
-    """One client's trained model plus the metadata it uploads."""
+@dataclass(frozen=True, eq=False)
+class ClientUpdates:
+    """A round's trained client models as the rows of one block, plus the metadata they upload.
 
-    client_id: int | str
-    params: ParamSet
-    num_samples: int
-    train_loss: float
+    Row k of ``weights``, a read-only (K, P) float64 block in ``layout``, is
+    the model of client ``client_ids[k]``, with its sample count and mean
+    local loss at ``num_samples[k]`` and ``train_loss[k]``. The ids strictly
+    ascend. Every rule is checked once, here.
+    """
+
+    client_ids: tuple
+    weights: np.ndarray
+    layout: Layout
+    num_samples: np.ndarray
+    train_loss: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.num_samples < 1:
-            raise ValueError(f"client {self.client_id}: num_samples must be >= 1")
-        if not math.isfinite(self.train_loss):
-            raise ValueError(f"client {self.client_id}: train_loss is not finite")
+        ids, k = tuple(self.client_ids), len(self.client_ids)
+        weights = np.ascontiguousarray(self.weights, dtype=np.float64)
+        num_samples, train_loss = np.array(self.num_samples), np.array(self.train_loss, dtype=np.float64)
+        width = sum(math.prod(shape) for _, shape in self.layout)
+        if not k:
+            raise ValueError("no client updates")
+        if weights.shape != (k, width) or num_samples.shape != (k,) or train_loss.shape != (k,):
+            raise ValueError(
+                f"{k} client ids and a layout of {width} parameters for weights of shape {weights.shape}, "
+                f"num_samples of shape {num_samples.shape} and train_loss of shape {train_loss.shape}"
+            )
+        if not all(a < b for a, b in zip(ids, ids[1:])):
+            raise ValueError(f"client ids {ids} are not strictly ascending")
+        for cid, n, loss in zip(ids, num_samples.tolist(), train_loss.tolist()):
+            if n < 1:
+                raise ValueError(f"client {cid}: num_samples must be >= 1")
+            if not math.isfinite(loss):
+                raise ValueError(f"client {cid}: train_loss is not finite")
+        arrays = (weights, num_samples, train_loss)
+        for name, value in zip(("client_ids", "weights", "num_samples", "train_loss"), (ids, *arrays)):
+            object.__setattr__(self, name, value)
+        for array in arrays:
+            array.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -73,8 +98,8 @@ class AggregationSpec:
     """Which strategy to run and how.
 
     While ``round < warmup_rounds`` the effective strategy is forced to
-    fedavg. ``fedu_threshold`` is the client-side policy parameter consumed
-    by the engine; None disables the policy.
+    fedavg. ``fedu_threshold`` is the client-side policy parameter of
+    ``ldawa_fedu``, consumed by the engine; None disables the policy.
     """
 
     strategy: str
@@ -91,45 +116,42 @@ class AggregationSpec:
             raise ValueError("warmup_rounds must be >= 0")
         if self.fedu_threshold is not None and not self.fedu_threshold > 0:
             raise ValueError("fedu_threshold must be positive")
+        if self.fedu_threshold is not None and self.strategy != "ldawa_fedu":
+            raise ValueError(f"fedu_threshold applies only to strategy 'ldawa_fedu', not {self.strategy!r}")
 
 
 def effective_strategy(spec: AggregationSpec, round_index: int) -> str:
     return "fedavg" if round_index < spec.warmup_rounds else spec.strategy
 
 
-def coeffs_fedavg(updates: Sequence[ClientUpdate]) -> list[float]:
+def coeffs_fedavg(updates: ClientUpdates) -> list[float]:
     """Coefficients proportional to sample counts, summing to 1."""
-    if not updates:
-        raise ValueError("coeffs_fedavg: no updates")
-    total = sum(u.num_samples for u in updates)
-    return [u.num_samples / total for u in updates]
+    return (updates.num_samples / updates.num_samples.sum()).tolist()
 
 
-def coeffs_loss(updates: Sequence[ClientUpdate]) -> list[float]:
+def coeffs_loss(updates: ClientUpdates) -> list[float]:
     """Softmax of negated mean local losses, computed with max-subtraction."""
-    if not updates:
-        raise ValueError("coeffs_loss: no updates")
-    neg = np.array([-u.train_loss for u in updates], dtype=np.float64)
+    neg = -updates.train_loss
     neg -= neg.max()
     ex = np.exp(neg)
-    return [float(v) for v in ex / ex.sum()]
+    return (ex / ex.sum()).tolist()
 
 
 BASE_RULES = {
-    "uniform": lambda updates: [1.0 / len(updates)] * len(updates),
+    "uniform": lambda updates: [1.0 / len(updates.client_ids)] * len(updates.client_ids),
     "samples": coeffs_fedavg,
     "loss": coeffs_loss,
 }
 
 
 def coefficient_matrix(
-    strategy: str, updates: Sequence[ClientUpdate], div: Divergence, renormalize: bool = False
+    strategy: str, updates: ClientUpdates, div: Divergence, renormalize: bool = False
 ) -> np.ndarray:
     """The (K, L) matrix C[k, l] = beta_k * s_k(l) of ``strategy``.
 
-    Row k of ``div`` belongs to ``updates[k]``; rows follow the given order
-    and columns the layer order of ``div``. ``renormalize`` divides each
-    column of a divergence-scaled C by its sum.
+    Row k of ``div`` belongs to row k of ``updates``; columns follow the
+    layer order of ``div``. ``renormalize`` divides each column of a
+    divergence-scaled C by its sum.
     """
     base, scale = RULES[strategy]
     if scale == "layer":
@@ -151,20 +173,16 @@ def coefficient_matrix(
 
 
 def aggregate(
-    spec: AggregationSpec, round_index: int, global_params: ParamSet, updates: Sequence[ClientUpdate]
+    spec: AggregationSpec, round_index: int, global_params: ParamSet, updates: ClientUpdates
 ) -> tuple[ParamSet, Divergence]:
     """Run one aggregation round.
 
     Returns the new global model and the divergence of every client against
     the incoming global (computed for telemetry regardless of strategy),
-    rows in ascending client-id order. While ``round_index <
+    which checks the block's layout once. While ``round_index <
     spec.warmup_rounds`` the fedavg rule is applied no matter what
     ``spec.strategy`` says.
     """
-    if not updates:
-        raise ValueError("no client updates to aggregate")
-    ups = sorted(updates, key=lambda u: u.client_id)
-    models = [u.params for u in ups]
-    div = divergence(global_params, models, [u.client_id for u in ups])
-    coeffs = coefficient_matrix(effective_strategy(spec, round_index), ups, div, spec.renormalize)
-    return weighted_sum(models, coeffs), div
+    div = divergence(global_params, updates)
+    coeffs = coefficient_matrix(effective_strategy(spec, round_index), updates, div, spec.renormalize)
+    return weighted_sum(updates.weights, updates.layout, coeffs), div

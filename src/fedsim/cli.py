@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .aggregation import METADATA_STRATEGIES, AggregationSpec, ClientUpdate, aggregate, effective_strategy
+from .aggregation import METADATA_STRATEGIES, AggregationSpec, ClientUpdates, aggregate, effective_strategy
 from .config import SCALARS, ConfigError, apply_overrides, load_config_file, parse_config
 from .engine import ROUNDS_CSV_PREFIX, build_datasets, run_experiment
 from .evaluation import linear_probes
@@ -159,20 +159,23 @@ def _cmd_aggregate(args) -> int:
         raise ConfigError(f"round {args.round_index} applies {rule!r}, which needs per-client --metadata")
 
     global_params = load_checkpoint(args.global_ckpt)
-    client_params = [load_checkpoint(p) for p in args.clients]
-    if args.metadata:
-        meta = _load_metadata(args.metadata, len(client_params))
-    else:
-        meta = [(1, 0.0)] * len(client_params)
-    updates = [
-        ClientUpdate(client_id=i, params=p, num_samples=n, train_loss=loss)
-        for i, (p, (n, loss)) in enumerate(zip(client_params, meta))
-    ]
+    block = np.empty((len(args.clients), global_params.num_params))
+    for row, path in zip(block, args.clients):  # one client ParamSet alive at a time beside the block
+        client = load_checkpoint(path)
+        try:
+            global_params.require_compatible(client)
+        except IncompatibleModelError as exc:
+            raise IncompatibleModelError(f"{path}: {exc}") from exc
+        row[...] = client.vector
+        del client
+    meta = _load_metadata(args.metadata, len(block)) if args.metadata else [(1, 0.0)] * len(block)
+    num_samples, train_loss = zip(*meta)
+    updates = ClientUpdates(tuple(range(len(block))), block, global_params.layout, num_samples, train_loss)
     new_global, div = aggregate(spec, args.round_index, global_params, updates)
     save_checkpoint(new_global, args.output)
     with open(args.report or f"{args.output}.divergence.json", "w", encoding="utf-8") as fh:
         fh.write(div.to_json())
-    print(f"aggregated {len(updates)} clients with {strategy} -> {args.output}")
+    print(f"aggregated {len(block)} clients with {strategy} -> {args.output}")
     return EXIT_OK
 
 

@@ -12,11 +12,14 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .params import ParamSet, segments
+
+if TYPE_CHECKING:
+    from .aggregation import ClientUpdates
 
 # Below this norm a tensor is treated as degenerate (e.g. an all-zero bias).
 ZERO_NORM_TOL = 1e-12
@@ -85,29 +88,23 @@ class Divergence:
         return json.dumps(doc, indent=2) + "\n"
 
 
-def divergence(
-    global_params: ParamSet, models: Sequence[ParamSet], client_ids: Sequence
-) -> Divergence:
-    """Divergence of each of ``models`` against the global, per layer and whole-model.
+def divergence(global_params: ParamSet, updates: ClientUpdates) -> Divergence:
+    """Divergence of each row of ``updates.weights`` against the global, per layer and whole-model.
 
-    Row k belongs to ``models[k]`` and ``client_ids[k]``. The global's norms
-    are computed once; each cosine is one ``np.dot`` and two norms over flat
-    views of the layer's segments.
+    Row k belongs to ``updates.client_ids[k]``. The layout is checked once;
+    the global's norms are computed once; each cosine is one ``np.dot`` and
+    two norms over flat views of the layer's segments.
     """
-    if not models:
-        raise ValueError("divergence: no client models")
-    if len(client_ids) != len(models):
-        raise ValueError(f"divergence: {len(client_ids)} client ids for {len(models)} models")
-    for m in models:
-        global_params.require_compatible(m)
+    global_params.require_compatible(updates)
     flat = tuple((name, (math.prod(shape),)) for name, shape in global_params.layout)
     g_layers = list(segments(global_params.vector, flat).values())
     g_norms = [float(np.linalg.norm(g)) for g in g_layers]
     g_norm = float(np.linalg.norm(global_params.vector))
-    layer, euclid = np.zeros((2, len(models), len(flat)))
-    for k, m in enumerate(models):
-        for l, (g, c) in enumerate(zip(g_layers, segments(m.vector, flat).values())):
-            layer[k, l] = _cosine(g, c, g_norms[l])
-            euclid[k, l] = np.linalg.norm(g - c)
-    model = np.array([_cosine(global_params.vector, m.vector, g_norm) for m in models])
-    return Divergence(tuple(client_ids), global_params.names, layer, euclid, model)
+    c_layers = list(segments(updates.weights, flat).values())  # (K, n) views, one per layer
+    layer, euclid = np.zeros((2, len(updates.weights), len(flat)))
+    for k in range(len(updates.weights)):
+        for l, (g, c) in enumerate(zip(g_layers, c_layers)):
+            layer[k, l] = _cosine(g, c[k], g_norms[l])
+            euclid[k, l] = np.linalg.norm(g - c[k])
+    model = np.array([_cosine(global_params.vector, w, g_norm) for w in updates.weights])
+    return Divergence(updates.client_ids, global_params.names, layer, euclid, model)

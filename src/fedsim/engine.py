@@ -22,7 +22,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .aggregation import ClientUpdate, aggregate, effective_strategy
+from .aggregation import ClientUpdates, aggregate, effective_strategy
 from .config import BlobsConfig, CsvConfig, ExperimentConfig, resolved_dict
 from .divergence import Divergence
 from .evaluation import linear_probe
@@ -126,8 +126,8 @@ class RunState:
     client_models: dict[int, ParamSet] = field(default_factory=dict)
 
 
-# (round index, [(client_id, data, init), ...]) -> one ClientUpdate per client, in order.
-TrainFn = Callable[[int, list[tuple[int, Dataset, ParamSet]]], list[ClientUpdate]]
+# (round index, [(client_id, data, init), ...]) -> the round's clients as one block, in order.
+TrainFn = Callable[[int, list[tuple[int, Dataset, ParamSet]]], ClientUpdates]
 
 
 def build_datasets(cfg: ExperimentConfig) -> tuple[Dataset, Dataset]:
@@ -167,11 +167,10 @@ class FederatedRunner:
         self.train_ds = train_ds
         self.test_ds = test_ds
         self.client_data = [train_ds.subset(p) for p in parts]
-        agg = cfg.aggregation
-        self.fedu_threshold = agg.fedu_threshold if agg.strategy == "ldawa_fedu" else None  # None: FedU off
+        self.fedu_threshold = cfg.aggregation.fedu_threshold  # None: FedU off
         self.train_fn = train_fn  # None: _default_train, looked up per round (a stored bound method is a cycle)
 
-    def _default_train(self, round_index: int, clients: list[tuple[int, Dataset, ParamSet]]) -> list[ClientUpdate]:
+    def _default_train(self, round_index: int, clients: list[tuple[int, Dataset, ParamSet]]) -> ClientUpdates:
         sessions = [
             (cid, data, init, derived_rng(self.cfg.run_seed, _TAG_TRAIN, round_index, cid))
             for cid, data, init in clients
@@ -217,7 +216,8 @@ class FederatedRunner:
 
         if self.fedu_threshold is not None:
             client_models = dict(state.client_models)
-            client_models.update({u.client_id: u.params for u in updates})
+            rows = zip(updates.client_ids, updates.weights)
+            client_models.update({cid: ParamSet(row.copy(), updates.layout) for cid, row in rows})
         else:
             client_models = state.client_models  # clients discarded after aggregation
 
@@ -225,7 +225,7 @@ class FederatedRunner:
             round_index=r,
             strategy_effective=effective_strategy(cfg.aggregation, r),
             div=div,
-            mean_local_loss=float(np.mean([u.train_loss for u in updates])),
+            mean_local_loss=float(np.mean(updates.train_loss)),
             agg_time_ms=agg_ms,
             probe_acc=None,
             fedu_adopted=adopted,

@@ -160,6 +160,7 @@ def linear_probes(
         yield accuracy(predictions, test_ds.labels)
 
 
+# fedsim never calls this; it stays because the acceptance and evaluation tests score supervised models with it.
 def classifier_accuracy(params: ParamSet, model_spec: ModelSpec, ds: Dataset) -> float:
     """Accuracy of a supervised model's own head on a dataset."""
     if model_spec.head_classes is None:

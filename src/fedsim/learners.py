@@ -26,7 +26,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .aggregation import ClientUpdate
+from .aggregation import ClientUpdates
 from .params import IncompatibleModelError, Layout, ParamSet, segments
 
 ACTIVATIONS = ("relu", "tanh")
@@ -356,19 +356,6 @@ def _standardize_backward(
     return g
 
 
-def cross_correlation(z_a: np.ndarray, z_b: np.ndarray) -> np.ndarray:
-    """Batch cross-correlation of per-dimension standardized embeddings."""
-    z_a = np.asarray(z_a, dtype=np.float64)
-    z_b = np.asarray(z_b, dtype=np.float64)
-    if z_a.shape != z_b.shape:
-        raise ValueError("view embeddings must have the same shape")
-    if z_a.shape[-2] < 2:
-        raise ValueError("cross-correlation needs a batch of at least 2")
-    a_hat, _, _ = _standardize(z_a)
-    b_hat, _, _ = _standardize(z_b)
-    return (_t(a_hat) @ b_hat) / z_a.shape[-2]
-
-
 def redundancy_loss_from_corr(corr: np.ndarray, lambda_offdiag: float) -> float | np.ndarray:
     """sum_i (1 - C_ii)^2 + lambda * sum_{i != j} C_ij^2; exactly 0 at C == I.
 
@@ -534,7 +521,10 @@ class _Block:
 
 
 def _group_loss(block: _Block, lo: int, hi: int, inputs, model: ModelSpec, trainer: TrainerSpec) -> np.ndarray:
-    """Rows lo:hi's batch losses; their gradients are written into the block's gradient rows."""
+    """Rows lo:hi's batch losses; their gradients are written into the block's gradient rows.
+
+    The two SSL views take one pass as a (2, K, B, D) stack, and each gradient's two halves are added.
+    """
     params = {name: a[lo:hi] for name, a in block.params.items()}
     grads = {name: a[lo:hi] for name, a in block.grads.items()}
     if trainer.method == "supervised":
@@ -543,16 +533,13 @@ def _group_loss(block: _Block, lo: int, hi: int, inputs, model: ModelSpec, train
         for name, g in backward(params, model, fp, grad_logits).items():
             grads[name][...] = g
         return loss
-    fa = forward(params, model, inputs[0])
-    fb = forward(params, model, inputs[1])
+    fp = forward(params, model, np.stack(inputs))
     if trainer.method == "simclr":
-        loss, ga, gb = loss_ntxent(fa.z, fb.z, trainer.temperature)
+        loss, ga, gb = loss_ntxent(fp.z[0], fp.z[1], trainer.temperature)
     else:
-        loss, ga, gb = loss_barlow(fa.z, fb.z, trainer.lambda_offdiag)
-    grads_a = backward(params, model, fa, ga)
-    grads_b = backward(params, model, fb, gb)
-    for name, g in grads_a.items():
-        np.add(g, grads_b[name], out=grads[name])
+        loss, ga, gb = loss_barlow(fp.z[0], fp.z[1], trainer.lambda_offdiag)
+    for name, g in backward(params, model, fp, np.stack([ga, gb])).items():
+        np.add(g[0], g[1], out=grads[name])
     return loss
 
 
@@ -595,10 +582,11 @@ def _train_block(block: _Block, trainer: TrainerSpec, model: ModelSpec, failures
                     return
 
 
-def train_clients(clients, trainer: TrainerSpec, model: ModelSpec) -> list[ClientUpdate]:
+def train_clients(clients, trainer: TrainerSpec, model: ModelSpec) -> ClientUpdates:
     """Train a round's clients together, each for ``local_epochs`` epochs of shuffled mini-batches.
 
-    ``clients`` lists ``(client_id, data, init, rng)`` in round order. The
+    ``clients`` lists ``(client_id, data, init, rng)`` in round order
+    (ascending client id, as :class:`ClientUpdates` requires). The
     clients are the rows of one (K, P) weight block (see :class:`_Block`).
     Each step runs the forward pass, loss, backward pass and SGD step once
     per group of rows that share a batch size; a client that has finished
@@ -606,14 +594,17 @@ def train_clients(clients, trainer: TrainerSpec, model: ModelSpec) -> list[Clien
     from its own ``rng`` as it would alone, so each row is bit-identical to
     training that client by itself (K=1).
 
-    Returns one :class:`ClientUpdate` per client in round order: the final
-    parameters, the sample count and the mean loss over the final epoch
-    (with ``local_epochs == 0``, a single evaluation pass supplies the loss
-    and the parameters are untouched). Momentum buffers live and die inside
-    this call. If clients fail, raises :class:`ClientTrainingError` for the
-    earliest in round order, the one a client-by-client loop would name: a
-    failed row drops out, and only the rows ahead of it keep training.
+    Returns the block's rows in round order as one :class:`ClientUpdates`:
+    the final parameters, the sample counts and the mean losses over the
+    final epoch (with ``local_epochs == 0``, a single evaluation pass
+    supplies the loss and the parameters are untouched). Momentum buffers
+    live and die inside this call. If clients fail, raises
+    :class:`ClientTrainingError` for the earliest in round order, the one a
+    client-by-client loop would name: a failed row drops out, and only the
+    rows ahead of it keep training.
     """
+    if not clients:
+        raise ValueError("train_clients: no clients")
     failures: dict[int, ValueError] = {}  # round position -> cause
     sessions: list[_Session] = []
     for pos, (cid, data, init, rng) in enumerate(clients):
@@ -631,17 +622,17 @@ def train_clients(clients, trainer: TrainerSpec, model: ModelSpec) -> list[Clien
         x, y = np.asarray(data.features, dtype=np.float64), np.asarray(data.labels, dtype=np.int64)
         sessions.append(_Session(pos, cid, x, y, rng, _batch_sizes(n, trainer)))
 
-    updates: list[ClientUpdate] = [None] * len(clients)
     if sessions:
         sessions.sort(key=lambda s: (-len(s.sizes), -s.sizes[-1]))
-        layout = clients[0][2].layout
-        block = _Block(sessions, [clients[s.pos][2].vector for s in sessions], layout)
+        block = _Block(sessions, [clients[s.pos][2].vector for s in sessions], clients[0][2].layout)
         _train_block(block, trainer, model, failures)
-        for s, w, total in zip(block.rows, block.w, block.total):
-            params = ParamSet(w.copy(), layout)
-            updates[s.pos] = ClientUpdate(s.client_id, params, len(s.x), float(total / sum(s.sizes)))
     if failures:
         first = min(failures)
         raise ClientTrainingError(clients[first][0], str(failures[first])) from failures[first]
-    return updates
+    order = np.argsort([s.pos for s in block.rows])
+    rows = [block.rows[r] for r in order]
+    return ClientUpdates(
+        [s.client_id for s in rows], block.w[order], block.layout,
+        [len(s.x) for s in rows], block.total[order] / [sum(s.sizes) for s in rows],
+    )
 

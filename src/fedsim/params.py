@@ -12,7 +12,7 @@ import json
 import math
 import os
 import struct
-from typing import Mapping, NamedTuple, Sequence
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -123,8 +123,8 @@ class ParamSet:
     def num_params(self) -> int:
         return self.vector.size
 
-    def require_compatible(self, other: "ParamSet") -> None:
-        """Raise :class:`IncompatibleModelError` naming the first mismatching layer."""
+    def require_compatible(self, other) -> None:
+        """Raise :class:`IncompatibleModelError` naming the first layer where ``other.layout`` differs."""
         if len(self.layout) != len(other.layout):
             raise IncompatibleModelError(f"layer count mismatch: {len(self.layout)} vs {len(other.layout)}")
         for (a, a_shape), (b, b_shape) in zip(self.layout, other.layout):
@@ -134,33 +134,26 @@ class ParamSet:
                 raise IncompatibleModelError(f"layer {a!r}: shape mismatch {a_shape} vs {b_shape}")
 
 
-def weighted_sum(models: Sequence[ParamSet], coeffs) -> ParamSet:
-    """Layer-by-layer linear combination: layer l = sum_k C[k, l] * models[k](l).
+def weighted_sum(block: np.ndarray, layout: Layout, coeffs) -> ParamSet:
+    """Layer-by-layer linear combination of a (K, P) block's rows: layer l = sum_k C[k, l] * row_k(l).
 
-    ``coeffs`` is the (K, L) matrix C with one coefficient per (model,
-    layer), or a length-K vector applied to every layer. Accumulation
-    follows the given model order, so callers that need bit-reproducible
-    output must fix that order themselves.
+    ``coeffs`` is the (K, L) matrix C with one coefficient per (row, layer).
+    Each layer accumulates from zeros, one row at a time in row order, so
+    callers that need bit-reproducible output must fix that order themselves.
     """
-    models = list(models)
-    if not models:
-        raise ValueError("weighted_sum: no models given")
-    base = models[0]
-    for m in models[1:]:
-        base.require_compatible(m)
-    n_layers = len(base.layout)
     table = np.asarray(coeffs, dtype=np.float64)
-    if table.shape == (len(models),):
-        table = table[:, None].repeat(n_layers, axis=1)
-    if table.shape != (len(models), n_layers):
+    width = sum(math.prod(shape) for _, shape in layout)
+    if block.ndim != 2 or not len(block) or block.shape[1] != width:
+        raise ValueError(f"weighted_sum: expected a (K >= 1, {width}) block, got shape {block.shape}")
+    if table.shape != (len(block), len(layout)):
         raise ValueError(
-            f"weighted_sum: coefficients of shape {table.shape} for {len(models)} models of {n_layers} layers"
+            f"weighted_sum: coefficients of shape {table.shape} for {len(block)} models of {len(layout)} layers"
         )
-    sizes = [math.prod(shape) for _, shape in base.layout]
-    acc = np.zeros(base.num_params)
-    for m, row in zip(models, table):
-        acc += np.repeat(row, sizes) * m.vector
-    return ParamSet(acc, base.layout)
+    acc = np.zeros(block.shape[1])
+    for acc_l, rows_l, column in zip(segments(acc, layout).values(), segments(block, layout).values(), table.T):
+        for c, row in zip(column, rows_l):
+            acc_l += c * row
+    return ParamSet(acc, layout)
 
 
 # ---------------------------------------------------------------------------

@@ -362,8 +362,3 @@ def save_partition_manifest(parts: Sequence[Sequence[int]], path) -> None:
         json.dump(manifest, fh)
         fh.write("\n")
 
-
-def load_partition_manifest(path) -> list[list[int]]:
-    with open(path, encoding="utf-8") as fh:
-        manifest = json.load(fh)
-    return [list(map(int, manifest[str(i)])) for i in range(len(manifest))]

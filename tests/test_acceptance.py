@@ -7,6 +7,7 @@ as they complete. Tolerances are fixed here, not calibrated elsewhere.
 import csv
 import math
 import time
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from scipy import stats
 
 from fedsim.aggregation import (
     AggregationSpec,
-    ClientUpdate,
+    ClientUpdates,
     aggregate,
     coefficient_matrix,
     coeffs_fedavg,
@@ -73,9 +74,29 @@ def scalar_layerwise_sum(global_params, updates, base_coeffs):
     return out
 
 
-def rule(strategy, global_params, updates):
+class Client(NamedTuple):
+    """One client of an oracle round; :func:`pack` stacks a round's clients into one block."""
+
+    client_id: int
+    params: ParamSet
+    num_samples: int
+    train_loss: float
+
+
+def pack(clients):
+    """A round's clients (ascending ids, one layout) as the rows of one ClientUpdates block."""
+    return ClientUpdates(
+        tuple(c.client_id for c in clients),
+        np.stack([c.params.vector for c in clients]),
+        clients[0].params.layout,
+        [c.num_samples for c in clients],
+        [c.train_loss for c in clients],
+    )
+
+
+def rule(strategy, global_params, clients):
     """The new global under ``strategy``, past any warm-up."""
-    return aggregate(AggregationSpec(strategy), 0, global_params, updates)[0]
+    return aggregate(AggregationSpec(strategy), 0, global_params, pack(clients))[0]
 
 
 def random_agg_fixture(rng):
@@ -87,7 +108,7 @@ def random_agg_fixture(rng):
         return ParamSet.from_arrays({f"layer{i}": rng.normal(size=s) for i, s in enumerate(sizes)})
 
     updates = [
-        ClientUpdate(k, draw(), int(rng.integers(1, 100)), float(rng.normal()))
+        Client(k, draw(), int(rng.integers(1, 100)), float(rng.normal()))
         for k in range(n_clients)
     ]
     return draw(), updates
@@ -138,7 +159,7 @@ def test_01_aggregation_oracle_equivalence():
 
         single = first_layer(global_params)
         single_ups = [
-            ClientUpdate(u.client_id, first_layer(u.params), u.num_samples, u.train_loss) for u in updates
+            Client(u.client_id, first_layer(u.params), u.num_samples, u.train_loss) for u in updates
         ]
         ld = rule("ldawa", single, single_ups)
         md = rule("mdawa", single, single_ups)
@@ -149,9 +170,10 @@ def test_01_aggregation_oracle_equivalence():
             tuple(u.client_id for u in updates), global_params.names,
             np.ones((k, n_layers)), np.zeros((k, n_layers)), np.ones(k),
         )
-        forced = weighted_sum([u.params for u in updates], coefficient_matrix("ldawa", updates, unit))
-        fair, _ = aggregate(AggregationSpec("fairavg"), 0, global_params, updates)
-        equal_n = [ClientUpdate(u.client_id, u.params, 7, u.train_loss) for u in updates]
+        block = pack(updates)
+        forced = weighted_sum(block.weights, block.layout, coefficient_matrix("ldawa", block, unit))
+        fair, _ = aggregate(AggregationSpec("fairavg"), 0, global_params, block)
+        equal_n = pack([u._replace(num_samples=7) for u in updates])
         fed, _ = aggregate(AggregationSpec("fedavg"), 0, global_params, equal_n)
         worst_c = max(worst_c, float(np.abs(forced.vector - fair.vector).max()))
         worst_c = max(worst_c, float(np.abs(fair.vector - fed.vector).max()))
@@ -177,26 +199,28 @@ def test_01_aggregation_oracle_equivalence():
 def test_02_coefficient_correctness():
     start = time.perf_counter()
 
-    def up(n, loss):
-        return ClientUpdate(0, ParamSet.from_arrays({"w": [1.0]}), n, loss)
+    def ups(*pairs):
+        """One-parameter clients 0..K-1 with the given (num_samples, train_loss) pairs."""
+        n, loss = zip(*pairs)
+        return ClientUpdates(tuple(range(len(pairs))), np.ones((len(pairs), 1)), (("w", (1,)),), n, loss)
 
-    fed = coeffs_fedavg([up(3, 0.0), up(1, 0.0)])
+    fed = coeffs_fedavg(ups((3, 0.0), (1, 0.0)))
     assert fed == [0.75, 0.25]
 
-    soft = coeffs_loss([up(1, 0.0), up(1, math.log(2))])
+    soft = coeffs_loss(ups((1, 0.0), (1, math.log(2))))
     assert abs(soft[0] - 2 / 3) < 1e-12
     assert abs(soft[1] - 1 / 3) < 1e-12
 
     rng = np.random.default_rng(102)
     for _ in range(1000):
-        ups = [
-            up(int(rng.integers(1, 10_000)), float(rng.normal(0, 50)))
+        block = ups(*[
+            (int(rng.integers(1, 10_000)), float(rng.normal(0, 50)))
             for _ in range(int(rng.integers(1, 9)))
-        ]
-        assert abs(sum(coeffs_fedavg(ups)) - 1.0) < 1e-12
-        assert abs(sum(coeffs_loss(ups)) - 1.0) < 1e-12
+        ])
+        assert abs(sum(coeffs_fedavg(block)) - 1.0) < 1e-12
+        assert abs(sum(coeffs_loss(block)) - 1.0) < 1e-12
 
-    huge = coeffs_loss([up(1, 0.0), up(1, 1e4)])
+    huge = coeffs_loss(ups((1, 0.0), (1, 1e4)))
     assert all(math.isfinite(c) for c in huge)
     assert abs(huge[0] - 1.0) < 1e-12
 

@@ -1,6 +1,7 @@
 """Aggregation strategies: coefficients, divergence scaling, dispatch, warm-up."""
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 from fedsim.aggregation import (
     STRATEGIES,
     AggregationSpec,
-    ClientUpdate,
+    ClientUpdates,
     RULES,
     aggregate,
     coefficient_matrix,
@@ -19,7 +20,7 @@ from fedsim.aggregation import (
     effective_strategy,
 )
 from fedsim.divergence import Divergence, divergence
-from fedsim.params import ParamSet, weighted_sum
+from fedsim.params import IncompatibleModelError, ParamSet, weighted_sum
 
 # Deterministic property runs: the same examples on every tier-1 run.
 PROPERTY = settings(derandomize=True, deadline=None, database=None, max_examples=40)
@@ -29,21 +30,46 @@ def ps(named):
     return ParamSet.from_arrays({n: np.asarray(v, dtype=np.float64) for n, v in named.items()})
 
 
-def rule(strategy, global_params, updates):
+class Client(NamedTuple):
+    """One client of a test round; :func:`pack` stacks a round's clients into one block."""
+
+    client_id: int
+    params: ParamSet
+    num_samples: int
+    train_loss: float
+
+
+def pack(clients):
+    """A round's clients (ascending ids, one layout) as the rows of one ClientUpdates block."""
+    return ClientUpdates(
+        tuple(c.client_id for c in clients),
+        np.stack([c.params.vector for c in clients]),
+        clients[0].params.layout,
+        [c.num_samples for c in clients],
+        [c.train_loss for c in clients],
+    )
+
+
+def per_layer(coeffs, n_layers):
+    """A length-K coefficient list as the (K, L) matrix that applies it to every layer."""
+    return np.repeat(np.asarray(coeffs, dtype=np.float64)[:, None], n_layers, axis=1)
+
+
+def rule(strategy, global_params, clients):
     """The new global under ``strategy``, past any warm-up."""
-    return aggregate(AggregationSpec(strategy), 0, global_params, updates)[0]
+    return aggregate(AggregationSpec(strategy), 0, global_params, pack(clients))[0]
 
 
-def divergence_of(global_params, updates):
-    return divergence(global_params, [u.params for u in updates], [u.client_id for u in updates])
+def divergence_of(global_params, clients):
+    return divergence(global_params, pack(clients))
 
 
 def update(client_id, named, n=1, loss=0.0):
-    return ClientUpdate(client_id, ps(named), n, loss)
+    return Client(client_id, ps(named), n, loss)
 
 
 def random_fixture(rng, n_clients=None, n_layers=None, max_params=8):
-    """Random global model plus compatible client updates."""
+    """Random global model plus compatible clients, in ascending id order."""
     n_clients = n_clients or int(rng.integers(2, 9))
     n_layers = n_layers or int(rng.integers(1, 6))
     sizes = [int(rng.integers(1, max_params + 1)) for _ in range(n_layers)]
@@ -51,7 +77,7 @@ def random_fixture(rng, n_clients=None, n_layers=None, max_params=8):
         return ps({f"layer{i}": rng.normal(size=s) for i, s in enumerate(sizes)})
     global_params = draw()
     updates = [
-        ClientUpdate(k, draw(), int(rng.integers(1, 50)), float(rng.normal()))
+        Client(k, draw(), int(rng.integers(1, 50)), float(rng.normal()))
         for k in range(n_clients)
     ]
     return global_params, updates
@@ -129,35 +155,31 @@ def brute_force_layerwise(global_params, updates, base_coeffs, scale="layer", re
 class TestCoeffsFedavg:
     def test_hand_normalization(self):
         ups = [update(0, {"w": [1.0]}, n=3), update(1, {"w": [1.0]}, n=1)]
-        assert coeffs_fedavg(ups) == [0.75, 0.25]
+        assert coeffs_fedavg(pack(ups)) == [0.75, 0.25]
 
     def test_equal_counts_uniform(self):
         ups = [update(i, {"w": [1.0]}, n=7) for i in range(4)]
-        assert coeffs_fedavg(ups) == [0.25] * 4
+        assert coeffs_fedavg(pack(ups)) == [0.25] * 4
 
     def test_single_client(self):
-        assert coeffs_fedavg([update(0, {"w": [1.0]}, n=5)]) == [1.0]
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            coeffs_fedavg([])
+        assert coeffs_fedavg(pack([update(0, {"w": [1.0]}, n=5)])) == [1.0]
 
 
 class TestCoeffsLoss:
     def test_analytic_softmax(self):
         ups = [update(0, {"w": [1.0]}, loss=0.0), update(1, {"w": [1.0]}, loss=math.log(2))]
-        got = coeffs_loss(ups)
+        got = coeffs_loss(pack(ups))
         assert got[0] == pytest.approx(2 / 3, abs=1e-12)
         assert got[1] == pytest.approx(1 / 3, abs=1e-12)
 
     def test_equal_losses_uniform(self):
         ups = [update(i, {"w": [1.0]}, loss=1.7) for i in range(5)]
-        for c in coeffs_loss(ups):
+        for c in coeffs_loss(pack(ups)):
             assert c == pytest.approx(0.2, abs=1e-15)
 
     def test_no_overflow_at_huge_losses(self):
         ups = [update(0, {"w": [1.0]}, loss=0.0), update(1, {"w": [1.0]}, loss=1000.0)]
-        got = coeffs_loss(ups)
+        got = coeffs_loss(pack(ups))
         assert got[0] == pytest.approx(1.0, abs=1e-12)
         assert got[1] == pytest.approx(0.0, abs=1e-12)
         assert all(math.isfinite(c) for c in got)
@@ -169,14 +191,14 @@ class TestCoeffsLoss:
                 update(i, {"w": [1.0]}, n=int(rng.integers(1, 1000)), loss=float(rng.normal(0, 100)))
                 for i in range(int(rng.integers(1, 8)))
             ]
-            assert sum(coeffs_loss(ups)) == pytest.approx(1.0, abs=1e-12)
-            assert sum(coeffs_fedavg(ups)) == pytest.approx(1.0, abs=1e-12)
+            assert sum(coeffs_loss(pack(ups))) == pytest.approx(1.0, abs=1e-12)
+            assert sum(coeffs_fedavg(pack(ups))) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestMdawa:
     def test_single_identical_client_is_fixed_point(self):
         g = ps({"w": [1.0, 2.0]})
-        out = rule("mdawa", g, [ClientUpdate(0, g, 1, 0.0)])
+        out = rule("mdawa", g, [Client(0, g, 1, 0.0)])
         assert out == g
 
     def test_orthogonal_client_contributes_nothing(self):
@@ -188,14 +210,14 @@ class TestMdawa:
     def test_negated_client_flips_back(self):
         g = ps({"w": [1.0, 2.0]})
         c = ps({"w": [-1.0, -2.0]})
-        out = rule("mdawa", g, [ClientUpdate(0, c, 1, 0.0)])
+        out = rule("mdawa", g, [Client(0, c, 1, 0.0)])
         np.testing.assert_allclose(out["w"], g["w"], atol=1e-15)
 
 
 class TestLdawa:
     def test_identical_clients_are_fixed_point(self):
         g = ps({"a": [1.0, 2.0], "b": [3.0]})
-        ups = [ClientUpdate(i, g, 1, 0.0) for i in range(3)]
+        ups = [Client(i, g, 1, 0.0) for i in range(3)]
         out = rule("ldawa", g, ups)
         for name in out.names:
             np.testing.assert_allclose(out[name], g[name], atol=1e-15)
@@ -226,7 +248,7 @@ class TestWeightedLdawa:
         k = len(ups)
         div = divergence_of(g, ups)
         table = [[c * d for d in row] for c, row in zip([1.0 / k] * k, div.layer.tolist())]
-        a = weighted_sum([u.params for u in ups], table)
+        a = weighted_sum(pack(ups).weights, g.layout, table)
         b = rule("ldawa", g, ups)
         assert np.abs(a.vector - b.vector).max() < 1e-12
 
@@ -237,17 +259,18 @@ class TestWeightedLdawa:
         ones = Divergence(
             tuple(u.client_id for u in ups), g.names, np.ones((k, n_layers)), np.zeros((k, n_layers)), np.ones(k)
         )
-        betas = coeffs_fedavg(ups)
-        out = weighted_sum([u.params for u in ups], coefficient_matrix("ldawa_fedavg", ups, ones))
-        plain = weighted_sum([u.params for u in ups], betas)
+        block = pack(ups)
+        betas = coeffs_fedavg(block)
+        out = weighted_sum(block.weights, g.layout, coefficient_matrix("ldawa_fedavg", block, ones))
+        plain = weighted_sum(block.weights, g.layout, per_layer(betas, n_layers))
         assert np.abs(out.vector - plain.vector).max() < 1e-12
 
     def test_loss_weighted_matches_brute_force(self):
         rng = np.random.default_rng(5)
         for _ in range(10):
             g, ups = random_fixture(rng, n_clients=2, n_layers=2)
-            betas = coeffs_loss(ups)
-            out, _ = aggregate(AggregationSpec("ldawa_loss"), 0, g, ups)
+            betas = coeffs_loss(pack(ups))
+            out, _ = aggregate(AggregationSpec("ldawa_loss"), 0, g, pack(ups))
             expected = brute_force_layerwise(g, ups, betas)
             for name in out.names:
                 assert np.abs(out[name].reshape(-1) - expected[name]).max() < 1e-12
@@ -255,7 +278,7 @@ class TestWeightedLdawa:
     def test_length_mismatch_rejected(self):
         g, ups = random_fixture(np.random.default_rng(6))
         with pytest.raises(ValueError, match="coefficients"):
-            weighted_sum([u.params for u in ups], [1.0])
+            weighted_sum(pack(ups).weights, g.layout, [1.0])
 
 
 class TestSinglePath:
@@ -266,27 +289,28 @@ class TestSinglePath:
         rng = np.random.default_rng(20)
         for _ in range(10):
             g, ups = random_fixture(rng)
-            out, _ = aggregate(AggregationSpec(strategy, renormalize=renormalize), 0, g, ups)
+            out, _ = aggregate(AggregationSpec(strategy, renormalize=renormalize), 0, g, pack(ups))
             expected = brute_force_layerwise(g, ups, brute_force_base(ups, base), scale, renormalize)
             for name in out.names:
                 assert np.abs(out[name].reshape(-1) - expected[name]).max() < 1e-12
 
     @PROPERTY
     @given(seed=st.integers(0, 2**32 - 1), order=st.permutations(range(5)))
-    def test_client_order_never_changes_the_bytes(self, seed, order):
+    def test_only_ascending_client_order_is_accepted(self, seed, order):
         g, ups = random_fixture(np.random.default_rng(seed), n_clients=5)
         for shuffled in ([ups[i] for i in order], ups[::-1]):
-            for strategy in STRATEGIES:
-                for renormalize in (False, True):
-                    spec = AggregationSpec(strategy, renormalize=renormalize)
-                    assert aggregate(spec, 0, g, shuffled)[0] == aggregate(spec, 0, g, ups)[0]
+            if [c.client_id for c in shuffled] == list(range(5)):
+                assert pack(shuffled).client_ids == tuple(range(5))
+                continue
+            with pytest.raises(ValueError, match="not strictly ascending"):
+                pack(shuffled)
 
     @PROPERTY
     @given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 6))
     def test_identical_clients_are_a_fixed_point(self, seed, k):
         rng = np.random.default_rng(seed)
         g, _ = random_fixture(rng, n_clients=1)
-        ups = [ClientUpdate(i, g, int(rng.integers(1, 50)), float(rng.normal())) for i in range(k)]
+        ups = pack([Client(i, g, int(rng.integers(1, 50)), float(rng.normal())) for i in range(k)])
         for strategy in STRATEGIES:
             for renormalize in (False, True):
                 out, _ = aggregate(AggregationSpec(strategy, renormalize=renormalize), 0, g, ups)
@@ -297,7 +321,8 @@ class TestSinglePath:
     @given(seed=st.integers(0, 2**32 - 1))
     def test_renormalized_columns_sum_to_one(self, seed):
         g, ups = random_fixture(np.random.default_rng(seed))
-        div = divergence_of(g, ups)
+        ups = pack(ups)
+        div = divergence(g, ups)
         for strategy, (_, scale) in RULES.items():
             if scale is None:
                 continue
@@ -315,12 +340,13 @@ class TestDispatch:
     def test_warmup_forces_fedavg(self):
         rng = np.random.default_rng(7)
         g, ups = random_fixture(rng)
+        ups = pack(ups)
         spec = AggregationSpec("ldawa", warmup_rounds=2)
         warm, _ = aggregate(spec, 0, g, ups)
         fed, _ = aggregate(AggregationSpec("fedavg"), 0, g, ups)
         assert warm == fed
         after, _ = aggregate(spec, 2, g, ups)
-        direct = rule("ldawa", g, ups)
+        direct, _ = aggregate(AggregationSpec("ldawa"), 0, g, ups)
         assert after == direct
         assert effective_strategy(spec, 1) == "fedavg"
         assert effective_strategy(spec, 2) == "ldawa"
@@ -328,13 +354,13 @@ class TestDispatch:
     def test_fairavg_uniform_mean(self):
         g = ps({"w": [1.0, 1.0]})
         ups = [update(0, {"w": [2.0, 0.0]}), update(1, {"w": [0.0, 2.0]})]
-        out, _ = aggregate(AggregationSpec("fairavg"), 0, g, ups)
+        out, _ = aggregate(AggregationSpec("fairavg"), 0, g, pack(ups))
         np.testing.assert_array_equal(out["w"], [1.0, 1.0])
 
     def test_fedavg_equal_counts_equals_fairavg(self):
         rng = np.random.default_rng(8)
         g, ups = random_fixture(rng)
-        ups = [ClientUpdate(u.client_id, u.params, 13, u.train_loss) for u in ups]
+        ups = pack([u._replace(num_samples=13) for u in ups])
         a, _ = aggregate(AggregationSpec("fedavg"), 0, g, ups)
         b, _ = aggregate(AggregationSpec("fairavg"), 0, g, ups)
         assert np.abs(a.vector - b.vector).max() < 1e-12
@@ -342,6 +368,7 @@ class TestDispatch:
     def test_reports_returned_for_every_strategy(self):
         rng = np.random.default_rng(9)
         g, ups = random_fixture(rng, n_clients=3)
+        ups = pack(ups)
         for strategy in ("fedavg", "fairavg", "loss", "mdawa", "ldawa", "ldawa_fedavg", "ldawa_loss", "ldawa_fedu"):
             _, div = aggregate(AggregationSpec(strategy), 5, g, ups)
             assert div.client_ids == (0, 1, 2)
@@ -350,6 +377,7 @@ class TestDispatch:
     def test_ldawa_fedu_server_side_equals_ldawa_fedavg(self):
         rng = np.random.default_rng(10)
         g, ups = random_fixture(rng)
+        ups = pack(ups)
         a, _ = aggregate(AggregationSpec("ldawa_fedu", fedu_threshold=0.5), 3, g, ups)
         b, _ = aggregate(AggregationSpec("ldawa_fedavg"), 3, g, ups)
         assert a == b
@@ -358,32 +386,35 @@ class TestDispatch:
         with pytest.raises(ValueError, match="unknown strategy"):
             AggregationSpec("median")
 
-    def test_empty_updates_rejected(self):
-        g = ps({"w": [1.0]})
-        with pytest.raises(ValueError):
-            aggregate(AggregationSpec("fedavg"), 0, g, [])
+    def test_fedu_threshold_needs_ldawa_fedu(self):
+        with pytest.raises(ValueError, match="fedu_threshold applies only to strategy 'ldawa_fedu', not 'ldawa'"):
+            AggregationSpec("ldawa", fedu_threshold=0.3)
+        assert AggregationSpec("ldawa", fedu_threshold=None).fedu_threshold is None
 
-    def test_permutation_invariance(self):
+    def test_mismatched_layout_rejected(self):
+        g = ps({"w": [1.0, 2.0]})
+        with pytest.raises(IncompatibleModelError, match=r"layer 'w': shape mismatch \(2,\) vs \(3,\)"):
+            aggregate(AggregationSpec("fedavg"), 0, g, pack([update(0, {"w": [1.0, 2.0, 3.0]})]))
+
+    def test_unsorted_client_ids_rejected(self):
         rng = np.random.default_rng(11)
         g, ups = random_fixture(rng, n_clients=5)
-        permuted = [ups[i] for i in rng.permutation(len(ups))]
-        for strategy in ("fedavg", "fairavg", "loss", "mdawa", "ldawa", "ldawa_fedavg", "ldawa_loss"):
-            a, _ = aggregate(AggregationSpec(strategy), 0, g, ups)
-            b, _ = aggregate(AggregationSpec(strategy), 0, g, permuted)
-            assert np.abs(a.vector - b.vector).max() < 1e-12
+        permuted = [ups[i] for i in (3, 0, 4, 1, 2)]
+        with pytest.raises(ValueError, match=r"client ids \(3, 0, 4, 1, 2\) are not strictly ascending"):
+            pack(permuted)
 
     def test_renormalize_restores_scale_for_identical_direction(self):
         # Clients at half the global's scale: ldawa contracts, the
         # renormalized variant divides the shrink back out.
         g = ps({"w": [2.0, 0.0]})
         ups = [update(0, {"w": [1.0, 0.0]}), update(1, {"w": [1.0, 0.0]})]
-        plain, _ = aggregate(AggregationSpec("ldawa"), 0, g, ups)
-        renorm, _ = aggregate(AggregationSpec("ldawa", renormalize=True), 0, g, ups)
+        plain, _ = aggregate(AggregationSpec("ldawa"), 0, g, pack(ups))
+        renorm, _ = aggregate(AggregationSpec("ldawa", renormalize=True), 0, g, pack(ups))
         np.testing.assert_allclose(plain["w"], [1.0, 0.0])
         np.testing.assert_allclose(renorm["w"], [1.0, 0.0])
         # opposed client shrinks the unnormalized aggregate
         ups2 = [update(0, {"w": [1.0, 0.0]}), update(1, {"w": [-1.0, 0.0]})]
-        plain2, _ = aggregate(AggregationSpec("ldawa"), 0, g, ups2)
+        plain2, _ = aggregate(AggregationSpec("ldawa"), 0, g, pack(ups2))
         np.testing.assert_allclose(plain2["w"], [1.0, 0.0])
 
     def test_renormalize_divides_out_partial_alignment(self):
@@ -391,17 +422,17 @@ class TestDispatch:
         # 1/2, so the normalized aggregate is exactly the aligned client
         g = ps({"w": [1.0, 0.0]})
         ups = [update(0, {"w": [2.0, 0.0]}), update(1, {"w": [0.0, 2.0]})]
-        plain, _ = aggregate(AggregationSpec("ldawa", renormalize=True), 0, g, ups)
+        plain, _ = aggregate(AggregationSpec("ldawa", renormalize=True), 0, g, pack(ups))
         np.testing.assert_allclose(plain["w"], [2.0, 0.0], atol=1e-15)
-        whole, _ = aggregate(AggregationSpec("mdawa", renormalize=True), 0, g, ups)
+        whole, _ = aggregate(AggregationSpec("mdawa", renormalize=True), 0, g, pack(ups))
         np.testing.assert_allclose(whole["w"], [2.0, 0.0], atol=1e-15)
 
     def test_loss_strategy_dispatch_matches_direct_weighting(self):
         rng = np.random.default_rng(14)
         g, ups = random_fixture(rng)
-        got, _ = aggregate(AggregationSpec("loss"), 0, g, ups)
-        ordered = sorted(ups, key=lambda u: u.client_id)
-        direct = weighted_sum([u.params for u in ordered], coeffs_loss(ordered))
+        block = pack(ups)
+        got, _ = aggregate(AggregationSpec("loss"), 0, g, block)
+        direct = weighted_sum(block.weights, g.layout, per_layer(coeffs_loss(block), len(g.layout)))
         assert got == direct
 
 
@@ -415,7 +446,7 @@ class TestRangeCorrection:
                 # Each client layer scaled by its own divergence delta(l).
                 sizes = [math.prod(shape) for _, shape in g.layout]
                 scaled = ParamSet(np.repeat(row, sizes) * u.params.vector, g.layout)
-                scaled_div = divergence(g, [scaled], [u.client_id])
+                scaled_div = divergence_of(g, [Client(u.client_id, scaled, 1, 0.0)])
                 for base, after in zip(row, scaled_div.layer[0]):
                     if base == 0.0:
                         continue
@@ -429,17 +460,54 @@ class TestDominanceBias:
         big = update(0, {"w": rng.normal(size=4) + 3.0}, n=9)
         small = [update(i, {"w": rng.normal(size=4)}, n=1) for i in range(1, 5)]
         ups = [big] + small
-        fed, _ = aggregate(AggregationSpec("fedavg"), 0, g, ups)
-        fair, _ = aggregate(AggregationSpec("fairavg"), 0, g, ups)
+        fed, _ = aggregate(AggregationSpec("fedavg"), 0, g, pack(ups))
+        fair, _ = aggregate(AggregationSpec("fairavg"), 0, g, pack(ups))
         d = lambda a, b: float(np.linalg.norm(a["w"] - b["w"]))
         assert d(fed, big.params) < d(fair, big.params)
 
 
-class TestClientUpdateValidation:
-    def test_nonpositive_samples_rejected(self):
-        with pytest.raises(ValueError):
-            ClientUpdate(0, ps({"w": [1.0]}), 0, 0.0)
+class TestClientUpdatesValidation:
+    """Every rule of a round's block is checked once, when it is built."""
 
-    def test_non_finite_loss_rejected(self):
-        with pytest.raises(ValueError):
-            ClientUpdate(0, ps({"w": [1.0]}), 1, math.inf)
+    LAYOUT = (("w", (2,)),)
+
+    def make(self, ids=(0, 1), weights=((1.0, 2.0), (3.0, 4.0)), n=(1, 1), loss=(0.0, 0.0)):
+        return ClientUpdates(ids, np.array(weights, dtype=np.float64).reshape(len(weights), -1), self.LAYOUT, n, loss)
+
+    def test_valid_block_is_read_only(self):
+        ups = self.make(ids=[3, 8], n=[2, 5], loss=[0.5, 1.5])
+        assert ups.client_ids == (3, 8) and ups.weights.shape == (2, 2) and ups.layout == self.LAYOUT
+        assert ups.num_samples.tolist() == [2, 5] and ups.train_loss.tolist() == [0.5, 1.5]
+        for array in (ups.weights, ups.num_samples, ups.train_loss):
+            assert not array.flags.writeable
+
+    def test_empty_rejected(self):
+        with pytest.raises(ValueError, match="no client updates"):
+            ClientUpdates((), np.zeros((0, 2)), self.LAYOUT, [], [])
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [dict(ids=(0, 1, 2)), dict(n=(1,)), dict(loss=(0.0, 0.0, 0.0)), dict(weights=(1.0, 2.0, 3.0, 4.0))],
+        ids=["ids", "num_samples", "train_loss", "weights"],
+    )
+    def test_length_mismatch_rejected(self, kwargs):
+        with pytest.raises(ValueError, match="client ids and a layout of 2 parameters for weights of shape"):
+            self.make(**kwargs)
+
+    def test_width_mismatch_rejected(self):
+        with pytest.raises(ValueError, match=r"layout of 2 parameters for weights of shape \(2, 3\)"):
+            self.make(weights=((1.0, 2.0, 3.0), (4.0, 5.0, 6.0)))
+
+    @pytest.mark.parametrize("ids", [(1, 0), (0, 0)], ids=["unsorted", "duplicate"])
+    def test_unsorted_or_duplicate_ids_rejected(self, ids):
+        with pytest.raises(ValueError, match="not strictly ascending"):
+            self.make(ids=ids)
+
+    def test_nonpositive_samples_rejected(self):
+        with pytest.raises(ValueError, match="^client 1: num_samples must be >= 1$"):
+            self.make(n=(1, 0))
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_loss_rejected(self, bad):
+        with pytest.raises(ValueError, match="^client 1: train_loss is not finite$"):
+            self.make(loss=(0.0, bad))

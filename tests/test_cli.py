@@ -21,6 +21,11 @@ from fedsim.learners import ModelSpec, init_params
 from fedsim.params import ParamSet, load_checkpoint, save_checkpoint, weighted_sum
 
 
+def mix(models, coeffs):
+    """``weighted_sum`` of one-layer models with one coefficient per model."""
+    return weighted_sum(np.stack([m.vector for m in models]), models[0].layout, [[c] for c in coeffs])
+
+
 def minimal_raw(tmp_path, **over):
     raw = {
         "dataset": {"type": "blobs", "num_classes": 3, "samples_per_class": 12, "dim": 4, "spread": 0.5, "seed": 1},
@@ -397,7 +402,7 @@ class TestAggregateCommand:
         out = tmp_path / "agg.bin"
         assert main(["aggregate", "--global", g, "--client", c1, "--client", c2,
                      "--strategy", "fairavg", "--output", str(out)]) == 0
-        expected = weighted_sum([p1, p2], [0.5, 0.5])
+        expected = mix([p1, p2], [0.5, 0.5])
         assert load_checkpoint(out) == expected
         # divergence report written alongside by default
         entries = json.loads((tmp_path / "agg.bin.divergence.json").read_text())
@@ -444,7 +449,7 @@ class TestAggregateCommand:
         assert main(["aggregate", "--global", g, "--client", c1, "--client", c2,
                      "--strategy", "fedavg", "--metadata", str(meta),
                      "--output", str(out), "--report", str(report)]) == 0
-        expected = weighted_sum([p1, p2], [0.75, 0.25])
+        expected = mix([p1, p2], [0.75, 0.25])
         assert load_checkpoint(out) == expected
         entries = json.loads(report.read_text())
         assert len(entries) == 2 and {e["client_id"] for e in entries} == {0, 1}
@@ -533,7 +538,7 @@ class TestMalformedInputs:
         out = tmp_path / "x.bin"
         assert main(["aggregate", "--global", g, "--client", c1, "--client", c2,
                      "--strategy", "fedavg", "--metadata", str(meta), "--output", str(out)]) == 0
-        assert load_checkpoint(out) == weighted_sum([p1, p2], [0.75, 0.25])
+        assert load_checkpoint(out) == mix([p1, p2], [0.75, 0.25])
 
 
 class TestProbeCommand:
@@ -643,6 +648,7 @@ def _contract_fixture(tmp_path):
     checkpoint(tmp_path, "good.bin", {"w": [1.0, 2.0]})
     (tmp_path / "malformed.bin").write_bytes(MALFORMED_CHECKPOINTS["header_not_utf8"])
     checkpoint(tmp_path, "longer.bin", {"w": [1.0, 2.0, 3.0]})
+    (tmp_path / "nan.bin").write_bytes(binary_blob(one_layer(), struct.pack("<2d", 1.0, float("nan"))))
     (tmp_path / "bad.json").write_text("{")
     (tmp_path / "unknown_key.json").write_text(json.dumps({**minimal_raw(tmp_path), "bogus": 1}))
     (tmp_path / "meta.json").write_text(json.dumps([{"num_samples": "many"}]))
@@ -673,6 +679,10 @@ ERROR_PATHS = {
     "config_bad_json": (["validate", "--config", "{tmp}/bad.json"], 1, "invalid JSON"),
     "config_unknown_key": (["validate", "--config", "{tmp}/unknown_key.json"], 1, "unknown key 'bogus'"),
     "config_bad_set": (["validate", "--config", CONFIG, "--set", "rounds"], 1, "expected dotted.key=value"),
+    "config_fedu_threshold_without_fedu": (
+        ["validate", "--config", CONFIG, "--set", "aggregation.fedu_threshold=0.3"], 1,
+        "aggregation: fedu_threshold applies only to strategy 'ldawa_fedu', not 'fedavg'",
+    ),
     "config_missing_file": (["run", "--config", "{tmp}/absent.json"], 2, "absent.json"),
     "run_bad_csv": (
         ["run", "--config", CONFIG, "--set", "trainer.method=supervised", "--set", "model.encoder_dims=[2, 4]",
@@ -687,7 +697,10 @@ ERROR_PATHS = {
     "aggregate_missing_checkpoint": (_aggregate("{tmp}/absent.bin", "{tmp}/good.bin"), 2, "absent.bin"),
     "aggregate_malformed_checkpoint": (_aggregate("{tmp}/good.bin", "{tmp}/malformed.bin"), 1, "malformed.bin"),
     "aggregate_mismatched_checkpoint": (
-        _aggregate("{tmp}/good.bin", "{tmp}/longer.bin"), 2, "layer 'w': shape mismatch (2,) vs (3,)",
+        _aggregate("{tmp}/good.bin", "{tmp}/longer.bin"), 2, "longer.bin: layer 'w': shape mismatch (2,) vs (3,)",
+    ),
+    "aggregate_non_finite_checkpoint": (
+        _aggregate("{tmp}/good.bin", "{tmp}/nan.bin"), 1, "nan.bin: layer 'w' contains non-finite values",
     ),
     "aggregate_bad_metadata": (
         _aggregate("{tmp}/good.bin", "{tmp}/good.bin", "--metadata", "{tmp}/meta.json"),

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fedsim.aggregation import ClientUpdates
 from fedsim.divergence import Divergence, divergence
 from fedsim.params import IncompatibleModelError, ParamSet
 
@@ -15,9 +16,15 @@ def ps(named):
     return ParamSet.from_arrays({n: np.asarray(v, dtype=np.float64) for n, v in named.items()})
 
 
+def pack(models, client_ids):
+    """Client models of one layout as the rows of a round's block."""
+    n = len(models)
+    return ClientUpdates(client_ids, np.stack([m.vector for m in models]), models[0].layout, [1] * n, [0.0] * n)
+
+
 def cosine(a, b):
     """The divergence table's only entry for a one-layer client ``b`` against a one-layer global ``a``."""
-    return divergence(ps({"t": a}), [ps({"t": b})], [0]).layer[0, 0]
+    return divergence(ps({"t": a}), pack([ps({"t": b})], [0])).layer[0, 0]
 
 
 class TestCosine:
@@ -57,7 +64,7 @@ class TestCosine:
 
 def one(g, c, client_id=0):
     """Divergence of a single client."""
-    return divergence(g, [c], [client_id])
+    return divergence(g, pack([c], [client_id]))
 
 
 class TestDivergence:
@@ -115,15 +122,15 @@ class TestDivergence:
     def test_rows_follow_the_given_models(self):
         g = ps({"a": [1.0, 0.0], "b": [2.0]})
         c1, c2 = ps({"a": [0.0, 1.0], "b": [1.0]}), ps({"a": [1.0, 0.0], "b": [-3.0]})
-        div = divergence(g, [c2, c1], [7, 3])
-        assert div.client_ids == (7, 3)
+        div = divergence(g, pack([c2, c1], [3, 7]))
+        assert div.client_ids == (3, 7)
         assert div.layer.tolist() == [[1.0, -1.0], [0.0, 1.0]]
         assert div.layer.tolist()[0] == one(g, c2).layer.tolist()[0]
 
     def test_client_id_count_must_match(self):
         m = ps({"a": [1.0]})
-        with pytest.raises(ValueError, match="2 client ids for 1 models"):
-            divergence(m, [m], [0, 1])
+        with pytest.raises(ValueError, match=r"2 client ids and a layout of 1 parameters for weights of shape \(1, 1\)"):
+            divergence(m, pack([m], [0, 1]))
 
     def test_json_serialization(self):
         div = one(ps({"a": [1.0]}), ps({"a": [2.0]}), client_id=7)
@@ -159,7 +166,7 @@ class TestMeanDelta:
     def test_empty_rejected(self):
         m = ps({"a": [1.0]})
         with pytest.raises(ValueError):
-            divergence(m, [], [])
+            divergence(m, ClientUpdates((), np.zeros((0, 1)), m.layout, [], []))
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError, match="mode"):
@@ -196,7 +203,7 @@ class TestDivergenceProperties:
         scaled = list(clients)
         scaled[k] = ParamSet(scale * clients[k].vector, g.layout)
         ids = list(range(len(clients)))
-        before, after = divergence(g, clients, ids), divergence(g, scaled, ids)
+        before, after = divergence(g, pack(clients, ids)), divergence(g, pack(scaled, ids))
         assert after.layer.tobytes() == before.layer.tobytes()
         assert after.model.tobytes() == before.model.tobytes()
         others = [i for i in ids if i != k]

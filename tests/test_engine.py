@@ -7,7 +7,7 @@ import weakref
 import numpy as np
 import pytest
 
-from fedsim.aggregation import AggregationSpec, ClientUpdate
+from fedsim.aggregation import AggregationSpec, ClientUpdates
 from fedsim.config import parse_config
 from fedsim.engine import (
     _TAG_TRAIN,
@@ -21,6 +21,13 @@ from fedsim.engine import (
 from fedsim.learners import ClientTrainingError, init_params, projector_start
 from fedsim.params import ParamSet, load_checkpoint
 from fedsim.partition import make_blobs, partition
+
+
+def scripted(client_ids, models, num_samples, train_loss):
+    """A ``train_fn`` result: the given client models (one layout) as one round block."""
+    k = len(client_ids)
+    block = np.stack([m.vector for m in models])
+    return ClientUpdates(client_ids, block, models[0].layout, [num_samples] * k, [train_loss] * k)
 
 
 def base_config(tmp_path, **over):
@@ -159,13 +166,14 @@ class TestRunRound:
         parts = partition(train_ds, cfg.partition)
         rng = np.random.default_rng(3)
         layer_shapes = {"a": 3, "b": 2}
-        scripted = {
+        models = {
             cid: ps({n: rng.normal(size=s) for n, s in layer_shapes.items()}) for cid in (0, 1)
         }
         global_params = ps({n: rng.normal(size=s) for n, s in layer_shapes.items()})
 
         def train_fn(r, clients):
-            return [ClientUpdate(cid, scripted[cid], 10, 0.5) for cid, _, _ in clients]
+            ids = [cid for cid, _, _ in clients]
+            return scripted(ids, [models[cid] for cid in ids], 10, 0.5)
 
         runner = FederatedRunner(cfg, train_ds, parts, train_fn=train_fn)
         from fedsim.engine import RunState
@@ -178,7 +186,7 @@ class TestRunRound:
             g = global_params[name]
             acc = np.zeros(size)
             for cid in (0, 1):
-                c = scripted[cid][name]
+                c = models[cid][name]
                 delta = float(np.dot(g, c) / (np.linalg.norm(g) * np.linalg.norm(c)))
                 acc += delta * c / 2.0
             np.testing.assert_allclose(new_state.global_params[name], acc, atol=1e-12)
@@ -226,7 +234,7 @@ class TestRunRound:
             for cid, _, _ in clients:
                 if cid == 1:
                     raise ClientTrainingError(cid, "boom")
-            return [ClientUpdate(cid, init, 1, 0.0) for cid, _, init in clients]
+            return scripted([cid for cid, _, _ in clients], [init for _, _, init in clients], 1, 0.0)
 
         runner = FederatedRunner(cfg, train_ds, parts, train_fn=train_fn)
         with pytest.raises(RuntimeError, match="client 1"):
@@ -339,15 +347,38 @@ class TestRunExperiment:
         original_fn = runner._default_train
 
         def capturing(r, clients):
-            ups = original_fn(r, clients)
-            captured.update((up.client_id, up) for up in ups)
-            return ups
+            captured["updates"] = original_fn(r, clients)
+            return captured["updates"]
 
         runner.train_fn = capturing
         state = runner.initial_state()
         new_state = runner.run_round(state)
-        redone, _ = aggregate(cfg.aggregation, 0, state.global_params, list(captured.values()))
+        redone, _ = aggregate(cfg.aggregation, 0, state.global_params, captured["updates"])
         assert redone == new_state.global_params
+
+    def test_fedu_keeps_a_copy_of_each_trained_row(self, tmp_path):
+        captured = {}
+
+        def run_one_round(cfg):
+            train_ds, _ = build_datasets(cfg)
+            runner = FederatedRunner(cfg, train_ds, partition(train_ds, cfg.partition))
+
+            def capturing(r, clients):
+                captured["updates"] = runner._default_train(r, clients)
+                return captured["updates"]
+
+            runner.train_fn = capturing
+            return runner.run_round(runner.initial_state())
+
+        state = run_one_round(base_config(tmp_path, rounds=1, aggregation={"strategy": "ldawa_fedu"}))
+        ups = captured["updates"]
+        assert list(state.client_models) == list(ups.client_ids) == [0, 1, 2]
+        for cid, row in zip(ups.client_ids, ups.weights):
+            kept = state.client_models[cid]
+            assert kept.layout == ups.layout and kept.vector.tobytes() == row.tobytes()
+            assert not np.shares_memory(kept.vector, ups.weights)
+        # without FedU no client model outlives its round
+        assert run_one_round(base_config(tmp_path, rounds=1)).client_models == {}
 
     def test_fedu_retains_client_projectors(self, tmp_path):
         cfg = base_config(

@@ -162,8 +162,8 @@ class TestClassifierAccuracy:
         spec = ModelSpec((4, 8), head_classes=2)
         params = init_params(spec, np.random.default_rng(3))
         trainer = TrainerSpec(method="supervised", batch_size=16, local_epochs=30, lr=0.1)
-        (up,) = train_clients([(0, ds, params, np.random.default_rng(4))], trainer, spec)
-        assert classifier_accuracy(up.params, spec, ds) > 0.95
+        up = train_clients([(0, ds, params, np.random.default_rng(4))], trainer, spec)
+        assert classifier_accuracy(ParamSet(up.weights[0], up.layout), spec, ds) > 0.95
 
 
 def record(round_index, deltas, layer_deltas=None):

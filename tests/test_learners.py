@@ -1,6 +1,7 @@
 """Forward/backward passes, loss gradients vs finite differences, local training."""
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -12,7 +13,6 @@ from fedsim.learners import (
     ModelSpec,
     TrainerSpec,
     backward,
-    cross_correlation,
     forward,
     init_params,
     layer_names,
@@ -331,7 +331,8 @@ class TestBarlow:
     def test_decorrelated_unit_variance_views(self):
         # orthogonal columns with exact zero mean and unit variance
         z = np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]])
-        corr = cross_correlation(z, z)
+        hat = (z - z.mean(axis=0)) / z.std(axis=0)  # the batch cross-correlation loss_barlow penalises
+        corr = hat.T @ hat / len(z)
         np.testing.assert_allclose(corr, np.eye(2), atol=1e-7)
         loss, _, _ = loss_barlow(z, z, 0.5)
         assert loss < 1e-10
@@ -515,9 +516,25 @@ def client_dataset(rng, n=40, num_classes=2, dim=4, spread=0.3):
     return ds
 
 
+class Trained(NamedTuple):
+    """One client's row of a round's ClientUpdates block."""
+
+    client_id: int
+    params: ParamSet
+    num_samples: int
+    train_loss: float
+
+
+def rows(updates):
+    """Each client of a round's block as its own record, in row order."""
+    fields = zip(updates.client_ids, updates.weights, updates.num_samples, updates.train_loss)
+    return [Trained(cid, ParamSet(w, updates.layout), int(n), float(loss)) for cid, w, n, loss in fields]
+
+
 def train_one(data, init, trainer, model, rng):
     """One client trained alone: a round of K=1."""
-    return train_clients([(0, data, init, rng)], trainer, model)[0]
+    (up,) = rows(train_clients([(0, data, init, rng)], trainer, model))
+    return up
 
 
 class TestTrainLocal:
@@ -676,6 +693,24 @@ class TestBatchedGradients:
         assert_grad_close(analytic.reshape(-1), fd)
 
 
+    @pytest.mark.parametrize("method", ["barlow_twins", "simclr"])
+    def test_stacked_views_match_one_pass_per_view(self, method):
+        # local training runs both SSL views as one (2, K, B, D) stack; each half is the view's own pass
+        rng = np.random.default_rng(33)
+        spec = ModelSpec((self.D, 4, 3), projector_dims=(3, 2), activation="tanh")
+        layout = init_params(spec, rng).layout
+        params = segments(np.stack([init_params(spec, rng).vector for _ in range(self.K)]), layout)
+        views = rng.normal(size=(2, self.K, self.B, self.D))
+        loss_fn, arg = (loss_ntxent, 0.5) if method == "simclr" else (loss_barlow, 0.05)
+        both = forward(params, spec, views)
+        fa, fb = forward(params, spec, views[0]), forward(params, spec, views[1])
+        assert both.z.tobytes() == np.stack([fa.z, fb.z]).tobytes()
+        _, ga, gb = loss_fn(fa.z, fb.z, arg)
+        grads_a, grads_b = backward(params, spec, fa, ga), backward(params, spec, fb, gb)
+        for name, g in backward(params, spec, both, np.stack([ga, gb])).items():
+            assert (g[0] + g[1]).tobytes() == (grads_a[name] + grads_b[name]).tobytes()
+
+
 def own_projector(glob: ParamSet, own: ParamSet) -> ParamSet:
     """The global backbone with another model's projector (a FedU client's merged init)."""
     return ParamSet.from_arrays(
@@ -724,8 +759,9 @@ class TestTrainClientsProperties:
         together = train_clients(
             [(cid, d, init, session(k)) for k, (cid, d, init) in enumerate(clients)], trainer, model
         )
-        for k, ((cid, d, init), up) in enumerate(zip(clients, together)):
-            (alone,) = train_clients([(cid, d, init, session(k))], trainer, model)
+        assert together.weights.shape == (len(clients), glob.num_params) and not together.weights.flags.writeable
+        for k, ((cid, d, init), up) in enumerate(zip(clients, rows(together))):
+            (alone,) = rows(train_clients([(cid, d, init, session(k))], trainer, model))
             assert up.client_id == alone.client_id == cid
             assert up.num_samples == alone.num_samples == len(d)
             assert up.params.vector.tobytes() == alone.params.vector.tobytes()

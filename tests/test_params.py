@@ -1,6 +1,7 @@
 """Parameter-set invariants, weighted sums, and checkpoint round-trips."""
 
 import json
+import math
 import struct
 import tempfile
 from pathlib import Path
@@ -161,26 +162,46 @@ class TestParamSet:
             ps([1.0])["nope"]
 
 
+def wsum(models, coeffs):
+    """``weighted_sum`` over the stacked vectors of ``models``, which share one layout."""
+    return weighted_sum(np.stack([m.vector for m in models]), models[0].layout, coeffs)
+
+
+def repeat_reference(block, layout, table):
+    """The weighted sum as one P-long ``np.repeat`` coefficient mask per row, accumulated in row order."""
+    sizes = [math.prod(shape) for _, shape in layout]
+    acc = np.zeros(block.shape[1])
+    for row, w in zip(table, block):
+        acc += np.repeat(row, sizes) * w
+    return acc
+
+
+# Coefficients as divergence-scaled rules make them: signed zeros, negatives, exact fractions.
+COEFFS = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 0.25]) | st.floats(-1e3, 1e3)
+WEIGHTS = st.floats(-1e6, 1e6)
+
+
 class TestWeightedSum:
     def test_single_model_unit_coefficient(self):
         m = ps([2.0, 0.0])
-        assert weighted_sum([m], [1.0]) == m
+        assert wsum([m], [[1.0]]) == m
 
     def test_hand_mean(self):
-        out = weighted_sum([ps([2.0, 0.0]), ps([0.0, 2.0])], [0.5, 0.5])
+        out = wsum([ps([2.0, 0.0]), ps([0.0, 2.0])], [[0.5], [0.5]])
         np.testing.assert_array_equal(out["layer0"], [1.0, 1.0])
 
     def test_all_zero_coefficients(self):
-        out = weighted_sum([ps([2.0, 3.0]), ps([4.0, 5.0])], [0.0, 0.0])
+        out = wsum([ps([2.0, 3.0]), ps([4.0, 5.0])], [[0.0], [0.0]])
         np.testing.assert_array_equal(out["layer0"], [0.0, 0.0])
 
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
-            weighted_sum([], [])
+            weighted_sum(np.zeros((0, 1)), (("w", (1,)),), np.zeros((0, 1)))
 
-    def test_incompatible_models_rejected(self):
-        with pytest.raises(IncompatibleModelError):
-            weighted_sum([ps([1.0]), ps([1.0, 2.0])], [0.5, 0.5])
+    def test_block_wider_or_narrower_than_layout_rejected(self):
+        for width in (1, 3):
+            with pytest.raises(ValueError, match=rf"expected a \(K >= 1, 2\) block, got shape \(2, {width}\)"):
+                weighted_sum(np.ones((2, width)), (("w", (2,)),), [[0.5], [0.5]])
 
     def test_uniform_coefficients_equal_elementwise_mean(self):
         rng = np.random.default_rng(3)
@@ -188,10 +209,21 @@ class TestWeightedSum:
             k = int(rng.integers(2, 6))
             ref = random_paramset(rng)
             models = [ref] + [like(ref, rng) for _ in range(k - 1)]
-            out = weighted_sum(models, [1.0 / k] * k)
+            out = wsum(models, [[1.0 / k] * len(ref.layout)] * k)
             for name in out.names:
                 mean = np.mean([m[name] for m in models], axis=0)
                 assert np.abs(out[name] - mean).max() < 1e-12
+
+    @PROPERTY
+    @given(layout=LAYOUTS, k=st.integers(1, 6), data=st.data())
+    def test_per_layer_accumulation_has_the_repeat_references_bytes(self, layout, k, data):
+        size = sum(math.prod(shape) for _, shape in layout)
+        block = np.array(data.draw(st.lists(WEIGHTS, min_size=k * size, max_size=k * size))).reshape(k, size)
+        n = k * len(layout)
+        table = np.array(data.draw(st.lists(COEFFS, min_size=n, max_size=n))).reshape(k, len(layout))
+        out = weighted_sum(block, layout, table)
+        assert out.layout == tuple(layout)
+        assert out.vector.tobytes() == repeat_reference(block, layout, table).tobytes()
 
 
 class TestWeightedSumPerLayer:
@@ -199,18 +231,18 @@ class TestWeightedSumPerLayer:
 
     def test_identity(self):
         m = ps([1.0, 2.0], [3.0])
-        out = weighted_sum([m], [[1.0, 1.0]])
+        out = wsum([m], [[1.0, 1.0]])
         assert out == m
 
     def test_hand_mean_single_layer(self):
-        out = weighted_sum([ps([2.0]), ps([4.0])], [[0.5], [0.5]])
+        out = wsum([ps([2.0]), ps([4.0])], [[0.5], [0.5]])
         np.testing.assert_array_equal(out["layer0"], [3.0])
 
     def test_two_layer_two_client_hand_expansion(self):
         a = ps([1.0, 0.0], [2.0])
         b = ps([0.0, 1.0], [4.0])
         coeffs = [[0.25, 0.5], [0.75, 0.5]]
-        out = weighted_sum([a, b], coeffs)
+        out = wsum([a, b], coeffs)
         # scalar-loop expansion of the double sum
         np.testing.assert_allclose(out["layer0"], 0.25 * a["layer0"] + 0.75 * b["layer0"])
         np.testing.assert_allclose(out["layer1"], 0.5 * a["layer1"] + 0.5 * b["layer1"])
@@ -218,22 +250,22 @@ class TestWeightedSumPerLayer:
     def test_shape_mismatch_rejected(self):
         m = ps([1.0], [2.0])
         with pytest.raises(ValueError, match=r"shape \(1, 1\) for 1 models of 2 layers"):
-            weighted_sum([m], [[1.0]])
+            wsum([m], [[1.0]])
         with pytest.raises(ValueError, match=r"shape \(2, 2\)"):
-            weighted_sum([m], [[1.0, 1.0], [1.0, 1.0]])
+            wsum([m], [[1.0, 1.0], [1.0, 1.0]])
         with pytest.raises(ValueError, match=r"shape \(2,\)"):
-            weighted_sum([m], [1.0, 1.0])
+            wsum([m], [1.0, 1.0])
 
-    def test_constant_per_client_coefficient_matches_weighted_sum(self):
+    def test_constant_per_client_coefficient_matches_scaled_vectors(self):
         rng = np.random.default_rng(4)
         for _ in range(10):
             k = int(rng.integers(2, 5))
             ref = random_paramset(rng)
             models = [like(ref, rng) for _ in range(k)]
             coeffs = rng.normal(size=k)
-            flat_out = weighted_sum(models, coeffs)
-            table_out = weighted_sum(models, [[c] * len(ref.layout) for c in coeffs])
-            assert np.abs(flat_out.vector - table_out.vector).max() < 1e-12
+            flat_out = sum(c * m.vector for c, m in zip(coeffs, models))
+            table_out = wsum(models, [[c] * len(ref.layout) for c in coeffs])
+            assert np.abs(flat_out - table_out.vector).max() < 1e-12
 
 
 class TestVector:

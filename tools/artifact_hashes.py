@@ -4,7 +4,11 @@ Usage (from the repository root):
 
     PYTHONPATH=src python tools/artifact_hashes.py > hashes.txt
 
-Each line is ``<variant> seed=<n> <file> <sha256>`` for ``rounds.csv``,
+The first line is ``# blas-core <name>``: the OpenBLAS kernel numpy runs on
+(``unknown`` if it cannot be read). Divergence reduces through BLAS dot
+products, whose bits differ between kernels, so compare two outputs only
+when their first lines match. Each further line is
+``<variant> seed=<n> <file> <sha256>`` for ``rounds.csv``,
 ``checkpoint_init.bin`` and ``checkpoint_final.bin`` of every run: the
 desk-scale SimCLR runs under fedavg, ldawa, mdawa and ldawa_fedu, a Barlow
 Twins run on a Dirichlet partition (uneven clients, ragged and lone trailing
@@ -25,6 +29,7 @@ from __future__ import annotations
 
 import contextlib
 import copy
+import ctypes
 import hashlib
 import io
 import json
@@ -131,6 +136,20 @@ def variants(seed: int, work: Path):
     yield "supervised_fedu", fedu
 
 
+def blas_core() -> str:
+    """The runtime core name of the OpenBLAS that numpy loaded, or ``unknown``."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for lib in sorted(libs.glob("lib*openblas*.so*")):
+        for symbol in ("scipy_openblas_get_corename64_", "scipy_openblas_get_corename", "openblas_get_corename"):
+            try:
+                fn = getattr(ctypes.CDLL(str(lib)), symbol)
+            except (OSError, AttributeError):
+                continue
+            fn.argtypes, fn.restype = [], ctypes.c_char_p
+            return fn().decode()
+    return "unknown"
+
+
 def sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
@@ -196,6 +215,7 @@ def offline_lines(work: Path):
 
 
 def main() -> int:
+    print(f"# blas-core {blas_core()}")
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         for seed in SEEDS:
