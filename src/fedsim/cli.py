@@ -44,18 +44,13 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run_p = sub.add_parser("run", help="execute an experiment from a config file")
-    run_p.add_argument("--config", required=True)
-    run_p.add_argument("--set", dest="overrides", action="append", default=[], metavar="KEY=VALUE")
-    run_p.add_argument("--output", help="override the config's output directory")
-
     val_p = sub.add_parser("validate", help="validate a config and exit")
-    val_p.add_argument("--config", required=True)
-    val_p.add_argument("--set", dest="overrides", action="append", default=[], metavar="KEY=VALUE")
-
     probe_p = sub.add_parser("probe", help="linear-probe a saved checkpoint")
-    probe_p.add_argument("--config", required=True)
+    for config_p in (run_p, val_p, probe_p):
+        config_p.add_argument("--config", required=True)
+        config_p.add_argument("--set", dest="overrides", action="append", default=[], metavar="KEY=VALUE")
+    run_p.add_argument("--output", help="override the config's output directory")
     probe_p.add_argument("--checkpoint", required=True)
-    probe_p.add_argument("--set", dest="overrides", action="append", default=[], metavar="KEY=VALUE")
     probe_p.add_argument(
         "--fraction", type=float, action="append", default=None,
         help="label fraction(s) to probe; defaults to the config's list",
@@ -69,10 +64,7 @@ def _build_parser() -> argparse.ArgumentParser:
     agg_p.add_argument("--round", type=int, default=0, dest="round_index")
     agg_p.add_argument("--warmup-rounds", type=int, default=0)
     agg_p.add_argument("--output", required=True)
-    agg_p.add_argument(
-        "--report",
-        help="divergence-report JSON path (default: <output>.divergence.json)",
-    )
+    agg_p.add_argument("--report", help="divergence-report JSON path (default: <output>.divergence.json)")
 
     cmp_p = sub.add_parser("compare", help="merge several runs' rounds.csv files")
     cmp_p.add_argument("run_dirs", nargs="+")
@@ -160,14 +152,8 @@ def _cmd_aggregate(args) -> int:
 
     global_params = load_checkpoint(args.global_ckpt)
     block = np.empty((len(args.clients), global_params.num_params))
-    for row, path in zip(block, args.clients):  # one client ParamSet alive at a time beside the block
-        client = load_checkpoint(path)
-        try:
-            global_params.require_compatible(client)
-        except IncompatibleModelError as exc:
-            raise IncompatibleModelError(f"{path}: {exc}") from exc
-        row[...] = client.vector
-        del client
+    for row, path in zip(block, args.clients):
+        load_checkpoint(path, like=global_params, out=row)
     meta = _load_metadata(args.metadata, len(block)) if args.metadata else [(1, 0.0)] * len(block)
     num_samples, train_loss = zip(*meta)
     updates = ClientUpdates(tuple(range(len(block))), block, global_params.layout, num_samples, train_loss)

@@ -29,24 +29,19 @@ ZERO_NORM_TOL = 1e-12
 SNAP_TOL = 1e-12
 
 
-def _cosine(g: np.ndarray, c: np.ndarray, norm_g: float) -> float:
-    """Cosine of two flat same-sized arrays, snapped to +-1 near the ends.
+def _cosines(dots: np.ndarray, g_sq, c_sq: np.ndarray) -> np.ndarray:
+    """Cosines from dot products and squared norms (the global's broadcast), snapped to +-1 near the ends.
 
-    Zero-norm convention: if both are degenerate they count as identical
-    (1.0); if exactly one is degenerate they count as orthogonal (0.0). This
-    keeps round-zero aggregation of identically initialized models equal to
-    plain averaging and never produces NaN. ``norm_g`` is the norm of ``g``,
-    computed once per round.
+    Zero-norm convention: if both tensors are degenerate they count as
+    identical (1.0); if exactly one is, orthogonal (0.0). This keeps round-zero
+    aggregation of identically initialized models equal to plain averaging.
     """
-    norm_c = float(np.linalg.norm(c))
-    if norm_g <= ZERO_NORM_TOL or norm_c <= ZERO_NORM_TOL:
-        return 1.0 if norm_g <= ZERO_NORM_TOL and norm_c <= ZERO_NORM_TOL else 0.0
-    v = float(np.dot(g, c)) / (norm_g * norm_c)
-    if v >= 1.0 - SNAP_TOL:
-        return 1.0
-    if v <= -1.0 + SNAP_TOL:
-        return -1.0
-    return v
+    norm_g, norm_c = np.sqrt(g_sq), np.sqrt(c_sq)
+    g_zero, c_zero = norm_g <= ZERO_NORM_TOL, norm_c <= ZERO_NORM_TOL
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        v = dots / (norm_g * norm_c)
+    v = np.where(v >= 1.0 - SNAP_TOL, 1.0, np.where(v <= -1.0 + SNAP_TOL, -1.0, v))
+    return np.where(g_zero | c_zero, np.where(g_zero & c_zero, 1.0, 0.0), v)
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,20 +86,27 @@ class Divergence:
 def divergence(global_params: ParamSet, updates: ClientUpdates) -> Divergence:
     """Divergence of each row of ``updates.weights`` against the global, per layer and whole-model.
 
-    Row k belongs to ``updates.client_ids[k]``. The layout is checked once;
-    the global's norms are computed once; each cosine is one ``np.dot`` and
-    two norms over flat views of the layer's segments.
+    Row k belongs to ``updates.client_ids[k]``. Per layer, ``np.vecdot`` takes all K rows at once and
+    runs BLAS ``ddot`` on each, as ``np.dot(g, c)`` and ``np.linalg.norm(c)`` do, so the bits are the
+    same. The global goes first, as in ``np.dot(g, c)``: some kernels round swapped operands differently.
     """
     global_params.require_compatible(updates)
+    block, v = updates.weights, global_params.vector
+    k, width = block.shape
     flat = tuple((name, (math.prod(shape),)) for name, shape in global_params.layout)
-    g_layers = list(segments(global_params.vector, flat).values())
-    g_norms = [float(np.linalg.norm(g)) for g in g_layers]
-    g_norm = float(np.linalg.norm(global_params.vector))
-    c_layers = list(segments(updates.weights, flat).values())  # (K, n) views, one per layer
-    layer, euclid = np.zeros((2, len(updates.weights), len(flat)))
-    for k in range(len(updates.weights)):
-        for l, (g, c) in enumerate(zip(g_layers, c_layers)):
-            layer[k, l] = _cosine(g, c[k], g_norms[l])
-            euclid[k, l] = np.linalg.norm(g - c[k])
-    model = np.array([_cosine(global_params.vector, w, g_norm) for w in updates.weights])
-    return Divergence(updates.client_ids, global_params.names, layer, euclid, model)
+    g_sq = np.empty(len(flat))
+    dots, c_sq, d_sq = np.empty((3, k, len(flat)))
+    # Differences go a chunk of rows at a time to one buffer, each row 16-byte aligned (an even
+    # stride) like a fresh ``g - c``: a ddot kernel may sum in another order from an unaligned start.
+    buf = np.empty(width + 2)
+    for l, (g, c) in enumerate(zip(segments(v, flat).values(), segments(block, flat).values())):
+        g_sq[l], dots[:, l], c_sq[:, l] = g.dot(g), np.vecdot(g, c), np.vecdot(c, c)
+        n = c.shape[1]
+        stride = n + n % 2 or 2
+        rows = max(1, width // stride)  # rows * stride <= width + 2
+        diff = buf[: rows * stride].reshape(rows, stride)[:, :n]
+        for i in range(0, k, rows):
+            d = np.subtract(g, c[i : i + rows], out=diff[: min(rows, k - i)])
+            d_sq[i : i + rows, l] = np.vecdot(d, d)
+    model = _cosines(np.vecdot(v, block), v.dot(v), np.vecdot(block, block))
+    return Divergence(updates.client_ids, global_params.names, _cosines(dots, g_sq, c_sq), np.sqrt(d_sq), model)

@@ -75,9 +75,7 @@ class ParamSet:
         expected = sum(math.prod(shape) for _, shape in layout)
         if vector.shape != (expected,):
             raise IncompatibleModelError(f"{vector.size} values for a layout of {expected} parameters")
-        if not np.isfinite(vector).all():
-            bad = next(n for n, seg in segments(vector, layout).items() if not np.isfinite(seg).all())
-            raise ValueError(f"layer {bad!r} contains non-finite values")
+        _require_finite(vector, layout)
         vector.setflags(write=False)
         object.__setattr__(self, "vector", vector)
         object.__setattr__(self, "layout", layout)
@@ -124,14 +122,21 @@ class ParamSet:
         return self.vector.size
 
     def require_compatible(self, other) -> None:
-        """Raise :class:`IncompatibleModelError` naming the first layer where ``other.layout`` differs."""
-        if len(self.layout) != len(other.layout):
-            raise IncompatibleModelError(f"layer count mismatch: {len(self.layout)} vs {len(other.layout)}")
-        for (a, a_shape), (b, b_shape) in zip(self.layout, other.layout):
+        """Raise :class:`IncompatibleModelError` at the first layer where ``other`` (a layout, or has one) differs."""
+        theirs = getattr(other, "layout", other)
+        if len(self.layout) != len(theirs):
+            raise IncompatibleModelError(f"layer count mismatch: {len(self.layout)} vs {len(theirs)}")
+        for (a, a_shape), (b, b_shape) in zip(self.layout, theirs):
             if a != b:
                 raise IncompatibleModelError(f"layer name mismatch: {a!r} vs {b!r}")
             if a_shape != b_shape:
                 raise IncompatibleModelError(f"layer {a!r}: shape mismatch {a_shape} vs {b_shape}")
+
+
+def _require_finite(vector: np.ndarray, layout: Layout) -> None:
+    if not np.isfinite(vector).all():
+        bad = next(n for n, seg in segments(vector, layout).items() if not np.isfinite(seg).all())
+        raise ValueError(f"layer {bad!r} contains non-finite values")
 
 
 def weighted_sum(block: np.ndarray, layout: Layout, coeffs) -> ParamSet:
@@ -177,22 +182,32 @@ def save_checkpoint(params: ParamSet, path) -> None:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(_PREAMBLE.pack(CHECKPOINT_VERSION, len(header)))
         fh.write(header)
-        fh.write(params.vector.astype("<f8").tobytes())
+        fh.write(np.ascontiguousarray(params.vector, dtype="<f8"))  # no copy on a little-endian host
 
 
-def load_checkpoint(path) -> ParamSet:
-    """Read a binary checkpoint; malformed content of any kind raises ValueError naming ``path``."""
+def load_checkpoint(path, *, like: ParamSet | None = None, out: np.ndarray | None = None) -> ParamSet | None:
+    """Read a binary checkpoint; malformed content of any kind raises ValueError naming ``path``.
+
+    With ``like``, the file must hold ``like``'s layout (else IncompatibleModelError naming
+    ``path``). With ``out`` as well, a writable float64 array of that width such as a row of
+    a round's block, the values go straight into ``out`` and are checked finite; nothing is returned.
+    """
     with open(path, "rb") as fh:
         try:
-            return _load_binary(fh)
+            layout, vector = _read(fh, like, out)
+            if out is None:
+                return ParamSet(vector, layout)
+            _require_finite(out, layout)
+        except IncompatibleModelError as exc:
+            raise IncompatibleModelError(f"{path}: {exc}") from exc
         except (KeyError, TypeError, OverflowError) as exc:
             raise ValueError(f"{path}: malformed checkpoint layout ({exc!r})") from exc
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from exc
 
 
-def _load_binary(fh) -> ParamSet:
-    """Each layer's payload is read straight into its segment of the vector."""
+def _read(fh, like: ParamSet | None, out: np.ndarray | None) -> tuple[Layout, np.ndarray]:
+    """The file's layout, checked against ``like`` first, and its values read into ``out`` or a new array."""
     if fh.read(len(CHECKPOINT_MAGIC)) != CHECKPOINT_MAGIC:
         raise ValueError("not a fedsim checkpoint (no FSIMPSET magic)")
     file_size = os.fstat(fh.fileno()).st_size
@@ -206,7 +221,7 @@ def _load_binary(fh) -> ParamSet:
     if payload_start > file_size:
         raise ValueError(f"header length {header_len} runs past the end of the file")
     header = json.loads(fh.read(header_len).decode("utf-8"))
-    layout, extents = [], []
+    found, extents = [], []
     for entry in header["layers"]:
         shape = tuple(int(s) for s in entry["shape"])
         count = math.prod(shape)  # exact: a huge shape cannot wrap around
@@ -215,13 +230,15 @@ def _load_binary(fh) -> ParamSet:
             raise ValueError(
                 f"layer {entry['name']!r}: {count} values at offset {offset} run past the payload"
             )
-        layout.append((entry["name"], shape))
+        found.append((entry["name"], shape))
         extents.append((offset, count))
-    vector = np.empty(sum(count for _, count in extents), dtype="<f8")
+    if like is not None:
+        like.require_compatible(found)
+    vector = np.empty(sum(count for _, count in extents)) if out is None else out
     at = 0
     for offset, count in extents:
         fh.seek(payload_start + offset)
         if fh.readinto(memoryview(vector[at : at + count]).cast("B")) != 8 * count:
             raise ValueError("checkpoint payload ended early")
         at += count
-    return ParamSet(vector, layout)
+    return tuple(found), vector

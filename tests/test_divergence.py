@@ -1,6 +1,12 @@
 """Cosine divergence, the (K, L) divergence table, and mean-divergence telemetry."""
 
 import json
+import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,8 +14,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedsim.aggregation import ClientUpdates
-from fedsim.divergence import Divergence, divergence
-from fedsim.params import IncompatibleModelError, ParamSet
+from fedsim.divergence import SNAP_TOL, ZERO_NORM_TOL, Divergence, divergence
+from fedsim.params import IncompatibleModelError, ParamSet, segments
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def ps(named):
@@ -20,6 +28,35 @@ def pack(models, client_ids):
     """Client models of one layout as the rows of a round's block."""
     n = len(models)
     return ClientUpdates(client_ids, np.stack([m.vector for m in models]), models[0].layout, [1] * n, [0.0] * n)
+
+
+def scalar_cosine(g, c, norm_g):
+    """One cosine as one ``np.dot`` and one ``np.linalg.norm`` of the client, snapped and zero-norm-ruled."""
+    norm_c = float(np.linalg.norm(c))
+    if norm_g <= ZERO_NORM_TOL or norm_c <= ZERO_NORM_TOL:
+        return 1.0 if norm_g <= ZERO_NORM_TOL and norm_c <= ZERO_NORM_TOL else 0.0
+    v = float(np.dot(g, c)) / (norm_g * norm_c)
+    if v >= 1.0 - SNAP_TOL:
+        return 1.0
+    if v <= -1.0 + SNAP_TOL:
+        return -1.0
+    return v
+
+
+def scalar_divergence(g, block):
+    """The reference ``(layer, euclid, model)`` tables: one scalar computation per (client, layer) pair."""
+    flat = tuple((name, (math.prod(shape),)) for name, shape in g.layout)
+    g_layers = list(segments(g.vector, flat).values())
+    g_norms = [float(np.linalg.norm(x)) for x in g_layers]
+    c_layers = list(segments(block, flat).values())
+    layer, euclid = np.zeros((2, len(block), len(flat)))
+    for k in range(len(block)):
+        for l, (gl, cl) in enumerate(zip(g_layers, c_layers)):
+            layer[k, l] = scalar_cosine(gl, cl[k], g_norms[l])
+            euclid[k, l] = np.linalg.norm(gl - cl[k])
+    g_norm = float(np.linalg.norm(g.vector))
+    model = np.array([scalar_cosine(g.vector, w, g_norm) for w in block])
+    return layer, euclid, model
 
 
 def cosine(a, b):
@@ -208,3 +245,86 @@ class TestDivergenceProperties:
         assert after.model.tobytes() == before.model.tobytes()
         others = [i for i in ids if i != k]
         assert after.euclid[others].tobytes() == before.euclid[others].tobytes()
+
+
+# Layer sizes: empty, single values and odd lengths (odd rows start misaligned in a packed block).
+SIZES = st.sampled_from([0, 1]) | st.integers(1, 40).map(lambda i: 2 * i + 1)
+
+
+@st.composite
+def grid_rounds(draw):
+    """A global and a round of K in 1-20 clients, over 1-5 layers, with zero layers and exact +-2^j copies.
+
+    Each client is either the global times +-2^j, or built layer by layer
+    from random grid values, an all-zero layer, or the global's layer times
+    +-2^j. Global layers may be all zero too.
+    """
+    sizes = draw(st.lists(SIZES, min_size=1, max_size=5))
+    layout = tuple((f"layer{i}", (n,)) for i, n in enumerate(sizes))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def grid(n):
+        return rng.integers(-640, 641, size=n) / 64
+
+    g_layers = [np.zeros(n) if draw(st.integers(0, 4)) == 0 else grid(n) for n in sizes]
+    scale = st.builds(lambda sign, j: sign * 2.0**j, st.sampled_from([1.0, -1.0]), st.integers(-20, 20))
+    rows = []
+    for _ in range(draw(st.integers(1, 20))):
+        if draw(st.integers(0, 5)) == 0:
+            rows.append(draw(scale) * np.concatenate(g_layers))
+            continue
+        layer_kind = st.sampled_from(["grid", "grid", "zero", "copy"])
+        kinds = draw(st.lists(layer_kind, min_size=len(sizes), max_size=len(sizes)))
+        parts = [
+            grid(n) if kind == "grid" else np.zeros(n) if kind == "zero" else draw(scale) * g_l
+            for kind, n, g_l in zip(kinds, sizes, g_layers)
+        ]
+        rows.append(np.concatenate(parts))
+    return ParamSet(np.concatenate(g_layers), layout), ClientUpdates(
+        tuple(range(len(rows))), np.stack(rows), layout, [1] * len(rows), [0.0] * len(rows)
+    )
+
+
+class TestMatchesScalarReference:
+    @PROPERTY
+    @given(case=grid_rounds())
+    def test_same_bytes_as_one_dot_per_client_and_layer(self, case):
+        g, updates = case
+        div = divergence(g, updates)
+        layer, euclid, model = scalar_divergence(g, updates.weights)
+        assert div.layer.tobytes() == layer.tobytes()
+        assert div.euclid.tobytes() == euclid.tobytes()
+        assert div.model.tobytes() == model.tobytes()
+
+    def test_same_bytes_under_the_prescott_kernel(self):
+        """Under OpenBLAS's SSE2 kernel ``ddot`` sums in another order for unaligned or swapped operands."""
+        script = textwrap.dedent(
+            """
+            import numpy as np
+            from artifact_hashes import blas_core
+            from fedsim.aggregation import ClientUpdates
+            from fedsim.divergence import divergence
+            from fedsim.params import ParamSet
+            from test_divergence import scalar_divergence
+
+            rng = np.random.default_rng(12)
+            mismatches = 0
+            for _ in range(300):
+                sizes = 2 * rng.integers(8, 150, size=rng.integers(2, 5)) + 1
+                layout = tuple((f"layer{i}", (int(n),)) for i, n in enumerate(sizes))
+                g = ParamSet(rng.normal(size=sizes.sum()), layout)
+                k = int(rng.integers(2, 9))
+                block = rng.normal(size=(k, g.num_params))
+                div = divergence(g, ClientUpdates(tuple(range(k)), block, layout, [1] * k, [0.0] * k))
+                tables = (div.layer, div.euclid, div.model)
+                mismatches += any(a.tobytes() != b.tobytes() for a, b in zip(tables, scalar_divergence(g, block)))
+            print(blas_core(), mismatches)
+            """
+        )
+        path = os.pathsep.join(str(ROOT / d) for d in ("src", "tools", "tests"))
+        env = dict(os.environ, OPENBLAS_CORETYPE="Prescott", PYTHONPATH=path)
+        out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+        core, mismatches = out.stdout.split()
+        if core == "unknown":
+            pytest.skip("the runtime OpenBLAS core cannot be read through ctypes")
+        assert mismatches == "0", f"{mismatches} of 300 cases differ from the scalar reference on core {core}"

@@ -179,6 +179,13 @@ def repeat_reference(block, layout, table):
 # Coefficients as divergence-scaled rules make them: signed zeros, negatives, exact fractions.
 COEFFS = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 0.25]) | st.floats(-1e3, 1e3)
 WEIGHTS = st.floats(-1e6, 1e6)
+# Layers of one value, where a pairwise reduction over K >= 8 rows would sum in another order.
+SIZE_ONE_LAYOUTS = st.lists(
+    st.tuples(st.text(min_size=1, max_size=8), st.sampled_from([(), (1,), (1, 1)]) | st.just((3,))),
+    min_size=1,
+    max_size=5,
+    unique_by=lambda entry: entry[0],
+)
 
 
 class TestWeightedSum:
@@ -215,7 +222,7 @@ class TestWeightedSum:
                 assert np.abs(out[name] - mean).max() < 1e-12
 
     @PROPERTY
-    @given(layout=LAYOUTS, k=st.integers(1, 6), data=st.data())
+    @given(layout=LAYOUTS | SIZE_ONE_LAYOUTS, k=st.integers(1, 20), data=st.data())
     def test_per_layer_accumulation_has_the_repeat_references_bytes(self, layout, k, data):
         size = sum(math.prod(shape) for _, shape in layout)
         block = np.array(data.draw(st.lists(WEIGHTS, min_size=k * size, max_size=k * size))).reshape(k, size)
@@ -304,6 +311,26 @@ class TestCheckpointIO:
         loaded = load_checkpoint(path)
         assert loaded == m
         assert loaded.vector.tobytes() == m.vector.tobytes()
+
+    def test_read_into_a_block_row(self, tmp_path):
+        rng = np.random.default_rng(8)
+        m = ParamSet.from_arrays({"w": rng.normal(size=(2, 3)), "b": rng.normal(size=3)})
+        path = tmp_path / "model.bin"
+        save_checkpoint(m, path)
+        block = np.zeros((2, m.num_params))
+        assert load_checkpoint(path, like=m, out=block[1]) is None
+        assert block[1].tobytes() == m.vector.tobytes() and not block[0].any()
+
+    def test_read_into_checks_the_layout_before_the_values(self, tmp_path):
+        path = tmp_path / "nan.bin"
+        save_checkpoint(ps([1.0, 2.0]), path)
+        blob = bytearray(path.read_bytes())
+        blob[-8:] = struct.pack("<d", float("nan"))
+        path.write_bytes(bytes(blob))
+        with pytest.raises(ValueError, match=r"nan\.bin: layer 'layer0' contains non-finite values"):
+            load_checkpoint(path, like=ps([0.0, 0.0]), out=np.zeros(2))
+        with pytest.raises(IncompatibleModelError, match=r"nan\.bin: layer 'layer0': shape mismatch \(3,\) vs \(2,\)"):
+            load_checkpoint(path, like=ps([0.0, 0.0, 0.0]), out=np.zeros(3))
 
     def test_file_without_magic_names_the_path(self, tmp_path):
         path = tmp_path / "model.json"
