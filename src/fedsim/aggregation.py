@@ -50,6 +50,9 @@ STRATEGIES = tuple(RULES)
 # Strategies whose coefficients consume the uploaded client metadata.
 METADATA_STRATEGIES = tuple(s for s, (base, _) in RULES.items() if base != "uniform")
 
+# float64 holds every integer up to here: fedavg's n_k / sum_j n_j is exact for sample totals within it.
+MAX_TOTAL_SAMPLES = 2**53
+
 
 @dataclass(frozen=True, eq=False)
 class ClientUpdates:
@@ -58,7 +61,8 @@ class ClientUpdates:
     Row k of ``weights``, a read-only (K, P) float64 block in ``layout``, is
     the model of client ``client_ids[k]``, with its sample count and mean
     local loss at ``num_samples[k]`` and ``train_loss[k]``. The ids strictly
-    ascend. Every rule is checked once, here.
+    ascend and the counts total at most ``MAX_TOTAL_SAMPLES``. Every rule
+    is checked once, here.
     """
 
     client_ids: tuple
@@ -81,11 +85,14 @@ class ClientUpdates:
             )
         if not all(a < b for a, b in zip(ids, ids[1:])):
             raise ValueError(f"client ids {ids} are not strictly ascending")
-        for cid, n, loss in zip(ids, num_samples.tolist(), train_loss.tolist()):
+        counts = num_samples.tolist()
+        for cid, n, loss in zip(ids, counts, train_loss.tolist()):
             if n < 1:
                 raise ValueError(f"client {cid}: num_samples must be >= 1")
             if not math.isfinite(loss):
                 raise ValueError(f"client {cid}: train_loss is not finite")
+        if sum(counts) > MAX_TOTAL_SAMPLES:
+            raise ValueError(f"num_samples total {sum(counts)} exceeds 2**53, beyond which float64 is inexact")
         arrays = (weights, num_samples, train_loss)
         for name, value in zip(("client_ids", "weights", "num_samples", "train_loss"), (ids, *arrays)):
             object.__setattr__(self, name, value)

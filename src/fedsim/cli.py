@@ -156,7 +156,10 @@ def _cmd_aggregate(args) -> int:
         load_checkpoint(path, like=global_params, out=row)
     meta = _load_metadata(args.metadata, len(block)) if args.metadata else [(1, 0.0)] * len(block)
     num_samples, train_loss = zip(*meta)
-    updates = ClientUpdates(tuple(range(len(block))), block, global_params.layout, num_samples, train_loss)
+    try:
+        updates = ClientUpdates(tuple(range(len(block))), block, global_params.layout, num_samples, train_loss)
+    except ValueError as exc:  # the block is built to fit, so only the metadata can break a rule
+        raise ConfigError(f"{args.metadata}: {exc}") from exc
     new_global, div = aggregate(spec, args.round_index, global_params, updates)
     save_checkpoint(new_global, args.output)
     with open(args.report or f"{args.output}.divergence.json", "w", encoding="utf-8") as fh:

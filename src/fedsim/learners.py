@@ -15,7 +15,8 @@ hand and validated against central finite differences in the test suite.
 The passes and losses also take a leading client axis: K clients' (K, B, D)
 batches through their (K, *shape) layers give K independent results, each
 bit-identical to the one-client call. ``train_clients`` trains a round's
-clients that way, as the rows of one (K, P) weight block.
+clients that way, as the rows of one (K, P) weight block, and names a failing
+client by training the round's clients again one at a time.
 """
 
 from __future__ import annotations
@@ -461,10 +462,8 @@ def _batch_sizes(n: int, trainer: TrainerSpec) -> list[int]:
 
 @dataclass
 class _Session:
-    """One client's training session: its round position, data, RNG and mini-batch sizes."""
+    """One client's training session: its data, RNG and mini-batch sizes."""
 
-    pos: int
-    client_id: int | str
     x: np.ndarray
     y: np.ndarray
     rng: np.random.Generator
@@ -482,23 +481,13 @@ class _Block:
     never a gather.
     """
 
-    def __init__(self, sessions: list[_Session], vectors: list[np.ndarray], layout):
+    def __init__(self, sessions: list[_Session], w: np.ndarray, layout):
         self.rows = sessions
-        self.layout = layout
-        self.w = np.stack(vectors)
-        self.v = np.zeros_like(self.w)
+        self.w = w
+        self.v = np.zeros_like(w)
+        self.g = np.empty_like(w)
         self.total = np.zeros(len(sessions))  # loss x batch size, summed over the current epoch
-        self._views()
-
-    def _views(self) -> None:
-        self.g = np.empty_like(self.w)
-        self.params, self.grads = segments(self.w, self.layout), segments(self.g, self.layout)
-
-    def keep(self, rows: list[int]) -> None:
-        """Drop every other row (a gather, made only after a failure)."""
-        self.rows = [self.rows[r] for r in rows]
-        self.w, self.v, self.total = self.w[rows], self.v[rows], self.total[rows]
-        self._views()
+        self.params, self.grads = segments(self.w, layout), segments(self.g, layout)
 
     def groups(self, t: int):
         """(lo, hi, batch size) for each run of rows that take step ``t`` with one batch size."""
@@ -543,8 +532,8 @@ def _group_loss(block: _Block, lo: int, hi: int, inputs, model: ModelSpec, train
     return loss
 
 
-def _train_block(block: _Block, trainer: TrainerSpec, model: ModelSpec, failures: dict[int, ValueError]) -> None:
-    """Run every epoch on the block's rows, recording failures by round position."""
+def _train_block(block: _Block, trainer: TrainerSpec, model: ModelSpec) -> None:
+    """Run every epoch on the block's rows; the first ValueError of any row propagates."""
     train = trainer.local_epochs > 0
     hyper = (trainer.lr, trainer.momentum, trainer.weight_decay)
     steps = len(block.rows[0].sizes)
@@ -553,33 +542,40 @@ def _train_block(block: _Block, trainer: TrainerSpec, model: ModelSpec, failures
             s.perm = s.rng.permutation(len(s.x))
         block.total[:] = 0.0
         for t in range(steps):
-            failed, active = len(failures), 0
-            for lo, hi, b in block.groups(t):
+            for lo, hi, b in block.groups(t):  # row 0 takes every step, so there is always a group
                 inputs = block.inputs(lo, hi, t * trainer.batch_size, b, trainer)
-                try:
-                    runs = [(lo, hi, _group_loss(block, lo, hi, inputs, model, trainer))]
-                except ValueError:
-                    runs = []  # some row failed: redo the group one row at a time
-                    for r in range(lo, hi):
-                        row_inputs = tuple(a[r - lo : r - lo + 1] for a in inputs)
-                        try:
-                            runs.append((r, r + 1, _group_loss(block, r, r + 1, row_inputs, model, trainer)))
-                        except ValueError as exc:
-                            failures[block.rows[r].pos] = exc
-                for r0, r1, loss in runs:
-                    if train:
-                        sgd_step(block.w[r0:r1], block.g[r0:r1], block.v[r0:r1], *hyper)
-                    block.total[r0:r1] += loss * b
-                active = hi
-            if train and not np.isfinite(block.w[:active]).all():
-                for r in np.flatnonzero(~np.isfinite(block.w[:active]).all(axis=1)):
-                    bad = next(name for name, a in block.params.items() if not np.isfinite(a[r]).all())
-                    failures[block.rows[r].pos] = ValueError(f"layer {bad!r} contains non-finite values")
-            if len(failures) > failed:
-                first = min(failures)
-                block.keep([r for r, s in enumerate(block.rows) if s.pos < first and s.pos not in failures])
-                if not block.rows:
-                    return
+                loss = _group_loss(block, lo, hi, inputs, model, trainer)
+                if train:
+                    sgd_step(block.w[lo:hi], block.g[lo:hi], block.v[lo:hi], *hyper)
+                block.total[lo:hi] += loss * b
+            if train and not np.isfinite(block.w[:hi]).all():
+                bad = next(name for name, a in block.params.items() if not np.isfinite(a[:hi]).all())
+                raise ValueError(f"layer {bad!r} contains non-finite values")
+
+
+def _train_round(clients, trainer: TrainerSpec, model: ModelSpec, first: ParamSet) -> tuple[np.ndarray, np.ndarray]:
+    """Check and train ``clients`` as one block: (final weights, mean final-epoch losses) in round order.
+
+    Every ``init`` must be compatible with ``first``, the round's first
+    client's. The first ValueError of any client propagates.
+    """
+    sessions: list[_Session] = []
+    for cid, data, init, rng in clients:
+        n = len(data.features)
+        if n == 0:
+            raise ValueError(f"client {cid}: empty dataset")
+        if trainer.is_ssl and n < 2:
+            raise ValueError(f"client {cid}: cannot assemble a batch of 2 from {n} sample(s)")
+        first.require_compatible(init)
+        x, y = np.asarray(data.features, dtype=np.float64), np.asarray(data.labels, dtype=np.int64)
+        sessions.append(_Session(x, y, rng, _batch_sizes(n, trainer)))
+    validate_model_for_trainer(model, trainer)
+
+    order = sorted(range(len(sessions)), key=lambda k: (-len(sessions[k].sizes), -sessions[k].sizes[-1]))
+    block = _Block([sessions[k] for k in order], np.stack([clients[k][2].vector for k in order]), first.layout)
+    _train_block(block, trainer, model)
+    back = np.argsort(order)
+    return block.w[back], block.total[back] / [sum(s.sizes) for s in sessions]
 
 
 def train_clients(clients, trainer: TrainerSpec, model: ModelSpec) -> ClientUpdates:
@@ -598,41 +594,27 @@ def train_clients(clients, trainer: TrainerSpec, model: ModelSpec) -> ClientUpda
     the final parameters, the sample counts and the mean losses over the
     final epoch (with ``local_epochs == 0``, a single evaluation pass
     supplies the loss and the parameters are untouched). Momentum buffers
-    live and die inside this call. If clients fail, raises
-    :class:`ClientTrainingError` for the earliest in round order, the one a
-    client-by-client loop would name: a failed row drops out, and only the
-    rows ahead of it keep training.
+    live and die inside this call.
+
+    If the round fails, each ``rng`` is put back where the round started
+    and the clients are trained again one at a time, in round order.
+    :class:`ClientTrainingError` names the first that fails alone: the
+    client a client-by-client loop would name.
     """
     if not clients:
         raise ValueError("train_clients: no clients")
-    failures: dict[int, ValueError] = {}  # round position -> cause
-    sessions: list[_Session] = []
-    for pos, (cid, data, init, rng) in enumerate(clients):
-        n = len(data.features)
-        try:
-            if n == 0:
-                raise ValueError(f"client {cid}: empty dataset")
-            if trainer.is_ssl and n < 2:
-                raise ValueError(f"client {cid}: cannot assemble a batch of 2 from {n} sample(s)")
-            validate_model_for_trainer(model, trainer)
-            clients[0][2].require_compatible(init)
-        except ValueError as exc:
-            failures[pos] = exc
-            break  # clients after the first failure never train
-        x, y = np.asarray(data.features, dtype=np.float64), np.asarray(data.labels, dtype=np.int64)
-        sessions.append(_Session(pos, cid, x, y, rng, _batch_sizes(n, trainer)))
-
-    if sessions:
-        sessions.sort(key=lambda s: (-len(s.sizes), -s.sizes[-1]))
-        block = _Block(sessions, [clients[s.pos][2].vector for s in sessions], clients[0][2].layout)
-        _train_block(block, trainer, model, failures)
-    if failures:
-        first = min(failures)
-        raise ClientTrainingError(clients[first][0], str(failures[first])) from failures[first]
-    order = np.argsort([s.pos for s in block.rows])
-    rows = [block.rows[r] for r in order]
-    return ClientUpdates(
-        [s.client_id for s in rows], block.w[order], block.layout,
-        [len(s.x) for s in rows], block.total[order] / [sum(s.sizes) for s in rows],
-    )
-
+    first = clients[0][2]
+    states = [rng.bit_generator.state for *_, rng in clients]
+    try:
+        weights, losses = _train_round(clients, trainer, model, first)
+    except ValueError:
+        for (*_, rng), state in zip(clients, states):
+            rng.bit_generator.state = state
+        for client in clients:
+            try:
+                _train_round([client], trainer, model, first)
+            except ValueError as exc:
+                raise ClientTrainingError(client[0], str(exc)) from exc
+        raise  # every client trains alone: the failure is the block's, not a client's
+    ids, counts = [cid for cid, *_ in clients], [len(data.features) for _, data, *_ in clients]
+    return ClientUpdates(ids, weights, first.layout, counts, losses)

@@ -175,9 +175,11 @@ def single_class_partition(ds: Dataset, spec: PartitionSpec) -> list[list[int]]:
             f"{m} clients need {m} distinct classes but the dataset has {c}; "
             "set allow_class_reuse to share classes"
         )
+    if m > len(ds):
+        raise ValueError(f"{len(ds)} samples cannot give {m} clients at least 1 each")
     rng = np.random.default_rng(spec.seed)
     shuffled = [rng.permutation(np.flatnonzero(ds.labels == cls)) for cls in range(c)]
-    holders = [[client for client in range(m) if client % c == cls] for cls in range(c)]
+    holders = [range(cls, m, c) for cls in range(c)]  # the clients holding each class
 
     slices: list[np.ndarray] = [np.zeros(0, dtype=np.int64)] * m
     for cls, clients in enumerate(holders):

@@ -507,6 +507,12 @@ class TestClientUpdatesValidation:
         with pytest.raises(ValueError, match="^client 1: num_samples must be >= 1$"):
             self.make(n=(1, 0))
 
+    def test_sample_total_beyond_float64_rejected(self):
+        # an int64 sum of these wraps: fedavg's coefficients came out as [-0.5, -0.5]
+        with pytest.raises(ValueError, match=r"^num_samples total 9223372036854775808 exceeds 2\*\*53"):
+            self.make(n=(2**62, 2**62))
+        assert coeffs_fedavg(self.make(n=(2**52, 2**52))) == [0.5, 0.5]
+
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
     def test_non_finite_loss_rejected(self, bad):
         with pytest.raises(ValueError, match="^client 1: train_loss is not finite$"):

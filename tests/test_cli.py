@@ -529,6 +529,18 @@ class TestMalformedInputs:
     def test_overlong_integer_in_metadata_names_the_file(self, tmp_path, capsys):
         self.test_malformed_metadata_exits_one(tmp_path, capsys, '[{"num_samples": ' + "1" * 5001 + "}, {}]", None)
 
+    def test_sample_total_beyond_float64_names_the_file(self, tmp_path, capsys):
+        g, _ = checkpoint(tmp_path, "g.bin", {"w": [1.0]})
+        c1, _ = checkpoint(tmp_path, "c1.bin", {"w": [1.0]})
+        meta = tmp_path / "meta.json"
+        meta.write_text(json.dumps([{"num_samples": 2**63 - 1}] * 2))
+        out = tmp_path / "x.bin"
+        code = main(["aggregate", "--global", g, "--client", c1, "--client", c1,
+                     "--strategy", "fedavg", "--metadata", str(meta), "--output", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1 and not out.exists()
+        assert err == f"error: {meta}: num_samples total {2 * (2**63 - 1)} exceeds 2**53, beyond which float64 is inexact\n"
+
     def test_absent_metadata_keys_take_their_defaults(self, tmp_path):
         g, _ = checkpoint(tmp_path, "g.bin", {"w": [1.0]})
         c1, p1 = checkpoint(tmp_path, "c1.bin", {"w": [4.0]})

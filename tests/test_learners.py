@@ -640,6 +640,57 @@ class TestTrainLocal:
         assert not (up.params == init)
 
 
+class TestReplayAttribution:
+    """A failed round trains its clients again one at a time; the first to fail alone is named."""
+
+    MODEL = ModelSpec((4, 6, 5), projector_dims=(5, 3))
+    TRAINER = TrainerSpec(method="simclr", batch_size=2, local_epochs=1)
+
+    def poisoned(self, n, seed, step):
+        """n samples; the one at step ``step`` of the first shuffle drawn from ``default_rng(seed)`` is infinite."""
+        data = make_blobs(2, n, 4, 0.5, seed=seed).subset(range(n))
+        features = data.features.copy()
+        features[np.random.default_rng(seed).permutation(n)[2 * step]] = np.inf
+        return Dataset(data.name, features, data.labels, data.num_classes)
+
+    def train(self, clients):
+        """Train [(data, generator seed or generator)] as one round; clients are numbered by position."""
+        init = init_params(self.MODEL, np.random.default_rng(0))
+        return train_clients(
+            [(k, data, init, np.random.default_rng(seed)) for k, (data, seed) in enumerate(clients)],
+            self.TRAINER, self.MODEL,
+        )
+
+    def named(self, clients):
+        with pytest.raises(ClientTrainingError) as info:
+            self.train(clients)
+        return info.value.client_id, str(info.value)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_rejection_and_divergence_are_named_in_round_order(self):
+        empty = make_blobs(2, 5, 4, 0.5, seed=1).subset([])
+        diverging = self.poisoned(12, seed=2, step=2)
+        assert self.named([(diverging, 2)]) == (0, "non-finite embedding: the model diverged")
+        # the empty client is rejected before any training, the other diverges at its third step
+        assert self.named([(empty, 1), (diverging, 2)]) == (0, "client 0: empty dataset")
+        assert self.named([(diverging, 2), (empty, 1)]) == (0, "non-finite embedding: the model diverged")
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_replay_starts_every_generator_where_the_round_did(self):
+        # five samples in steps of two: SSL skips the lone fifth, the infinite one, so client 1
+        # trains alone, but not after a shuffle has been drawn from its generator
+        lucky = self.poisoned(5, seed=3, step=2)
+        self.train([(lucky, 3)])
+        drawn = np.random.default_rng(3)
+        drawn.permutation(5)
+        with pytest.raises(ClientTrainingError):
+            self.train([(lucky, drawn)])
+        # the block trains the rows in (steps desc) order, so client 2 fails at step 0 after all
+        # three generators have drawn their shuffle and first views
+        clean, failing = make_blobs(2, 6, 4, 0.5, seed=5).subset(range(6)), self.poisoned(6, seed=4, step=0)
+        assert self.named([(clean, 5), (lucky, 3), (failing, 4)]) == (2, "non-finite embedding: the model diverged")
+
+
 class TestBatchedGradients:
     """The passes over a leading client axis: one (K, B, D) batch against finite differences."""
 

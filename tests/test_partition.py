@@ -186,6 +186,13 @@ class TestSingleClass:
         for client, part in enumerate(parts):
             assert set(ds.labels[np.asarray(part)]) == {client % 8}
 
+    def test_more_clients_than_samples_rejected_up_front(self):
+        # the count alone is too large for the data: no per-client work before the error
+        ds = make_blobs(2, 10, 2, 1.0, seed=8)
+        spec = PartitionSpec("single_class", 10**12, allow_class_reuse=True)
+        with pytest.raises(ValueError, match=f"^20 samples cannot give {10**12} clients at least 1 each$"):
+            single_class_partition(ds, spec)
+
     def test_more_clients_than_classes_needs_flag(self):
         ds = make_blobs(2, 10, 2, 1.0, seed=8)
         with pytest.raises(ValueError, match="allow_class_reuse"):

@@ -5,7 +5,9 @@ Usage (from the repository root):
     PYTHONPATH=src python tools/artifact_hashes.py > hashes.txt
 
 The first line is ``# blas-core <name>``: the OpenBLAS kernel numpy runs on
-(``unknown`` if it cannot be read). Divergence reduces through BLAS dot
+(``unknown`` if it cannot be read), followed by `` OPENBLAS_CORETYPE=<value>``
+when that variable is set: a forced kernel can report a name that is not its
+own (``Prescott`` reads as ``Katmai``). Divergence reduces through BLAS dot
 products, whose bits differ between kernels, so compare two outputs only
 when their first lines match. Each further line is
 ``<variant> seed=<n> <file> <sha256>`` for ``rounds.csv``,
@@ -33,6 +35,7 @@ import ctypes
 import hashlib
 import io
 import json
+import os
 import sys
 import tempfile
 from pathlib import Path
@@ -215,7 +218,8 @@ def offline_lines(work: Path):
 
 
 def main() -> int:
-    print(f"# blas-core {blas_core()}")
+    forced = os.environ.get("OPENBLAS_CORETYPE")
+    print(f"# blas-core {blas_core()}" + (f" OPENBLAS_CORETYPE={forced}" if forced is not None else ""))
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         for seed in SEEDS:
