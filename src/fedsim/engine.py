@@ -26,7 +26,7 @@ from .aggregation import ClientUpdates, aggregate, effective_strategy
 from .config import BlobsConfig, CsvConfig, ExperimentConfig, resolved_dict
 from .divergence import Divergence
 from .evaluation import linear_probe
-from .learners import ClientTrainingError, init_params, projector_start, train_clients
+from .learners import ClientTrainingError, Workspace, init_params, projector_start, train_clients
 from .params import ParamSet, save_checkpoint
 from .partition import (
     Dataset,
@@ -169,13 +169,14 @@ class FederatedRunner:
         self.client_data = [train_ds.subset(p) for p in parts]
         self.fedu_threshold = cfg.aggregation.fedu_threshold  # None: FedU off
         self.train_fn = train_fn  # None: _default_train, looked up per round (a stored bound method is a cycle)
+        self.workspace = Workspace()  # the arrays every round's local training writes into
 
     def _default_train(self, round_index: int, clients: list[tuple[int, Dataset, ParamSet]]) -> ClientUpdates:
         sessions = [
             (cid, data, init, derived_rng(self.cfg.run_seed, _TAG_TRAIN, round_index, cid))
             for cid, data, init in clients
         ]
-        return train_clients(sessions, self.cfg.trainer, self.cfg.model)
+        return train_clients(sessions, self.cfg.trainer, self.cfg.model, self.workspace)
 
     def initial_state(self) -> RunState:
         rng = derived_rng(self.cfg.run_seed, _TAG_INIT)

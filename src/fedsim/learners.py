@@ -180,15 +180,15 @@ def require_layers(params: ParamSet, spec: ModelSpec) -> None:
                 raise IncompatibleModelError(f"layer {name!r}: shape {shapes[name]}, expected {shape}")
 
 
-def _act(x: np.ndarray, kind: str) -> np.ndarray:
-    return np.maximum(x, 0.0) if kind == "relu" else np.tanh(x)
+def _act(x: np.ndarray, kind: str, out=None) -> np.ndarray:
+    return np.maximum(x, 0.0, out=out) if kind == "relu" else np.tanh(x, out=out)
 
 
-def _act_grad(pre: np.ndarray, kind: str) -> np.ndarray:
+def _act_grad(pre: np.ndarray, kind: str, out=None) -> np.ndarray:
     if kind == "relu":
-        return (pre > 0).astype(np.float64)
-    t = np.tanh(pre)
-    return 1.0 - t * t
+        return np.greater(pre, 0, out=out)  # a bool array scales like its 0.0/1.0 floats
+    t = np.tanh(pre, out=out)
+    return np.subtract(1.0, np.multiply(t, t, out=t), out=t)
 
 
 @dataclass
@@ -207,13 +207,14 @@ def _t(a: np.ndarray) -> np.ndarray:
     return a.swapaxes(-1, -2)
 
 
-def forward(params: Mapping[str, np.ndarray], spec: ModelSpec, batch: np.ndarray) -> ForwardPass:
+def forward(params: Mapping[str, np.ndarray], spec: ModelSpec, batch: np.ndarray, out=None) -> ForwardPass:
     """Run the full encoder (+projector or +head) chain on a batch.
 
     ``params`` maps names to shaped arrays and ``batch`` is (B, D). With a
     leading client axis, ``params`` maps names to (K, *shape) stacks and
     ``batch`` is (K, B, D): client k's batch runs through client k's layers,
-    and every output keeps the leading axis.
+    and every output keeps the leading axis. Given ``out``, a ForwardPass,
+    layer i writes its output into ``out.pre[i]`` and its input activation into ``out.chain_inputs[i]``.
     """
     x = np.asarray(batch, dtype=np.float64)
     if x.ndim < 2 or x.shape[-1] != spec.input_dim:
@@ -226,9 +227,10 @@ def forward(params: Mapping[str, np.ndarray], spec: ModelSpec, batch: np.ndarray
     a = x
     for i, (prefix, _, _) in enumerate(_layers(spec)):
         if i > 0:  # the head reads the raw representation
-            a = pre[-1] if prefix == "head" else _act(pre[-1], spec.activation)
+            a = pre[-1] if prefix == "head" else _act(pre[-1], spec.activation, out and out.chain_inputs[i])
         inputs.append(a)
-        a = a @ params[f"{prefix}.weight"] + params[f"{prefix}.bias"][..., None, :]
+        a = np.matmul(a, params[f"{prefix}.weight"], out=out and out.pre[i])
+        a += params[f"{prefix}.bias"][..., None, :]
         pre.append(a)
         if prefix.startswith("encoder."):
             h = a
@@ -238,23 +240,25 @@ def forward(params: Mapping[str, np.ndarray], spec: ModelSpec, batch: np.ndarray
 
 
 def backward(
-    params: Mapping[str, np.ndarray], spec: ModelSpec, fp: ForwardPass, grad: np.ndarray
+    params: Mapping[str, np.ndarray], spec: ModelSpec, fp: ForwardPass, grad: np.ndarray, out=None
 ) -> dict[str, np.ndarray]:
     """Gradients for every parameter given ``grad``, d(loss)/d(the last layer's output).
 
     That output is ``z`` for SSL models, the logits for supervised ones and
     ``h`` for an encoder alone. With a leading client axis (see
-    :func:`forward`) every gradient is a (K, *shape) stack.
+    :func:`forward`) every gradient is a (K, *shape) stack. Given ``out``, a
+    dict, each gradient is written into ``out[name]``, and the gradients
+    along the chain overwrite ``fp``'s arrays once they have been read.
     """
-    grads: dict[str, np.ndarray] = {}
+    grads: dict[str, np.ndarray] = {} if out is None else out
     g = np.asarray(grad, dtype=np.float64)
     for i, (prefix, _, _) in reversed(list(enumerate(_layers(spec)))):
-        grads[f"{prefix}.weight"] = _t(fp.chain_inputs[i]) @ g
-        grads[f"{prefix}.bias"] = g.sum(axis=-2)
+        grads[f"{prefix}.weight"] = np.matmul(_t(fp.chain_inputs[i]), g, out=out and out[f"{prefix}.weight"])
+        grads[f"{prefix}.bias"] = g.sum(axis=-2, out=out and out[f"{prefix}.bias"])
         if i > 0:
-            g = g @ _t(params[f"{prefix}.weight"])
+            g = np.matmul(g, _t(params[f"{prefix}.weight"]), out=out and fp.chain_inputs[i])
             if prefix != "head":  # the head reads the raw representation
-                g *= _act_grad(fp.pre[i - 1], spec.activation)
+                g *= _act_grad(fp.pre[i - 1], spec.activation, out and fp.pre[i - 1])
     return grads
 
 
@@ -304,12 +308,12 @@ def loss_ntxent(
         raise ValueError("contrastive loss needs a batch of at least 2")
     tau = float(temperature)
 
-    norms_a = np.linalg.norm(z_a, axis=-1, keepdims=True)
-    norms_b = np.linalg.norm(z_b, axis=-1, keepdims=True)
-    if not (norms_a > 0).all() or not (norms_b > 0).all():
-        _require_finite(z_a, z_b)  # a NaN row fails the test above too
+    z = np.concatenate([z_a, z_b], axis=-2)  # (..., 2B, D): both views' rows, normalized in place
+    norms = np.linalg.norm(z, axis=-1, keepdims=True)
+    if not (norms > 0).all():
+        _require_finite(z)  # a NaN row fails the test above too
         raise ValueError("cannot normalize a zero embedding row")
-    s = np.concatenate([z_a / norms_a, z_b / norms_b], axis=-2)  # (..., 2B, D), unit rows
+    s = np.divide(z, norms, out=z)
 
     anchors = np.arange(2 * b)
     pos = (anchors + b) % (2 * b)
@@ -329,13 +333,9 @@ def loss_ntxent(
     soft[..., anchors, anchors] = 0.0
 
     grad_s = ((soft + _t(soft)) @ s) / tau
-    grad_u, grad_v = grad_s[..., :b, :], grad_s[..., b:, :]
-
-    # Through row normalization u = z/|z|: dz = (g - (g.u) u)/|z|.
-    ua, vb = s[..., :b, :], s[..., b:, :]
-    grad_a = (grad_u - (grad_u * ua).sum(axis=-1, keepdims=True) * ua) / norms_a
-    grad_b = (grad_v - (grad_v * vb).sum(axis=-1, keepdims=True) * vb) / norms_b
-    return loss, grad_a, grad_b
+    # Through row normalization u = z/|z|: dz = (g - (g.u) u)/|z|, every row of both views at once.
+    grad = (grad_s - (grad_s * s).sum(axis=-1, keepdims=True) * s) / norms
+    return loss, grad[..., :b, :], grad[..., b:, :]
 
 
 def _standardize(z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -408,17 +408,17 @@ def loss_barlow(
     return loss, grad_a, grad_b
 
 
-def make_views(batch: np.ndarray, noise_std: float, mask_prob: float, rngs) -> tuple[np.ndarray, np.ndarray]:
+def make_views(batch: np.ndarray, noise_std: float, mask_prob: float, rngs, out=None) -> tuple[np.ndarray, np.ndarray]:
     """Two independently perturbed copies of each batch: additive Gaussian noise, then zero-masking.
 
     ``batch`` is a (K, B, D) stack of K clients' batches and ``rngs`` their
     K generators. Each client draws view a's noise and mask, then view b's,
     from its own generator, so its views are bit-identical to making them
-    alone.
+    alone. Given ``out``, a (2, 2, K, B, D) array, the views are written
+    into ``out[0]`` and the mask draws into ``out[1]``.
     """
     batch = np.asarray(batch, dtype=np.float64)
-    noise = np.empty((2, *batch.shape))
-    mask = np.empty_like(noise)
+    noise, mask = np.empty((2, 2, *batch.shape)) if out is None else out
     for k, g in enumerate(rngs):
         for view in range(2):
             g.standard_normal(out=noise[view, k])
@@ -426,22 +426,25 @@ def make_views(batch: np.ndarray, noise_std: float, mask_prob: float, rngs) -> t
     noise *= noise_std
     noise += 0.0  # Generator.normal's loc + scale * z, down to the sign of zero
     noise += batch
-    noise *= mask >= mask_prob
+    noise *= np.greater_equal(mask, mask_prob, out=mask)
     return noise[0], noise[1]
 
 
-def sgd_step(w: np.ndarray, g: np.ndarray, v: np.ndarray, lr: float, momentum: float, weight_decay: float) -> None:
+def sgd_step(
+    w: np.ndarray, g: np.ndarray, v: np.ndarray, lr: float, momentum: float, weight_decay: float, out=None
+) -> None:
     """One in-place SGD-with-momentum update of flat arrays: v <- m*v + (g + wd*w); w <- w - lr*v.
 
     ``v`` is the velocity of one training session; it starts at zero.
     ``w`` and ``v`` are updated in place. The arrays may be rows of a
-    (K, P) block: the update is elementwise.
+    (K, P) block: the update is elementwise. ``out`` (``w``'s shape) holds the intermediate terms.
     """
     if g.shape != w.shape:
         raise ValueError(f"gradient of shape {g.shape} for weights of shape {w.shape}")
+    step = np.add(g, np.multiply(weight_decay, w, out=out), out=out)
     v *= momentum
-    v += g + weight_decay * w
-    w -= lr * v
+    v += step
+    w -= np.multiply(lr, v, out=step)
 
 
 class ClientTrainingError(ValueError):
@@ -471,6 +474,38 @@ class _Session:
     perm: np.ndarray | None = None  # the current epoch's shuffle
 
 
+class Workspace:
+    """The arrays local training writes into, kept from one :func:`train_clients` call to the next.
+
+    The block's weight, velocity and gradient rows, each SSL view's gradient
+    rows (view a's also hold ``sgd_step``'s terms), the stacked inputs, the
+    SSL views with their mask draws, the dz stack and, per layer, the forward
+    outputs and activations, sized (views, K, batch_size, width): rows lo:hi
+    at batch size b use their ``[..., lo:hi, :b]`` views. A call that needs
+    more rows, a larger batch or another model makes them anew. Every step
+    overwrites them, so nothing returned is a view of them.
+    """
+
+    _size: tuple = ()  # (width, model, is_ssl, rows, batch size) of the arrays
+
+    def _fit(self, k: int, width: int, model: ModelSpec, trainer: TrainerSpec) -> None:
+        """Make the arrays anew unless they hold k rows of ``width`` parameters at ``trainer``'s batch size."""
+        kind, b = (width, model, trainer.is_ssl), trainer.batch_size
+        if self._size[:3] == kind:
+            k, b = max(k, self._size[3]), max(b, self._size[4])
+        if self._size == (*kind, k, b):
+            return
+        self._size, lead, layers = (*kind, k, b), (2,) if trainer.is_ssl else (), _layers(model)  # lead: a views axis
+        self.rows = np.empty((3, k, width))  # weights, velocities, gradients
+        self.dw = np.empty((2, k, width))  # each SSL view's gradients; dw[0] is sgd_step's scratch too
+        self.x = np.empty((k, b, model.input_dim))
+        self.views = np.empty((2, *lead, k, b, model.input_dim))  # SSL views, then their mask draws
+        self.pre = [np.empty((*lead, k, b, fan_out)) for _, _, fan_out in layers]
+        self.act = [None if i == 0 or p == "head" else np.empty((*lead, k, b, fan_in))
+                    for i, (p, fan_in, _) in enumerate(layers)]  # a layer's input, if an activation
+        self.dz = np.empty((*lead, k, b, layers[-1][2]))
+
+
 class _Block:
     """A round's sessions as the rows of one (K, P) weight block, with gradient and velocity blocks.
 
@@ -478,16 +513,17 @@ class _Block:
     sorted by (steps desc, last batch size desc), so the sessions taking step
     t of an epoch are a prefix of the rows and the ones sharing a batch size
     at that step are a contiguous run: every group is a slice of the block,
-    never a gather.
+    never a gather. The blocks are the first K rows of workspace ``ws``'s arrays.
     """
 
-    def __init__(self, sessions: list[_Session], w: np.ndarray, layout):
-        self.rows = sessions
-        self.w = w
-        self.v = np.zeros_like(w)
-        self.g = np.empty_like(w)
+    def __init__(self, sessions: list[_Session], inits: list[np.ndarray], layout, ws: Workspace):
+        self.rows, self.ws = sessions, ws
+        self.w, self.v, self.g = ws.rows[:, : len(sessions)]
+        self.dw = ws.dw[:, : len(sessions)]
+        np.stack(inits, out=self.w)
+        self.v.fill(0.0)
         self.total = np.zeros(len(sessions))  # loss x batch size, summed over the current epoch
-        self.params, self.grads = segments(self.w, layout), segments(self.g, layout)
+        self.params, self.grads, self.view_grads = (segments(a, layout) for a in (self.w, self.g, self.dw))
 
     def groups(self, t: int):
         """(lo, hi, batch size) for each run of rows that take step ``t`` with one batch size."""
@@ -500,35 +536,37 @@ class _Block:
             yield lo, hi, b
             lo = hi
 
-    def inputs(self, lo: int, hi: int, start: int, b: int, trainer: TrainerSpec) -> tuple[np.ndarray, np.ndarray]:
-        """Rows lo:hi's next batches, stacked: (features, labels), or the two SSL views."""
+    def inputs(self, lo: int, hi: int, start: int, b: int, trainer: TrainerSpec) -> tuple[np.ndarray, np.ndarray | None]:
+        """Rows lo:hi's next batches, stacked: (features, labels), or (the two SSL views as one stack, None)."""
         batches = [(s, s.perm[start : start + b]) for s in self.rows[lo:hi]]
-        x = np.stack([s.x[idx] for s, idx in batches])
+        x = np.stack([s.x[idx] for s, idx in batches], out=self.ws.x[lo:hi, :b])
         if trainer.method == "supervised":
             return x, np.stack([s.y[idx] for s, idx in batches])
-        return make_views(x, trainer.augment_noise_std, trainer.augment_mask_prob, [s.rng for s, _ in batches])
+        views = self.ws.views[:, :, lo:hi, :b]
+        make_views(x, trainer.augment_noise_std, trainer.augment_mask_prob, [s.rng for s, _ in batches], out=views)
+        return views[0], None
 
 
-def _group_loss(block: _Block, lo: int, hi: int, inputs, model: ModelSpec, trainer: TrainerSpec) -> np.ndarray:
+def _group_loss(block: _Block, lo: int, hi: int, b: int, inputs, model: ModelSpec, trainer: TrainerSpec) -> np.ndarray:
     """Rows lo:hi's batch losses; their gradients are written into the block's gradient rows.
 
     The two SSL views take one pass as a (2, K, B, D) stack, and each gradient's two halves are added.
     """
+    ws, cut = block.ws, (..., slice(lo, hi), slice(None, b), slice(None))
     params = {name: a[lo:hi] for name, a in block.params.items()}
-    grads = {name: a[lo:hi] for name, a in block.grads.items()}
+    out = ForwardPass([a if a is None else a[cut] for a in ws.act], [a[cut] for a in ws.pre], None, None, None)
+    fp = forward(params, model, inputs[0], out)
     if trainer.method == "supervised":
-        fp = forward(params, model, inputs[0])
         loss, grad_logits = loss_xent(fp.logits, inputs[1])
-        for name, g in backward(params, model, fp, grad_logits).items():
-            grads[name][...] = g
+        backward(params, model, fp, grad_logits, {name: a[lo:hi] for name, a in block.grads.items()})
         return loss
-    fp = forward(params, model, np.stack(inputs))
     if trainer.method == "simclr":
         loss, ga, gb = loss_ntxent(fp.z[0], fp.z[1], trainer.temperature)
     else:
         loss, ga, gb = loss_barlow(fp.z[0], fp.z[1], trainer.lambda_offdiag)
-    for name, g in backward(params, model, fp, np.stack([ga, gb])).items():
-        np.add(g[0], g[1], out=grads[name])
+    view_grads = {name: a[:, lo:hi] for name, a in block.view_grads.items()}
+    backward(params, model, fp, np.stack([ga, gb], out=ws.dz[cut]), view_grads)
+    np.add(block.dw[0, lo:hi], block.dw[1, lo:hi], out=block.g[lo:hi])  # every layer's two halves at once
     return loss
 
 
@@ -544,16 +582,16 @@ def _train_block(block: _Block, trainer: TrainerSpec, model: ModelSpec) -> None:
         for t in range(steps):
             for lo, hi, b in block.groups(t):  # row 0 takes every step, so there is always a group
                 inputs = block.inputs(lo, hi, t * trainer.batch_size, b, trainer)
-                loss = _group_loss(block, lo, hi, inputs, model, trainer)
+                loss = _group_loss(block, lo, hi, b, inputs, model, trainer)
                 if train:
-                    sgd_step(block.w[lo:hi], block.g[lo:hi], block.v[lo:hi], *hyper)
+                    sgd_step(block.w[lo:hi], block.g[lo:hi], block.v[lo:hi], *hyper, out=block.dw[0, lo:hi])
                 block.total[lo:hi] += loss * b
             if train and not np.isfinite(block.w[:hi]).all():
                 bad = next(name for name, a in block.params.items() if not np.isfinite(a[:hi]).all())
                 raise ValueError(f"layer {bad!r} contains non-finite values")
 
 
-def _train_round(clients, trainer: TrainerSpec, model: ModelSpec, first: ParamSet) -> tuple[np.ndarray, np.ndarray]:
+def _train_round(clients, trainer: TrainerSpec, model: ModelSpec, first: ParamSet, ws) -> tuple[np.ndarray, np.ndarray]:
     """Check and train ``clients`` as one block: (final weights, mean final-epoch losses) in round order.
 
     Every ``init`` must be compatible with ``first``, the round's first
@@ -570,15 +608,20 @@ def _train_round(clients, trainer: TrainerSpec, model: ModelSpec, first: ParamSe
         x, y = np.asarray(data.features, dtype=np.float64), np.asarray(data.labels, dtype=np.int64)
         sessions.append(_Session(x, y, rng, _batch_sizes(n, trainer)))
     validate_model_for_trainer(model, trainer)
+    require_layers(first, model)
+    extra = dict(first.layout).keys() - layer_names(model)
+    if extra:  # training would write no gradient for them
+        raise IncompatibleModelError(f"layers {sorted(extra)} are not in the model")
+    ws._fit(len(sessions), first.num_params, model, trainer)
 
     order = sorted(range(len(sessions)), key=lambda k: (-len(sessions[k].sizes), -sessions[k].sizes[-1]))
-    block = _Block([sessions[k] for k in order], np.stack([clients[k][2].vector for k in order]), first.layout)
+    block = _Block([sessions[k] for k in order], [clients[k][2].vector for k in order], first.layout, ws)
     _train_block(block, trainer, model)
     back = np.argsort(order)
     return block.w[back], block.total[back] / [sum(s.sizes) for s in sessions]
 
 
-def train_clients(clients, trainer: TrainerSpec, model: ModelSpec) -> ClientUpdates:
+def train_clients(clients, trainer: TrainerSpec, model: ModelSpec, workspace: Workspace | None = None) -> ClientUpdates:
     """Train a round's clients together, each for ``local_epochs`` epochs of shuffled mini-batches.
 
     ``clients`` lists ``(client_id, data, init, rng)`` in round order
@@ -593,8 +636,8 @@ def train_clients(clients, trainer: TrainerSpec, model: ModelSpec) -> ClientUpda
     Returns the block's rows in round order as one :class:`ClientUpdates`:
     the final parameters, the sample counts and the mean losses over the
     final epoch (with ``local_epochs == 0``, a single evaluation pass
-    supplies the loss and the parameters are untouched). Momentum buffers
-    live and die inside this call.
+    supplies the loss and the parameters are untouched). Training writes
+    into ``workspace`` (a fresh :class:`Workspace` if None); the result never aliases it.
 
     If the round fails, each ``rng`` is put back where the round started
     and the clients are trained again one at a time, in round order.
@@ -603,16 +646,16 @@ def train_clients(clients, trainer: TrainerSpec, model: ModelSpec) -> ClientUpda
     """
     if not clients:
         raise ValueError("train_clients: no clients")
-    first = clients[0][2]
+    first, ws = clients[0][2], workspace or Workspace()
     states = [rng.bit_generator.state for *_, rng in clients]
     try:
-        weights, losses = _train_round(clients, trainer, model, first)
+        weights, losses = _train_round(clients, trainer, model, first, ws)
     except ValueError:
         for (*_, rng), state in zip(clients, states):
             rng.bit_generator.state = state
         for client in clients:
             try:
-                _train_round([client], trainer, model, first)
+                _train_round([client], trainer, model, first, ws)
             except ValueError as exc:
                 raise ClientTrainingError(client[0], str(exc)) from exc
         raise  # every client trains alone: the failure is the block's, not a client's

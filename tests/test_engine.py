@@ -2,6 +2,7 @@
 
 import dataclasses
 import gc
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -112,20 +113,48 @@ class TestFeduPolicy:
 
 class TestRunRound:
     def test_runner_is_freed_without_a_gc_pass(self, tmp_path):
-        # A runner must not reference itself: with its datasets and client
-        # subsets it would otherwise live until the next full collection.
-        cfg = base_config(tmp_path, rounds=1)
+        # A runner must not reference itself: with its datasets, client
+        # subsets and training workspace it would otherwise live until the
+        # next full collection. Two rounds: the second reuses the workspace.
+        cfg = base_config(tmp_path, rounds=2)
         train_ds, test_ds = build_datasets(cfg)
         parts = partition(train_ds, cfg.partition)
         gc.disable()
         try:
             runner = FederatedRunner(cfg, train_ds, parts, test_ds)
-            runner.run_round(runner.initial_state())
+            runner.run_round(runner.run_round(runner.initial_state()))
             ref = weakref.ref(runner)
             del runner
             assert ref() is None
         finally:
             gc.enable()
+
+    def test_steady_desk_scale_round_allocates_under_a_mebibyte(self, tmp_path):
+        # Local training writes into the runner's workspace, sized by the first
+        # round; a later round allocates only its results and small temporaries
+        # (about 0.5 MiB; 2.6 MiB when every step allocated its own arrays).
+        cfg = base_config(
+            tmp_path,
+            dataset={"num_classes": 8, "samples_per_class": 200, "dim": 16, "spread": 1.0,
+                     "test_samples_per_class": 40},
+            partition={"scheme": "single_class", "num_clients": 10, "seed": 1, "allow_class_reuse": True},
+            clients_per_round=10,
+            rounds=4,
+            trainer={"temperature": 0.5, "lr": 0.1, "batch_size": 16, "augment_noise_std": 0.3},
+            model={"encoder_dims": [16, 64, 32], "projector_dims": [32, 32]},
+            aggregation={"strategy": "fedavg", "warmup_rounds": 2},
+        )
+        train_ds, test_ds = build_datasets(cfg)
+        runner = FederatedRunner(cfg, train_ds, partition(train_ds, cfg.partition), test_ds)
+        state = runner.run_round(runner.run_round(runner.initial_state()))
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            runner.run_round(state)  # not the last round, so no probe
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_noop_training_under_fairavg_is_identity(self, tmp_path):
         cfg = base_config(

@@ -10,8 +10,10 @@ from hypothesis import strategies as st
 
 from fedsim.learners import (
     ClientTrainingError,
+    ForwardPass,
     ModelSpec,
     TrainerSpec,
+    Workspace,
     backward,
     forward,
     init_params,
@@ -511,6 +513,80 @@ class TestSgdStep:
         np.testing.assert_array_equal(v, [0.0, 0.0])
 
 
+def nan_views(shape, b):
+    """A NaN-filled array of ``shape`` with one more row than ``b``, cut back to ``b`` rows (axis -2)."""
+    return np.full((*shape[:-2], b + 1, shape[-1]), np.nan)[..., :b, :]
+
+
+class TestOutputBuffers:
+    """Given output buffers, the passes and the SGD step write the bytes their allocating calls return."""
+
+    B = 4
+
+    def model(self, head, activation):
+        if head:
+            return ModelSpec((3, 5, 4), head_classes=3, activation=activation)
+        return ModelSpec((3, 5, 4), projector_dims=(4, 6, 2), activation=activation)
+
+    def forward_out(self, params, lead):
+        """NaN buffers for every array :func:`forward` writes: a raw output per layer, an activation per hidden input."""
+        weights = [(name[: -len(".weight")], shape) for name, shape in params.layout if name.endswith(".weight")]
+        pre = [nan_views((*lead, self.B, fan_out), self.B) for _, (_, fan_out) in weights]
+        act = [None if i == 0 or prefix == "head" else nan_views((*lead, self.B, fan_in), self.B)
+               for i, (prefix, (fan_in, _)) in enumerate(weights)]
+        return ForwardPass(act, pre, None, None, None)
+
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    @pytest.mark.parametrize("head", [False, True])
+    @pytest.mark.parametrize("lead", [(), (1,), (3,), (2, 3)], ids=["alone", "K=1", "stacked", "two-view"])
+    def test_passes_write_the_allocating_bytes(self, activation, head, lead):
+        rng = np.random.default_rng(41)
+        spec = self.model(head, activation)
+        k = lead[-1] if lead else None  # (2, K) is the two SSL views of K clients
+        inits = [init_params(spec, rng) for _ in range(k or 1)]
+        layout = inits[0].layout
+        params = segments(np.stack([p.vector for p in inits]) if k else inits[0].vector, layout)
+        batch = rng.normal(size=(*lead, self.B, 3))
+        out = self.forward_out(inits[0], lead)
+        fp, ref = forward(params, spec, batch, out), forward(params, spec, batch)
+        for got, want in zip(fp.pre + fp.chain_inputs, ref.pre + ref.chain_inputs):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert all(a is b for a, b in zip(fp.pre, out.pre))
+        grad = rng.normal(size=ref.pre[-1].shape)
+        want = backward(params, spec, ref, grad)
+        grads = {name: np.full((*lead, *shape), np.nan) for name, shape in layout}
+        assert backward(params, spec, fp, grad, grads) is grads
+        assert grads.keys() == want.keys()
+        for name, g in grads.items():
+            assert g.tobytes() == want[name].tobytes()
+
+    def test_views_write_the_allocating_bytes(self):
+        batch = np.random.default_rng(42).normal(size=(3, self.B, 2))
+        out = nan_views((2, 2, 3, self.B, 2), self.B)
+        a, b = make_views(batch, 0.3, 0.25, [np.random.default_rng(k) for k in range(3)], out=out)
+        ref = make_views(batch, 0.3, 0.25, [np.random.default_rng(k) for k in range(3)])
+        assert a.base is not None and np.shares_memory(a, out) and np.shares_memory(b, out)
+        assert np.stack([a, b]).tobytes() == np.stack(ref).tobytes() == out[0].tobytes()
+
+    @pytest.mark.parametrize("shape", [(7,), (3, 7)])
+    def test_sgd_step_writes_the_allocating_bytes(self, shape):
+        rng = np.random.default_rng(43)
+        w, g, v = rng.normal(size=(3, *shape))
+        w2, v2, scratch = w.copy(), v.copy(), np.full(shape, np.nan)
+        for _ in range(3):
+            sgd_step(w, g, v, 0.1, 0.9, 1e-3)
+            sgd_step(w2, g, v2, 0.1, 0.9, 1e-3, out=scratch)
+        assert w2.tobytes() == w.tobytes() and v2.tobytes() == v.tobytes()
+
+    def test_sgd_step_rejects_a_bad_gradient_before_writing(self):
+        w, v, scratch = np.array([1.0, 2.0]), np.array([0.5, 0.5]), np.zeros(2)
+        with pytest.raises(ValueError, match=r"gradient of shape \(1,\) for weights of shape \(2,\)"):
+            sgd_step(w, np.zeros(1), v, 0.1, 0.9, 0.1, out=scratch)
+        np.testing.assert_array_equal(w, [1.0, 2.0])
+        np.testing.assert_array_equal(v, [0.5, 0.5])
+        np.testing.assert_array_equal(scratch, [0.0, 0.0])
+
+
 def client_dataset(rng, n=40, num_classes=2, dim=4, spread=0.3):
     ds = make_blobs(num_classes, n // num_classes, dim, spread, seed=int(rng.integers(10_000)))
     return ds
@@ -628,6 +704,19 @@ class TestTrainLocal:
                 self.ssl_trainer(), model,
             )
         assert info.value.client_id == 8
+
+    def test_layers_outside_the_model_rejected(self):
+        # training writes gradients for the model's layers only: another layer would be
+        # stepped with whatever a kept workspace last held in its rows
+        rng = np.random.default_rng(23)
+        ds, model = client_dataset(rng), self.ssl_model()
+        init = init_params(model, rng)
+        extra = ParamSet.from_arrays({**{n: init[n] for n in init.names}, "extra.weight": np.ones((2, 2))})
+        missing = ParamSet.from_arrays({n: init[n] for n in init.names if n != "projector.0.bias"})
+        for params, message in ((extra, r"layers \['extra.weight'\] are not in the model"),
+                                (missing, r"missing layer 'projector.0.bias'")):
+            with pytest.raises(ClientTrainingError, match=f"^{message}$"):
+                train_one(ds, params, self.ssl_trainer(), model, np.random.default_rng(11))
 
     def test_barlow_method_runs(self):
         rng = np.random.default_rng(20)
@@ -817,6 +906,70 @@ class TestTrainClientsProperties:
             assert up.num_samples == alone.num_samples == len(d)
             assert up.params.vector.tobytes() == alone.params.vector.tobytes()
             assert up.train_loss == alone.train_loss
+
+
+ROUND = st.fixed_dictionaries({
+    "method": st.sampled_from(["simclr", "barlow_twins", "supervised"]),
+    "activation": st.sampled_from(["relu", "tanh"]),
+    "hidden": st.sampled_from([5, 7]),
+    "sizes": st.lists(st.integers(2, 13), min_size=1, max_size=5),
+    "batch_size": st.integers(2, 5),
+    "local_epochs": st.integers(0, 2),
+})
+
+
+class TestWorkspace:
+    """Rounds trained through one kept Workspace give the bytes of rounds trained through fresh ones."""
+
+    DATA = make_blobs(3, 10, 4, 0.5, seed=8)
+
+    def round(self, seed, r, spec):
+        """The round's clients as (cid, data, init), its trainer and its model."""
+        rng = np.random.default_rng([seed, r])
+        if spec["method"] == "supervised":
+            model = ModelSpec((4, spec["hidden"], 5), head_classes=3, activation=spec["activation"])
+        else:
+            model = ModelSpec((4, spec["hidden"], 5), projector_dims=(5, 3), activation=spec["activation"])
+        trainer = TrainerSpec(
+            method=spec["method"], batch_size=spec["batch_size"], local_epochs=spec["local_epochs"],
+            lr=0.05, weight_decay=1e-3, augment_mask_prob=0.2,
+        )
+        init = init_params(model, rng)
+        clients = [(10 + k, self.DATA.subset(rng.choice(len(self.DATA), n, replace=False)), init)
+                   for k, n in enumerate(spec["sizes"])]
+        return clients, trainer, model
+
+    def train(self, seed, r, clients, trainer, model, workspace=None):
+        sessions = [(cid, d, init, np.random.default_rng([seed, r, k])) for k, (cid, d, init) in enumerate(clients)]
+        return train_clients(sessions, trainer, model, workspace)
+
+    def fail(self, seed, workspace):
+        """A round whose second client has a zero projector: it fails at its first step, then the replay runs."""
+        model = ModelSpec((4, 6, 5), projector_dims=(5, 3))
+        good = init_params(model, np.random.default_rng(seed))
+        dead = ParamSet.from_arrays({n: good[n] * (not n.startswith("projector.")) for n in good.names})
+        clients = [(k, self.DATA.subset(range(9 * k, 9 * k + 9)), init) for k, init in enumerate([good, dead, good])]
+        with pytest.raises(ClientTrainingError) as info:
+            self.train(seed, 3, clients, TrainerSpec(method="simclr", batch_size=4), model, workspace)
+        assert info.value.client_id == 1
+
+    @PROPERTY
+    @given(rounds=st.lists(ROUND, min_size=3, max_size=3), failed_before=st.sampled_from([None, 0, 1, 2]),
+           seed=st.integers(0, 2**16))
+    def test_a_kept_workspace_gives_the_bytes_of_fresh_ones(self, rounds, failed_before, seed):
+        workspace, results = Workspace(), []
+        for r, spec in enumerate(rounds):
+            if r == failed_before:
+                self.fail(seed, workspace)
+            clients, trainer, model = self.round(seed, r, spec)
+            kept = self.train(seed, r, clients, trainer, model, workspace)
+            fresh = self.train(seed, r, clients, trainer, model)
+            assert kept.weights.tobytes() == fresh.weights.tobytes()
+            assert kept.train_loss.tobytes() == fresh.train_loss.tobytes()
+            results.append((kept, fresh.weights))
+        # every round's result is its own: later rounds through the workspace leave it as it was
+        for kept, fresh in results:
+            assert kept.weights.tobytes() == fresh.tobytes()
 
 
 class TestSpecValidation:
