@@ -121,7 +121,7 @@ def _load_metadata(path, n_clients: int) -> list[tuple[int, float]]:
     with open(path, encoding="utf-8") as fh:
         try:
             meta = json.load(fh)
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:  # RecursionError: nested too deep
             raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
     entries = meta["clients"] if isinstance(meta, dict) and "clients" in meta else meta
     if not isinstance(entries, list) or len(entries) != n_clients:

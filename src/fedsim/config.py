@@ -300,7 +300,7 @@ def load_config_file(path) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
-    except ValueError as exc:  # also an integer past Python's digit limit, or bad UTF-8
+    except (ValueError, RecursionError) as exc:  # also an integer past Python's digit limit, bad UTF-8 or deep nesting
         raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: top level must be a JSON object")
@@ -319,7 +319,7 @@ def apply_overrides(raw: dict, overrides: list[str]) -> dict:
             value = json.loads(text)
         except json.JSONDecodeError:
             value = text
-        except ValueError as exc:  # valid JSON, but an integer past Python's digit limit
+        except (ValueError, RecursionError) as exc:  # past Python's integer digit limit, or nested too deep
             raise ConfigError(f"override {dotted!r}: {exc}") from exc
         node = out
         for key in keys[:-1]:

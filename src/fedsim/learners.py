@@ -29,6 +29,7 @@ import numpy as np
 
 from .aggregation import ClientUpdates
 from .params import IncompatibleModelError, Layout, ParamSet, segments
+from .params import _require_finite as _require_finite_layers  # learners' own _require_finite checks embeddings
 
 ACTIVATIONS = ("relu", "tanh")
 TRAINER_METHODS = ("supervised", "simclr", "barlow_twins")
@@ -475,15 +476,17 @@ class _Session:
 
 
 class Workspace:
-    """The arrays local training writes into, kept from one :func:`train_clients` call to the next.
+    """One round's local training, and the arrays it writes into, kept from one :func:`train_clients` call to the next.
 
-    The block's weight, velocity and gradient rows, each SSL view's gradient
-    rows (view a's also hold ``sgd_step``'s terms), the stacked inputs, the
-    SSL views with their mask draws, the dz stack and, per layer, the forward
-    outputs and activations, sized (views, K, batch_size, width): rows lo:hi
-    at batch size b use their ``[..., lo:hi, :b]`` views. A call that needs
-    more rows, a larger batch or another model makes them anew. Every step
-    overwrites them, so nothing returned is a view of them.
+    The round's sessions are the first K rows of one (K, P) weight block with
+    its velocity and gradient blocks, sorted by (steps desc, last batch size
+    desc): the rows taking step t of an epoch are a prefix, and those sharing
+    a batch size at it a contiguous run, so every group is a slice, never a
+    gather. The per-batch arrays (inputs, SSL views and mask draws, dz, each
+    layer's outputs and activations) are sized (views, K, batch_size, width);
+    rows lo:hi at batch size b use their ``[..., lo:hi, :b]`` views. A round
+    needing more rows, a larger batch or another model makes them anew. Every
+    step overwrites them, so nothing returned is a view of them.
     """
 
     _size: tuple = ()  # (width, model, is_ssl, rows, batch size) of the arrays
@@ -505,90 +508,76 @@ class Workspace:
                     for i, (p, fan_in, _) in enumerate(layers)]  # a layer's input, if an activation
         self.dz = np.empty((*lead, k, b, layers[-1][2]))
 
+    def _train(self, sessions: list[_Session], inits: list[np.ndarray], layout: Layout,
+               trainer: TrainerSpec, model: ModelSpec) -> np.ndarray:
+        """Train the sorted ``sessions`` from ``inits``: each row's loss x batch size, summed over the final epoch.
 
-class _Block:
-    """A round's sessions as the rows of one (K, P) weight block, with gradient and velocity blocks.
+        The trained weights are left in ``rows[0, :K]``. The first ValueError of any row propagates.
+        """
+        k = len(sessions)
+        self._fit(k, len(inits[0]), model, trainer)
+        w, v, g = self.rows[:, :k]
+        np.stack(inits, out=w)
+        v.fill(0.0)
+        total = np.zeros(k)
+        self._sessions = sessions
+        self._params, self._grads, self._view_grads = (segments(a, layout) for a in (w, g, self.dw[:, :k]))
+        train = trainer.local_epochs > 0
+        hyper = (trainer.lr, trainer.momentum, trainer.weight_decay)
+        for epoch in range(max(trainer.local_epochs, 1)):
+            for s in sessions:
+                s.perm = s.rng.permutation(len(s.x))
+            total[:] = 0.0
+            for t in range(len(sessions[0].sizes)):
+                for lo, hi, b in self._groups(t):  # row 0 takes every step, so there is always a group
+                    loss = self._group_loss(lo, hi, t * trainer.batch_size, b, trainer, model)
+                    if train:
+                        sgd_step(w[lo:hi], g[lo:hi], v[lo:hi], *hyper, out=self.dw[0, lo:hi])
+                    total[lo:hi] += loss * b
+                if train:
+                    _require_finite_layers(w[:hi], layout)
+        return total
 
-    ``params`` and ``grads`` map each layer to its (K, *shape) view. Rows are
-    sorted by (steps desc, last batch size desc), so the sessions taking step
-    t of an epoch are a prefix of the rows and the ones sharing a batch size
-    at that step are a contiguous run: every group is a slice of the block,
-    never a gather. The blocks are the first K rows of workspace ``ws``'s arrays.
-    """
-
-    def __init__(self, sessions: list[_Session], inits: list[np.ndarray], layout, ws: Workspace):
-        self.rows, self.ws = sessions, ws
-        self.w, self.v, self.g = ws.rows[:, : len(sessions)]
-        self.dw = ws.dw[:, : len(sessions)]
-        np.stack(inits, out=self.w)
-        self.v.fill(0.0)
-        self.total = np.zeros(len(sessions))  # loss x batch size, summed over the current epoch
-        self.params, self.grads, self.view_grads = (segments(a, layout) for a in (self.w, self.g, self.dw))
-
-    def groups(self, t: int):
+    def _groups(self, t: int):
         """(lo, hi, batch size) for each run of rows that take step ``t`` with one batch size."""
-        active = sum(len(s.sizes) > t for s in self.rows)
+        active = sum(len(s.sizes) > t for s in self._sessions)
         lo = 0
         while lo < active:
-            b, hi = self.rows[lo].sizes[t], lo + 1
-            while hi < active and self.rows[hi].sizes[t] == b:
+            b, hi = self._sessions[lo].sizes[t], lo + 1
+            while hi < active and self._sessions[hi].sizes[t] == b:
                 hi += 1
             yield lo, hi, b
             lo = hi
 
-    def inputs(self, lo: int, hi: int, start: int, b: int, trainer: TrainerSpec) -> tuple[np.ndarray, np.ndarray | None]:
-        """Rows lo:hi's next batches, stacked: (features, labels), or (the two SSL views as one stack, None)."""
-        batches = [(s, s.perm[start : start + b]) for s in self.rows[lo:hi]]
-        x = np.stack([s.x[idx] for s, idx in batches], out=self.ws.x[lo:hi, :b])
+    def _group_loss(self, lo: int, hi: int, start: int, b: int, trainer: TrainerSpec, model: ModelSpec) -> np.ndarray:
+        """Rows lo:hi's losses on their batches at ``start``; the gradients are written into the gradient rows.
+
+        The two SSL views take one pass as a (2, K, B, D) stack, and each gradient's two halves are added.
+        """
+        batches = [(s, s.perm[start : start + b]) for s in self._sessions[lo:hi]]
+        x = np.stack([s.x[idx] for s, idx in batches], out=self.x[lo:hi, :b])
         if trainer.method == "supervised":
-            return x, np.stack([s.y[idx] for s, idx in batches])
-        views = self.ws.views[:, :, lo:hi, :b]
-        make_views(x, trainer.augment_noise_std, trainer.augment_mask_prob, [s.rng for s, _ in batches], out=views)
-        return views[0], None
-
-
-def _group_loss(block: _Block, lo: int, hi: int, b: int, inputs, model: ModelSpec, trainer: TrainerSpec) -> np.ndarray:
-    """Rows lo:hi's batch losses; their gradients are written into the block's gradient rows.
-
-    The two SSL views take one pass as a (2, K, B, D) stack, and each gradient's two halves are added.
-    """
-    ws, cut = block.ws, (..., slice(lo, hi), slice(None, b), slice(None))
-    params = {name: a[lo:hi] for name, a in block.params.items()}
-    out = ForwardPass([a if a is None else a[cut] for a in ws.act], [a[cut] for a in ws.pre], None, None, None)
-    fp = forward(params, model, inputs[0], out)
-    if trainer.method == "supervised":
-        loss, grad_logits = loss_xent(fp.logits, inputs[1])
-        backward(params, model, fp, grad_logits, {name: a[lo:hi] for name, a in block.grads.items()})
+            labels = np.stack([s.y[idx] for s, idx in batches])
+        else:
+            views = self.views[:, :, lo:hi, :b]
+            make_views(x, trainer.augment_noise_std, trainer.augment_mask_prob, [s.rng for s, _ in batches], out=views)
+            x = views[0]  # both views, as one stack
+        cut = (..., slice(lo, hi), slice(None, b), slice(None))
+        params = {name: a[lo:hi] for name, a in self._params.items()}
+        out = ForwardPass([a if a is None else a[cut] for a in self.act], [a[cut] for a in self.pre], None, None, None)
+        fp = forward(params, model, x, out)
+        if trainer.method == "supervised":
+            loss, grad_logits = loss_xent(fp.logits, labels)
+            backward(params, model, fp, grad_logits, {name: a[lo:hi] for name, a in self._grads.items()})
+            return loss
+        if trainer.method == "simclr":
+            loss, ga, gb = loss_ntxent(fp.z[0], fp.z[1], trainer.temperature)
+        else:
+            loss, ga, gb = loss_barlow(fp.z[0], fp.z[1], trainer.lambda_offdiag)
+        view_grads = {name: a[:, lo:hi] for name, a in self._view_grads.items()}
+        backward(params, model, fp, np.stack([ga, gb], out=self.dz[cut]), view_grads)
+        np.add(self.dw[0, lo:hi], self.dw[1, lo:hi], out=self.rows[2, lo:hi])  # every layer's two halves at once
         return loss
-    if trainer.method == "simclr":
-        loss, ga, gb = loss_ntxent(fp.z[0], fp.z[1], trainer.temperature)
-    else:
-        loss, ga, gb = loss_barlow(fp.z[0], fp.z[1], trainer.lambda_offdiag)
-    view_grads = {name: a[:, lo:hi] for name, a in block.view_grads.items()}
-    backward(params, model, fp, np.stack([ga, gb], out=ws.dz[cut]), view_grads)
-    np.add(block.dw[0, lo:hi], block.dw[1, lo:hi], out=block.g[lo:hi])  # every layer's two halves at once
-    return loss
-
-
-def _train_block(block: _Block, trainer: TrainerSpec, model: ModelSpec) -> None:
-    """Run every epoch on the block's rows; the first ValueError of any row propagates."""
-    train = trainer.local_epochs > 0
-    hyper = (trainer.lr, trainer.momentum, trainer.weight_decay)
-    steps = len(block.rows[0].sizes)
-    for epoch in range(max(trainer.local_epochs, 1)):
-        for s in block.rows:
-            s.perm = s.rng.permutation(len(s.x))
-        block.total[:] = 0.0
-        for t in range(steps):
-            for lo, hi, b in block.groups(t):  # row 0 takes every step, so there is always a group
-                inputs = block.inputs(lo, hi, t * trainer.batch_size, b, trainer)
-                loss = _group_loss(block, lo, hi, b, inputs, model, trainer)
-                if train:
-                    sgd_step(block.w[lo:hi], block.g[lo:hi], block.v[lo:hi], *hyper, out=block.dw[0, lo:hi])
-                block.total[lo:hi] += loss * b
-            if train and not np.isfinite(block.w[:hi]).all():
-                bad = next(name for name, a in block.params.items() if not np.isfinite(a[:hi]).all())
-                raise ValueError(f"layer {bad!r} contains non-finite values")
 
 
 def _train_round(clients, trainer: TrainerSpec, model: ModelSpec, first: ParamSet, ws) -> tuple[np.ndarray, np.ndarray]:
@@ -612,13 +601,11 @@ def _train_round(clients, trainer: TrainerSpec, model: ModelSpec, first: ParamSe
     extra = dict(first.layout).keys() - layer_names(model)
     if extra:  # training would write no gradient for them
         raise IncompatibleModelError(f"layers {sorted(extra)} are not in the model")
-    ws._fit(len(sessions), first.num_params, model, trainer)
 
     order = sorted(range(len(sessions)), key=lambda k: (-len(sessions[k].sizes), -sessions[k].sizes[-1]))
-    block = _Block([sessions[k] for k in order], [clients[k][2].vector for k in order], first.layout, ws)
-    _train_block(block, trainer, model)
+    total = ws._train([sessions[k] for k in order], [clients[k][2].vector for k in order], first.layout, trainer, model)
     back = np.argsort(order)
-    return block.w[back], block.total[back] / [sum(s.sizes) for s in sessions]
+    return ws.rows[0, back], total[back] / [sum(s.sizes) for s in sessions]
 
 
 def train_clients(clients, trainer: TrainerSpec, model: ModelSpec, workspace: Workspace | None = None) -> ClientUpdates:
@@ -626,7 +613,7 @@ def train_clients(clients, trainer: TrainerSpec, model: ModelSpec, workspace: Wo
 
     ``clients`` lists ``(client_id, data, init, rng)`` in round order
     (ascending client id, as :class:`ClientUpdates` requires). The
-    clients are the rows of one (K, P) weight block (see :class:`_Block`).
+    clients are the rows of one (K, P) weight block (see :class:`Workspace`).
     Each step runs the forward pass, loss, backward pass and SGD step once
     per group of rows that share a batch size; a client that has finished
     its epoch is not touched. Every client draws its permutations and views

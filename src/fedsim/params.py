@@ -165,9 +165,9 @@ def weighted_sum(block: np.ndarray, layout: Layout, coeffs) -> ParamSet:
 # Checkpoint I/O
 #
 # Binary container: 8-byte magic, uint32 LE version, uint64 LE header length,
-# UTF-8 JSON header listing (name, shape, offset) per layer, then the
-# concatenated little-endian float64 payloads. Offsets are relative to the
-# start of the payload section. A checkpoint round-trips bit-exactly.
+# UTF-8 JSON header listing (name: str, shape: [int >= 0], offset: int) per
+# layer, then the layers' little-endian float64 payloads in order, back to back:
+# each offset is the byte total of the layers before it. It round-trips bit-exactly.
 # ---------------------------------------------------------------------------
 
 
@@ -189,9 +189,15 @@ def load_checkpoint(path, *, like: ParamSet | None = None, out: np.ndarray | Non
     """Read a binary checkpoint; malformed content of any kind raises ValueError naming ``path``.
 
     With ``like``, the file must hold ``like``'s layout (else IncompatibleModelError naming
-    ``path``). With ``out`` as well, a writable float64 array of that width such as a row of
-    a round's block, the values go straight into ``out`` and are checked finite; nothing is returned.
+    ``path``). With ``out`` as well, a writable, C-contiguous float64 array of ``like``'s width
+    such as a row of a round's block, the values go straight into ``out`` and are checked finite;
+    nothing is returned. A bad ``out`` raises ValueError before the file is opened.
     """
+    if out is not None and like is None:
+        raise ValueError("load_checkpoint: out= needs like= to give its layout")
+    if out is not None and not (isinstance(out, np.ndarray) and out.flags.carray  # writable and C-contiguous
+                                and out.dtype == np.float64 and out.shape == like.vector.shape):
+        raise ValueError(f"load_checkpoint: out= is not a writable, C-contiguous array of {like.num_params} float64s")
     with open(path, "rb") as fh:
         try:
             layout, vector = _read(fh, like, out)
@@ -220,25 +226,25 @@ def _read(fh, like: ParamSet | None, out: np.ndarray | None) -> tuple[Layout, np
     payload_start = len(CHECKPOINT_MAGIC) + _PREAMBLE.size + header_len
     if payload_start > file_size:
         raise ValueError(f"header length {header_len} runs past the end of the file")
-    header = json.loads(fh.read(header_len).decode("utf-8"))
-    found, extents = [], []
+    try:
+        header = json.loads(fh.read(header_len).decode("utf-8"))
+    except RecursionError as exc:  # not a ValueError, unlike every other JSON fault
+        raise ValueError("checkpoint header nested too deep to parse") from exc
+    found, total = [], 0  # total: the values of the layers so far, which end where the next one starts
     for entry in header["layers"]:
-        shape = tuple(int(s) for s in entry["shape"])
+        name, shape, offset = entry["name"], entry["shape"], entry["offset"]
+        if type(name) is not str or type(shape) is not list or not all(type(s) is int and s >= 0 for s in shape):
+            raise ValueError(f"layer {name!r} of shape {shape!r}: expected a string name and a list of ints >= 0")
+        if type(offset) is not int or offset != 8 * total:
+            raise ValueError(f"layer {name!r}: offset {offset!r}, expected {8 * total}: layers are stored in order")
         count = math.prod(shape)  # exact: a huge shape cannot wrap around
-        offset = int(entry["offset"])
-        if offset < 0 or count < 0 or offset + 8 * count > file_size - payload_start:
-            raise ValueError(
-                f"layer {entry['name']!r}: {count} values at offset {offset} run past the payload"
-            )
-        found.append((entry["name"], shape))
-        extents.append((offset, count))
+        if offset + 8 * count > file_size - payload_start:
+            raise ValueError(f"layer {name!r}: {count} values at offset {offset} run past the payload")
+        found.append((name, tuple(shape)))
+        total += count
     if like is not None:
         like.require_compatible(found)
-    vector = np.empty(sum(count for _, count in extents)) if out is None else out
-    at = 0
-    for offset, count in extents:
-        fh.seek(payload_start + offset)
-        if fh.readinto(memoryview(vector[at : at + count]).cast("B")) != 8 * count:
-            raise ValueError("checkpoint payload ended early")
-        at += count
+    vector = np.empty(total) if out is None else out
+    if fh.readinto(memoryview(vector).cast("B")) != 8 * total:  # the payload starts where the header ends
+        raise ValueError("checkpoint payload ended early")
     return tuple(found), vector

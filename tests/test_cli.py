@@ -486,6 +486,22 @@ MALFORMED_CHECKPOINTS = {
         {"format": "fedsim-paramset", "version": 1, "layers": [{"name": "w", "shape": [2], "values": [1.0, 2.0]}]}
     ).encode(),
     "empty_file": b"",
+    # header fields are read as save_checkpoint writes them, never coerced
+    "layer_shape_a_string": binary_blob(one_layer(shape="2"), b"\x00" * 16),
+    "layer_shape_a_float": binary_blob(one_layer(shape=[2.9]), b"\x00" * 16),
+    "layer_shape_a_bool": binary_blob(one_layer(shape=[True, 2]), b"\x00" * 16),
+    "layer_name_not_a_string": binary_blob(one_layer(name=5), b"\x00" * 16),
+    "layer_offset_a_string": binary_blob(one_layer(offset="0"), b"\x00" * 16),
+    # layers are stored in order, each starting where the one before it ends
+    "layers_out_of_order": binary_blob(
+        {"layers": [{"name": "a", "shape": [1], "offset": 8}, {"name": "b", "shape": [1], "offset": 0}]},
+        b"\x00" * 16,
+    ),
+    "layers_overlapping": binary_blob(
+        {"layers": [{"name": "a", "shape": [2], "offset": 0}, {"name": "b", "shape": [1], "offset": 8}]},
+        b"\x00" * 24,
+    ),
+    "header_nested_too_deep": binary_blob(b"[" * 100_000),
 }
 
 
@@ -662,6 +678,7 @@ def _contract_fixture(tmp_path):
     checkpoint(tmp_path, "longer.bin", {"w": [1.0, 2.0, 3.0]})
     (tmp_path / "nan.bin").write_bytes(binary_blob(one_layer(), struct.pack("<2d", 1.0, float("nan"))))
     (tmp_path / "bad.json").write_text("{")
+    (tmp_path / "deep.json").write_text("[" * 100_000)
     (tmp_path / "unknown_key.json").write_text(json.dumps({**minimal_raw(tmp_path), "bogus": 1}))
     (tmp_path / "meta.json").write_text(json.dumps([{"num_samples": "many"}]))
     rows = [f"{i / 10},{-i / 5},{i % 3}" for i in range(40)]
@@ -691,6 +708,10 @@ ERROR_PATHS = {
     "config_bad_json": (["validate", "--config", "{tmp}/bad.json"], 1, "invalid JSON"),
     "config_unknown_key": (["validate", "--config", "{tmp}/unknown_key.json"], 1, "unknown key 'bogus'"),
     "config_bad_set": (["validate", "--config", CONFIG, "--set", "rounds"], 1, "expected dotted.key=value"),
+    "config_nested_too_deep": (["validate", "--config", "{tmp}/deep.json"], 1, "deep.json: invalid JSON"),
+    "config_set_nested_too_deep": (
+        ["validate", "--config", CONFIG, "--set", "rounds=" + "[" * 100_000], 1, "override 'rounds'",
+    ),
     "config_fedu_threshold_without_fedu": (
         ["validate", "--config", CONFIG, "--set", "aggregation.fedu_threshold=0.3"], 1,
         "aggregation: fedu_threshold applies only to strategy 'ldawa_fedu', not 'fedavg'",
@@ -717,6 +738,9 @@ ERROR_PATHS = {
     "aggregate_bad_metadata": (
         _aggregate("{tmp}/good.bin", "{tmp}/good.bin", "--metadata", "{tmp}/meta.json"),
         1, "client entry 0: num_samples",
+    ),
+    "aggregate_metadata_nested_too_deep": (
+        _aggregate("{tmp}/good.bin", "{tmp}/good.bin", "--metadata", "{tmp}/deep.json"), 1, "deep.json: invalid JSON",
     ),
     "aggregate_negative_round": (
         _aggregate("{tmp}/good.bin", "{tmp}/good.bin", "--round", "-1"), 1, "--round must be >= 0",

@@ -332,6 +332,22 @@ class TestCheckpointIO:
         with pytest.raises(IncompatibleModelError, match=r"nan\.bin: layer 'layer0': shape mismatch \(3,\) vs \(2,\)"):
             load_checkpoint(path, like=ps([0.0, 0.0, 0.0]), out=np.zeros(3))
 
+    def test_read_into_checks_out_before_the_file(self, tmp_path):
+        path = tmp_path / "model.bin"
+        save_checkpoint(ps([1.0, 2.0]), path)
+        readonly = np.zeros(2)
+        readonly.setflags(write=False)
+        sevens = np.full(4, 7.0)
+        cases = [(None, sevens), (ps([0.0, 0.0]), sevens), (ps([0.0, 0.0]), np.zeros(1)),
+                 (ps([0.0, 0.0]), np.zeros(2, dtype=np.float32)), (ps([0.0, 0.0]), np.zeros(4)[::2]),
+                 (ps([0.0, 0.0]), readonly), (ps([0.0, 0.0]), [0.0, 0.0])]
+        for like, out in cases:
+            for target in (path, tmp_path / "absent.bin"):  # the file is neither read nor opened
+                with pytest.raises(ValueError, match="out=") as info:
+                    load_checkpoint(target, like=like, out=out)
+                assert str(target) not in str(info.value)
+        assert sevens.tolist() == [7.0] * 4
+
     def test_file_without_magic_names_the_path(self, tmp_path):
         path = tmp_path / "model.json"
         doc = {"format": "fedsim-paramset", "version": 1, "layers": [{"name": "w", "shape": [1], "values": [1.0]}]}
