@@ -170,15 +170,18 @@ def _cmd_aggregate(args) -> int:
 
 def _read_rounds_csv(path: Path) -> list[dict]:
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        fields = reader.fieldnames or []
-        missing = [c for c in ROUNDS_CSV_PREFIX if c not in fields]
-        if missing:
-            raise ConfigError(
-                f"{path}: missing column {missing[0]!r}; expected schema starts with "
-                + ",".join(ROUNDS_CSV_PREFIX)
-            )
-        return list(reader)
+        try:
+            reader = csv.DictReader(fh)
+            fields = reader.fieldnames or []
+            rows = list(reader)
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: not UTF-8 text ({exc})") from exc
+    missing = [c for c in ROUNDS_CSV_PREFIX if c not in fields]
+    if missing:
+        raise ConfigError(
+            f"{path}: missing column {missing[0]!r}; expected schema starts with " + ",".join(ROUNDS_CSV_PREFIX)
+        )
+    return rows
 
 
 def _cmd_compare(args) -> int:

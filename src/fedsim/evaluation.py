@@ -2,14 +2,13 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
 
-from .learners import ModelSpec, forward, loss_xent, require_layers
-from .params import ParamSet
+from .learners import ModelSpec, backward, forward, init_params, loss_xent, require_layers, sgd_step
+from .params import ParamSet, segments
 from .partition import Dataset, allocate_counts
 
 
@@ -106,8 +105,9 @@ def linear_probes(
 ) -> Iterator[float]:
     """Per label fraction, lazily: last-epoch test accuracy of a fresh linear classifier on frozen features.
 
-    The encoder is never updated (it is immutable); only the linear head
-    trains, with SGD momentum and the milestone learning-rate schedule.
+    The encoder is never updated (it is immutable); only the head, a
+    one-layer learners model ``ModelSpec((d, classes))``, trains through
+    learners' passes and ``sgd_step``, with the milestone learning-rate schedule.
     Deterministic given ``spec.eval_seed``, and each fraction's accuracy is
     the same alone or among others: the encoder's layers are checked and the
     test set encoded once per call. ``encoder_params`` must hold the encoder
@@ -132,32 +132,30 @@ def linear_probes(
         if not (np.isfinite(feats).all() and np.isfinite(test_feats).all()):
             raise ValueError("non-finite frozen features: the encoder diverged")
 
-        d = feats.shape[1]
-        bound = 1.0 / math.sqrt(d)
-        weight = rng.uniform(-bound, bound, size=(d, c))
-        bias = rng.uniform(-bound, bound, size=c)
-        vel_w = np.zeros_like(weight)
-        vel_b = np.zeros_like(bias)
-
-        n = feats.shape[0]
-        for epoch in range(spec.epochs):
-            lr = spec.lr * spec.decay_factor ** int(
-                np.searchsorted(np.asarray(spec.milestones), epoch, side="right")
-            )
-            order = rng.permutation(n)
-            for start in range(0, n, spec.batch_size):
-                idx = order[start : start + spec.batch_size]
-                logits = feats[idx] @ weight + bias
-                _, grad = loss_xent(logits, labels[idx])
-                vel_w = spec.momentum * vel_w + feats[idx].T @ grad
-                vel_b = spec.momentum * vel_b + grad.sum(axis=0)
-                weight = weight - lr * vel_w
-                bias = bias - lr * vel_b
-
-        if not (np.isfinite(weight).all() and np.isfinite(bias).all()):
+        head = ModelSpec((feats.shape[1], c))
+        init = init_params(head, rng)
+        w = _train_head(head, init, feats, labels, spec, rng)
+        if not np.isfinite(w).all():
             raise ValueError("the linear head diverged to non-finite weights")
-        predictions = (test_feats @ weight + bias).argmax(axis=1)
+        predictions = forward(segments(w, init.layout), head, test_feats).h.argmax(axis=1)
         yield accuracy(predictions, test_ds.labels)
+
+
+def _train_head(head: ModelSpec, init: ParamSet, feats: np.ndarray, labels: np.ndarray, spec: EvalSpec,
+                rng: np.random.Generator) -> np.ndarray:
+    """``head``'s vector trained from ``init`` on frozen ``feats``: momentum SGD, no weight decay, ``rng`` shuffles."""
+    w, v, g = init.vector.copy(), np.zeros(init.num_params), np.empty(init.num_params)
+    params, grads = segments(w, init.layout), segments(g, init.layout)
+    for epoch in range(spec.epochs):
+        lr = spec.lr * spec.decay_factor ** int(np.searchsorted(np.asarray(spec.milestones), epoch, side="right"))
+        order = rng.permutation(len(feats))
+        for start in range(0, len(feats), spec.batch_size):
+            idx = order[start : start + spec.batch_size]
+            fp = forward(params, head, feats[idx])
+            _, grad = loss_xent(fp.h, labels[idx])
+            backward(params, head, fp, grad, out=grads)
+            sgd_step(w, g, v, lr, spec.momentum, weight_decay=0.0)
+    return w
 
 
 # fedsim never calls this; it stays because the acceptance and evaluation tests score supervised models with it.
@@ -168,24 +166,3 @@ def classifier_accuracy(params: ParamSet, model_spec: ModelSpec, ds: Dataset) ->
     logits = forward(params, model_spec, ds.features).logits
     return accuracy(logits.argmax(axis=1), ds.labels)
 
-
-def divergence_series(history: Sequence, mode: str = "model") -> tuple[list[float], dict[int, float]]:
-    """Two aggregations of the rounds' divergence tables (``record.div``).
-
-    Returns the per-round mean across participating clients and, per client,
-    the mean across the rounds it participated in. ``mode`` selects the
-    whole-model deltas or each client's mean of its per-layer ones.
-    """
-    history = list(history)
-    if not history:
-        raise ValueError("divergence_series: empty history")
-    if mode not in ("model", "layer"):
-        raise ValueError(f"unknown mode {mode!r}")
-    per_round, per_client = [], {}
-    for record in history:
-        div = record.div
-        per_round.append(div.mean(mode))
-        deltas = div.model.tolist() if mode == "model" else [float(np.mean(row)) for row in div.layer]
-        for client, value in zip(div.client_ids, deltas):
-            per_client.setdefault(client, []).append(value)
-    return per_round, {client: sum(values) / len(values) for client, values in sorted(per_client.items())}

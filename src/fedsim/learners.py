@@ -587,12 +587,12 @@ def _train_round(clients, trainer: TrainerSpec, model: ModelSpec, first: ParamSe
     client's. The first ValueError of any client propagates.
     """
     sessions: list[_Session] = []
-    for cid, data, init, rng in clients:
+    for _, data, init, rng in clients:
         n = len(data.features)
         if n == 0:
-            raise ValueError(f"client {cid}: empty dataset")
+            raise ValueError("empty dataset")
         if trainer.is_ssl and n < 2:
-            raise ValueError(f"client {cid}: cannot assemble a batch of 2 from {n} sample(s)")
+            raise ValueError(f"cannot assemble a batch of 2 from {n} sample(s)")
         first.require_compatible(init)
         x, y = np.asarray(data.features, dtype=np.float64), np.asarray(data.labels, dtype=np.int64)
         sessions.append(_Session(x, y, rng, _batch_sizes(n, trainer)))

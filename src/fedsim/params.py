@@ -166,8 +166,9 @@ def weighted_sum(block: np.ndarray, layout: Layout, coeffs) -> ParamSet:
 #
 # Binary container: 8-byte magic, uint32 LE version, uint64 LE header length,
 # UTF-8 JSON header listing (name: str, shape: [int >= 0], offset: int) per
-# layer, then the layers' little-endian float64 payloads in order, back to back:
-# each offset is the byte total of the layers before it. It round-trips bit-exactly.
+# layer, then the layers' little-endian float64 payloads in order, back to back
+# to the end of the file: each offset is the byte total of the layers before it.
+# It round-trips bit-exactly.
 # ---------------------------------------------------------------------------
 
 
@@ -237,11 +238,10 @@ def _read(fh, like: ParamSet | None, out: np.ndarray | None) -> tuple[Layout, np
             raise ValueError(f"layer {name!r} of shape {shape!r}: expected a string name and a list of ints >= 0")
         if type(offset) is not int or offset != 8 * total:
             raise ValueError(f"layer {name!r}: offset {offset!r}, expected {8 * total}: layers are stored in order")
-        count = math.prod(shape)  # exact: a huge shape cannot wrap around
-        if offset + 8 * count > file_size - payload_start:
-            raise ValueError(f"layer {name!r}: {count} values at offset {offset} run past the payload")
         found.append((name, tuple(shape)))
-        total += count
+        total += math.prod(shape)  # exact: a huge shape cannot wrap around
+    if 8 * total != file_size - payload_start:  # checked before anything is allocated or read
+        raise ValueError(f"the header's layers hold {8 * total} bytes, the payload {file_size - payload_start}")
     if like is not None:
         like.require_compatible(found)
     vector = np.empty(total) if out is None else out

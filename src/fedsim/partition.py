@@ -309,13 +309,16 @@ def load_csv(path, num_classes: int | None = None) -> Dataset:
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(_csv_rows(reader, path), None)
-        if header is None:
-            raise ValueError(f"{path}: empty file")
-        if len(header) < 2:
-            raise ValueError(f"{path}: need at least one feature column and a label column")
+        try:
+            header = next(_csv_rows(reader, path), None)
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: not UTF-8 text ({exc})") from exc
         header_lines = reader.line_num
-        text = fh.read()
+    if header is None:
+        raise ValueError(f"{path}: empty file")
+    if len(header) < 2:
+        raise ValueError(f"{path}: need at least one feature column and a label column")
     width = len(header)
     limit = _MAX_LABEL + 1 if num_classes is None else num_classes
     data, cause = None, None

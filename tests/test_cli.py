@@ -502,6 +502,8 @@ MALFORMED_CHECKPOINTS = {
         b"\x00" * 24,
     ),
     "header_nested_too_deep": binary_blob(b"[" * 100_000),
+    # the payload ends the file
+    "trailing_bytes": binary_blob(one_layer(), struct.pack("<2d", 1.0, 2.0) + b"\x00" * 12),
 }
 
 
@@ -687,6 +689,9 @@ def _contract_fixture(tmp_path):
     (tmp_path / "nocol").mkdir()
     (tmp_path / "nocol" / "rounds.csv").write_text("round,foo\n0,1\n")
     (tmp_path / "norun").mkdir()
+    (tmp_path / "latin1.csv").write_bytes(b"x0,x1,label\n0.5,-1.0,0\n0.5,\xff,1\n")
+    (tmp_path / "latin1run").mkdir()
+    (tmp_path / "latin1run" / "rounds.csv").write_bytes(b"round,strategy_effective\n0,fed\xffavg\n")
 
 
 CONFIG = "{tmp}/config.json"
@@ -722,8 +727,17 @@ ERROR_PATHS = {
          "--set", "model.projector_dims=[]", "--set", CSV_DATASET],
         1, "train.csv:6: non-finite feature value",
     ),
+    "csv_not_utf8": (
+        ["run", "--config", CONFIG, "--set", "trainer.method=supervised", "--set", "model.encoder_dims=[2, 4]",
+         "--set", "model.projector_dims=[]", "--set", CSV_DATASET.replace("train.csv", "latin1.csv")],
+        1, "latin1.csv: not UTF-8 text ('utf-8' codec can't decode byte 0xff in position",
+    ),
     "run_empty_output_dir": (["run", "--config", CONFIG, "--set", "output_dir="], 1, "config.output_dir"),
     "run_diverging": (["run", "--config", CONFIG, "--set", "trainer.lr=1e200"], 2, "training failed for client 0"),
+    "run_client_too_small": (
+        ["run", "--config", CONFIG, "--set", "dataset.samples_per_class=1"], 2,
+        "error: round 0: training failed for client 0: cannot assemble a batch of 2 from 1 sample(s)\n",
+    ),
     "probe_missing_checkpoint": (_probe("{tmp}/absent.bin"), 2, "absent.bin"),
     "probe_malformed_checkpoint": (_probe("{tmp}/malformed.bin"), 1, "malformed.bin"),
     "probe_mismatched_checkpoint": (_probe("{tmp}/good.bin"), 2, "missing layer 'encoder.0.weight'"),
@@ -747,6 +761,10 @@ ERROR_PATHS = {
     ),
     "compare_missing_rounds_csv": (
         ["compare", "{tmp}/norun", "--output", "{tmp}/merged.csv"], 1, "norun/rounds.csv: no rounds.csv in",
+    ),
+    "compare_rounds_not_utf8": (
+        ["compare", "{tmp}/latin1run", "--output", "{tmp}/merged.csv"], 1,
+        "latin1run/rounds.csv: not UTF-8 text ('utf-8' codec can't decode byte 0xff in position",
     ),
     "usage_aggregate_round_not_int": (
         _aggregate("{tmp}/good.bin", "{tmp}/good.bin", "--round", "abc"), 1,

@@ -1,19 +1,21 @@
-"""Linear probe, accuracy metrics, and divergence-series summaries."""
+"""Linear probe and accuracy metrics."""
+
+import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
-from fedsim.divergence import Divergence
-from fedsim.engine import RoundRecord
 from fedsim.evaluation import (
     EvalSpec,
+    _train_head,
     accuracy,
     classifier_accuracy,
-    divergence_series,
     linear_probe,
     stratified_subset,
 )
-from fedsim.learners import ModelSpec, init_params
+from fedsim.learners import ModelSpec, init_params, loss_xent
 from fedsim.params import ParamSet
 from fedsim.partition import Dataset, make_blobs
 
@@ -147,6 +149,59 @@ class TestLinearProbe:
         assert before == after
 
 
+def hand_written_head(feats, labels, c, spec, rng):
+    """The probe head as evaluation once trained it, by hand: its weight then its bias, flat."""
+    d = feats.shape[1]
+    bound = 1.0 / math.sqrt(d)
+    weight = rng.uniform(-bound, bound, size=(d, c))
+    bias = rng.uniform(-bound, bound, size=c)
+    vel_w = np.zeros_like(weight)
+    vel_b = np.zeros_like(bias)
+    n = feats.shape[0]
+    for epoch in range(spec.epochs):
+        lr = spec.lr * spec.decay_factor ** int(np.searchsorted(np.asarray(spec.milestones), epoch, side="right"))
+        order = rng.permutation(n)
+        for start in range(0, n, spec.batch_size):
+            idx = order[start : start + spec.batch_size]
+            logits = feats[idx] @ weight + bias
+            _, grad = loss_xent(logits, labels[idx])
+            vel_w = spec.momentum * vel_w + feats[idx].T @ grad
+            vel_b = spec.momentum * vel_b + grad.sum(axis=0)
+            weight = weight - lr * vel_w
+            bias = bias - lr * vel_b
+    return np.concatenate([weight.ravel(), bias])
+
+
+@st.composite
+def probe_cases(draw):
+    """(spec, classes, width, samples, fraction, seed) with a subset of at least one sample per class."""
+    epochs = draw(st.integers(1, 5))
+    milestones = draw(st.lists(st.integers(0, epochs - 1), unique=True))
+    spec = EvalSpec(
+        epochs=epochs, milestones=tuple(sorted(milestones)), lr=draw(st.sampled_from([0.01, 0.1, 0.5])),
+        momentum=draw(st.sampled_from([0.0, 0.9])), batch_size=draw(st.integers(1, 64)),
+    )
+    c, d, n = draw(st.integers(2, 16)), draw(st.integers(1, 12)), draw(st.integers(16, 160))
+    fraction = draw(st.floats(0.1, 1.0))
+    assume(round(fraction * n) >= c)
+    return spec, c, d, n, fraction, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=100)
+@given(probe_cases())
+@example((EvalSpec(epochs=3, milestones=(1,), batch_size=8), 3, 1, 40, 0.9, 0))  # width 1, 36 samples in steps of 8
+def test_head_trains_to_the_hand_written_loops_bytes(case):
+    spec, c, d, n, fraction, seed = case
+    data = np.random.default_rng(seed)
+    features, all_labels = data.normal(size=(n, d)), data.permutation(np.arange(n) % c)
+    ours, theirs = (np.random.default_rng([seed, 0x5EED]) for _ in range(2))
+    subset = stratified_subset(all_labels, fraction, ours)
+    assert stratified_subset(all_labels, fraction, theirs).tobytes() == subset.tobytes()
+    feats, labels, head = features[subset], all_labels[subset], ModelSpec((d, c))
+    trained = _train_head(head, init_params(head, ours), feats, labels, spec, ours)
+    assert trained.tobytes() == hand_written_head(feats, labels, c, spec, theirs).tobytes()
+
+
 class TestClassifierAccuracy:
     def test_requires_head(self):
         spec = ModelSpec((4, 3))
@@ -165,44 +220,3 @@ class TestClassifierAccuracy:
         up = train_clients([(0, ds, params, np.random.default_rng(4))], trainer, spec)
         assert classifier_accuracy(ParamSet(up.weights[0], up.layout), spec, ds) > 0.95
 
-
-def record(round_index, deltas, layer_deltas=None):
-    """A round whose one-layer divergence table has ``deltas`` as model and ``layer_deltas`` as layer cosines."""
-    layer = np.array([[v] for v in (layer_deltas or deltas).values()])
-    model = np.array(list(deltas.values()))
-    div = Divergence(tuple(deltas), ("w",), layer, np.zeros_like(layer), model)
-    return RoundRecord(
-        round_index=round_index,
-        strategy_effective="ldawa",
-        div=div,
-        mean_local_loss=0.0,
-        agg_time_ms=0.0,
-        probe_acc=None,
-    )
-
-
-class TestDivergenceSeries:
-    def test_constant_unit_divergence(self):
-        history = [record(r, {0: 1.0, 1: 1.0}) for r in range(4)]
-        per_round, per_client = divergence_series(history)
-        assert per_round == [1.0] * 4
-        assert per_client == {0: 1.0, 1: 1.0}
-
-    def test_per_client_mean_over_rounds(self):
-        history = [record(0, {5: 0.6}), record(1, {5: 0.8})]
-        _, per_client = divergence_series(history)
-        assert per_client[5] == pytest.approx(0.7)
-
-    def test_series_length_matches_rounds(self):
-        history = [record(r, {0: 0.5}) for r in range(7)]
-        per_round, _ = divergence_series(history)
-        assert len(per_round) == 7
-
-    def test_empty_history_rejected(self):
-        with pytest.raises(ValueError):
-            divergence_series([])
-
-    def test_layer_mode_uses_layer_deltas(self):
-        history = [record(0, {0: 1.0}, layer_deltas={0: 0.25})]
-        per_round, _ = divergence_series(history, mode="layer")
-        assert per_round == [0.25]

@@ -761,7 +761,7 @@ class TestReplayAttribution:
         diverging = self.poisoned(12, seed=2, step=2)
         assert self.named([(diverging, 2)]) == (0, "non-finite embedding: the model diverged")
         # the empty client is rejected before any training, the other diverges at its third step
-        assert self.named([(empty, 1), (diverging, 2)]) == (0, "client 0: empty dataset")
+        assert self.named([(empty, 1), (diverging, 2)]) == (0, "empty dataset")
         assert self.named([(diverging, 2), (empty, 1)]) == (0, "non-finite embedding: the model diverged")
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")

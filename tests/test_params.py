@@ -332,6 +332,16 @@ class TestCheckpointIO:
         with pytest.raises(IncompatibleModelError, match=r"nan\.bin: layer 'layer0': shape mismatch \(3,\) vs \(2,\)"):
             load_checkpoint(path, like=ps([0.0, 0.0, 0.0]), out=np.zeros(3))
 
+    def test_bytes_after_the_payload_are_rejected_before_it_is_read(self, tmp_path):
+        path = tmp_path / "long.bin"
+        save_checkpoint(ps([1.0, 2.0]), path)
+        path.write_bytes(path.read_bytes() + b"\x07" * 12)
+        sevens = np.full(2, 7.0)
+        for kwargs in ({}, {"like": ps([0.0, 0.0]), "out": sevens}):
+            with pytest.raises(ValueError, match=r"long\.bin: the header's layers hold 16 bytes, the payload 28"):
+                load_checkpoint(path, **kwargs)
+        assert sevens.tolist() == [7.0, 7.0]
+
     def test_read_into_checks_out_before_the_file(self, tmp_path):
         path = tmp_path / "model.bin"
         save_checkpoint(ps([1.0, 2.0]), path)

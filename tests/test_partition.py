@@ -238,6 +238,14 @@ class TestLoadCsv:
         with pytest.raises(ValueError, match="no data rows"):
             load_csv(path)
 
+    @pytest.mark.parametrize("blob", [b"x0,\xff,label\n1.0,2.0,0\n", b"x0,x1,label\n1.0,2.0,0\n1.0,\xff,1\n"],
+                             ids=["header", "body"])
+    def test_non_utf8_text_names_the_file(self, tmp_path, blob):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(blob)
+        with pytest.raises(ValueError, match=r"latin1\.csv: not UTF-8 text \('utf-8' codec can't decode byte 0xff"):
+            load_csv(path)
+
     def test_label_out_of_range(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("x0,label\n1.0,5\n")
