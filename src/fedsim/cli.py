@@ -16,6 +16,7 @@ import csv
 import json
 import logging
 import sys
+from itertools import zip_longest
 from pathlib import Path
 
 import numpy as np
@@ -23,8 +24,9 @@ import numpy as np
 from .aggregation import METADATA_STRATEGIES, AggregationSpec, ClientUpdates, aggregate, effective_strategy
 from .config import SCALARS, ConfigError, apply_overrides, load_config_file, parse_config
 from .engine import ROUNDS_CSV_PREFIX, build_datasets, run_experiment
-from .evaluation import linear_probes
+from .evaluation import linear_probe
 from .params import IncompatibleModelError, load_checkpoint, save_checkpoint
+from .partition import _csv_rows
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -98,9 +100,9 @@ def _cmd_probe(args) -> int:
     params = load_checkpoint(args.checkpoint)
     train_ds, test_ds = build_datasets(cfg)
     fractions = args.fraction if args.fraction else list(cfg.evaluation.label_fractions)
-    probes = linear_probes(params, cfg.model, train_ds, test_ds, cfg.evaluation, fractions)
+    accs = linear_probe(params, cfg.model, train_ds, test_ds, cfg.evaluation, fractions)
     print("fraction,accuracy")
-    for fraction, acc in zip(fractions, probes):
+    for fraction, acc in zip(fractions, accs):
         print(f"{fraction},{acc}")
     return EXIT_OK
 
@@ -169,11 +171,10 @@ def _cmd_aggregate(args) -> int:
 
 
 def _read_rounds_csv(path: Path) -> list[dict]:
+    """The data rows as dicts keyed by the header; a short row's missing cells read None, blank rows are skipped."""
     with open(path, newline="", encoding="utf-8") as fh:
         try:
-            reader = csv.DictReader(fh)
-            fields = reader.fieldnames or []
-            rows = list(reader)
+            fields, *rows = list(_csv_rows(csv.reader(fh), path)) or [[]]
         except UnicodeDecodeError as exc:
             raise ValueError(f"{path}: not UTF-8 text ({exc})") from exc
     missing = [c for c in ROUNDS_CSV_PREFIX if c not in fields]
@@ -181,7 +182,7 @@ def _read_rounds_csv(path: Path) -> list[dict]:
         raise ConfigError(
             f"{path}: missing column {missing[0]!r}; expected schema starts with " + ",".join(ROUNDS_CSV_PREFIX)
         )
-    return rows
+    return [dict(zip_longest(fields, row)) for row in rows if row]
 
 
 def _cmd_compare(args) -> int:

@@ -233,9 +233,9 @@ class FederatedRunner:
         )
         if self._should_probe(r):
             try:
-                fraction = cfg.evaluation.label_fractions[0]
-                record.probe_acc = linear_probe(
-                    new_global, cfg.model, self.train_ds, self.test_ds, cfg.evaluation, fraction
+                (record.probe_acc,) = linear_probe(
+                    new_global, cfg.model, self.train_ds, self.test_ds, cfg.evaluation,
+                    cfg.evaluation.label_fractions[:1],
                 )
             except ValueError as exc:
                 raise RuntimeError(f"round {r}: linear probe: {exc}") from exc

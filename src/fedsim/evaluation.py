@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -92,43 +92,37 @@ def stratified_subset(labels: np.ndarray, fraction: float, rng: np.random.Genera
 
 def linear_probe(
     encoder_params: ParamSet, model_spec: ModelSpec, train_ds: Dataset, test_ds: Dataset,
-    spec: EvalSpec, fraction: float = 1.0,
-) -> float:
-    """:func:`linear_probes` at one label fraction."""
-    (acc,) = linear_probes(encoder_params, model_spec, train_ds, test_ds, spec, [fraction])
-    return acc
-
-
-def linear_probes(
-    encoder_params: ParamSet, model_spec: ModelSpec, train_ds: Dataset, test_ds: Dataset,
     spec: EvalSpec, fractions: Sequence[float],
-) -> Iterator[float]:
-    """Per label fraction, lazily: last-epoch test accuracy of a fresh linear classifier on frozen features.
+) -> list[float]:
+    """Per label fraction, the last-epoch test accuracy of a fresh linear classifier on frozen features.
 
     The encoder is never updated (it is immutable); only the head, a
     one-layer learners model ``ModelSpec((d, classes))``, trains through
     learners' passes and ``sgd_step``, with the milestone learning-rate schedule.
-    Deterministic given ``spec.eval_seed``, and each fraction's accuracy is
-    the same alone or among others: the encoder's layers are checked and the
-    test set encoded once per call. ``encoder_params`` must hold the encoder
-    layers of ``model_spec``; any other layers are ignored.
+    The encoder's layers and every fraction are checked before any head
+    trains; every fraction's training features are encoded first, then the
+    test set once (that order keeps a one-fraction probe's peak memory at
+    the training pass). Deterministic given
+    ``spec.eval_seed``, and each fraction's accuracy is the same alone or
+    among others. ``encoder_params`` must hold the encoder layers of
+    ``model_spec``; any other layers are ignored.
     """
     encoder = ModelSpec(model_spec.encoder_dims, activation=model_spec.activation)
     require_layers(encoder_params, encoder)
-    test_feats = None
+    c = train_ds.num_classes
+    draws = []  # per fraction: its training features, labels and generator
     for fraction in fractions:
         if not 0 < fraction <= 1:
             raise ValueError("fraction must lie in (0, 1]")
-        c = train_ds.num_classes
         n_take = int(round(fraction * len(train_ds)))
         if n_take < c:
             raise ValueError(f"fraction {fraction} yields {n_take} samples for {c} classes")
         rng = np.random.default_rng([int(spec.eval_seed), 0x5EED])
         subset = stratified_subset(train_ds.labels, fraction, rng)
-        feats = forward(encoder_params, encoder, train_ds.features[subset]).h
-        labels = train_ds.labels[subset]
-        if test_feats is None:
-            test_feats = forward(encoder_params, encoder, test_ds.features).h
+        draws.append((forward(encoder_params, encoder, train_ds.features[subset]).h, train_ds.labels[subset], rng))
+    test_feats = forward(encoder_params, encoder, test_ds.features).h
+    accs = []
+    for feats, labels, rng in draws:
         if not (np.isfinite(feats).all() and np.isfinite(test_feats).all()):
             raise ValueError("non-finite frozen features: the encoder diverged")
 
@@ -138,7 +132,8 @@ def linear_probes(
         if not np.isfinite(w).all():
             raise ValueError("the linear head diverged to non-finite weights")
         predictions = forward(segments(w, init.layout), head, test_feats).h.argmax(axis=1)
-        yield accuracy(predictions, test_ds.labels)
+        accs.append(accuracy(predictions, test_ds.labels))
+    return accs
 
 
 def _train_head(head: ModelSpec, init: ParamSet, feats: np.ndarray, labels: np.ndarray, spec: EvalSpec,

@@ -232,9 +232,6 @@ def make_blobs(
     return Dataset(name, features, labels, num_classes)
 
 
-# Labels are stored as int64, and the class count max(label) + 1 must fit too.
-_MAX_LABEL = np.iinfo(np.int64).max - 1
-
 # The characters of a plain numeric CSV body (see _is_plain).
 _PLAIN = b"0123456789+-.eE, \t\r\n"
 
@@ -267,7 +264,7 @@ def _csv_rows(reader, path, skipped_lines: int = 0):
         raise ValueError(f"{path}:{skipped_lines + reader.line_num}: {exc}") from exc
 
 
-def _parse_rows(rows, path, width: int, limit: int) -> tuple[list[list[float]], list[int]]:
+def _parse_rows(rows, path, width: int, num_classes: int) -> tuple[list[list[float]], list[int]]:
     """Row-by-row parse of the data rows (numbered from line 2); the first bad row raises naming its line."""
     features: list[list[float]] = []
     labels: list[int] = []
@@ -289,23 +286,22 @@ def _parse_rows(rows, path, width: int, limit: int) -> tuple[list[list[float]], 
             raise ValueError(f"{path}:{lineno}: non-integer label {raw_label!r}") from exc
         if label < 0:
             raise ValueError(f"{path}:{lineno}: negative label {label}")
-        if label >= limit:
-            raise ValueError(f"{path}:{lineno}: label {label} outside [0, {limit})")
+        if label >= num_classes:
+            raise ValueError(f"{path}:{lineno}: label {label} outside [0, {num_classes})")
         features.append(values)
         labels.append(label)
     return features, labels
 
 
-def load_csv(path, num_classes: int | None = None) -> Dataset:
+def load_csv(path, num_classes: int) -> Dataset:
     """Parse a dataset from CSV: header row, float feature columns, final integer label column.
 
     Row order is preserved. The data rows are parsed in one ``np.loadtxt``
     call and checked in bulk; only when that fails (or the text is not plain
     numeric CSV) are they parsed row by row, and a bad row raises naming its
     line. Feature cells must be finite, and cells ``np.loadtxt`` refuses
-    (such as ``1_0``) raise naming the file. If ``num_classes`` is given,
-    labels are validated against it, otherwise the class count is inferred
-    as max(label) + 1.
+    (such as ``1_0``) raise naming the file. Labels must lie in
+    [0, ``num_classes``).
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -320,7 +316,6 @@ def load_csv(path, num_classes: int | None = None) -> Dataset:
     if len(header) < 2:
         raise ValueError(f"{path}: need at least one feature column and a label column")
     width = len(header)
-    limit = _MAX_LABEL + 1 if num_classes is None else num_classes
     data, cause = None, None
     if text.strip("\r\n"):  # np.loadtxt warns on input without data rows
         row = np.dtype([("x", np.float64, (width - 1,)), ("y", np.int64)])
@@ -334,19 +329,18 @@ def load_csv(path, num_classes: int | None = None) -> Dataset:
         data is not None
         and np.isfinite(data["x"]).all()
         and data["y"].min() >= 0
-        and data["y"].max() < limit
+        and data["y"].max() < num_classes
         and _is_plain(text)
     ):
         features, labels = data["x"], data["y"]
     else:
         rows = _csv_rows(csv.reader(io.StringIO(text, newline="")), path, header_lines)
-        features, labels = _parse_rows(rows, path, width, limit)
+        features, labels = _parse_rows(rows, path, width, num_classes)
         if cause is not None:
             raise ValueError(f"{path}: {cause}") from cause
     if not len(labels):
         raise ValueError(f"{path}: no data rows")
-    c = num_classes if num_classes is not None else int(np.max(labels)) + 1
-    return Dataset(str(path), np.asarray(features), np.asarray(labels), c)
+    return Dataset(str(path), np.asarray(features), np.asarray(labels), num_classes)
 
 
 def split_train_test(ds: Dataset, test_fraction: float, seed: int) -> tuple[Dataset, Dataset]:

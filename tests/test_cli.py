@@ -671,11 +671,22 @@ class TestCompareCommand:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 2 and rows[0]["run_name"] == "solo"
 
+    def test_short_rows_write_empty_cells_and_blank_lines_are_skipped(self, tmp_path):
+        run = tmp_path / "short"
+        run.mkdir()
+        header = "round,strategy_effective,mu_delta_model,mu_delta_layer,mean_local_loss,agg_time_ms,probe_acc"
+        (run / "rounds.csv").write_text(header + "\n0,fedavg,0.5\n\n1,fedavg,0.25,0.1,2.0,3.0,0.75\n")
+        out = tmp_path / "merged.csv"
+        assert main(["compare", str(run), "--output", str(out)]) == 0
+        assert out.read_text().splitlines()[1:] == ["short,0,,0.5,,", "short,1,0.75,0.25,2.0,3.0"]
+
 
 def _contract_fixture(tmp_path):
     """A valid config, checkpoint and run directory for the error cases to break one piece of."""
     write_config(tmp_path, minimal_raw(tmp_path))
     checkpoint(tmp_path, "good.bin", {"w": [1.0, 2.0]})
+    save_checkpoint(init_params(ModelSpec((4, 6, 3), projector_dims=(3, 3)), np.random.default_rng(0)),
+                    tmp_path / "model.bin")  # the config's model
     (tmp_path / "malformed.bin").write_bytes(MALFORMED_CHECKPOINTS["header_not_utf8"])
     checkpoint(tmp_path, "longer.bin", {"w": [1.0, 2.0, 3.0]})
     (tmp_path / "nan.bin").write_bytes(binary_blob(one_layer(), struct.pack("<2d", 1.0, float("nan"))))
@@ -692,6 +703,8 @@ def _contract_fixture(tmp_path):
     (tmp_path / "latin1.csv").write_bytes(b"x0,x1,label\n0.5,-1.0,0\n0.5,\xff,1\n")
     (tmp_path / "latin1run").mkdir()
     (tmp_path / "latin1run" / "rounds.csv").write_bytes(b"round,strategy_effective\n0,fed\xffavg\n")
+    (tmp_path / "longcell").mkdir()
+    (tmp_path / "longcell" / "rounds.csv").write_text("round,strategy_effective\n0," + "x" * 200_000 + "\n")
 
 
 CONFIG = "{tmp}/config.json"
@@ -741,6 +754,13 @@ ERROR_PATHS = {
     "probe_missing_checkpoint": (_probe("{tmp}/absent.bin"), 2, "absent.bin"),
     "probe_malformed_checkpoint": (_probe("{tmp}/malformed.bin"), 1, "malformed.bin"),
     "probe_mismatched_checkpoint": (_probe("{tmp}/good.bin"), 2, "missing layer 'encoder.0.weight'"),
+    "probe_fraction_out_of_range_after_a_good_one": (
+        _probe("{tmp}/model.bin") + ["--fraction", "0.5", "--fraction", "2"], 1, "fraction must lie in (0, 1]",
+    ),
+    "probe_fraction_too_small_after_a_good_one": (
+        _probe("{tmp}/model.bin") + ["--fraction", "0.5", "--fraction", "1e-9"], 1,
+        "fraction 1e-09 yields 0 samples for 3 classes",
+    ),
     "aggregate_missing_checkpoint": (_aggregate("{tmp}/absent.bin", "{tmp}/good.bin"), 2, "absent.bin"),
     "aggregate_malformed_checkpoint": (_aggregate("{tmp}/good.bin", "{tmp}/malformed.bin"), 1, "malformed.bin"),
     "aggregate_mismatched_checkpoint": (
@@ -765,6 +785,10 @@ ERROR_PATHS = {
     "compare_rounds_not_utf8": (
         ["compare", "{tmp}/latin1run", "--output", "{tmp}/merged.csv"], 1,
         "latin1run/rounds.csv: not UTF-8 text ('utf-8' codec can't decode byte 0xff in position",
+    ),
+    "compare_rounds_cell_too_long": (
+        ["compare", "{tmp}/longcell", "--output", "{tmp}/merged.csv"], 1,
+        "longcell/rounds.csv:2: field larger than field limit (131072)",
     ),
     "usage_aggregate_round_not_int": (
         _aggregate("{tmp}/good.bin", "{tmp}/good.bin", "--round", "abc"), 1,
@@ -798,6 +822,7 @@ class TestErrorContract:
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         assert cause in captured.err
         assert "Traceback" not in captured.err + captured.out
+        assert captured.out == ""
 
     @pytest.mark.parametrize("argv", [["-h"], ["probe", "--help"]], ids=["fedsim", "probe"])
     def test_help_still_prints_and_exits_zero(self, capsys, argv):

@@ -71,7 +71,7 @@ class TestLinearProbe:
         train = make_blobs(3, 30, 4, spread=0.0, seed=1)
         test = make_blobs(3, 10, 4, spread=0.0, seed=2)
         params, spec = self.encoder()
-        acc = linear_probe(params, spec, train, test, FAST_PROBE, 1.0)
+        (acc,) = linear_probe(params, spec, train, test, FAST_PROBE, [1.0])
         assert acc == 1.0
 
     def test_random_labels_score_at_chance(self):
@@ -81,7 +81,7 @@ class TestLinearProbe:
         train = Dataset("noise", features, rng.integers(0, c, 400), c)
         test = Dataset("noise", rng.normal(size=(300, 4)), rng.integers(0, c, 300), c)
         params, spec = self.encoder()
-        acc = linear_probe(params, spec, train, test, FAST_PROBE, 1.0)
+        (acc,) = linear_probe(params, spec, train, test, FAST_PROBE, [1.0])
         sigma = np.sqrt((1 / c) * (1 - 1 / c) / 300)
         assert abs(acc - 1 / c) < 3 * sigma
 
@@ -95,15 +95,15 @@ class TestLinearProbe:
         zero = ParamSet.from_arrays(
             {"encoder.0.weight": np.zeros((4, 3)), "encoder.0.bias": np.zeros(3)}
         )
-        acc = linear_probe(zero, spec, train, test, FAST_PROBE, 1.0)
+        (acc,) = linear_probe(zero, spec, train, test, FAST_PROBE, [1.0])
         assert acc == 0.6  # constant features predict the probe-set majority class
 
     def test_deterministic(self):
         train = make_blobs(3, 20, 4, spread=0.8, seed=5)
         test = make_blobs(3, 10, 4, spread=0.8, seed=6)
         params, spec = self.encoder(seed=7)
-        a = linear_probe(params, spec, train, test, FAST_PROBE, 0.5)
-        b = linear_probe(params, spec, train, test, FAST_PROBE, 0.5)
+        a = linear_probe(params, spec, train, test, FAST_PROBE, [0.5])
+        b = linear_probe(params, spec, train, test, FAST_PROBE, [0.5])
         assert a == b
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -120,14 +120,14 @@ class TestLinearProbe:
             {"encoder.0.weight": np.full((4, 3), scale), "encoder.0.bias": np.zeros(3)}
         )
         with pytest.raises(ValueError, match=cause):
-            linear_probe(huge, spec, train, test, FAST_PROBE, 1.0)
+            linear_probe(huge, spec, train, test, FAST_PROBE, [1.0])
 
     def test_fraction_too_small_rejected(self):
         train = make_blobs(5, 10, 4, spread=0.5, seed=8)
         test = make_blobs(5, 5, 4, spread=0.5, seed=9)
         params, spec = self.encoder()
         with pytest.raises(ValueError, match="yields"):
-            linear_probe(params, spec, train, test, FAST_PROBE, 0.02)
+            linear_probe(params, spec, train, test, FAST_PROBE, [0.02])
 
     def test_more_labels_do_not_hurt_on_separable_data(self):
         accs_full, accs_tiny = [], []
@@ -135,8 +135,8 @@ class TestLinearProbe:
             train = make_blobs(4, 50, 6, spread=0.4, seed=seed)
             test = make_blobs(4, 20, 6, spread=0.4, seed=100 + seed)
             params, spec = self.encoder(dim=6, seed=seed)
-            accs_full.append(linear_probe(params, spec, train, test, FAST_PROBE, 1.0))
-            accs_tiny.append(linear_probe(params, spec, train, test, FAST_PROBE, 0.05))
+            accs_full += linear_probe(params, spec, train, test, FAST_PROBE, [1.0])
+            accs_tiny += linear_probe(params, spec, train, test, FAST_PROBE, [0.05])
         assert np.mean(accs_full) >= np.mean(accs_tiny)
 
     def test_encoder_unchanged_by_probe(self):
@@ -144,7 +144,7 @@ class TestLinearProbe:
         test = make_blobs(3, 10, 4, spread=0.5, seed=11)
         params, spec = self.encoder(seed=12)
         before = params.vector.tobytes()
-        linear_probe(params, spec, train, test, FAST_PROBE, 1.0)
+        linear_probe(params, spec, train, test, FAST_PROBE, [1.0])
         after = params.vector.tobytes()
         assert before == after
 

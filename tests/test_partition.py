@@ -223,7 +223,7 @@ class TestLoadCsv:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "data.csv"
         path.write_text("x0,x1,label\n1.5,2.0,0\n-3.25,4.0,1\n0.0,0.5,1\n")
-        ds = load_csv(path)
+        ds = load_csv(path, num_classes=2)
         assert len(ds) == 3
         assert ds.dim == 2
         assert ds.num_classes == 2
@@ -236,7 +236,7 @@ class TestLoadCsv:
         path = tmp_path / "empty.csv"
         path.write_text("x0,x1,label\n" + body, newline="")
         with pytest.raises(ValueError, match="no data rows"):
-            load_csv(path)
+            load_csv(path, num_classes=2)
 
     @pytest.mark.parametrize("blob", [b"x0,\xff,label\n1.0,2.0,0\n", b"x0,x1,label\n1.0,2.0,0\n1.0,\xff,1\n"],
                              ids=["header", "body"])
@@ -244,7 +244,7 @@ class TestLoadCsv:
         path = tmp_path / "latin1.csv"
         path.write_bytes(blob)
         with pytest.raises(ValueError, match=r"latin1\.csv: not UTF-8 text \('utf-8' codec can't decode byte 0xff"):
-            load_csv(path)
+            load_csv(path, num_classes=2)
 
     def test_label_out_of_range(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -256,13 +256,13 @@ class TestLoadCsv:
         path = tmp_path / "bad.csv"
         path.write_text("x0,label\n1.0,0\n2.0,oops\n")
         with pytest.raises(ValueError, match=":3"):
-            load_csv(path)
+            load_csv(path, num_classes=2)
 
     def test_ragged_row_names_line(self, tmp_path):
         path = tmp_path / "ragged.csv"
         path.write_text("x0,x1,label\n1.0,2.0,0\n1.0,0\n")
         with pytest.raises(ValueError, match=":3"):
-            load_csv(path)
+            load_csv(path, num_classes=2)
 
     @pytest.mark.parametrize(
         "row, where",
@@ -281,7 +281,7 @@ class TestLoadCsv:
         path = tmp_path / "bad.csv"
         path.write_text(f"x0,label\n1.0,0\n{row}\n", encoding="utf-8")
         with pytest.raises(ValueError) as info:
-            load_csv(path)
+            load_csv(path, num_classes=11)  # the row-by-row parse reads label 1_0 as 10
         assert str(info.value).startswith(f"{path}{where}")
 
     def test_matches_reference_on_a_generated_table(self, tmp_path):
@@ -292,13 +292,13 @@ class TestLoadCsv:
         path = tmp_path / "table.csv"
         table = np.column_stack([features, labels])
         np.savetxt(path, table, fmt=["%.17g"] * 5 + ["%d"], delimiter=",", header="a,b,c,d,e,y", comments="")
-        ds, ref = load_csv(path), reference_load_csv(path)
+        ds, ref = load_csv(path, num_classes=7), reference_load_csv(path, num_classes=7)
         assert ds.features.tobytes() == ref.features.tobytes()
         np.testing.assert_array_equal(ds.labels, labels)
-        assert ds.num_classes == ref.num_classes == labels.max() + 1
+        assert ds.num_classes == ref.num_classes == 7
 
 
-def reference_load_csv(path, num_classes=None):
+def reference_load_csv(path, num_classes):
     """The row-by-row parser ``load_csv`` replaced (before non-finite cells were refused)."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -312,15 +312,13 @@ def reference_load_csv(path, num_classes=None):
                 raise ValueError(f"{path}:{lineno}: expected {width} columns, got {len(row)}")
             values = [float(v) for v in row[:-1]]
             label = int(row[-1].strip())
-            limit = np.iinfo(np.int64).max if num_classes is None else num_classes
-            if not 0 <= label < limit:
-                raise ValueError(f"{path}:{lineno}: label {label} outside [0, {limit})")
+            if not 0 <= label < num_classes:
+                raise ValueError(f"{path}:{lineno}: label {label} outside [0, {num_classes})")
             features.append(values)
             labels.append(label)
     if not features:
         raise ValueError(f"{path}: no data rows")
-    c = num_classes if num_classes is not None else max(labels) + 1
-    return Dataset(str(path), np.asarray(features), np.asarray(labels), c)
+    return Dataset(str(path), np.asarray(features), np.asarray(labels), num_classes)
 
 
 # Cells that reach each parse branch: numbers, non-finite and non-numeric
@@ -364,7 +362,7 @@ def csv_texts(draw):
 
 class TestLoadCsvProperties:
     @settings(derandomize=True, deadline=None, database=None, max_examples=200)
-    @given(text=csv_texts(), num_classes=st.none() | st.integers(2, 5))
+    @given(text=csv_texts(), num_classes=st.integers(2, 5))
     def test_arbitrary_text_raises_only_value_errors(self, text, num_classes):
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "data.csv"
@@ -375,7 +373,7 @@ class TestLoadCsvProperties:
                 assert str(path) in str(exc)
 
     @settings(derandomize=True, deadline=None, database=None, max_examples=400)
-    @given(text=csv_texts(), num_classes=st.none() | st.integers(2, 5))
+    @given(text=csv_texts(), num_classes=st.integers(2, 5))
     def test_accepted_files_match_the_reference(self, text, num_classes):
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "data.csv"
