@@ -11,7 +11,7 @@ from .aggregation import (
 )
 from .config import ExperimentConfig, parse_config
 from .divergence import Divergence
-from .engine import FederatedRunner, RunState, fedu_policy, run_experiment, sample_clients
+from .engine import FederatedRunner, RunState, fedu_start, run_experiment, sample_clients
 from .evaluation import EvalSpec, accuracy, linear_probe
 from .learners import (
     ModelSpec,

@@ -136,6 +136,9 @@ def _load_metadata(path, n_clients: int) -> list[tuple[int, float]]:
         where = f"{path}: client entry {i}"
         if not isinstance(e, dict):
             raise ConfigError(f"{where}: expected an object with num_samples and train_loss, got {e!r}")
+        unknown = [key for key in e if key not in _METADATA]
+        if unknown:
+            raise ConfigError(f"{where}: unknown key {unknown[0]!r}")
         pairs.append(tuple(
             coerce(e[key], f"{where}: {key}") if key in e else default
             for key, (default, coerce) in _METADATA.items()
@@ -236,8 +239,8 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (OSError, RuntimeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (OSError, RuntimeError, MemoryError) as exc:  # numpy's MemoryError names the allocation it could not make
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_RUNTIME
 
 

@@ -22,7 +22,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .aggregation import ClientUpdates, aggregate, effective_strategy
+from .aggregation import AggregationSpec, ClientUpdates, aggregate, effective_strategy
 from .config import BlobsConfig, CsvConfig, ExperimentConfig, resolved_dict
 from .divergence import Divergence
 from .evaluation import linear_probe
@@ -73,34 +73,22 @@ def sample_clients(total_clients: int, per_round: int, round_index: int, run_see
     return sorted(int(i) for i in ids)
 
 
-@dataclass(frozen=True)
-class FeduDecision:
-    """Whether a client adopts the global projector before local training."""
+def fedu_start(
+    spec: AggregationSpec, global_params: ParamSet, previous: ParamSet | None
+) -> tuple[ParamSet, float | None]:
+    """A FedU client's starting model and its backbone distance (None for a first-time client or FedU off).
 
-    adopt_projector: bool
-    backbone_distance: float
-
-
-def fedu_policy(global_params: ParamSet, client_init: ParamSet, threshold: float) -> FeduDecision:
-    """Keep the client's own projector when its backbone drifted beyond the threshold.
-
-    The backbone is every parameter before the projector
-    (:func:`learners.projector_start`) and its distance the Euclidean norm of
-    the difference. A distance exactly at the threshold still adopts (ties
-    break toward adoption). The backbone always adopts the global.
+    A backbone (the values before ``learners.projector_start``) beyond ``spec.fedu_threshold`` of the global's, in
+    Euclidean norm, starts from the global backbone and its ``previous`` projector; else (ties too) from the global.
     """
-    if not threshold > 0:
-        raise ValueError("fedu threshold must be positive")
-    global_params.require_compatible(client_init)
+    if previous is None or spec.fedu_threshold is None:
+        return global_params, None
+    global_params.require_compatible(previous)
     n = projector_start(global_params.layout)
-    distance = float(np.linalg.norm(global_params.vector[:n] - client_init.vector[:n]))
-    return FeduDecision(adopt_projector=distance <= threshold, backbone_distance=distance)
-
-
-def _merge_projector(global_params: ParamSet, local_params: ParamSet) -> ParamSet:
-    """Global backbone with the client's own projector layers."""
-    n = projector_start(global_params.layout)
-    return ParamSet(np.concatenate([global_params.vector[:n], local_params.vector[n:]]), global_params.layout)
+    distance = float(np.linalg.norm(global_params.vector[:n] - previous.vector[:n]))
+    if distance <= spec.fedu_threshold:
+        return global_params, distance
+    return ParamSet(np.concatenate([global_params.vector[:n], previous.vector[n:]]), global_params.layout), distance
 
 
 @dataclass
@@ -167,7 +155,6 @@ class FederatedRunner:
         self.train_ds = train_ds
         self.test_ds = test_ds
         self.client_data = [train_ds.subset(p) for p in parts]
-        self.fedu_threshold = cfg.aggregation.fedu_threshold  # None: FedU off
         self.train_fn = train_fn  # None: _default_train, looked up per round (a stored bound method is a cycle)
         self.workspace = Workspace()  # the arrays every round's local training writes into
 
@@ -182,29 +169,21 @@ class FederatedRunner:
         rng = derived_rng(self.cfg.run_seed, _TAG_INIT)
         return RunState(global_params=init_params(self.cfg.model, rng))
 
-    def _fedu_init(self, state: RunState, client_id: int) -> tuple[ParamSet, bool]:
-        """The client's starting model under FedU, and whether it adopts the global projector."""
-        previous = state.client_models.get(client_id)
-        if previous is None:
-            return state.global_params, True
-        decision = fedu_policy(state.global_params, previous, self.fedu_threshold)
-        if decision.adopt_projector:
-            return state.global_params, True
-        logger.debug(
-            "round %d client %d keeps its projector (backbone distance %.4f > %.4f)",
-            state.round_index, client_id, decision.backbone_distance, self.fedu_threshold,
-        )
-        return _merge_projector(state.global_params, previous), False
-
     def run_round(self, state: RunState) -> RunState:
         cfg = self.cfg
         r = state.round_index
         ids = sample_clients(cfg.total_clients, cfg.clients_per_round, r, cfg.run_seed)
+        threshold = cfg.aggregation.fedu_threshold  # None: FedU off
         clients, adopted = [], {}
-        for cid in ids:
-            init = state.global_params
-            if self.fedu_threshold is not None:
-                init, adopted[cid] = self._fedu_init(state, cid)
+        for cid in ids:  # without FedU no client model is kept, so every client starts from the global
+            init, distance = fedu_start(cfg.aggregation, state.global_params, state.client_models.get(cid))
+            if threshold is not None:
+                adopted[cid] = init is state.global_params
+                if not adopted[cid]:
+                    logger.debug(
+                        "round %d client %d keeps its projector (backbone distance %.4f > %.4f)",
+                        r, cid, distance, threshold,
+                    )
             clients.append((cid, self.client_data[cid], init))
         try:
             updates = (self.train_fn or self._default_train)(r, clients)
@@ -215,7 +194,7 @@ class FederatedRunner:
         new_global, div = aggregate(cfg.aggregation, r, state.global_params, updates)
         agg_ms = (time.perf_counter() - t0) * 1000.0
 
-        if self.fedu_threshold is not None:
+        if threshold is not None:
             client_models = dict(state.client_models)
             rows = zip(updates.client_ids, updates.weights)
             client_models.update({cid: ParamSet(row.copy(), updates.layout) for cid, row in rows})

@@ -23,7 +23,7 @@ from fedsim.aggregation import (
 )
 from fedsim.config import parse_config
 from fedsim.divergence import Divergence
-from fedsim.engine import build_datasets, fedu_policy, run_experiment, sample_clients
+from fedsim.engine import build_datasets, fedu_start, run_experiment, sample_clients
 from fedsim.evaluation import classifier_accuracy
 from fedsim.learners import (
     ModelSpec,
@@ -703,10 +703,9 @@ def test_10_fedu_policy_boundary(tmp_path):
         c = ParamSet.from_arrays({"encoder.0.weight": [1.0 + shift, 0.0], "projector.0.weight": [9.0]})
         return g, c
 
-    below = fedu_policy(*models(0.4), threshold=0.5)
-    at = fedu_policy(*models(0.5), threshold=0.5)
-    above = fedu_policy(*models(0.6), threshold=0.5)
-    boundary_ok = below.adopt_projector and at.adopt_projector and not above.adopt_projector
+    spec = AggregationSpec("ldawa_fedu", fedu_threshold=0.5)
+    adopts = [fedu_start(spec, g, c)[0] is g for g, c in map(models, (0.4, 0.5, 0.6))]
+    boundary_ok = adopts == [True, True, False]
 
     raw_inf = desk_scale_raw("ldawa", 1, tmp_path / "inf", rounds=4)
     raw_inf["aggregation"] = {"strategy": "ldawa_fedu", "warmup_rounds": 2, "fedu_threshold": "inf"}

@@ -386,6 +386,11 @@ class TestDispatch:
         with pytest.raises(ValueError, match="unknown strategy"):
             AggregationSpec("median")
 
+    @pytest.mark.parametrize("threshold", [0.0, -1.0, float("nan")])
+    def test_nonpositive_fedu_threshold_rejected(self, threshold):
+        with pytest.raises(ValueError, match="fedu_threshold must be positive"):
+            AggregationSpec("ldawa_fedu", fedu_threshold=threshold)
+
     def test_fedu_threshold_needs_ldawa_fedu(self):
         with pytest.raises(ValueError, match="fedu_threshold applies only to strategy 'ldawa_fedu', not 'ldawa'"):
             AggregationSpec("ldawa", fedu_threshold=0.3)

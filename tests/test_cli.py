@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedsim import evaluation
+from fedsim import engine, evaluation
 from fedsim.aggregation import STRATEGIES
 from fedsim.cli import main
 from fedsim.config import ConfigError, apply_overrides, parse_config, resolved_dict
@@ -529,7 +529,9 @@ class TestMalformedInputs:
          ([{"num_samples": "7"}, {}], "0: num_samples"), ([{}, {"train_loss": "0.5"}], "1: train_loss"),
          ([{"train_loss": False}, {}], "0: train_loss"),
          # a count must be positive
-         ([{"num_samples": 0}, {}], "0: num_samples"), ([{}, {"num_samples": -3}], "1: num_samples")],
+         ([{"num_samples": 0}, {}], "0: num_samples"), ([{}, {"num_samples": -3}], "1: num_samples"),
+         # a misspelt key is named, not read as absent
+         ([{"num_sample": 500}, {"num_samples": 1}], "0: unknown key 'num_sample'")],
     )
     def test_malformed_metadata_exits_one(self, tmp_path, capsys, entries, index):
         g, _ = checkpoint(tmp_path, "g.bin", {"w": [1.0]})
@@ -822,6 +824,30 @@ class TestErrorContract:
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         assert cause in captured.err
         assert "Traceback" not in captured.err + captured.out
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "raised, cause",
+        [(MemoryError("Unable to allocate 7.28 TiB for an array with shape (300000000000, 4) and data type float64"),
+          "error: Unable to allocate 7.28 TiB for an array"),
+         (MemoryError(), "error: out of memory\n")],
+        ids=["numpy", "bare"],
+    )
+    def test_memory_error_is_one_runtime_error_line(self, tmp_path, capsys, monkeypatch, raised, cause):
+        # A stand-in for the allocation: a real one this large may succeed under overcommit and then be killed.
+        real = engine.make_blobs
+
+        def make_blobs(num_classes, samples_per_class, *rest):
+            if samples_per_class > 10**9:
+                raise raised
+            return real(num_classes, samples_per_class, *rest)
+
+        monkeypatch.setattr(engine, "make_blobs", make_blobs)
+        _contract_fixture(tmp_path)
+        argv = ["run", "--config", str(tmp_path / "config.json"), "--set", "dataset.test_samples_per_class=100000000000"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(cause) and captured.err.count("\n") == 1
         assert captured.out == ""
 
     @pytest.mark.parametrize("argv", [["-h"], ["probe", "--help"]], ids=["fedsim", "probe"])

@@ -15,7 +15,7 @@ from fedsim.engine import (
     FederatedRunner,
     build_datasets,
     derived_rng,
-    fedu_policy,
+    fedu_start,
     run_experiment,
     sample_clients,
 )
@@ -74,41 +74,48 @@ class TestSampleClients:
             sample_clients(5, 6, 0, 0)
 
 
-class TestFeduPolicy:
+class TestFeduStart:
+    SPEC = AggregationSpec("ldawa_fedu", fedu_threshold=0.5)
+
     def global_and_client(self, backbone_shift):
         g = ps({"encoder.0.weight": [1.0, 0.0], "projector.0.weight": [1.0]})
         c = ps({"encoder.0.weight": [1.0 + backbone_shift, 0.0], "projector.0.weight": [5.0]})
         return g, c
 
+    def test_first_time_client_or_fedu_off_adopts(self):
+        g, c = self.global_and_client(1e9)
+        assert fedu_start(self.SPEC, g, None) == (g, None)
+        assert fedu_start(AggregationSpec("ldawa_fedu"), g, c) == (g, None)
+
     def test_zero_distance_adopts(self):
         g, c = self.global_and_client(0.0)
-        decision = fedu_policy(g, c, threshold=0.5)
-        assert decision.adopt_projector
-        assert decision.backbone_distance == 0.0
+        start, distance = fedu_start(self.SPEC, g, c)
+        assert start is g
+        assert distance == 0.0
 
     def test_above_threshold_keeps(self):
         g, c = self.global_and_client(0.6)
-        assert not fedu_policy(g, c, threshold=0.5).adopt_projector
+        start, distance = fedu_start(self.SPEC, g, c)
+        assert distance > 0.5
+        # the global backbone with the client's own projector
+        assert start.layout == g.layout
+        assert start.vector.tolist() == [1.0, 0.0, 5.0]
 
     def test_tie_breaks_toward_adoption(self):
         g, c = self.global_and_client(0.5)
-        decision = fedu_policy(g, c, threshold=0.5)
-        assert decision.backbone_distance == 0.5
-        assert decision.adopt_projector
+        start, distance = fedu_start(self.SPEC, g, c)
+        assert distance == 0.5
+        assert start is g
 
     def test_infinite_threshold_never_fires(self):
         g, c = self.global_and_client(1e9)
-        assert fedu_policy(g, c, threshold=float("inf")).adopt_projector
+        assert fedu_start(AggregationSpec("ldawa_fedu", fedu_threshold=float("inf")), g, c)[0] is g
 
     def test_projector_layers_do_not_count(self):
         g, c = self.global_and_client(0.0)
         # projector differs wildly, backbone identical: distance stays 0
-        assert fedu_policy(g, c, threshold=1e-6).backbone_distance == 0.0
-
-    def test_nonpositive_threshold_rejected(self):
-        g, c = self.global_and_client(0.0)
-        with pytest.raises(ValueError):
-            fedu_policy(g, c, threshold=0.0)
+        start, distance = fedu_start(AggregationSpec("ldawa_fedu", fedu_threshold=1e-6), g, c)
+        assert distance == 0.0 and start is g
 
 
 class TestRunRound:
@@ -424,6 +431,51 @@ class TestRunExperiment:
         state = runner.run_round(state)
         # tiny threshold: every client must have kept its own projector
         assert state.history[-1].fedu_adopted == {0: False, 1: False, 2: False}
+
+    def test_fedu_under_partial_participation(self, tmp_path):
+        cfg = base_config(
+            tmp_path,
+            partition={"scheme": "iid", "num_clients": 6},
+            clients_per_round=2,
+            rounds=6,
+            aggregation={"strategy": "ldawa_fedu", "fedu_threshold": 1e-9},
+        )
+        train_ds, _ = build_datasets(cfg)
+        parts = partition(train_ds, cfg.partition)
+        inits, trained = {}, {}
+
+        def train_fn(r, clients):
+            inits[r] = {cid: init for cid, _, init in clients}
+            updates = runner._default_train(r, clients)
+            trained[r] = {cid: row.copy() for cid, row in zip(updates.client_ids, updates.weights)}
+            return updates
+
+        runner = FederatedRunner(cfg, train_ds, parts, train_fn=train_fn)
+        state = runner.initial_state()
+        n = projector_start(state.global_params.layout)
+        last = {}  # client id -> its trained model at its last participation
+        late_first, returns = 0, {}
+        for r in range(cfg.rounds):
+            g = state.global_params.vector
+            state = runner.run_round(state)
+            adopted = state.history[-1].fedu_adopted
+            assert sorted(adopted) == sorted(inits[r])
+            for cid, init in inits[r].items():
+                if cid in last:  # tiny threshold: a returning client always keeps its projector
+                    expected = np.concatenate([g[:n], last[cid][n:]])
+                    assert not adopted[cid]
+                    returns[cid] = returns.get(cid, 0) + 1
+                else:
+                    expected = g
+                    assert adopted[cid]
+                    late_first += r > 0
+                assert init.vector.tobytes() == expected.tobytes()
+            last.update(trained[r])
+            assert sorted(state.client_models) == sorted(last)
+            for cid, kept in state.client_models.items():
+                assert kept.vector.tobytes() == last[cid].tobytes()
+        assert late_first > 0
+        assert max(returns.values()) >= 2  # some client's last participation is not its first
 
     def test_fedu_threshold_none_matches_infinite_threshold_telemetry(self, tmp_path):
         cfg_inf = base_config(
