@@ -125,14 +125,13 @@ def _load_metadata(path, n_clients: int) -> list[tuple[int, float]]:
             meta = json.load(fh)
         except (ValueError, RecursionError) as exc:  # RecursionError: nested too deep
             raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
-    entries = meta["clients"] if isinstance(meta, dict) and "clients" in meta else meta
-    if not isinstance(entries, list) or len(entries) != n_clients:
+    if not isinstance(meta, list) or len(meta) != n_clients:
         raise ConfigError(
             f"{path}: expected a list of {n_clients} client entries "
             '(e.g. [{"num_samples": 10, "train_loss": 0.5}, ...])'
         )
     pairs = []
-    for i, e in enumerate(entries):
+    for i, e in enumerate(meta):
         where = f"{path}: client entry {i}"
         if not isinstance(e, dict):
             raise ConfigError(f"{where}: expected an object with num_samples and train_loss, got {e!r}")

@@ -122,12 +122,9 @@ def _float(value, path: str) -> float:
 
 
 def _threshold(value, path: str) -> float:
-    # A positive number or infinity; JSON has no infinity literal, so "inf" may be spelled out.
-    if type(value) in (int, float, str):
-        try:
-            return float(value)
-        except (ValueError, OverflowError):
-            pass
+    # A positive JSON number (Infinity included) or exactly "inf": JSON proper has no infinity literal.
+    if value == "inf" or type(value) is float or (type(value) is int and abs(value) <= sys.float_info.max):
+        return float(value)
     raise ConfigError(f'{path}: expected a positive number or "inf", got {value!r}')
 
 

@@ -66,8 +66,6 @@ def sample_clients(total_clients: int, per_round: int, round_index: int, run_see
         raise ValueError(
             f"cannot sample {per_round} of {total_clients} clients"
         )
-    if per_round == total_clients:
-        return list(range(total_clients))
     rng = derived_rng(run_seed, _TAG_SAMPLE, round_index)
     ids = rng.choice(total_clients, size=per_round, replace=False)
     return sorted(int(i) for i in ids)
@@ -226,9 +224,7 @@ class FederatedRunner:
         last = round_index == self.cfg.rounds - 1
         return self.test_ds is not None and (last or every > 0 and (round_index + 1) % every == 0)
 
-    def run(self, state: RunState | None = None) -> RunState:
-        if state is None:
-            state = self.initial_state()
+    def run(self, state: RunState) -> RunState:
         for _ in range(self.cfg.rounds):
             state = self.run_round(state)
             last = state.history[-1]
@@ -242,13 +238,10 @@ class FederatedRunner:
 
 @dataclass
 class RunResult:
-    cfg: ExperimentConfig
     state: RunState
     output_dir: Path
     rounds_csv: Path
     final_checkpoint: Path
-    initial_checkpoint: Path
-    partition_manifest: Path
 
 
 def write_rounds_csv(history: Sequence[RoundRecord], total_clients: int, path, record_timings: bool) -> None:
@@ -301,12 +294,4 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
 
     write_rounds_csv(state.history, cfg.total_clients, out / "rounds.csv", cfg.record_timings)
     save_checkpoint(state.global_params, out / "checkpoint_final.bin")
-    return RunResult(
-        cfg=cfg,
-        state=state,
-        output_dir=out,
-        rounds_csv=out / "rounds.csv",
-        final_checkpoint=out / "checkpoint_final.bin",
-        initial_checkpoint=out / "checkpoint_init.bin",
-        partition_manifest=out / "partition.json",
-    )
+    return RunResult(state, out, out / "rounds.csv", out / "checkpoint_final.bin")

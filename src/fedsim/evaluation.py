@@ -76,11 +76,10 @@ def stratified_subset(labels: np.ndarray, fraction: float, rng: np.random.Genera
     counts = np.array([(labels == c).sum() for c in classes], dtype=np.float64)
     quotas = allocate_counts(counts, n_take)
     if n_take >= classes.size:
+        # The quotas total n_take >= classes.size, so while one is 0 the largest is at least 2.
         while (quotas == 0).any():
             zero = int(np.flatnonzero(quotas == 0)[0])
             donor = int(np.argmax(quotas))
-            if quotas[donor] <= 1:
-                break
             quotas[zero] += 1
             quotas[donor] -= 1
     picked = []

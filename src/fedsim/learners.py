@@ -485,20 +485,19 @@ class Workspace:
     gather. The per-batch arrays (inputs, SSL views and mask draws, dz, each
     layer's outputs and activations) are sized (views, K, batch_size, width);
     rows lo:hi at batch size b use their ``[..., lo:hi, :b]`` views. A round
-    needing more rows, a larger batch or another model makes them anew. Every
-    step overwrites them, so nothing returned is a view of them.
+    of another K, batch size or model makes them anew. Every step overwrites
+    them, so nothing returned is a view of them.
     """
 
     _size: tuple = ()  # (width, model, is_ssl, rows, batch size) of the arrays
 
     def _fit(self, k: int, width: int, model: ModelSpec, trainer: TrainerSpec) -> None:
         """Make the arrays anew unless they hold k rows of ``width`` parameters at ``trainer``'s batch size."""
-        kind, b = (width, model, trainer.is_ssl), trainer.batch_size
-        if self._size[:3] == kind:
-            k, b = max(k, self._size[3]), max(b, self._size[4])
-        if self._size == (*kind, k, b):
+        b = trainer.batch_size
+        size = (width, model, trainer.is_ssl, k, b)
+        if self._size == size:
             return
-        self._size, lead, layers = (*kind, k, b), (2,) if trainer.is_ssl else (), _layers(model)  # lead: a views axis
+        self._size, lead, layers = size, (2,) if trainer.is_ssl else (), _layers(model)  # lead: a views axis
         self.rows = np.empty((3, k, width))  # weights, velocities, gradients
         self.dw = np.empty((2, k, width))  # each SSL view's gradients; dw[0] is sgd_step's scratch too
         self.x = np.empty((k, b, model.input_dim))

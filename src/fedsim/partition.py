@@ -19,7 +19,6 @@ SCHEMES = ("iid", "dirichlet", "single_class")
 class Dataset:
     """Fixed-length feature vectors with integer class labels."""
 
-    name: str
     features: np.ndarray  # (N, d) float64
     labels: np.ndarray  # (N,) int64
     num_classes: int
@@ -44,13 +43,9 @@ class Dataset:
     def __len__(self) -> int:
         return self.features.shape[0]
 
-    @property
-    def dim(self) -> int:
-        return self.features.shape[1]
-
     def subset(self, indices: Sequence[int]) -> "Dataset":
         idx = np.asarray(indices, dtype=np.int64)
-        return Dataset(self.name, self.features[idx], self.labels[idx], self.num_classes)
+        return Dataset(self.features[idx], self.labels[idx], self.num_classes)
 
 
 @dataclass(frozen=True)
@@ -228,8 +223,7 @@ def make_blobs(
     labels = np.repeat(np.arange(num_classes), samples_per_class)
     rng = np.random.default_rng(seed)
     features = means[labels] + rng.normal(0.0, spread, size=(labels.size, dim))
-    name = f"blobs_c{num_classes}_n{samples_per_class}_d{dim}"
-    return Dataset(name, features, labels, num_classes)
+    return Dataset(features, labels, num_classes)
 
 
 # The characters of a plain numeric CSV body (see _is_plain).
@@ -340,7 +334,7 @@ def load_csv(path, num_classes: int) -> Dataset:
             raise ValueError(f"{path}: {cause}") from cause
     if not len(labels):
         raise ValueError(f"{path}: no data rows")
-    return Dataset(str(path), np.asarray(features), np.asarray(labels), num_classes)
+    return Dataset(np.asarray(features), np.asarray(labels), num_classes)
 
 
 def split_train_test(ds: Dataset, test_fraction: float, seed: int) -> tuple[Dataset, Dataset]:

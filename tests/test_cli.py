@@ -251,6 +251,9 @@ class TestValidateCommand:
             (["aggregation.fedu_threshold=[1]"], "aggregation.fedu_threshold"),
             (['aggregation.fedu_threshold={"a": 1}'], "aggregation.fedu_threshold"),
             (["aggregation.fedu_threshold=true"], "aggregation.fedu_threshold"),
+            # a number in a string is no number: only "inf" is spelled out
+            *((["aggregation.strategy=ldawa_fedu", f"aggregation.fedu_threshold={text}"], "aggregation.fedu_threshold")
+              for text in ('"0.5"', '" 2 "', '"1_0"', '"1e400"')),
             (["model.encoder_dims=[4, Infinity, 3]"], "model.encoder_dims[1]"),
             (["model.projector_dims=[3, Infinity]"], "model.projector_dims[1]"),
             (["evaluation.milestones=[Infinity]"], "evaluation.milestones[0]"),
@@ -506,6 +509,8 @@ MALFORMED_CHECKPOINTS = {
     "trailing_bytes": binary_blob(one_layer(), struct.pack("<2d", 1.0, 2.0) + b"\x00" * 12),
 }
 
+WRONG_COUNT = "expected a list of 2 client entries"
+
 
 class TestMalformedInputs:
     @pytest.mark.parametrize("name", sorted(MALFORMED_CHECKPOINTS))
@@ -531,7 +536,9 @@ class TestMalformedInputs:
          # a count must be positive
          ([{"num_samples": 0}, {}], "0: num_samples"), ([{}, {"num_samples": -3}], "1: num_samples"),
          # a misspelt key is named, not read as absent
-         ([{"num_sample": 500}, {"num_samples": 1}], "0: unknown key 'num_sample'")],
+         ([{"num_sample": 500}, {"num_samples": 1}], "0: unknown key 'num_sample'"),
+         # the file is one list with an entry per client
+         ({"clients": [{}, {}]}, WRONG_COUNT), ([{}, {}, {}], WRONG_COUNT)],
     )
     def test_malformed_metadata_exits_one(self, tmp_path, capsys, entries, index):
         g, _ = checkpoint(tmp_path, "g.bin", {"w": [1.0]})
@@ -544,7 +551,8 @@ class TestMalformedInputs:
         err = capsys.readouterr().err
         assert code == 1
         assert err.count("\n") == 1 and str(meta) in err
-        assert ("invalid JSON" if index is None else f"client entry {index}") in err
+        messages = {None: "invalid JSON", WRONG_COUNT: WRONG_COUNT}  # every other row names its entry
+        assert messages.get(index, f"client entry {index}") in err
 
     def test_overlong_integer_in_metadata_names_the_file(self, tmp_path, capsys):
         self.test_malformed_metadata_exits_one(tmp_path, capsys, '[{"num_samples": ' + "1" * 5001 + "}, {}]", None)

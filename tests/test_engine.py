@@ -2,12 +2,14 @@
 
 import dataclasses
 import gc
+import json
 import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
 
+from fedsim import engine
 from fedsim.aggregation import AggregationSpec, ClientUpdates
 from fedsim.config import parse_config
 from fedsim.engine import (
@@ -19,9 +21,10 @@ from fedsim.engine import (
     run_experiment,
     sample_clients,
 )
+from fedsim.evaluation import linear_probe
 from fedsim.learners import ClientTrainingError, init_params, projector_start
 from fedsim.params import ParamSet, load_checkpoint
-from fedsim.partition import make_blobs, partition
+from fedsim.partition import load_csv, make_blobs, partition
 
 
 def scripted(client_ids, models, num_samples, train_loss):
@@ -50,6 +53,36 @@ def base_config(tmp_path, **over):
         else:
             raw[key] = value
     return parse_config(raw)
+
+
+def write_csv(path, n, seed) -> str:
+    """``n`` rows of three features and a 0/1 label, the classes well apart."""
+    rng = np.random.default_rng(seed)
+    rows = ["x0,x1,x2,label"]
+    for _ in range(n):
+        label = int(rng.integers(0, 2))
+        base = [3.0 * label, -3.0 * label, 0.0]
+        rows.append(",".join(str(v + rng.normal(0, 0.2)) for v in base) + f",{label}")
+    path.write_text("\n".join(rows) + "\n")
+    return str(path)
+
+
+def csv_config(tmp_path, dataset):
+    """A two-round supervised fedavg run on a CSV ``dataset`` section (its path and test keys)."""
+    return parse_config(
+        {
+            "dataset": {"type": "csv", "num_classes": 2, **dataset},
+            "partition": {"scheme": "iid", "num_clients": 3, "seed": 2},
+            "clients_per_round": 3,
+            "rounds": 2,
+            "trainer": {"method": "supervised", "batch_size": 8, "local_epochs": 1},
+            "model": {"encoder_dims": [3, 8, 4], "projector_dims": []},
+            "aggregation": {"strategy": "fedavg"},
+            "evaluation": {"epochs": 4, "milestones": [2]},
+            "run_seed": 11,
+            "output_dir": str(tmp_path / "csvrun"),
+        }
+    )
 
 
 def ps(named):
@@ -344,7 +377,7 @@ class TestRunExperiment:
             aggregation={"strategy": "fairavg"},
         )
         result = run_experiment(cfg)
-        init = load_checkpoint(result.initial_checkpoint)
+        init = load_checkpoint(result.output_dir / "checkpoint_init.bin")
         final = load_checkpoint(result.final_checkpoint)
         assert init == final
 
@@ -508,31 +541,28 @@ class TestRunExperiment:
         assert probes[2] is not None  # final round always probed
 
     def test_csv_dataset_end_to_end(self, tmp_path):
-        rng = np.random.default_rng(8)
-        rows = ["x0,x1,x2,label"]
-        for _ in range(60):
-            label = int(rng.integers(0, 2))
-            base = [3.0 * label, -3.0 * label, 0.0]
-            rows.append(",".join(str(v + rng.normal(0, 0.2)) for v in base) + f",{label}")
-        csv_path = tmp_path / "train.csv"
-        csv_path.write_text("\n".join(rows) + "\n")
-        cfg = parse_config(
-            {
-                "dataset": {"type": "csv", "path": str(csv_path), "num_classes": 2, "test_fraction": 0.25},
-                "partition": {"scheme": "iid", "num_clients": 3, "seed": 2},
-                "clients_per_round": 3,
-                "rounds": 2,
-                "trainer": {"method": "supervised", "batch_size": 8, "local_epochs": 1},
-                "model": {"encoder_dims": [3, 8, 4], "projector_dims": []},
-                "aggregation": {"strategy": "fedavg"},
-                "evaluation": {"epochs": 4, "milestones": [2]},
-                "run_seed": 11,
-                "output_dir": str(tmp_path / "csvrun"),
-            }
-        )
+        cfg = csv_config(tmp_path, {"path": write_csv(tmp_path / "train.csv", 60, 8), "test_fraction": 0.25})
         train_ds, test_ds = build_datasets(cfg)
         assert len(train_ds) + len(test_ds) == 60
         assert len(test_ds) == 15
         result = run_experiment(cfg)
         assert len(result.state.history) == 2
         assert result.state.history[-1].probe_acc is not None
+
+    def test_csv_test_file_is_the_probe_test_set(self, tmp_path, monkeypatch):
+        train_csv, test_csv = write_csv(tmp_path / "train.csv", 40, 8), write_csv(tmp_path / "test.csv", 13, 9)
+        cfg = csv_config(tmp_path, {"path": train_csv, "test_path": test_csv})
+        probed = []
+
+        def probe(params, model, train_ds, test_ds, spec, fractions):
+            probed.append((train_ds, test_ds))
+            return linear_probe(params, model, train_ds, test_ds, spec, fractions)
+
+        monkeypatch.setattr(engine, "linear_probe", probe)
+        result = run_experiment(cfg)
+        ((train_ds, test_ds),) = probed  # the final round's probe alone
+        assert len(test_ds) == 13
+        np.testing.assert_array_equal(test_ds.features, load_csv(test_csv, 2).features)
+        np.testing.assert_array_equal(train_ds.features, load_csv(train_csv, 2).features)  # not split
+        manifest = json.loads((result.output_dir / "partition.json").read_text())
+        assert sorted(i for part in manifest.values() for i in part) == list(range(40))

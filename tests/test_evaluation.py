@@ -78,8 +78,8 @@ class TestLinearProbe:
         rng = np.random.default_rng(3)
         c = 4
         features = rng.normal(size=(400, 4))
-        train = Dataset("noise", features, rng.integers(0, c, 400), c)
-        test = Dataset("noise", rng.normal(size=(300, 4)), rng.integers(0, c, 300), c)
+        train = Dataset(features, rng.integers(0, c, 400), c)
+        test = Dataset(rng.normal(size=(300, 4)), rng.integers(0, c, 300), c)
         params, spec = self.encoder()
         (acc,) = linear_probe(params, spec, train, test, FAST_PROBE, [1.0])
         sigma = np.sqrt((1 / c) * (1 - 1 / c) / 300)
@@ -88,9 +88,9 @@ class TestLinearProbe:
     def test_zero_encoder_scores_majority_class_rate(self):
         rng = np.random.default_rng(4)
         labels = np.repeat([0, 1], [70, 30])
-        train = Dataset("skew", rng.normal(size=(100, 4)), labels, 2)
+        train = Dataset(rng.normal(size=(100, 4)), labels, 2)
         test_labels = np.repeat([0, 1], [60, 40])
-        test = Dataset("skew", rng.normal(size=(100, 4)), test_labels, 2)
+        test = Dataset(rng.normal(size=(100, 4)), test_labels, 2)
         spec = ModelSpec((4, 3))
         zero = ParamSet.from_arrays(
             {"encoder.0.weight": np.zeros((4, 3)), "encoder.0.bias": np.zeros(3)}

@@ -740,7 +740,7 @@ class TestReplayAttribution:
         data = make_blobs(2, n, 4, 0.5, seed=seed).subset(range(n))
         features = data.features.copy()
         features[np.random.default_rng(seed).permutation(n)[2 * step]] = np.inf
-        return Dataset(data.name, features, data.labels, data.num_classes)
+        return Dataset(features, data.labels, data.num_classes)
 
     def train(self, clients):
         """Train [(data, generator seed or generator)] as one round; clients are numbered by position."""

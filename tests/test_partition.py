@@ -140,6 +140,15 @@ class TestDirichlet:
         assert min(len(p) for p in parts) >= 2
         assert assert_disjoint(parts) == set(range(len(ds)))
 
+    def test_top_up_fallback_after_every_draw_fails(self):
+        # No one of this spec's 1,000 draws gives every client 5 samples, so the largest clients top up the rest.
+        ds = Dataset(np.zeros((20, 2)), np.repeat([0, 1], 10), 2)
+        spec = PartitionSpec("dirichlet", 4, alpha=0.01, seed=3, min_samples=5)
+        parts = dirichlet_partition(ds, spec)
+        assert assert_disjoint(parts) == set(range(20))
+        assert [len(p) for p in parts] == [5, 5, 5, 5]
+        assert dirichlet_partition(ds, spec) == parts
+
     def test_determinism(self):
         ds = make_blobs(5, 30, 2, 1.0, seed=2)
         spec = PartitionSpec("dirichlet", 5, alpha=0.3, seed=21)
@@ -162,7 +171,7 @@ class TestSingleClass:
     def test_truncates_to_smallest_class(self):
         features = np.zeros((180, 2))
         labels = np.array([0] * 100 + [1] * 80)
-        ds = Dataset("uneven", features, labels, 2)
+        ds = Dataset(features, labels, 2)
         parts = single_class_partition(ds, PartitionSpec("single_class", 2, seed=0))
         assert len(parts[0]) == len(parts[1]) == 80
 
@@ -225,7 +234,7 @@ class TestLoadCsv:
         path.write_text("x0,x1,label\n1.5,2.0,0\n-3.25,4.0,1\n0.0,0.5,1\n")
         ds = load_csv(path, num_classes=2)
         assert len(ds) == 3
-        assert ds.dim == 2
+        assert ds.features.shape == (3, 2)
         assert ds.num_classes == 2
         np.testing.assert_array_equal(ds.features[1], [-3.25, 4.0])
         np.testing.assert_array_equal(ds.labels, [0, 1, 1])
@@ -318,7 +327,7 @@ def reference_load_csv(path, num_classes):
             labels.append(label)
     if not features:
         raise ValueError(f"{path}: no data rows")
-    return Dataset(str(path), np.asarray(features), np.asarray(labels), num_classes)
+    return Dataset(np.asarray(features), np.asarray(labels), num_classes)
 
 
 # Cells that reach each parse branch: numbers, non-finite and non-numeric
