@@ -26,6 +26,6 @@ from .learners import (
     train_clients,
 )
 from .params import ParamSet, load_checkpoint, save_checkpoint, weighted_sum
-from .partition import Dataset, PartitionSpec, load_csv, make_blobs, partition
+from .partition import Dataset, PartitionSpec, load_csv, make_blobs
 
 __version__ = "0.1.0"

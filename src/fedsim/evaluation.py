@@ -138,25 +138,17 @@ def linear_probe(
 def _train_head(head: ModelSpec, init: ParamSet, feats: np.ndarray, labels: np.ndarray, spec: EvalSpec,
                 rng: np.random.Generator) -> np.ndarray:
     """``head``'s vector trained from ``init`` on frozen ``feats``: momentum SGD, no weight decay, ``rng`` shuffles."""
-    w, v, g = init.vector.copy(), np.zeros(init.num_params), np.empty(init.num_params)
+    w, (v, g, step) = init.vector.copy(), np.zeros((3, init.num_params))  # step: sgd_step's scratch
     params, grads = segments(w, init.layout), segments(g, init.layout)
+    x = np.empty((min(spec.batch_size, len(feats)), feats.shape[1]))  # every batch is gathered here, C-ordered
     for epoch in range(spec.epochs):
         lr = spec.lr * spec.decay_factor ** int(np.searchsorted(np.asarray(spec.milestones), epoch, side="right"))
         order = rng.permutation(len(feats))
         for start in range(0, len(feats), spec.batch_size):
             idx = order[start : start + spec.batch_size]
-            fp = forward(params, head, feats[idx])
+            batch = np.take(feats, idx, axis=0, out=x[: len(idx)], mode="clip")  # idx is in range; "raise" buffers
+            fp = forward(params, head, batch)
             _, grad = loss_xent(fp.h, labels[idx])
             backward(params, head, fp, grad, out=grads)
-            sgd_step(w, g, v, lr, spec.momentum, weight_decay=0.0)
+            sgd_step(w, g, v, lr, spec.momentum, weight_decay=0.0, out=step)
     return w
-
-
-# fedsim never calls this; it stays because the acceptance and evaluation tests score supervised models with it.
-def classifier_accuracy(params: ParamSet, model_spec: ModelSpec, ds: Dataset) -> float:
-    """Accuracy of a supervised model's own head on a dataset."""
-    if model_spec.head_classes is None:
-        raise ValueError("model has no classifier head")
-    logits = forward(params, model_spec, ds.features).logits
-    return accuracy(logits.argmax(axis=1), ds.labels)
-

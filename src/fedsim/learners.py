@@ -4,7 +4,7 @@ The model is a chain of linear layers with an elementwise activation between
 consecutive layers (never after the last one): the representation ``h`` is
 the raw output of the final encoder layer, the projection ``z`` the raw
 output of the final projector layer. Supervised models replace the projector
-with a linear classifier head on the raw ``h``. One private list,
+with a linear classifier head on the raw ``h``. One private tuple,
 :func:`_layers`, states those layers; names, init, both passes and the
 checkpoint check read it.
 
@@ -21,6 +21,7 @@ client by training the round's clients again one at a time.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Mapping
@@ -125,11 +126,13 @@ def validate_model_for_trainer(model: ModelSpec, trainer: TrainerSpec) -> None:
         raise ValueError("supervised training requires head_classes")
 
 
-def _layers(spec: ModelSpec) -> list[tuple[str, int, int]]:
+@functools.lru_cache(maxsize=64)
+def _layers(spec: ModelSpec) -> tuple[tuple[str, int, int], ...]:
     """The model's linear layers as (name prefix, fan_in, fan_out), in parameter order.
 
     The encoder's layers come first, then the projector's or the head. Each
-    layer's weight is (fan_in, fan_out) and its bias (fan_out,).
+    layer's weight is (fan_in, fan_out) and its bias (fan_out,). Cached for the
+    last 64 specs (frozen, so hashable); a tuple, so no caller can change the cache.
     """
     n_enc = len(spec.encoder_dims) - 1
     dims = spec.encoder_dims + spec.projector_dims[1:]
@@ -139,7 +142,7 @@ def _layers(spec: ModelSpec) -> list[tuple[str, int, int]]:
     ]
     if spec.head_classes is not None:
         layers.append(("head", spec.representation_dim, spec.head_classes))
-    return layers
+    return tuple(layers)
 
 
 def projector_start(layout: Layout) -> int:
@@ -263,6 +266,18 @@ def backward(
     return grads
 
 
+def _row_max(a: np.ndarray) -> np.ndarray:
+    """``a.max(axis=-1, keepdims=True)``, taken down a class-major copy: numpy reduces a narrow last axis row by row.
+
+    Max is exact: only which of a tied +0.0 and -0.0 is kept can differ. The
+    softmax losses subtract this shift, and a tie leaves that row's exp-sum
+    >= 2, so its log is non-zero and no output bit changes. A NaN propagates
+    as in ``a.max``, and such rows end in the losses' non-finite errors.
+    """
+    c = a.shape[-1]
+    return np.maximum.reduce(a.reshape(-1, c).T.copy()).reshape(*a.shape[:-1], 1)
+
+
 def loss_xent(logits: np.ndarray, labels: np.ndarray) -> tuple[float | np.ndarray, np.ndarray]:
     """Mean softmax cross-entropy and its gradient (softmax - onehot)/batch.
 
@@ -271,16 +286,18 @@ def loss_xent(logits: np.ndarray, labels: np.ndarray) -> tuple[float | np.ndarra
     """
     logits = np.asarray(logits, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
-    if logits.shape[:-1] != labels.shape:
-        raise ValueError(f"{logits.shape[-2]} logit rows but {labels.shape[-1]} labels")
+    if logits.ndim < 2 or logits.shape[:-1] != labels.shape:
+        raise ValueError(f"logits of shape {logits.shape} for labels of shape {labels.shape}")
     n, c = logits.shape[-2:]
     if labels.size and (labels.min() < 0 or labels.max() >= c):
         raise ValueError(f"label outside [0, {c})")
-    shifted = logits - logits.max(axis=-1, keepdims=True)
+    shifted = logits - _row_max(logits)
     logp = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-    onehot = labels[..., None] == np.arange(c)
-    loss = -np.take_along_axis(logp, labels[..., None], axis=-1)[..., 0].mean(axis=-1)
-    return loss, (np.exp(logp) - onehot) / n
+    at = (np.arange(labels.size), labels.reshape(-1))  # each label's entry of the flat (rows, classes)
+    loss = -(np.add.reduce(logp.reshape(-1, c)[at].reshape(labels.shape), axis=-1) / n)
+    grad = np.exp(logp, out=np.empty(logp.shape))  # C-ordered, so the reshape below is a view
+    grad.reshape(-1, c)[at] -= 1.0
+    return loss, np.divide(grad, n, out=grad)
 
 
 def _require_finite(*embeddings: np.ndarray) -> None:
@@ -321,7 +338,7 @@ def loss_ntxent(
     sim = (s @ _t(s)) / tau
     sim[..., anchors, anchors] = -np.inf  # anchors never pair with themselves
 
-    row_max = sim.max(axis=-1, keepdims=True)
+    row_max = _row_max(sim)
     lse = row_max[..., 0] + np.log(np.exp(sim - row_max).sum(axis=-1))
     loss = (lse - sim[..., anchors, pos]).mean(axis=-1)
     if not np.isfinite(loss).all():

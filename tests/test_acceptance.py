@@ -24,7 +24,6 @@ from fedsim.aggregation import (
 from fedsim.config import parse_config
 from fedsim.divergence import Divergence
 from fedsim.engine import build_datasets, fedu_start, run_experiment, sample_clients
-from fedsim.evaluation import classifier_accuracy
 from fedsim.learners import (
     ModelSpec,
     backward,
@@ -37,6 +36,7 @@ from fedsim.learners import (
 )
 from fedsim.params import ParamSet, load_checkpoint, weighted_sum
 from fedsim.partition import PartitionSpec, make_blobs, partition
+from helpers import classifier_accuracy
 
 
 def report(criterion: str, ok: bool, detail: str = "") -> None:

@@ -184,6 +184,12 @@ class TestCoeffsLoss:
         assert got[1] == pytest.approx(0.0, abs=1e-12)
         assert all(math.isfinite(c) for c in got)
 
+    def test_shifted_bytes_where_the_unshifted_exp_overflows(self):
+        # exp(1000) overflows, so only the max-subtracted softmax gives these bytes.
+        ups = [update(0, {"w": [1.0]}, loss=-1000.0), update(1, {"w": [1.0]}, loss=-999.0)]
+        ex = np.exp(np.array([0.0, -1.0]))
+        assert np.array(coeffs_loss(pack(ups))).tobytes() == (ex / ex.sum()).tobytes()
+
     def test_sums_to_one_on_random_inputs(self):
         rng = np.random.default_rng(0)
         for _ in range(200):
@@ -431,6 +437,14 @@ class TestDispatch:
         np.testing.assert_allclose(plain["w"], [2.0, 0.0], atol=1e-15)
         whole, _ = aggregate(AggregationSpec("mdawa", renormalize=True), 0, g, pack(ups))
         np.testing.assert_allclose(whole["w"], [2.0, 0.0], atol=1e-15)
+
+    def test_renormalize_divides_a_small_column_and_keeps_a_degenerate_one(self):
+        # Column sums 1e-9 (above the 1e-12 threshold: divided) and 5e-14 (below it: kept).
+        layer = np.array([[2e-9, 1e-13], [0.0, 0.0]])
+        div = Divergence((0, 1), ("a", "b"), layer, np.zeros_like(layer), np.ones(2))
+        ups = pack([update(0, {"a": [1.0], "b": [1.0]}), update(1, {"a": [1.0], "b": [1.0]})])
+        table = coefficient_matrix("ldawa", ups, div, renormalize=True)
+        assert table.tolist() == [[1.0, 5e-14], [0.0, 0.0]]
 
     def test_loss_strategy_dispatch_matches_direct_weighting(self):
         rng = np.random.default_rng(14)

@@ -200,6 +200,13 @@ class TestMeanDelta:
         assert div.mean("layer") == pytest.approx(0.5)
         assert div.mean("model") == 0.0
 
+    def test_layer_mode_is_the_mean_of_per_client_means(self):
+        rows = [[0.1, 0.1, 0.1], [0.1, 0.1, 0.4]]
+        div = table([0.0, 0.0], per_layer=rows)
+        per_client = (sum(rows[0]) / 3 + sum(rows[1]) / 3) / 2
+        assert float(np.mean(rows)) != per_client  # one flat mean rounds differently on this table
+        assert div.mean("layer") == per_client
+
     def test_empty_rejected(self):
         m = ps({"a": [1.0]})
         with pytest.raises(ValueError):

@@ -11,13 +11,13 @@ from fedsim.evaluation import (
     EvalSpec,
     _train_head,
     accuracy,
-    classifier_accuracy,
     linear_probe,
     stratified_subset,
 )
 from fedsim.learners import ModelSpec, init_params, loss_xent
 from fedsim.params import ParamSet
 from fedsim.partition import Dataset, make_blobs
+from helpers import classifier_accuracy
 
 # scaled-down schedule that still converges on the tiny fixtures below
 FAST_PROBE = EvalSpec(epochs=60, milestones=(40, 50), lr=0.1, eval_seed=3)

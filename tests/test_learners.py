@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from fedsim import learners
 from fedsim.learners import (
     ClientTrainingError,
     ForwardPass,
@@ -219,6 +221,18 @@ class TestCrossEntropy:
         with pytest.raises(ValueError, match="label"):
             loss_xent(np.zeros((2, 3)), np.array([0, 3]))
 
+    @pytest.mark.parametrize(
+        "logits, labels, shapes",
+        [
+            (np.zeros((2, 5, 3)), np.zeros((3, 5), dtype=np.int64), r"\(2, 5, 3\) for labels of shape \(3, 5\)"),
+            (np.zeros(3), np.zeros(3, dtype=np.int64), r"\(3,\) for labels of shape \(3,\)"),
+        ],
+        ids=["client_axes_swapped", "one_dimensional"],
+    )
+    def test_shape_mismatch_names_both_shapes(self, logits, labels, shapes):
+        with pytest.raises(ValueError, match=f"^logits of shape {shapes}$"):
+            loss_xent(logits, labels)
+
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(3)
         for _ in range(10):
@@ -228,6 +242,76 @@ class TestCrossEntropy:
             _, grad = loss_xent(logits, labels)
             fd = fd_grad(lambda v: loss_xent(v.reshape(n, c), labels)[0], logits.reshape(-1))
             assert_grad_close(grad.reshape(-1), fd)
+
+
+def parent_loss_xent(logits, labels):
+    """loss_xent's formula before its row max and label terms were rewritten, verbatim."""
+    n, c = logits.shape[-2:]
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    logp = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    onehot = labels[..., None] == np.arange(c)
+    loss = -np.take_along_axis(logp, labels[..., None], axis=-1)[..., 0].mean(axis=-1)
+    return loss, (np.exp(logp) - onehot) / n
+
+
+@st.composite
+def xent_cases(draw):
+    """(logits, labels): (n, c) or (K, n, c) logits with planted ties, signed zeros, infinities or huge values.
+
+    The logits are C-ordered, a strided slice of a larger buffer (as a Workspace passes them), or transposed.
+    """
+    k, n, c = draw(st.sampled_from([None, *range(1, 21)])), draw(st.integers(1, 40)), draw(st.integers(2, 16))
+    shape = (n, c) if k is None else (k, n, c)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    logits = rng.normal(size=shape) * draw(st.sampled_from([1.0, 1e3, 1e300]))
+    rows = logits.reshape(-1, c)
+    first, second = rng.integers(0, c, len(rows)), rng.integers(0, c - 1, len(rows))
+    second += second >= first  # another column of the same row
+    picked = np.arange(len(rows))[rng.random(len(rows)) < draw(st.sampled_from([0.0, 0.3, 1.0]))]
+    kind = draw(st.sampled_from(["repeated_max", "signed_zero_max", "inf", "none"]))
+    if kind == "repeated_max":
+        rows[picked, second[picked]] = rows[picked].max(axis=-1)
+    elif kind == "signed_zero_max":
+        rows[picked] = -np.abs(rows[picked]) - 1.0
+        rows[picked, first[picked]], rows[picked, second[picked]] = 0.0, -0.0
+    elif kind == "inf":
+        rows[picked, first[picked]] = rng.choice([np.inf, -np.inf], len(picked))
+    labels = rng.integers(0, c, shape[:-1])
+    layout = draw(st.sampled_from(["c_order", "strided", "transposed"]))
+    if layout == "strided":
+        buffer = np.full((*([k + 2] if k else []), n + 3, c + 1), np.nan)
+        view = buffer[1 : k + 1, 1 : n + 1, :c] if k else buffer[1 : n + 1, :c]
+        view[...] = logits
+        logits = view
+    elif layout == "transposed":
+        logits = np.ascontiguousarray(logits.swapaxes(-1, -2)).swapaxes(-1, -2)
+    return logits, labels
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=300)
+@given(xent_cases())
+def test_loss_xent_keeps_the_parent_formulas_bytes(case):
+    logits, labels = case
+    with np.errstate(all="ignore"):  # infinities make NaNs in both
+        loss, grad = loss_xent(logits, labels)
+        want_loss, want_grad = parent_loss_xent(logits, labels)
+    assert type(loss) is type(want_loss)
+    assert np.asarray(loss).tobytes() == np.asarray(want_loss).tobytes()
+    assert grad.shape == want_grad.shape and grad.tobytes() == want_grad.tobytes()
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=200)
+@given(
+    hnp.arrays(
+        np.float64, hnp.array_shapes(min_dims=1, max_dims=3, min_side=1, max_side=9),
+        elements=st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from([0.0, -0.0]),
+    ),
+    st.booleans(),
+)
+def test_row_max_is_the_last_axis_max(a, transposed):
+    if transposed:
+        a = a.T
+    np.testing.assert_array_equal(learners._row_max(a), a.max(axis=-1, keepdims=True))
 
 
 def brute_force_ntxent(z_a, z_b, tau):
@@ -248,6 +332,14 @@ def brute_force_ntxent(z_a, z_b, tau):
 
 
 class TestNtxent:
+    def test_tied_maxima_keep_the_parent_bytes(self, monkeypatch):
+        # At tau 0.5, a0's candidates read (0, 2, 2) and a1's (0, 0, 0): every row's maximum is tied.
+        z_a, z_b = np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([[1.0, 0.0], [1.0, 0.0]])
+        got = loss_ntxent(z_a, z_b, 0.5)
+        monkeypatch.setattr(learners, "_row_max", lambda a: a.max(axis=-1, keepdims=True))
+        want = loss_ntxent(z_a, z_b, 0.5)
+        assert [np.asarray(x).tobytes() for x in got] == [np.asarray(x).tobytes() for x in want]
+
     def test_matches_direct_formula_on_orthonormal_fixture(self):
         z = np.array([[1.0, 0.0], [0.0, 1.0]])
         loss, _, _ = loss_ntxent(z, z, 1.0)

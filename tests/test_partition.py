@@ -219,6 +219,12 @@ class TestDispatchAndManifest:
             parts = partition(ds, PartitionSpec(scheme, 3, seed=2, **kwargs))
             assert len(parts) == 3
 
+    def test_submodule_import_binds_the_module(self):
+        # The package re-exports no name that shadows this submodule.
+        import fedsim.partition as P
+
+        assert P.Dataset is Dataset and P.partition is partition
+
     def test_manifest_round_trip(self, tmp_path):
         ds = make_blobs(3, 12, 2, 1.0, seed=1)
         parts = partition(ds, PartitionSpec("iid", 3, seed=2))
