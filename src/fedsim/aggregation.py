@@ -161,15 +161,11 @@ def coefficient_matrix(
     divergence-scaled C by its sum.
     """
     base, scale = RULES[strategy]
-    if scale == "layer":
-        s = div.layer
-    elif scale == "model":
-        s = np.repeat(div.model[:, None], len(div.names), axis=1)
-    else:
-        s = np.ones(div.layer.shape)
-    table = np.array(BASE_RULES[base](updates), dtype=np.float64)[:, None] * s
+    beta = np.array(BASE_RULES[base](updates), dtype=np.float64)[:, None]
+    s = {"layer": div.layer, "model": div.model[:, None], None: 1.0}[scale]  # s_k(l), broadcast to (K, L)
+    table = np.multiply(beta, s, out=np.empty(div.layer.shape))
     if renormalize and scale is not None:
-        # Clients are summed in order, as a scalar loop would add them;
+        # Clients are summed in row order (``table.sum(axis=0)`` adds a column of 8 or more rows pairwise);
         # degenerate column sums are left untouched rather than amplified.
         sums = np.zeros(len(div.names))
         for row in table:

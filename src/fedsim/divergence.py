@@ -89,24 +89,32 @@ def divergence(global_params: ParamSet, updates: ClientUpdates) -> Divergence:
     Row k belongs to ``updates.client_ids[k]``. Per layer, ``np.vecdot`` takes all K rows at once and
     runs BLAS ``ddot`` on each, as ``np.dot(g, c)`` and ``np.linalg.norm(c)`` do, so the bits are the
     same. The global goes first, as in ``np.dot(g, c)``: some kernels round swapped operands differently.
+    A dot product, squared norm or squared distance that is not finite (float64 overflows on weights
+    near 1e154) raises ValueError naming its layer, or the whole model.
     """
     global_params.require_compatible(updates)
     block, v = updates.weights, global_params.vector
     k, width = block.shape
     flat = tuple((name, (math.prod(shape),)) for name, shape in global_params.layout)
     g_sq = np.empty(len(flat))
-    dots, c_sq, d_sq = np.empty((3, k, len(flat)))
+    dots, c_sq, d_sq = terms = np.empty((3, k, len(flat)))
     # Differences go a chunk of rows at a time to one buffer, each row 16-byte aligned (an even
     # stride) like a fresh ``g - c``: a ddot kernel may sum in another order from an unaligned start.
     buf = np.empty(width + 2)
-    for l, (g, c) in enumerate(zip(segments(v, flat).values(), segments(block, flat).values())):
-        g_sq[l], dots[:, l], c_sq[:, l] = g.dot(g), np.vecdot(g, c), np.vecdot(c, c)
-        n = c.shape[1]
-        stride = n + n % 2 or 2
-        rows = max(1, width // stride)  # rows * stride <= width + 2
-        diff = buf[: rows * stride].reshape(rows, stride)[:, :n]
-        for i in range(0, k, rows):
-            d = np.subtract(g, c[i : i + rows], out=diff[: min(rows, k - i)])
-            d_sq[i : i + rows, l] = np.vecdot(d, d)
-    model = _cosines(np.vecdot(v, block), v.dot(v), np.vecdot(block, block))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is the ValueError below, not a warning
+        for l, (g, c) in enumerate(zip(segments(v, flat).values(), segments(block, flat).values())):
+            g_sq[l], dots[:, l], c_sq[:, l] = g.dot(g), np.vecdot(g, c), np.vecdot(c, c)
+            n = c.shape[1]
+            stride = n + n % 2 or 2
+            rows = max(1, width // stride)  # rows * stride <= width + 2
+            diff = buf[: rows * stride].reshape(rows, stride)[:, :n]
+            for i in range(0, k, rows):
+                d = np.subtract(g, c[i : i + rows], out=diff[: min(rows, k - i)])
+                d_sq[i : i + rows, l] = np.vecdot(d, d)
+        whole = np.vecdot(v, block), v.dot(v), np.vecdot(block, block)
+    finite = [*(np.isfinite(terms).all(axis=(0, 1)) & np.isfinite(g_sq)), all(np.isfinite(t).all() for t in whole)]
+    if not all(finite):
+        where = [*(f"layer {name!r}" for name in global_params.names), "whole model"][finite.index(False)]
+        raise ValueError(f"{where}: a dot product, squared norm or squared distance of the divergence is not finite")
+    model = _cosines(*whole)
     return Divergence(updates.client_ids, global_params.names, _cosines(dots, g_sq, c_sq), np.sqrt(d_sq), model)

@@ -189,7 +189,10 @@ class FederatedRunner:
             raise RuntimeError(f"round {r}: training failed for client {exc.client_id}: {exc}") from exc
 
         t0 = time.perf_counter()
-        new_global, div = aggregate(cfg.aggregation, r, state.global_params, updates)
+        try:
+            new_global, div = aggregate(cfg.aggregation, r, state.global_params, updates)
+        except ValueError as exc:
+            raise RuntimeError(f"round {r}: aggregation: {exc}") from exc
         agg_ms = (time.perf_counter() - t0) * 1000.0
 
         if threshold is not None:

@@ -118,8 +118,9 @@ def linear_probe(
             raise ValueError(f"fraction {fraction} yields {n_take} samples for {c} classes")
         rng = np.random.default_rng([int(spec.eval_seed), 0x5EED])
         subset = stratified_subset(train_ds.labels, fraction, rng)
-        draws.append((forward(encoder_params, encoder, train_ds.features[subset]).h, train_ds.labels[subset], rng))
-    test_feats = forward(encoder_params, encoder, test_ds.features).h
+        feats = forward(encoder_params, encoder, train_ds.features[subset]).pre[-1]
+        draws.append((feats, train_ds.labels[subset], rng))
+    test_feats = forward(encoder_params, encoder, test_ds.features).pre[-1]
     accs = []
     for feats, labels, rng in draws:
         if not (np.isfinite(feats).all() and np.isfinite(test_feats).all()):
@@ -130,7 +131,7 @@ def linear_probe(
         w = _train_head(head, init, feats, labels, spec, rng)
         if not np.isfinite(w).all():
             raise ValueError("the linear head diverged to non-finite weights")
-        predictions = forward(segments(w, init.layout), head, test_feats).h.argmax(axis=1)
+        predictions = forward(segments(w, init.layout), head, test_feats).pre[-1].argmax(axis=1)
         accs.append(accuracy(predictions, test_ds.labels))
     return accs
 
@@ -148,7 +149,7 @@ def _train_head(head: ModelSpec, init: ParamSet, feats: np.ndarray, labels: np.n
             idx = order[start : start + spec.batch_size]
             batch = np.take(feats, idx, axis=0, out=x[: len(idx)], mode="clip")  # idx is in range; "raise" buffers
             fp = forward(params, head, batch)
-            _, grad = loss_xent(fp.h, labels[idx])
+            _, grad = loss_xent(fp.pre[-1], labels[idx])
             backward(params, head, fp, grad, out=grads)
             sgd_step(w, g, v, lr, spec.momentum, weight_decay=0.0, out=step)
     return w

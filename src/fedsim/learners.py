@@ -1,12 +1,11 @@
 """Toy-scale local training: MLP encoder/projector with exact analytic gradients.
 
 The model is a chain of linear layers with an elementwise activation between
-consecutive layers (never after the last one): the representation ``h`` is
-the raw output of the final encoder layer, the projection ``z`` the raw
-output of the final projector layer. Supervised models replace the projector
-with a linear classifier head on the raw ``h``. One private tuple,
-:func:`_layers`, states those layers; names, init, both passes and the
-checkpoint check read it.
+consecutive layers (never after the last one): the representation is the raw
+output of the final encoder layer, the projection the raw output of the final
+projector layer. Supervised models replace the projector with a linear
+classifier head on the raw representation. One private tuple, :func:`_layers`,
+states those layers; names, init, both passes and the checkpoint check read it.
 
 All gradients (cross-entropy, the contrastive loss, the cross-correlation
 redundancy loss, and full backprop through the chain) are written out by
@@ -127,21 +126,22 @@ def validate_model_for_trainer(model: ModelSpec, trainer: TrainerSpec) -> None:
 
 
 @functools.lru_cache(maxsize=64)
-def _layers(spec: ModelSpec) -> tuple[tuple[str, int, int], ...]:
-    """The model's linear layers as (name prefix, fan_in, fan_out), in parameter order.
+def _layers(spec: ModelSpec) -> tuple[tuple[str, int, int, bool], ...]:
+    """The model's linear layers as (name prefix, fan_in, fan_out, activated), in parameter order.
 
     The encoder's layers come first, then the projector's or the head. Each
-    layer's weight is (fan_in, fan_out) and its bias (fan_out,). Cached for the
-    last 64 specs (frozen, so hashable); a tuple, so no caller can change the cache.
+    layer's weight is (fan_in, fan_out) and its bias (fan_out,); ``activated``
+    layers (all but the first and the head) read their input through the
+    activation. Cached for the last 64 specs (frozen, so hashable); a tuple, so no caller can change the cache.
     """
     n_enc = len(spec.encoder_dims) - 1
     dims = spec.encoder_dims + spec.projector_dims[1:]
     layers = [
-        (f"encoder.{i}" if i < n_enc else f"projector.{i - n_enc}", fan_in, fan_out)
+        (f"encoder.{i}" if i < n_enc else f"projector.{i - n_enc}", fan_in, fan_out, i > 0)
         for i, (fan_in, fan_out) in enumerate(zip(dims[:-1], dims[1:]))
     ]
     if spec.head_classes is not None:
-        layers.append(("head", spec.representation_dim, spec.head_classes))
+        layers.append(("head", spec.representation_dim, spec.head_classes, False))
     return tuple(layers)
 
 
@@ -157,13 +157,13 @@ def projector_start(layout: Layout) -> int:
 
 def layer_names(spec: ModelSpec) -> list[str]:
     """Canonical parameter order: encoder, projector, then head."""
-    return [f"{prefix}.{kind}" for prefix, _, _ in _layers(spec) for kind in ("weight", "bias")]
+    return [f"{prefix}.{kind}" for prefix, *_ in _layers(spec) for kind in ("weight", "bias")]
 
 
 def init_params(spec: ModelSpec, rng: np.random.Generator) -> ParamSet:
     """Uniform init in [-1/sqrt(fan_in), 1/sqrt(fan_in)] per layer."""
     arrays: dict[str, np.ndarray] = {}
-    for prefix, fan_in, fan_out in _layers(spec):
+    for prefix, fan_in, fan_out, _ in _layers(spec):
         bound = 1.0 / math.sqrt(fan_in)
         arrays[f"{prefix}.weight"] = rng.uniform(-bound, bound, size=(fan_in, fan_out))
         arrays[f"{prefix}.bias"] = rng.uniform(-bound, bound, size=fan_out)
@@ -176,7 +176,7 @@ def require_layers(params: ParamSet, spec: ModelSpec) -> None:
     Layers of ``params`` that ``spec`` does not have are ignored.
     """
     shapes = dict(params.layout)
-    for prefix, fan_in, fan_out in _layers(spec):
+    for prefix, fan_in, fan_out, _ in _layers(spec):
         for name, shape in ((f"{prefix}.weight", (fan_in, fan_out)), (f"{prefix}.bias", (fan_out,))):
             if name not in shapes:
                 raise IncompatibleModelError(f"missing layer {name!r}")
@@ -197,13 +197,10 @@ def _act_grad(pre: np.ndarray, kind: str, out=None) -> np.ndarray:
 
 @dataclass
 class ForwardPass:
-    """Everything the backward pass needs, plus h / z / logits."""
+    """Everything the backward pass needs; ``pre[-1]`` is the output: projection, logits or representation."""
 
     chain_inputs: list[np.ndarray]  # input fed to each linear layer
     pre: list[np.ndarray]  # raw linear outputs, per layer
-    h: np.ndarray
-    z: np.ndarray | None
-    logits: np.ndarray | None
 
 
 def _t(a: np.ndarray) -> np.ndarray:
@@ -212,56 +209,50 @@ def _t(a: np.ndarray) -> np.ndarray:
 
 
 def forward(params: Mapping[str, np.ndarray], spec: ModelSpec, batch: np.ndarray, out=None) -> ForwardPass:
-    """Run the full encoder (+projector or +head) chain on a batch.
+    """Run the full encoder (+projector or +head) chain on a batch; the output is ``pre[-1]``.
 
     ``params`` maps names to shaped arrays and ``batch`` is (B, D). With a
     leading client axis, ``params`` maps names to (K, *shape) stacks and
     ``batch`` is (K, B, D): client k's batch runs through client k's layers,
     and every output keeps the leading axis. Given ``out``, a ForwardPass,
-    layer i writes its output into ``out.pre[i]`` and its input activation into ``out.chain_inputs[i]``.
+    layer i writes its output into ``out.pre[i]`` and an activated layer its input into ``out.chain_inputs[i]``.
     """
-    x = np.asarray(batch, dtype=np.float64)
-    if x.ndim < 2 or x.shape[-1] != spec.input_dim:
+    a = np.asarray(batch, dtype=np.float64)  # each layer's input, then its output
+    if a.ndim < 2 or a.shape[-1] != spec.input_dim:
         raise ValueError(
-            f"batch of width {x.shape[-1] if x.ndim >= 2 else '?'} "
+            f"batch of width {a.shape[-1] if a.ndim >= 2 else '?'} "
             f"does not match input width {spec.input_dim}"
         )
     inputs: list[np.ndarray] = []
     pre: list[np.ndarray] = []
-    a = x
-    for i, (prefix, _, _) in enumerate(_layers(spec)):
-        if i > 0:  # the head reads the raw representation
-            a = pre[-1] if prefix == "head" else _act(pre[-1], spec.activation, out and out.chain_inputs[i])
+    for i, (prefix, _, _, activated) in enumerate(_layers(spec)):
+        if activated:
+            a = _act(a, spec.activation, out and out.chain_inputs[i])
         inputs.append(a)
         a = np.matmul(a, params[f"{prefix}.weight"], out=out and out.pre[i])
         a += params[f"{prefix}.bias"][..., None, :]
         pre.append(a)
-        if prefix.startswith("encoder."):
-            h = a
-    z = pre[-1] if spec.projector_dims else None
-    logits = pre[-1] if spec.head_classes is not None else None
-    return ForwardPass(inputs, pre, h, z, logits)
+    return ForwardPass(inputs, pre)
 
 
 def backward(
     params: Mapping[str, np.ndarray], spec: ModelSpec, fp: ForwardPass, grad: np.ndarray, out=None
 ) -> dict[str, np.ndarray]:
-    """Gradients for every parameter given ``grad``, d(loss)/d(the last layer's output).
+    """Gradients for every parameter given ``grad``, d(loss)/d(the pass's output ``fp.pre[-1]``).
 
-    That output is ``z`` for SSL models, the logits for supervised ones and
-    ``h`` for an encoder alone. With a leading client axis (see
-    :func:`forward`) every gradient is a (K, *shape) stack. Given ``out``, a
-    dict, each gradient is written into ``out[name]``, and the gradients
-    along the chain overwrite ``fp``'s arrays once they have been read.
+    With a leading client axis (see :func:`forward`) every gradient is a
+    (K, *shape) stack. Given ``out``, a dict, each gradient is written into
+    ``out[name]``, and the gradients along the chain overwrite ``fp``'s arrays
+    once they have been read.
     """
     grads: dict[str, np.ndarray] = {} if out is None else out
     g = np.asarray(grad, dtype=np.float64)
-    for i, (prefix, _, _) in reversed(list(enumerate(_layers(spec)))):
+    for i, (prefix, _, _, activated) in reversed(list(enumerate(_layers(spec)))):
         grads[f"{prefix}.weight"] = np.matmul(_t(fp.chain_inputs[i]), g, out=out and out[f"{prefix}.weight"])
         grads[f"{prefix}.bias"] = g.sum(axis=-2, out=out and out[f"{prefix}.bias"])
         if i > 0:
             g = np.matmul(g, _t(params[f"{prefix}.weight"]), out=out and fp.chain_inputs[i])
-            if prefix != "head":  # the head reads the raw representation
+            if activated:
                 g *= _act_grad(fp.pre[i - 1], spec.activation, out and fp.pre[i - 1])
     return grads
 
@@ -305,6 +296,16 @@ def _require_finite(*embeddings: np.ndarray) -> None:
         raise ValueError("non-finite embedding: the model diverged")
 
 
+def _two_views(z_a: np.ndarray, z_b: np.ndarray, loss: str) -> tuple[np.ndarray, np.ndarray, int]:
+    """Both views' embeddings as float64 and their batch size; ``loss`` names the loss that needs 2 rows."""
+    z_a, z_b = np.asarray(z_a, dtype=np.float64), np.asarray(z_b, dtype=np.float64)
+    if z_a.shape != z_b.shape:
+        raise ValueError("view embeddings must have the same shape")
+    if z_a.shape[-2] < 2:
+        raise ValueError(f"{loss} loss needs a batch of at least 2")
+    return z_a, z_b, z_a.shape[-2]
+
+
 def loss_ntxent(
     z_a: np.ndarray, z_b: np.ndarray, temperature: float
 ) -> tuple[float | np.ndarray, np.ndarray, np.ndarray]:
@@ -317,13 +318,7 @@ def loss_ntxent(
     (unnormalized) inputs. (K, B, D) embeddings of K clients give one loss
     per client.
     """
-    z_a = np.asarray(z_a, dtype=np.float64)
-    z_b = np.asarray(z_b, dtype=np.float64)
-    if z_a.shape != z_b.shape:
-        raise ValueError("view embeddings must have the same shape")
-    b = z_a.shape[-2]
-    if b < 2:
-        raise ValueError("contrastive loss needs a batch of at least 2")
+    z_a, z_b, b = _two_views(z_a, z_b, "contrastive")
     tau = float(temperature)
 
     z = np.concatenate([z_a, z_b], axis=-2)  # (..., 2B, D): both views' rows, normalized in place
@@ -402,13 +397,7 @@ def loss_barlow(
     path through the standardization. (K, B, D) embeddings of K clients are
     standardized per client and give one loss per client.
     """
-    z_a = np.asarray(z_a, dtype=np.float64)
-    z_b = np.asarray(z_b, dtype=np.float64)
-    if z_a.shape != z_b.shape:
-        raise ValueError("view embeddings must have the same shape")
-    n = z_a.shape[-2]
-    if n < 2:
-        raise ValueError("redundancy loss needs a batch of at least 2")
+    z_a, z_b, n = _two_views(z_a, z_b, "redundancy")
     lam = float(lambda_offdiag)
 
     a_hat, a_centered, a_std = _standardize(z_a)
@@ -519,9 +508,8 @@ class Workspace:
         self.dw = np.empty((2, k, width))  # each SSL view's gradients; dw[0] is sgd_step's scratch too
         self.x = np.empty((k, b, model.input_dim))
         self.views = np.empty((2, *lead, k, b, model.input_dim))  # SSL views, then their mask draws
-        self.pre = [np.empty((*lead, k, b, fan_out)) for _, _, fan_out in layers]
-        self.act = [None if i == 0 or p == "head" else np.empty((*lead, k, b, fan_in))
-                    for i, (p, fan_in, _) in enumerate(layers)]  # a layer's input, if an activation
+        self.pre = [np.empty((*lead, k, b, fan_out)) for _, _, fan_out, _ in layers]
+        self.act = [np.empty((*lead, k, b, fan_in)) if activated else None for _, fan_in, _, activated in layers]
         self.dz = np.empty((*lead, k, b, layers[-1][2]))
 
     def _train(self, sessions: list[_Session], inits: list[np.ndarray], layout: Layout,
@@ -580,16 +568,16 @@ class Workspace:
             x = views[0]  # both views, as one stack
         cut = (..., slice(lo, hi), slice(None, b), slice(None))
         params = {name: a[lo:hi] for name, a in self._params.items()}
-        out = ForwardPass([a if a is None else a[cut] for a in self.act], [a[cut] for a in self.pre], None, None, None)
+        out = ForwardPass([a if a is None else a[cut] for a in self.act], [a[cut] for a in self.pre])
         fp = forward(params, model, x, out)
         if trainer.method == "supervised":
-            loss, grad_logits = loss_xent(fp.logits, labels)
+            loss, grad_logits = loss_xent(fp.pre[-1], labels)
             backward(params, model, fp, grad_logits, {name: a[lo:hi] for name, a in self._grads.items()})
             return loss
         if trainer.method == "simclr":
-            loss, ga, gb = loss_ntxent(fp.z[0], fp.z[1], trainer.temperature)
+            loss, ga, gb = loss_ntxent(*fp.pre[-1], trainer.temperature)
         else:
-            loss, ga, gb = loss_barlow(fp.z[0], fp.z[1], trainer.lambda_offdiag)
+            loss, ga, gb = loss_barlow(*fp.pre[-1], trainer.lambda_offdiag)
         view_grads = {name: a[:, lo:hi] for name, a in self._view_grads.items()}
         backward(params, model, fp, np.stack([ga, gb], out=self.dz[cut]), view_grads)
         np.add(self.dw[0, lo:hi], self.dw[1, lo:hi], out=self.rows[2, lo:hi])  # every layer's two halves at once

@@ -12,9 +12,6 @@ from typing import Sequence
 
 import numpy as np
 
-SCHEMES = ("iid", "dirichlet", "single_class")
-
-
 @dataclass(frozen=True, eq=False)
 class Dataset:
     """Fixed-length feature vectors with integer class labels."""
@@ -91,27 +88,29 @@ def allocate_counts(proportions: np.ndarray, total: int) -> np.ndarray:
     return counts
 
 
-def iid_partition(ds: Dataset, spec: PartitionSpec) -> list[list[int]]:
+def _split(order: np.ndarray, counts: np.ndarray):
+    """``order`` cut into consecutive runs of ``counts[i]`` items, one at a time."""
+    stop = 0
+    for n in counts.tolist():
+        stop += n
+        yield order[stop - n : stop]
+
+
+def _require_floor(ds: Dataset, m: int, floor: int) -> None:
+    if len(ds) < m * floor:
+        raise ValueError(f"{len(ds)} samples cannot give {m} clients at least {floor} each")
+
+
+def _iid(ds: Dataset, spec: PartitionSpec) -> list[list[int]]:
     """Shuffle and split as evenly as possible; disjoint cover of all indices."""
-    if len(ds) == 0:
-        raise ValueError("cannot partition an empty dataset")
     m = spec.num_clients
-    if len(ds) < m * spec.min_samples:
-        raise ValueError(
-            f"{len(ds)} samples cannot give {m} clients at least {spec.min_samples} each"
-        )
+    _require_floor(ds, m, spec.min_samples)
     rng = np.random.default_rng(spec.seed)
     order = rng.permutation(len(ds))
-    sizes = allocate_counts(np.ones(m), len(ds))
-    parts = []
-    start = 0
-    for size in sizes:
-        parts.append(sorted(int(i) for i in order[start : start + size]))
-        start += size
-    return parts
+    return [sorted(int(i) for i in part) for part in _split(order, allocate_counts(np.ones(m), len(ds)))]
 
 
-def dirichlet_partition(ds: Dataset, spec: PartitionSpec) -> list[list[int]]:
+def _dirichlet(ds: Dataset, spec: PartitionSpec) -> list[list[int]]:
     """Label-skew split: per class, client proportions are Dirichlet(alpha) draws.
 
     Lower alpha concentrates each class on fewer clients, producing both
@@ -120,13 +119,8 @@ def dirichlet_partition(ds: Dataset, spec: PartitionSpec) -> list[list[int]]:
     after 1000 attempts samples are moved from the largest clients instead.
     Deterministic given (dataset, spec).
     """
-    if len(ds) == 0:
-        raise ValueError("cannot partition an empty dataset")
     m = spec.num_clients
-    if len(ds) < m * spec.min_samples:
-        raise ValueError(
-            f"{len(ds)} samples cannot give {m} clients at least {spec.min_samples} each"
-        )
+    _require_floor(ds, m, spec.min_samples)
     rng = np.random.default_rng(spec.seed)
     class_indices = [np.flatnonzero(ds.labels == c) for c in range(ds.num_classes)]
 
@@ -137,11 +131,8 @@ def dirichlet_partition(ds: Dataset, spec: PartitionSpec) -> list[list[int]]:
                 continue
             shuffled = rng.permutation(idx)
             proportions = rng.dirichlet(np.full(m, float(spec.alpha)))
-            counts = allocate_counts(proportions, idx.size)
-            start = 0
-            for client, count in enumerate(counts):
-                parts[client].extend(int(i) for i in shuffled[start : start + count])
-                start += count
+            for part, chunk in zip(parts, _split(shuffled, allocate_counts(proportions, idx.size))):
+                part.extend(int(i) for i in chunk)
         if min(len(p) for p in parts) >= spec.min_samples:
             return [sorted(p) for p in parts]
 
@@ -153,7 +144,7 @@ def dirichlet_partition(ds: Dataset, spec: PartitionSpec) -> list[list[int]]:
     return [sorted(p) for p in parts]
 
 
-def single_class_partition(ds: Dataset, spec: PartitionSpec) -> list[list[int]]:
+def _single_class(ds: Dataset, spec: PartitionSpec) -> list[list[int]]:
     """One class per client, equal sample counts, disjoint indices.
 
     Client m holds samples of class ``m % C``. Every client is truncated to
@@ -161,8 +152,6 @@ def single_class_partition(ds: Dataset, spec: PartitionSpec) -> list[list[int]]:
     than classes the ``allow_class_reuse`` flag must be set and the clients
     sharing a class split its samples disjointly.
     """
-    if len(ds) == 0:
-        raise ValueError("cannot partition an empty dataset")
     m = spec.num_clients
     c = ds.num_classes
     if m > c and not spec.allow_class_reuse:
@@ -170,19 +159,14 @@ def single_class_partition(ds: Dataset, spec: PartitionSpec) -> list[list[int]]:
             f"{m} clients need {m} distinct classes but the dataset has {c}; "
             "set allow_class_reuse to share classes"
         )
-    if m > len(ds):
-        raise ValueError(f"{len(ds)} samples cannot give {m} clients at least 1 each")
+    _require_floor(ds, m, 1)
     rng = np.random.default_rng(spec.seed)
     shuffled = [rng.permutation(np.flatnonzero(ds.labels == cls)) for cls in range(c)]
-    holders = [range(cls, m, c) for cls in range(c)]  # the clients holding each class
-
-    slices: list[np.ndarray] = [np.zeros(0, dtype=np.int64)] * m
-    for cls, clients in enumerate(holders):
-        if not clients:
-            continue
-        share = len(shuffled[cls]) // len(clients)
-        for pos, client in enumerate(clients):
-            slices[client] = shuffled[cls][pos * share : (pos + 1) * share]
+    slices = []
+    for client in range(m):  # the (client // c)-th equal share of class client % c among its holders
+        pos, cls = divmod(client, c)
+        share = len(shuffled[cls]) // len(range(cls, m, c))
+        slices.append(shuffled[cls][pos * share : (pos + 1) * share])
 
     quota = min(s.size for s in slices)
     if quota == 0:
@@ -190,13 +174,15 @@ def single_class_partition(ds: Dataset, spec: PartitionSpec) -> list[list[int]]:
     return [sorted(int(i) for i in s[:quota]) for s in slices]
 
 
+_PARTITIONERS = {"iid": _iid, "dirichlet": _dirichlet, "single_class": _single_class}
+SCHEMES = tuple(_PARTITIONERS)
+
+
 def partition(ds: Dataset, spec: PartitionSpec) -> list[list[int]]:
-    """Dispatch on the partition scheme."""
-    if spec.scheme == "iid":
-        return iid_partition(ds, spec)
-    if spec.scheme == "dirichlet":
-        return dirichlet_partition(ds, spec)
-    return single_class_partition(ds, spec)
+    """``ds``'s sample indices, one sorted list per client, by ``spec``'s scheme: the one partition entry point."""
+    if len(ds) == 0:
+        raise ValueError("cannot partition an empty dataset")
+    return _PARTITIONERS[spec.scheme](ds, spec)
 
 
 def make_blobs(
@@ -217,6 +203,8 @@ def make_blobs(
         raise ValueError("num_classes, samples_per_class and dim must be positive")
     if spread < 0:
         raise ValueError("spread must be >= 0")
+    if num_classes * samples_per_class > (most := np.iinfo(np.intp).max):  # np.repeat would wrap or overflow
+        raise ValueError(f"{num_classes} classes of {samples_per_class} samples exceed the {most} rows of an array")
     means = np.zeros((num_classes, dim))
     for c in range(num_classes):
         means[c, c % dim] = separation * (1 + c // dim)

@@ -10,5 +10,5 @@ def classifier_accuracy(params: ParamSet, model_spec: ModelSpec, ds: Dataset) ->
     """Accuracy of a supervised model's own head on a dataset."""
     if model_spec.head_classes is None:
         raise ValueError("model has no classifier head")
-    logits = forward(params, model_spec, ds.features).logits
+    logits = forward(params, model_spec, ds.features).pre[-1]
     return accuracy(logits.argmax(axis=1), ds.labels)

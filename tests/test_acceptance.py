@@ -280,10 +280,10 @@ def test_03_gradient_verification():
 
         def chain_loss(p):
             fa, fb = forward(p, spec, x_a), forward(p, spec, x_b)
-            return loss_ntxent(fa.z, fb.z, 0.5)[0]
+            return loss_ntxent(fa.pre[-1], fb.pre[-1], 0.5)[0]
 
         fa, fb = forward(params, spec, x_a), forward(params, spec, x_b)
-        _, ga, gb = loss_ntxent(fa.z, fb.z, 0.5)
+        _, ga, gb = loss_ntxent(fa.pre[-1], fb.pre[-1], 0.5)
         grads_a = backward(params, spec, fa, ga)
         grads_b = backward(params, spec, fb, gb)
         for name, shape in params.layout:
@@ -301,13 +301,13 @@ def test_03_gradient_verification():
     for _ in range(10):
         params = init_params(spec, rng)
         x, y = rng.normal(size=(5, 3)), rng.integers(0, 3, 5)
-        _, glog = loss_xent(forward(params, spec, x).logits, y)
+        _, glog = loss_xent(forward(params, spec, x).pre[-1], y)
         grads = backward(params, spec, forward(params, spec, x), glog)
         for name, shape in params.layout:
             def f(v, name=name, shape=shape):
                 arrays = {n: params[n] for n in params.names}
                 arrays[name] = v.reshape(shape)
-                return loss_xent(forward(arrays, spec, x).logits, y)[0]
+                return loss_xent(forward(arrays, spec, x).pre[-1], y)[0]
 
             fd = fd_grad(f, params[name].reshape(-1).copy())
             worst["head chain"] = max(worst["head chain"], max_rel_err(grads[name].reshape(-1), fd))

@@ -446,6 +446,19 @@ class TestDispatch:
         table = coefficient_matrix("ldawa", ups, div, renormalize=True)
         assert table.tolist() == [[1.0, 5e-14], [0.0, 0.0]]
 
+    def test_renormalized_column_is_summed_in_client_order(self):
+        # One layer of 8 clients: ``sum(axis=0)`` would add this contiguous column pairwise, where
+        # 0.125 + 1.25e-17 rounds back to 0.125 at every step of the ordered sum.
+        layer = np.array([[1.0]] + [[1e-16]] * 7)
+        div = Divergence(tuple(range(8)), ("w",), layer, np.zeros_like(layer), np.ones(8))
+        raw = layer / 8  # ldawa's uniform base 1/8 scales exactly
+        total = 0.0
+        for c in raw[:, 0]:
+            total += c
+        assert total != raw.sum(axis=0)[0]  # the fixture tells the two orders apart
+        table = coefficient_matrix("ldawa", pack([update(k, {"w": [1.0]}) for k in range(8)]), div, renormalize=True)
+        assert table.tobytes() == (raw / total).tobytes()
+
     def test_loss_strategy_dispatch_matches_direct_weighting(self):
         rng = np.random.default_rng(14)
         g, ups = random_fixture(rng)

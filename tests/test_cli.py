@@ -699,6 +699,7 @@ def _contract_fixture(tmp_path):
                     tmp_path / "model.bin")  # the config's model
     (tmp_path / "malformed.bin").write_bytes(MALFORMED_CHECKPOINTS["header_not_utf8"])
     checkpoint(tmp_path, "longer.bin", {"w": [1.0, 2.0, 3.0]})
+    checkpoint(tmp_path, "huge.bin", {"w": [1e300, 1e300]})  # finite, but its squared norm overflows
     (tmp_path / "nan.bin").write_bytes(binary_blob(one_layer(), struct.pack("<2d", 1.0, float("nan"))))
     (tmp_path / "bad.json").write_text("{")
     (tmp_path / "deep.json").write_text("[" * 100_000)
@@ -757,6 +758,19 @@ ERROR_PATHS = {
     ),
     "run_empty_output_dir": (["run", "--config", CONFIG, "--set", "output_dir="], 1, "config.output_dir"),
     "run_diverging": (["run", "--config", CONFIG, "--set", "trainer.lr=1e200"], 2, "training failed for client 0"),
+    "run_blobs_rows_wrap_int64": (
+        ["run", "--config", CONFIG, "--set", "dataset.num_classes=8", "--set", f"dataset.samples_per_class={2**61}"],
+        1, f"8 classes of {2**61} samples exceed the {2**63 - 1} rows of an array",
+    ),
+    "run_blobs_rows_past_int64": (
+        ["run", "--config", CONFIG, "--set", f"dataset.samples_per_class={2**63}"], 1,
+        f"3 classes of {2**63} samples exceed the {2**63 - 1} rows of an array",
+    ),
+    "run_blobs_test_rows_wrap_int64": (
+        ["run", "--config", CONFIG, "--set", "dataset.num_classes=8", "--set",
+         f"dataset.test_samples_per_class={2**61}"],
+        1, f"8 classes of {2**61} samples exceed the {2**63 - 1} rows of an array",
+    ),
     "run_client_too_small": (
         ["run", "--config", CONFIG, "--set", "dataset.samples_per_class=1"], 2,
         "error: round 0: training failed for client 0: cannot assemble a batch of 2 from 1 sample(s)\n",
@@ -778,6 +792,14 @@ ERROR_PATHS = {
     ),
     "aggregate_non_finite_checkpoint": (
         _aggregate("{tmp}/good.bin", "{tmp}/nan.bin"), 1, "nan.bin: layer 'w' contains non-finite values",
+    ),
+    "aggregate_divergence_overflows_fairavg": (
+        _aggregate("{tmp}/good.bin", "{tmp}/huge.bin"), 1,
+        "error: layer 'w': a dot product, squared norm or squared distance of the divergence is not finite",
+    ),
+    "aggregate_divergence_overflows_ldawa": (
+        _aggregate("{tmp}/good.bin", "{tmp}/huge.bin", "--strategy", "ldawa"), 1,  # the last --strategy wins
+        "error: layer 'w': a dot product, squared norm or squared distance of the divergence is not finite",
     ),
     "aggregate_bad_metadata": (
         _aggregate("{tmp}/good.bin", "{tmp}/good.bin", "--metadata", "{tmp}/meta.json"),

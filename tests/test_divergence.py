@@ -156,6 +156,18 @@ class TestDivergence:
         c = ps({"a": [3.0, 4.0]})
         assert one(g, c).euclid[0, 0] == 5.0
 
+    @pytest.mark.parametrize(
+        "global_, client, where",
+        [({"w": [1.0]}, {"w": [1e300]}, "layer 'w'"),  # the client's squared norm
+         ({"w": [1e154]}, {"w": [-1e154]}, "layer 'w'"),  # only the squared distance, (2e154)**2
+         ({"a": [1.0], "b": [1.0]}, {"a": [1.2e154], "b": [1.2e154]}, "whole model")],  # each layer's is finite
+        ids=["squared_norm", "squared_distance", "whole_model"],
+    )
+    def test_overflow_names_the_layer_or_the_whole_model(self, global_, client, where):
+        # Every input is finite; a float64 overflow in the divergence is a ValueError, not a NaN or a warning.
+        with pytest.raises(ValueError, match=rf"^{where}: a dot product, squared norm or squared distance"):
+            divergence(ps(global_), pack([ps(client)], [0]))
+
     def test_rows_follow_the_given_models(self):
         g = ps({"a": [1.0, 0.0], "b": [2.0]})
         c1, c2 = ps({"a": [0.0, 1.0], "b": [1.0]}), ps({"a": [1.0, 0.0], "b": [-3.0]})

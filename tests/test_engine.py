@@ -309,6 +309,19 @@ class TestRunRound:
         with pytest.raises(RuntimeError, match="client 1"):
             runner.run_round(runner.initial_state())
 
+    def test_aggregation_failure_names_the_round(self, tmp_path):
+        # finite client models whose squared norms overflow float64 in the divergence
+        cfg = base_config(tmp_path)
+        train_ds, _ = build_datasets(cfg)
+
+        def train_fn(r, clients):
+            huge = [ParamSet(np.full(init.num_params, 1e300), init.layout) for _, _, init in clients]
+            return scripted([cid for cid, _, _ in clients], huge, 1, 0.0)
+
+        runner = FederatedRunner(cfg, train_ds, partition(train_ds, cfg.partition), train_fn=train_fn)
+        with pytest.raises(RuntimeError, match=r"^round 0: aggregation: layer 'encoder.0.weight': a dot product"):
+            runner.run_round(runner.initial_state())
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflowing_training_step_names_round_client_and_layer(self, tmp_path):
         # lr * (g + wd*w) overflows on the first step of every client.

@@ -65,7 +65,7 @@ class TestForward:
         )
         x = np.random.default_rng(0).normal(size=(4, 3))
         fp = forward(params, spec, x)
-        np.testing.assert_array_equal(fp.h, x)
+        np.testing.assert_array_equal(fp.pre[-1], x)
 
     def test_zero_weights_zero_output(self):
         spec = ModelSpec((3, 2))
@@ -73,7 +73,7 @@ class TestForward:
             {"encoder.0.weight": np.zeros((3, 2)), "encoder.0.bias": np.zeros(2)}
         )
         fp = forward(params, spec, np.ones((5, 3)))
-        np.testing.assert_array_equal(fp.h, np.zeros((5, 2)))
+        np.testing.assert_array_equal(fp.pre[-1], np.zeros((5, 2)))
 
     def test_matches_hand_rolled_two_layer_oracle(self):
         rng = np.random.default_rng(1)
@@ -95,7 +95,7 @@ class TestForward:
                 for i in range(3):
                     s += hidden[i] * params["encoder.1.weight"][i, j]
                 expected[row, j] = s
-        np.testing.assert_allclose(fp.h, expected, atol=1e-12)
+        np.testing.assert_allclose(fp.pre[-1], expected, atol=1e-12)
 
     def test_width_mismatch_rejected(self):
         spec = ModelSpec((3, 2))
@@ -486,10 +486,10 @@ class TestFullBackprop:
 
             def full_loss(p):
                 fa, fb = forward(p, spec, x_a), forward(p, spec, x_b)
-                return loss_ntxent(fa.z, fb.z, 0.5)[0]
+                return loss_ntxent(fa.pre[-1], fb.pre[-1], 0.5)[0]
 
             fa, fb = forward(params, spec, x_a), forward(params, spec, x_b)
-            _, ga, gb = loss_ntxent(fa.z, fb.z, 0.5)
+            _, ga, gb = loss_ntxent(fa.pre[-1], fb.pre[-1], 0.5)
             grads_a = backward(params, spec, fa, ga)
             grads_b = backward(params, spec, fb, gb)
             for name, shape in params.layout:
@@ -510,10 +510,10 @@ class TestFullBackprop:
             y = rng.integers(0, 3, 6)
 
             def full_loss(p):
-                return loss_xent(forward(p, spec, x).logits, y)[0]
+                return loss_xent(forward(p, spec, x).pre[-1], y)[0]
 
             fp = forward(params, spec, x)
-            _, glog = loss_xent(fp.logits, y)
+            _, glog = loss_xent(fp.pre[-1], y)
             grads = backward(params, spec, fp, glog)
             for name, shape in params.layout:
                 def f(v, name=name, shape=shape):
@@ -626,7 +626,7 @@ class TestOutputBuffers:
         pre = [nan_views((*lead, self.B, fan_out), self.B) for _, (_, fan_out) in weights]
         act = [None if i == 0 or prefix == "head" else nan_views((*lead, self.B, fan_in), self.B)
                for i, (prefix, (fan_in, _)) in enumerate(weights)]
-        return ForwardPass(act, pre, None, None, None)
+        return ForwardPass(act, pre)
 
     @pytest.mark.parametrize("activation", ["relu", "tanh"])
     @pytest.mark.parametrize("head", [False, True])
@@ -911,11 +911,11 @@ class TestBatchedGradients:
             params = segments(w, layout)
             if method == "supervised":
                 fp = forward(params, spec, x_a)
-                loss, glog = loss_xent(fp.logits, y)
+                loss, glog = loss_xent(fp.pre[-1], y)
                 return loss.sum(), backward(params, spec, fp, glog)
             fa, fb = forward(params, spec, x_a), forward(params, spec, x_b)
             loss_fn, arg = (loss_ntxent, 0.5) if method == "simclr" else (loss_barlow, 0.05)
-            loss, ga, gb = loss_fn(fa.z, fb.z, arg)
+            loss, ga, gb = loss_fn(fa.pre[-1], fb.pre[-1], arg)
             grads_a, grads_b = backward(params, spec, fa, ga), backward(params, spec, fb, gb)
             return loss.sum(), {name: grads_a[name] + grads_b[name] for name in grads_a}
 
@@ -936,8 +936,8 @@ class TestBatchedGradients:
         loss_fn, arg = (loss_ntxent, 0.5) if method == "simclr" else (loss_barlow, 0.05)
         both = forward(params, spec, views)
         fa, fb = forward(params, spec, views[0]), forward(params, spec, views[1])
-        assert both.z.tobytes() == np.stack([fa.z, fb.z]).tobytes()
-        _, ga, gb = loss_fn(fa.z, fb.z, arg)
+        assert both.pre[-1].tobytes() == np.stack([fa.pre[-1], fb.pre[-1]]).tobytes()
+        _, ga, gb = loss_fn(fa.pre[-1], fb.pre[-1], arg)
         grads_a, grads_b = backward(params, spec, fa, ga), backward(params, spec, fb, gb)
         for name, g in backward(params, spec, both, np.stack([ga, gb])).items():
             assert (g[0] + g[1]).tobytes() == (grads_a[name] + grads_b[name]).tobytes()

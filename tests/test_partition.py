@@ -16,13 +16,10 @@ from fedsim.partition import (
     Dataset,
     PartitionSpec,
     allocate_counts,
-    dirichlet_partition,
-    iid_partition,
     load_csv,
     make_blobs,
     partition,
     save_partition_manifest,
-    single_class_partition,
     split_train_test,
 )
 
@@ -88,12 +85,12 @@ class TestMakeBlobs:
 class TestIid:
     def test_disjoint_cover(self):
         ds = make_blobs(3, 17, 2, 1.0, seed=3)
-        parts = iid_partition(ds, PartitionSpec("iid", num_clients=4, seed=5))
+        parts = partition(ds, PartitionSpec("iid", num_clients=4, seed=5))
         assert assert_disjoint(parts) == set(range(len(ds)))
 
     def test_sizes_even(self):
         ds = make_blobs(2, 11, 2, 1.0, seed=3)
-        parts = iid_partition(ds, PartitionSpec("iid", num_clients=4, seed=5))
+        parts = partition(ds, PartitionSpec("iid", num_clients=4, seed=5))
         sizes = sorted(len(p) for p in parts)
         assert sizes == [5, 5, 6, 6]
 
@@ -103,7 +100,7 @@ class TestDirichlet:
         counts = []
         for seed in range(20):
             ds = make_blobs(2, 100, 2, 1.0, seed=seed)
-            parts = dirichlet_partition(ds, PartitionSpec("dirichlet", 2, alpha=1e6, seed=seed))
+            parts = partition(ds, PartitionSpec("dirichlet", 2, alpha=1e6, seed=seed))
             for part in parts:
                 labels = ds.labels[np.asarray(part)]
                 counts.append((labels == 0).sum())
@@ -112,7 +109,7 @@ class TestDirichlet:
 
     def test_single_client_gets_everything(self):
         ds = make_blobs(3, 10, 2, 1.0, seed=1)
-        parts = dirichlet_partition(ds, PartitionSpec("dirichlet", 1, alpha=0.5, seed=1))
+        parts = partition(ds, PartitionSpec("dirichlet", 1, alpha=0.5, seed=1))
         assert parts == [sorted(range(len(ds)))]
 
     def test_low_alpha_is_more_heterogeneous(self):
@@ -120,7 +117,7 @@ class TestDirichlet:
         def mean_entropy(alpha):
             values = []
             for seed in range(20):
-                parts = dirichlet_partition(ds, PartitionSpec("dirichlet", 10, alpha=alpha, seed=seed))
+                parts = partition(ds, PartitionSpec("dirichlet", 10, alpha=alpha, seed=seed))
                 values.extend(label_entropy(ds.labels[np.asarray(p)]) for p in parts)
             return np.mean(values)
         assert mean_entropy(0.1) < mean_entropy(10.0)
@@ -130,13 +127,13 @@ class TestDirichlet:
         for _ in range(10):
             ds = make_blobs(int(rng.integers(2, 6)), int(rng.integers(5, 40)), 2, 1.0, seed=int(rng.integers(1000)))
             spec = PartitionSpec("dirichlet", int(rng.integers(2, 6)), alpha=float(rng.uniform(0.1, 5)), seed=int(rng.integers(1000)))
-            parts = dirichlet_partition(ds, spec)
+            parts = partition(ds, spec)
             assert assert_disjoint(parts) == set(range(len(ds)))
 
     def test_min_samples_floor(self):
         ds = make_blobs(4, 50, 2, 1.0, seed=9)
         spec = PartitionSpec("dirichlet", 10, alpha=0.05, seed=11, min_samples=2)
-        parts = dirichlet_partition(ds, spec)
+        parts = partition(ds, spec)
         assert min(len(p) for p in parts) >= 2
         assert assert_disjoint(parts) == set(range(len(ds)))
 
@@ -144,26 +141,26 @@ class TestDirichlet:
         # No one of this spec's 1,000 draws gives every client 5 samples, so the largest clients top up the rest.
         ds = Dataset(np.zeros((20, 2)), np.repeat([0, 1], 10), 2)
         spec = PartitionSpec("dirichlet", 4, alpha=0.01, seed=3, min_samples=5)
-        parts = dirichlet_partition(ds, spec)
+        parts = partition(ds, spec)
         assert assert_disjoint(parts) == set(range(20))
         assert [len(p) for p in parts] == [5, 5, 5, 5]
-        assert dirichlet_partition(ds, spec) == parts
+        assert partition(ds, spec) == parts
 
     def test_determinism(self):
         ds = make_blobs(5, 30, 2, 1.0, seed=2)
         spec = PartitionSpec("dirichlet", 5, alpha=0.3, seed=21)
-        assert dirichlet_partition(ds, spec) == dirichlet_partition(ds, spec)
+        assert partition(ds, spec) == partition(ds, spec)
 
     def test_empty_dataset_rejected(self):
         ds = make_blobs(2, 1, 2, 1.0, seed=0).subset([])
         with pytest.raises(ValueError):
-            dirichlet_partition(ds, PartitionSpec("dirichlet", 2, alpha=1.0))
+            partition(ds, PartitionSpec("dirichlet", 2, alpha=1.0))
 
 
 class TestSingleClass:
     def test_two_classes_two_clients(self):
         ds = make_blobs(2, 20, 2, 1.0, seed=5)
-        parts = single_class_partition(ds, PartitionSpec("single_class", 2, seed=0))
+        parts = partition(ds, PartitionSpec("single_class", 2, seed=0))
         assert set(ds.labels[np.asarray(parts[0])]) == {0}
         assert set(ds.labels[np.asarray(parts[1])]) == {1}
         assert assert_disjoint(parts) == set(range(len(ds)))
@@ -172,7 +169,7 @@ class TestSingleClass:
         features = np.zeros((180, 2))
         labels = np.array([0] * 100 + [1] * 80)
         ds = Dataset(features, labels, 2)
-        parts = single_class_partition(ds, PartitionSpec("single_class", 2, seed=0))
+        parts = partition(ds, PartitionSpec("single_class", 2, seed=0))
         assert len(parts[0]) == len(parts[1]) == 80
 
     def test_labels_constant_within_client(self):
@@ -181,14 +178,14 @@ class TestSingleClass:
             c = int(rng.integers(2, 7))
             ds = make_blobs(c, int(rng.integers(5, 30)), 2, 1.0, seed=int(rng.integers(1000)))
             m = int(rng.integers(2, c + 1))
-            parts = single_class_partition(ds, PartitionSpec("single_class", m, seed=3))
+            parts = partition(ds, PartitionSpec("single_class", m, seed=3))
             for part in parts:
                 assert len(set(ds.labels[np.asarray(part)])) == 1
 
     def test_class_reuse_splits_disjointly(self):
         ds = make_blobs(8, 200, 2, 1.0, seed=7)
         spec = PartitionSpec("single_class", 10, seed=1, allow_class_reuse=True)
-        parts = single_class_partition(ds, spec)
+        parts = partition(ds, spec)
         assert_disjoint(parts)
         # shared classes split 200 into 100+100; everyone truncates to 100
         assert all(len(p) == 100 for p in parts)
@@ -200,12 +197,12 @@ class TestSingleClass:
         ds = make_blobs(2, 10, 2, 1.0, seed=8)
         spec = PartitionSpec("single_class", 10**12, allow_class_reuse=True)
         with pytest.raises(ValueError, match=f"^20 samples cannot give {10**12} clients at least 1 each$"):
-            single_class_partition(ds, spec)
+            partition(ds, spec)
 
     def test_more_clients_than_classes_needs_flag(self):
         ds = make_blobs(2, 10, 2, 1.0, seed=8)
         with pytest.raises(ValueError, match="allow_class_reuse"):
-            single_class_partition(ds, PartitionSpec("single_class", 3))
+            partition(ds, PartitionSpec("single_class", 3))
 
 
 class TestDispatchAndManifest:
