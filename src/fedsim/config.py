@@ -20,7 +20,7 @@ from typing import Any, Callable, Union, get_args, get_origin, get_type_hints
 from .aggregation import RULES, AggregationSpec
 from .evaluation import EvalSpec
 from .learners import ModelSpec, TrainerSpec, validate_model_for_trainer
-from .partition import PartitionSpec
+from .partition import PartitionSpec, _require_rows
 
 # Strategies that get the two-round fedavg warm-up by default: the per-layer ones.
 WARMUP_DEFAULT_STRATEGIES = tuple(s for s, (_, scale) in RULES.items() if scale == "layer")
@@ -55,6 +55,8 @@ class BlobsConfig:
             object.__setattr__(self, "test_samples_per_class", max(1, self.samples_per_class // 5))
         if self.test_samples_per_class < 1:
             raise ValueError("test_samples_per_class must be >= 1")
+        for count in (self.samples_per_class, self.test_samples_per_class):
+            _require_rows(self.num_classes, count)
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .learners import ModelSpec, backward, forward, init_params, loss_xent, require_layers, sgd_step
+from .learners import ModelSpec, backward, encode, forward, init_params, loss_xent, require_layers, sgd_step
 from .params import ParamSet, segments
 from .partition import Dataset, allocate_counts
 
@@ -118,9 +118,9 @@ def linear_probe(
             raise ValueError(f"fraction {fraction} yields {n_take} samples for {c} classes")
         rng = np.random.default_rng([int(spec.eval_seed), 0x5EED])
         subset = stratified_subset(train_ds.labels, fraction, rng)
-        feats = forward(encoder_params, encoder, train_ds.features[subset]).pre[-1]
+        feats = encode(encoder_params, encoder, train_ds.features[subset])
         draws.append((feats, train_ds.labels[subset], rng))
-    test_feats = forward(encoder_params, encoder, test_ds.features).pre[-1]
+    test_feats = encode(encoder_params, encoder, test_ds.features)
     accs = []
     for feats, labels, rng in draws:
         if not (np.isfinite(feats).all() and np.isfinite(test_feats).all()):

@@ -235,6 +235,17 @@ def forward(params: Mapping[str, np.ndarray], spec: ModelSpec, batch: np.ndarray
     return ForwardPass(inputs, pre)
 
 
+def encode(params: Mapping[str, np.ndarray], spec: ModelSpec, x: np.ndarray) -> np.ndarray:
+    """``forward(params, spec, x).pre[-1]`` for a (B, D) ``x``, when no backward pass follows.
+
+    An activated layer's input is the layer before's output, activated in
+    place, so the pass holds one array per layer where ``forward`` holds two.
+    """
+    pre = [np.empty((len(x), fan_out)) for _, _, fan_out, _ in _layers(spec)]
+    aliased = ForwardPass([pre[i - 1] if activated else None for i, (*_, activated) in enumerate(_layers(spec))], pre)
+    return forward(params, spec, x, aliased).pre[-1]
+
+
 def backward(
     params: Mapping[str, np.ndarray], spec: ModelSpec, fp: ForwardPass, grad: np.ndarray, out=None
 ) -> dict[str, np.ndarray]:
@@ -490,9 +501,10 @@ class Workspace:
     a batch size at it a contiguous run, so every group is a slice, never a
     gather. The per-batch arrays (inputs, SSL views and mask draws, dz, each
     layer's outputs and activations) are sized (views, K, batch_size, width);
-    rows lo:hi at batch size b use their ``[..., lo:hi, :b]`` views. A round
-    of another K, batch size or model makes them anew. Every step overwrites
-    them, so nothing returned is a view of them.
+    rows lo:hi at batch size b use their ``[..., lo:hi, :b]`` views. A
+    supervised round makes no views and one gradient block, ``sgd_step``'s
+    scratch. A round of another K, batch size or model makes them anew.
+    Every step overwrites them, so nothing returned is a view of them.
     """
 
     _size: tuple = ()  # (width, model, is_ssl, rows, batch size) of the arrays
@@ -505,9 +517,9 @@ class Workspace:
             return
         self._size, lead, layers = size, (2,) if trainer.is_ssl else (), _layers(model)  # lead: a views axis
         self.rows = np.empty((3, k, width))  # weights, velocities, gradients
-        self.dw = np.empty((2, k, width))  # each SSL view's gradients; dw[0] is sgd_step's scratch too
+        self.dw = np.empty((2 if lead else 1, k, width))  # each SSL view's gradients; dw[0] is sgd_step's scratch too
         self.x = np.empty((k, b, model.input_dim))
-        self.views = np.empty((2, *lead, k, b, model.input_dim))  # SSL views, then their mask draws
+        self.views = np.empty((2, *lead, k, b, model.input_dim)) if lead else None  # SSL views, then their mask draws
         self.pre = [np.empty((*lead, k, b, fan_out)) for _, _, fan_out, _ in layers]
         self.act = [np.empty((*lead, k, b, fan_in)) if activated else None for _, fan_in, _, activated in layers]
         self.dz = np.empty((*lead, k, b, layers[-1][2]))

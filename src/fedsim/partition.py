@@ -6,6 +6,7 @@ import csv
 import io
 import json
 import math
+import re
 import sys
 from dataclasses import dataclass
 from typing import Sequence
@@ -185,6 +186,12 @@ def partition(ds: Dataset, spec: PartitionSpec) -> list[list[int]]:
     return _PARTITIONERS[spec.scheme](ds, spec)
 
 
+def _require_rows(num_classes: int, samples_per_class: int) -> None:
+    """Refuse a blobs row total that no array holds (``np.repeat`` would wrap or overflow)."""
+    if num_classes * samples_per_class > (most := np.iinfo(np.intp).max):
+        raise ValueError(f"{num_classes} classes of {samples_per_class} samples exceed the {most} rows of an array")
+
+
 def make_blobs(
     num_classes: int,
     samples_per_class: int,
@@ -203,8 +210,7 @@ def make_blobs(
         raise ValueError("num_classes, samples_per_class and dim must be positive")
     if spread < 0:
         raise ValueError("spread must be >= 0")
-    if num_classes * samples_per_class > (most := np.iinfo(np.intp).max):  # np.repeat would wrap or overflow
-        raise ValueError(f"{num_classes} classes of {samples_per_class} samples exceed the {most} rows of an array")
+    _require_rows(num_classes, samples_per_class)
     means = np.zeros((num_classes, dim))
     for c in range(num_classes):
         means[c, c % dim] = separation * (1 + c // dim)
@@ -216,26 +222,42 @@ def make_blobs(
 
 # The characters of a plain numeric CSV body (see _is_plain).
 _PLAIN = b"0123456789+-.eE, \t\r\n"
+_BLOCK = 1 << 16  # bytes _is_plain reads at a time
+_ROW_BYTE = re.compile(rb"[^\r\n]")  # np.loadtxt warns on input without one
 
 
-def _is_plain(text: str) -> bool:
-    """Whether ``np.loadtxt`` reads ``text`` exactly as the row-by-row parse does.
+def _is_plain(data: bytes, start: int) -> bool:
+    """Whether ``np.loadtxt`` reads ``data[start:]`` exactly as the row-by-row parse does.
 
     On text of ``_PLAIN`` characters alone, with no line longer than the csv
     field limit or int()'s digit limit, both accept the same cells and read
     the same values. Other text (quotes, letters, other whitespace, non-ASCII)
     takes its values from the row-by-row parse: numpy's integer parser, for
-    one, reads some non-ASCII letters as digits.
+    one, reads some non-ASCII letters as digits. The bytes are read in
+    blocks, so no temporary is file-sized.
     """
-    if not text.isascii():
-        return False
-    data = text.encode("ascii")
-    if data.translate(None, _PLAIN):
-        return False
-    codes = np.frombuffer(data, np.uint8)
-    ends = np.flatnonzero((codes == 10) | (codes == 13))
-    longest = int(np.diff(ends, prepend=-1, append=codes.size).max()) - 1
-    return longest <= min(csv.field_size_limit(), sys.get_int_max_str_digits() or csv.field_size_limit())
+    limit = min(csv.field_size_limit(), sys.get_int_max_str_digits() or csv.field_size_limit())
+    last = start - 1  # the last line end seen
+    for lo in range(start, len(data), _BLOCK):
+        block = data[lo : lo + _BLOCK]
+        if block.translate(None, _PLAIN):
+            return False
+        codes = np.frombuffer(block, np.uint8)
+        ends = np.flatnonzero((codes == 10) | (codes == 13)) + lo
+        if np.diff(ends, prepend=last).max(initial=0) > limit + 1:
+            return False
+        last = ends[-1] if ends.size else last
+    return len(data) - last - 1 <= limit
+
+
+def _body(data: bytes, start: int) -> io.TextIOWrapper:
+    """A text stream of ``data`` from byte ``start`` that shares its buffer and decodes it a block at a time.
+
+    Its lines split as a text-mode read's split.
+    """
+    stream = io.BytesIO(data)
+    stream.seek(start)
+    return io.TextIOWrapper(stream, encoding="utf-8", newline="")
 
 
 def _csv_rows(reader, path, skipped_lines: int = 0):
@@ -278,32 +300,42 @@ def _parse_rows(rows, path, width: int, num_classes: int) -> tuple[list[list[flo
 def load_csv(path, num_classes: int) -> Dataset:
     """Parse a dataset from CSV: header row, float feature columns, final integer label column.
 
-    Row order is preserved. The data rows are parsed in one ``np.loadtxt``
-    call and checked in bulk; only when that fails (or the text is not plain
-    numeric CSV) are they parsed row by row, and a bad row raises naming its
-    line. Feature cells must be finite, and cells ``np.loadtxt`` refuses
-    (such as ``1_0``) raise naming the file. Labels must lie in
+    Row order is preserved. The file is read once, as bytes. The data rows
+    are parsed in one ``np.loadtxt`` call over a stream that shares those
+    bytes and checked in bulk; only when that fails (or the text is not
+    plain numeric CSV) are they parsed row by row, and a bad row raises
+    naming its line. Feature cells must be finite, and cells ``np.loadtxt``
+    refuses (such as ``1_0``) raise naming the file. Labels must lie in
     [0, ``num_classes``).
     """
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(_csv_rows(reader, path), None)
-            text = fh.read()
-        except UnicodeDecodeError as exc:
-            raise ValueError(f"{path}: not UTF-8 text ({exc})") from exc
-        header_lines = reader.line_num
+    features, labels = _read_csv(path, num_classes)  # the file's bytes are freed before the Dataset copies
+    return Dataset(features, labels, num_classes)
+
+
+def _read_csv(path, num_classes: int) -> tuple[np.ndarray, np.ndarray]:
+    """``load_csv``'s features and labels, as arrays or views of one."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    lines = _body(raw, 0)
+    taken: list[str] = []  # the lines the header row spans
+    reader = csv.reader(taken.append(line) or line for line in lines)
+    try:
+        header = next(_csv_rows(reader, path), None)
+        if not raw.isascii():
+            lines.read()  # decodes the rest as a text-mode read does, so a bad byte raises here, with its message
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text ({exc})") from exc
     if header is None:
         raise ValueError(f"{path}: empty file")
     if len(header) < 2:
         raise ValueError(f"{path}: need at least one feature column and a label column")
-    width = len(header)
+    width, start = len(header), len("".join(taken).encode())
     data, cause = None, None
-    if text.strip("\r\n"):  # np.loadtxt warns on input without data rows
+    if _ROW_BYTE.search(raw, start):
         row = np.dtype([("x", np.float64, (width - 1,)), ("y", np.int64)])
         try:
             data = np.loadtxt(
-                io.StringIO(text, newline=""), dtype=row, delimiter=",", quotechar='"', comments=None, ndmin=1
+                _body(raw, start), dtype=row, delimiter=",", quotechar='"', comments=None, ndmin=1
             )
         except ValueError as exc:
             cause = exc
@@ -312,17 +344,16 @@ def load_csv(path, num_classes: int) -> Dataset:
         and np.isfinite(data["x"]).all()
         and data["y"].min() >= 0
         and data["y"].max() < num_classes
-        and _is_plain(text)
+        and _is_plain(raw, start)
     ):
-        features, labels = data["x"], data["y"]
-    else:
-        rows = _csv_rows(csv.reader(io.StringIO(text, newline="")), path, header_lines)
-        features, labels = _parse_rows(rows, path, width, num_classes)
-        if cause is not None:
-            raise ValueError(f"{path}: {cause}") from cause
+        return data["x"], data["y"]
+    rows = _csv_rows(csv.reader(_body(raw, start)), path, reader.line_num)
+    features, labels = _parse_rows(rows, path, width, num_classes)
+    if cause is not None:
+        raise ValueError(f"{path}: {cause}") from cause
     if not len(labels):
         raise ValueError(f"{path}: no data rows")
-    return Dataset(np.asarray(features), np.asarray(labels), num_classes)
+    return np.asarray(features), np.asarray(labels)
 
 
 def split_train_test(ds: Dataset, test_fraction: float, seed: int) -> tuple[Dataset, Dataset]:

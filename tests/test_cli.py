@@ -618,17 +618,17 @@ class TestProbeCommand:
     def test_several_fractions_check_and_encode_the_test_set_once(self, tmp_path, capsys, monkeypatch):
         test_features = build_datasets(parse_config(minimal_raw(tmp_path)))[1].features
         calls = {"test_passes": 0, "layer_checks": 0}
-        forward, require_layers = evaluation.forward, evaluation.require_layers
+        encode, require_layers = evaluation.encode, evaluation.require_layers
 
-        def counting_forward(params, spec, batch):
-            calls["test_passes"] += np.array_equal(batch, test_features)
-            return forward(params, spec, batch)
+        def counting_encode(params, spec, x):
+            calls["test_passes"] += np.array_equal(x, test_features)
+            return encode(params, spec, x)
 
         def counting_require_layers(params, spec):
             calls["layer_checks"] += 1
             return require_layers(params, spec)
 
-        monkeypatch.setattr(evaluation, "forward", counting_forward)
+        monkeypatch.setattr(evaluation, "encode", counting_encode)
         monkeypatch.setattr(evaluation, "require_layers", counting_require_layers)
         assert main(self.probe_argv(tmp_path, *self.FRACTIONS)) == 0
         assert len(capsys.readouterr().out.splitlines()) == 1 + len(self.FRACTIONS)
@@ -768,6 +768,15 @@ ERROR_PATHS = {
     ),
     "run_blobs_test_rows_wrap_int64": (
         ["run", "--config", CONFIG, "--set", "dataset.num_classes=8", "--set",
+         f"dataset.test_samples_per_class={2**61}"],
+        1, f"8 classes of {2**61} samples exceed the {2**63 - 1} rows of an array",
+    ),
+    "validate_blobs_rows_wrap_int64": (
+        ["validate", "--config", CONFIG, "--set", "dataset.num_classes=8", "--set", f"dataset.samples_per_class={2**61}"],
+        1, f"8 classes of {2**61} samples exceed the {2**63 - 1} rows of an array",
+    ),
+    "validate_blobs_test_rows_wrap_int64": (
+        ["validate", "--config", CONFIG, "--set", "dataset.num_classes=8", "--set",
          f"dataset.test_samples_per_class={2**61}"],
         1, f"8 classes of {2**61} samples exceed the {2**63 - 1} rows of an array",
     ),

@@ -17,6 +17,7 @@ from fedsim.learners import (
     TrainerSpec,
     Workspace,
     backward,
+    encode,
     forward,
     init_params,
     layer_names,
@@ -102,6 +103,15 @@ class TestForward:
         params = init_params(spec, np.random.default_rng(0))
         with pytest.raises(ValueError, match="width"):
             forward(params, spec, np.ones((2, 5)))
+
+    @settings(derandomize=True, deadline=None, database=None, max_examples=60)
+    @given(dims=st.lists(st.integers(1, 6), min_size=2, max_size=5), activation=st.sampled_from(["relu", "tanh"]),
+           rows=st.integers(1, 9), seed=st.integers(0, 2**16))
+    def test_encode_gives_the_bytes_of_a_plain_pass(self, dims, activation, rows, seed):
+        rng = np.random.default_rng(seed)
+        spec = ModelSpec(tuple(dims), activation=activation)
+        params, x = init_params(spec, rng), rng.normal(size=(rows, dims[0]))
+        assert encode(params, spec, x).tobytes() == forward(params, spec, x).pre[-1].tobytes()
 
     def test_layer_names_order(self):
         spec = ModelSpec((3, 4, 2), projector_dims=(2, 2))
@@ -1062,6 +1072,16 @@ class TestWorkspace:
         # every round's result is its own: later rounds through the workspace leave it as it was
         for kept, fresh in results:
             assert kept.weights.tobytes() == fresh.tobytes()
+
+    @pytest.mark.parametrize("method, blocks", [("supervised", 1), ("simclr", 2), ("barlow_twins", 2)])
+    def test_only_an_ssl_round_makes_views_and_a_second_gradient_block(self, method, blocks):
+        spec = {"method": method, "activation": "relu", "hidden": 5, "sizes": [6, 9], "batch_size": 4,
+                "local_epochs": 1}
+        clients, trainer, model = self.round(0, 0, spec)
+        workspace = Workspace()
+        self.train(0, 0, clients, trainer, model, workspace)
+        assert workspace.dw.shape == (blocks, 2, clients[0][2].num_params)
+        assert (workspace.views is None) == (method == "supervised")
 
 
 class TestSpecValidation:

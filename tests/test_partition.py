@@ -1,13 +1,17 @@
 """Blob generation, CSV ingestion, and Non-IID partition invariants."""
 
 import csv
+import io
 import json
+import sys
 import tempfile
+import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fedsim.config import ConfigError
@@ -15,6 +19,8 @@ from fedsim.config import ConfigError
 from fedsim.partition import (
     Dataset,
     PartitionSpec,
+    _csv_rows,
+    _parse_rows,
     allocate_counts,
     load_csv,
     make_blobs,
@@ -399,6 +405,177 @@ class TestLoadCsvProperties:
             assert ds.features.shape == ref.features.shape
             np.testing.assert_array_equal(ds.labels, ref.labels)
             assert ds.num_classes == ref.num_classes
+
+
+def previous_is_plain(text: str) -> bool:
+    """The plain-text test ``previous_load_csv`` makes on the decoded body."""
+    if not text.isascii():
+        return False
+    data = text.encode("ascii")
+    if data.translate(None, b"0123456789+-.eE, \t\r\n"):
+        return False
+    codes = np.frombuffer(data, np.uint8)
+    ends = np.flatnonzero((codes == 10) | (codes == 13))
+    longest = int(np.diff(ends, prepend=-1, append=codes.size).max()) - 1
+    return longest <= min(csv.field_size_limit(), sys.get_int_max_str_digits() or csv.field_size_limit())
+
+
+def previous_load_csv(path, num_classes):
+    """``load_csv`` as it was before it read bytes first: a text-mode read and ``np.loadtxt`` over a ``StringIO``."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(_csv_rows(reader, path), None)
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: not UTF-8 text ({exc})") from exc
+        header_lines = reader.line_num
+    if header is None:
+        raise ValueError(f"{path}: empty file")
+    if len(header) < 2:
+        raise ValueError(f"{path}: need at least one feature column and a label column")
+    width = len(header)
+    data, cause = None, None
+    if text.strip("\r\n"):
+        row = np.dtype([("x", np.float64, (width - 1,)), ("y", np.int64)])
+        try:
+            data = np.loadtxt(
+                io.StringIO(text, newline=""), dtype=row, delimiter=",", quotechar='"', comments=None, ndmin=1
+            )
+        except ValueError as exc:
+            cause = exc
+    if (
+        data is not None
+        and np.isfinite(data["x"]).all()
+        and data["y"].min() >= 0
+        and data["y"].max() < num_classes
+        and previous_is_plain(text)
+    ):
+        features, labels = data["x"], data["y"]
+    else:
+        rows = _csv_rows(csv.reader(io.StringIO(text, newline="")), path, header_lines)
+        features, labels = _parse_rows(rows, path, width, num_classes)
+        if cause is not None:
+            raise ValueError(f"{path}: {cause}") from cause
+    if not len(labels):
+        raise ValueError(f"{path}: no data rows")
+    return Dataset(np.asarray(features), np.asarray(labels), num_classes)
+
+
+def outcome(load, path, num_classes):
+    """What ``load`` gives: the dataset's bytes, or the exception's type and message; and the warnings it raised."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            ds = load(path, num_classes)
+            result = (ds.features.tobytes(), ds.features.shape, ds.labels.tobytes(), ds.num_classes)
+        except Exception as exc:  # noqa: BLE001 - the type is part of the outcome
+            result = (type(exc), str(exc))
+    return result, [(w.category, str(w.message)) for w in caught]
+
+
+BAD_BYTES = st.sampled_from([b"\xff", b"\x80", b"\xc3", b"\xe2\x82", b"\xed\xa0\x80"])  # invalid or cut-off sequences
+
+
+@st.composite
+def finite_tables(draw):
+    """A header and rows of finite features and labels 0 or 1, each line ended by "\\n" or "\\r\\n"."""
+    width = draw(st.integers(1, 3))
+    cell = st.floats(allow_nan=False, allow_infinity=False).map(repr) | st.integers(-99, 99).map(str)
+    row = st.tuples(st.lists(cell, min_size=width, max_size=width), st.sampled_from(["0", "1"]))
+    rows = [[f"x{i}" for i in range(width)] + ["label"]]
+    rows += [x + [y] for x, y in draw(st.lists(row, min_size=1, max_size=4))]
+    return "".join(",".join(r) + draw(st.sampled_from(["\n", "\r\n"])) for r in rows)
+
+
+@st.composite
+def csv_bytes(draw):
+    """A ``csv_texts()`` or finite table's UTF-8 bytes.
+
+    They come as they are, or with a BOM, a non-UTF-8 byte, only "\\r" line ends or only their header line.
+    """
+    data = draw(csv_texts() | finite_tables()).encode("utf-8")
+    kind = draw(st.sampled_from(["utf-8", "bom", "bad header", "bad body", "cr only", "header only"]))
+    if kind == "bom":
+        return b"\xef\xbb\xbf" + data
+    header, end, body = data.partition(b"\n")
+    if kind == "bad header":
+        at = draw(st.integers(0, len(header)))
+        return header[:at] + draw(BAD_BYTES) + header[at:] + end + body
+    if kind == "bad body":
+        at = draw(st.integers(0, len(body)))
+        return header + b"\n" + body[:at] + draw(BAD_BYTES) + body[at:]
+    if kind == "cr only":
+        return data.replace(b"\r\n", b"\r").replace(b"\n", b"\r")
+    if kind == "header only":
+        return header + draw(st.sampled_from([b"", b"\n", b"\r\n\r\n", b"\r", b"\n\r\n"]))
+    return data
+
+
+def table_bytes(rows: int, row_end: bytes = b"\n") -> bytes:
+    """A plain numeric table with a header: ``rows`` rows of 32 features and a label of 16 classes."""
+    rng = np.random.default_rng(rows)
+    out = io.BytesIO()
+    header = ",".join([f"f{j}" for j in range(32)] + ["label"])
+    np.savetxt(out, np.column_stack([rng.normal(size=(rows, 32)), rng.integers(0, 16, rows)]),
+               fmt=["%.5f"] * 32 + ["%d"], delimiter=",", header=header, comments="", newline=row_end.decode())
+    return out.getvalue()
+
+
+class TestLoadCsvMatchesThePreviousLoader:
+    """Bytes first, the loader accepts and refuses what the text-mode one did, with the same values and messages."""
+
+    @settings(derandomize=True, deadline=None, database=None, max_examples=400)
+    @given(data=csv_bytes(), num_classes=st.integers(2, 5))
+    @example(data="x0,label\n1,0\n\u0661,1\n".encode(), num_classes=2)  # float() reads the digit; numpy names it
+    def test_same_outcome_on_any_bytes(self, data, num_classes):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "data.csv"
+            path.write_bytes(data)
+            assert outcome(load_csv, path, num_classes) == outcome(previous_load_csv, path, num_classes)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            "plain", "crlf", "cr only", "bad byte past the first 8 KiB", "bad byte past 16 KiB", "non-ASCII header",
+            "label line past the digit limit across a block", "feature cell of 4,300 digits",
+            "1_0 far down", "letter far down",
+        ],
+    )
+    def test_same_outcome_on_files_past_one_block(self, tmp_path, edit):
+        data = table_bytes(400, b"\r\n" if edit == "crlf" else b"\r" if edit == "cr only" else b"\n")  # ~110 KB
+        cut = data.rfind(b"\n", 0, 64_000) + 1  # a line start: a line of 4,000 bytes put here crosses byte 65,536
+        if edit.startswith("bad byte"):
+            at = 9_000 if "8 KiB" in edit else 17_000
+            data = data[:at] + b"\xff" + data[at:]
+        elif edit == "non-ASCII header":
+            data = data.replace(b"f0,", "f\u00e9,".encode(), 1)
+        elif edit == "label line past the digit limit across a block":
+            data = data[:cut] + b"1.0" + b",0" * 31 + b"," + b"0" * 4_400 + b"1\n" + data[cut:]
+        elif edit == "feature cell of 4,300 digits":
+            data = data[:cut] + b"0" * 4_299 + b"1" + b",0" * 31 + b",1\n" + data[cut:]
+        elif edit == "1_0 far down":
+            data = data[:cut] + b"1_0" + b",0" * 32 + b"\n" + data[cut:]
+        elif edit == "letter far down":
+            data = data[:cut] + b"x" + b",0" * 32 + b"\n" + data[cut:]
+        path = tmp_path / "table.csv"
+        path.write_bytes(data)
+        assert outcome(load_csv, path, 16) == outcome(previous_load_csv, path, 16)
+
+
+def test_traced_peak_of_a_cross_device_sized_file(tmp_path):
+    # xdevice_supervised's file: 16,000 rows of 32 features and a label, about 4.4 MB. The text-mode loader
+    # traced about 26.7 MB (a UCS4 StringIO buffer and file-sized temporaries); the bytes-first one about 9.2 MB.
+    path = tmp_path / "train.csv"
+    path.write_bytes(table_bytes(16_000))
+    tracemalloc.start()
+    try:
+        ds = load_csv(path, 16)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ds.features.shape == (16_000, 32)
+    assert peak <= 14e6
 
 
 class TestSplitTrainTest:
