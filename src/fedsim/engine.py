@@ -104,10 +104,9 @@ class RoundRecord:
 
 @dataclass
 class RunState:
-    """Mutable state threaded through the round loop."""
+    """Mutable state threaded through the round loop; the next round's index is ``len(history)``."""
 
     global_params: ParamSet
-    round_index: int = 0
     history: list[RoundRecord] = field(default_factory=list)
     client_models: dict[int, ParamSet] = field(default_factory=dict)
 
@@ -169,7 +168,7 @@ class FederatedRunner:
 
     def run_round(self, state: RunState) -> RunState:
         cfg = self.cfg
-        r = state.round_index
+        r = len(state.history)
         ids = sample_clients(cfg.total_clients, cfg.clients_per_round, r, cfg.run_seed)
         threshold = cfg.aggregation.fedu_threshold  # None: FedU off
         clients, adopted = [], {}
@@ -220,7 +219,7 @@ class FederatedRunner:
             except ValueError as exc:
                 raise RuntimeError(f"round {r}: linear probe: {exc}") from exc
         history = state.history + [record]
-        return RunState(new_global, r + 1, history, client_models)
+        return RunState(new_global, history, client_models)
 
     def _should_probe(self, round_index: int) -> bool:
         every = self.cfg.evaluation.probe_every

@@ -117,9 +117,9 @@ def linear_probe(
         if n_take < c:
             raise ValueError(f"fraction {fraction} yields {n_take} samples for {c} classes")
         rng = np.random.default_rng([int(spec.eval_seed), 0x5EED])
-        subset = stratified_subset(train_ds.labels, fraction, rng)
-        feats = encode(encoder_params, encoder, train_ds.features[subset])
-        draws.append((feats, train_ds.labels[subset], rng))
+        rows = stratified_subset(train_ds.labels, fraction, rng)
+        rows = rows if len(rows) < len(train_ds) else slice(None)  # every row, in order: no gathered copy
+        draws.append((encode(encoder_params, encoder, train_ds.features[rows]), train_ds.labels[rows], rng))
     test_feats = encode(encoder_params, encoder, test_ds.features)
     accs = []
     for feats, labels, rng in draws:

@@ -126,8 +126,8 @@ def validate_model_for_trainer(model: ModelSpec, trainer: TrainerSpec) -> None:
 
 
 @functools.lru_cache(maxsize=64)
-def _layers(spec: ModelSpec) -> tuple[tuple[str, int, int, bool], ...]:
-    """The model's linear layers as (name prefix, fan_in, fan_out, activated), in parameter order.
+def _layers(spec: ModelSpec) -> tuple[tuple[str, str, int, int, bool], ...]:
+    """The model's linear layers as (weight name, bias name, fan_in, fan_out, activated), in parameter order.
 
     The encoder's layers come first, then the projector's or the head. Each
     layer's weight is (fan_in, fan_out) and its bias (fan_out,); ``activated``
@@ -142,7 +142,7 @@ def _layers(spec: ModelSpec) -> tuple[tuple[str, int, int, bool], ...]:
     ]
     if spec.head_classes is not None:
         layers.append(("head", spec.representation_dim, spec.head_classes, False))
-    return tuple(layers)
+    return tuple((f"{prefix}.weight", f"{prefix}.bias", *rest) for prefix, *rest in layers)
 
 
 def projector_start(layout: Layout) -> int:
@@ -157,16 +157,16 @@ def projector_start(layout: Layout) -> int:
 
 def layer_names(spec: ModelSpec) -> list[str]:
     """Canonical parameter order: encoder, projector, then head."""
-    return [f"{prefix}.{kind}" for prefix, *_ in _layers(spec) for kind in ("weight", "bias")]
+    return [name for weight, bias, *_ in _layers(spec) for name in (weight, bias)]
 
 
 def init_params(spec: ModelSpec, rng: np.random.Generator) -> ParamSet:
     """Uniform init in [-1/sqrt(fan_in), 1/sqrt(fan_in)] per layer."""
     arrays: dict[str, np.ndarray] = {}
-    for prefix, fan_in, fan_out, _ in _layers(spec):
+    for weight, bias, fan_in, fan_out, _ in _layers(spec):
         bound = 1.0 / math.sqrt(fan_in)
-        arrays[f"{prefix}.weight"] = rng.uniform(-bound, bound, size=(fan_in, fan_out))
-        arrays[f"{prefix}.bias"] = rng.uniform(-bound, bound, size=fan_out)
+        arrays[weight] = rng.uniform(-bound, bound, size=(fan_in, fan_out))
+        arrays[bias] = rng.uniform(-bound, bound, size=fan_out)
     return ParamSet.from_arrays(arrays)
 
 
@@ -176,8 +176,8 @@ def require_layers(params: ParamSet, spec: ModelSpec) -> None:
     Layers of ``params`` that ``spec`` does not have are ignored.
     """
     shapes = dict(params.layout)
-    for prefix, fan_in, fan_out, _ in _layers(spec):
-        for name, shape in ((f"{prefix}.weight", (fan_in, fan_out)), (f"{prefix}.bias", (fan_out,))):
+    for weight, bias, fan_in, fan_out, _ in _layers(spec):
+        for name, shape in ((weight, (fan_in, fan_out)), (bias, (fan_out,))):
             if name not in shapes:
                 raise IncompatibleModelError(f"missing layer {name!r}")
             if shapes[name] != shape:
@@ -203,11 +203,6 @@ class ForwardPass:
     pre: list[np.ndarray]  # raw linear outputs, per layer
 
 
-def _t(a: np.ndarray) -> np.ndarray:
-    """Transpose of the last two axes (of every stacked matrix)."""
-    return a.swapaxes(-1, -2)
-
-
 def forward(params: Mapping[str, np.ndarray], spec: ModelSpec, batch: np.ndarray, out=None) -> ForwardPass:
     """Run the full encoder (+projector or +head) chain on a batch; the output is ``pre[-1]``.
 
@@ -225,12 +220,12 @@ def forward(params: Mapping[str, np.ndarray], spec: ModelSpec, batch: np.ndarray
         )
     inputs: list[np.ndarray] = []
     pre: list[np.ndarray] = []
-    for i, (prefix, _, _, activated) in enumerate(_layers(spec)):
+    for i, (weight, bias, _, _, activated) in enumerate(_layers(spec)):
         if activated:
             a = _act(a, spec.activation, out and out.chain_inputs[i])
         inputs.append(a)
-        a = np.matmul(a, params[f"{prefix}.weight"], out=out and out.pre[i])
-        a += params[f"{prefix}.bias"][..., None, :]
+        a = np.matmul(a, params[weight], out=out and out.pre[i])
+        a += params[bias][..., None, :]
         pre.append(a)
     return ForwardPass(inputs, pre)
 
@@ -241,7 +236,7 @@ def encode(params: Mapping[str, np.ndarray], spec: ModelSpec, x: np.ndarray) -> 
     An activated layer's input is the layer before's output, activated in
     place, so the pass holds one array per layer where ``forward`` holds two.
     """
-    pre = [np.empty((len(x), fan_out)) for _, _, fan_out, _ in _layers(spec)]
+    pre = [np.empty((len(x), fan_out)) for *_, fan_out, _ in _layers(spec)]
     aliased = ForwardPass([pre[i - 1] if activated else None for i, (*_, activated) in enumerate(_layers(spec))], pre)
     return forward(params, spec, x, aliased).pre[-1]
 
@@ -258,11 +253,11 @@ def backward(
     """
     grads: dict[str, np.ndarray] = {} if out is None else out
     g = np.asarray(grad, dtype=np.float64)
-    for i, (prefix, _, _, activated) in reversed(list(enumerate(_layers(spec)))):
-        grads[f"{prefix}.weight"] = np.matmul(_t(fp.chain_inputs[i]), g, out=out and out[f"{prefix}.weight"])
-        grads[f"{prefix}.bias"] = g.sum(axis=-2, out=out and out[f"{prefix}.bias"])
+    for i, (weight, bias, _, _, activated) in reversed(list(enumerate(_layers(spec)))):
+        grads[weight] = np.matmul(fp.chain_inputs[i].mT, g, out=out and out[weight])
+        grads[bias] = g.sum(axis=-2, out=out and out[bias])
         if i > 0:
-            g = np.matmul(g, _t(params[f"{prefix}.weight"]), out=out and fp.chain_inputs[i])
+            g = np.matmul(g, params[weight].mT, out=out and fp.chain_inputs[i])
             if activated:
                 g *= _act_grad(fp.pre[i - 1], spec.activation, out and fp.pre[i - 1])
     return grads
@@ -341,7 +336,7 @@ def loss_ntxent(
 
     anchors = np.arange(2 * b)
     pos = (anchors + b) % (2 * b)
-    sim = (s @ _t(s)) / tau
+    sim = (s @ s.mT) / tau
     sim[..., anchors, anchors] = -np.inf  # anchors never pair with themselves
 
     row_max = _row_max(sim)
@@ -356,7 +351,7 @@ def loss_ntxent(
     soft /= 2 * b
     soft[..., anchors, anchors] = 0.0
 
-    grad_s = ((soft + _t(soft)) @ s) / tau
+    grad_s = ((soft + soft.mT) @ s) / tau
     # Through row normalization u = z/|z|: dz = (g - (g.u) u)/|z|, every row of both views at once.
     grad = (grad_s - (grad_s * s).sum(axis=-1, keepdims=True) * s) / norms
     return loss, grad[..., :b, :], grad[..., b:, :]
@@ -413,13 +408,13 @@ def loss_barlow(
 
     a_hat, a_centered, a_std = _standardize(z_a)
     b_hat, b_centered, b_std = _standardize(z_b)
-    corr = (_t(a_hat) @ b_hat) / n
+    corr = (a_hat.mT @ b_hat) / n
     loss = redundancy_loss_from_corr(corr, lam)
 
     dims = np.arange(corr.shape[-1])
     grad_corr = 2.0 * lam * corr
     grad_corr[..., dims, dims] = -2.0 * (1.0 - corr[..., dims, dims])
-    grad_a_hat = (b_hat @ _t(grad_corr)) / n
+    grad_a_hat = (b_hat @ grad_corr.mT) / n
     grad_b_hat = (a_hat @ grad_corr) / n
     grad_a = _standardize_backward(grad_a_hat, a_centered, a_std)
     grad_b = _standardize_backward(grad_b_hat, b_centered, b_std)
@@ -495,16 +490,17 @@ class _Session:
 class Workspace:
     """One round's local training, and the arrays it writes into, kept from one :func:`train_clients` call to the next.
 
-    The round's sessions are the first K rows of one (K, P) weight block with
+    The round's sessions are the K rows of one (K, P) weight block with
     its velocity and gradient blocks, sorted by (steps desc, last batch size
     desc): the rows taking step t of an epoch are a prefix, and those sharing
     a batch size at it a contiguous run, so every group is a slice, never a
     gather. The per-batch arrays (inputs, SSL views and mask draws, dz, each
     layer's outputs and activations) are sized (views, K, batch_size, width);
     rows lo:hi at batch size b use their ``[..., lo:hi, :b]`` views. A
-    supervised round makes no views and one gradient block, ``sgd_step``'s
-    scratch. A round of another K, batch size or model makes them anew.
-    Every step overwrites them, so nothing returned is a view of them.
+    supervised round makes no views, no dz and one gradient block,
+    ``sgd_step``'s scratch. A round of another K, batch size or model makes
+    them anew. Every step overwrites them, so nothing returned is a view of
+    them.
     """
 
     _size: tuple = ()  # (width, model, is_ssl, rows, batch size) of the arrays
@@ -519,25 +515,25 @@ class Workspace:
         self.rows = np.empty((3, k, width))  # weights, velocities, gradients
         self.dw = np.empty((2 if lead else 1, k, width))  # each SSL view's gradients; dw[0] is sgd_step's scratch too
         self.x = np.empty((k, b, model.input_dim))
-        self.views = np.empty((2, *lead, k, b, model.input_dim)) if lead else None  # SSL views, then their mask draws
-        self.pre = [np.empty((*lead, k, b, fan_out)) for _, _, fan_out, _ in layers]
-        self.act = [np.empty((*lead, k, b, fan_in)) if activated else None for _, fan_in, _, activated in layers]
-        self.dz = np.empty((*lead, k, b, layers[-1][2]))
+        self.views = np.empty((2, 2, k, b, model.input_dim)) if lead else None  # SSL views, then their mask draws
+        self.dz = np.empty((2, k, b, layers[-1][3])) if lead else None  # both views' output gradients
+        self.pre = [np.empty((*lead, k, b, fan_out)) for *_, fan_out, _ in layers]
+        self.act = [np.empty((*lead, k, b, fan_in)) if activated else None for *_, fan_in, _, activated in layers]
 
     def _train(self, sessions: list[_Session], inits: list[np.ndarray], layout: Layout,
                trainer: TrainerSpec, model: ModelSpec) -> np.ndarray:
         """Train the sorted ``sessions`` from ``inits``: each row's loss x batch size, summed over the final epoch.
 
-        The trained weights are left in ``rows[0, :K]``. The first ValueError of any row propagates.
+        The trained weights are left in ``rows[0]``. The first ValueError of any row propagates.
         """
         k = len(sessions)
         self._fit(k, len(inits[0]), model, trainer)
-        w, v, g = self.rows[:, :k]
+        w, v, g = self.rows
         np.stack(inits, out=w)
         v.fill(0.0)
         total = np.zeros(k)
         self._sessions = sessions
-        self._params, self._grads, self._view_grads = (segments(a, layout) for a in (w, g, self.dw[:, :k]))
+        self._params, self._grads, self._view_grads = (segments(a, layout) for a in (w, g, self.dw))
         train = trainer.local_epochs > 0
         hyper = (trainer.lr, trainer.momentum, trainer.weight_decay)
         for epoch in range(max(trainer.local_epochs, 1)):

@@ -229,25 +229,36 @@ _ROW_BYTE = re.compile(rb"[^\r\n]")  # np.loadtxt warns on input without one
 def _is_plain(data: bytes, start: int) -> bool:
     """Whether ``np.loadtxt`` reads ``data[start:]`` exactly as the row-by-row parse does.
 
-    On text of ``_PLAIN`` characters alone, with no line longer than the csv
+    On text of ``_PLAIN`` characters alone, with no cell longer than the csv
     field limit or int()'s digit limit, both accept the same cells and read
     the same values. Other text (quotes, letters, other whitespace, non-ASCII)
     takes its values from the row-by-row parse: numpy's integer parser, for
-    one, reads some non-ASCII letters as digits. The bytes are read in
-    blocks, so no temporary is file-sized.
+    one, reads some non-ASCII letters as digits. Cells are measured only when
+    a line passes the limit.
     """
     limit = min(csv.field_size_limit(), sys.get_int_max_str_digits() or csv.field_size_limit())
-    last = start - 1  # the last line end seen
+    line = _longest_run(data, start, b"\n\r")
+    return line is not None and (line <= limit or _longest_run(data, start, b"\n\r,") <= limit)
+
+
+def _longest_run(data: bytes, start: int, ends: bytes) -> int | None:
+    """The longest run of ``data[start:]`` between bytes of ``ends``; None if a byte is not ``_PLAIN``.
+
+    The bytes are read in blocks, so no temporary is file-sized.
+    """
+    last, longest = start - 1, 0  # the last end seen, and the longest run before it
     for lo in range(start, len(data), _BLOCK):
         block = data[lo : lo + _BLOCK]
         if block.translate(None, _PLAIN):
-            return False
+            return None
         codes = np.frombuffer(block, np.uint8)
-        ends = np.flatnonzero((codes == 10) | (codes == 13)) + lo
-        if np.diff(ends, prepend=last).max(initial=0) > limit + 1:
-            return False
-        last = ends[-1] if ends.size else last
-    return len(data) - last - 1 <= limit
+        is_end = codes == ends[0]
+        for end in ends[1:]:
+            is_end |= codes == end
+        at = np.flatnonzero(is_end) + lo
+        longest = max(longest, int(np.diff(at, prepend=last).max(initial=0)) - 1)
+        last = at[-1] if at.size else last
+    return max(longest, len(data) - last - 1)
 
 
 def _body(data: bytes, start: int) -> io.TextIOWrapper:

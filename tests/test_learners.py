@@ -1082,6 +1082,7 @@ class TestWorkspace:
         self.train(0, 0, clients, trainer, model, workspace)
         assert workspace.dw.shape == (blocks, 2, clients[0][2].num_params)
         assert (workspace.views is None) == (method == "supervised")
+        assert (workspace.dz is None) == (method == "supervised")
 
 
 class TestSpecValidation:

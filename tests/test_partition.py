@@ -14,8 +14,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from fedsim import partition as partition_module
 from fedsim.config import ConfigError
-
 from fedsim.partition import (
     Dataset,
     PartitionSpec,
@@ -512,13 +512,13 @@ def csv_bytes(draw):
     return data
 
 
-def table_bytes(rows: int, row_end: bytes = b"\n") -> bytes:
-    """A plain numeric table with a header: ``rows`` rows of 32 features and a label of 16 classes."""
+def table_bytes(rows: int, row_end: bytes = b"\n", features: int = 32) -> bytes:
+    """A plain numeric table with a header: ``rows`` rows of ``features`` features and a label of 16 classes."""
     rng = np.random.default_rng(rows)
     out = io.BytesIO()
-    header = ",".join([f"f{j}" for j in range(32)] + ["label"])
-    np.savetxt(out, np.column_stack([rng.normal(size=(rows, 32)), rng.integers(0, 16, rows)]),
-               fmt=["%.5f"] * 32 + ["%d"], delimiter=",", header=header, comments="", newline=row_end.decode())
+    header = ",".join([f"f{j}" for j in range(features)] + ["label"])
+    np.savetxt(out, np.column_stack([rng.normal(size=(rows, features)), rng.integers(0, 16, rows)]),
+               fmt=["%.5f"] * features + ["%d"], delimiter=",", header=header, comments="", newline=row_end.decode())
     return out.getvalue()
 
 
@@ -576,6 +576,44 @@ def test_traced_peak_of_a_cross_device_sized_file(tmp_path):
         tracemalloc.stop()
     assert ds.features.shape == (16_000, 32)
     assert peak <= 14e6
+
+
+def counted(monkeypatch, name):
+    """Count the calls of ``fedsim.partition``'s ``name`` and return the list they append to."""
+    calls, real = [], getattr(partition_module, name)
+    monkeypatch.setattr(partition_module, name, lambda *args: calls.append(args) or real(*args))
+    return calls
+
+
+@pytest.mark.parametrize("features, passes", [(32, 1), (600, 2)])  # lines of about 300 and 5,000 bytes
+def test_a_plain_file_is_parsed_once_however_wide(tmp_path, monkeypatch, features, passes):
+    # Only a line past int()'s 4,300-digit limit makes the plainness check measure its cells, in a second pass.
+    path = tmp_path / "wide.csv"
+    path.write_bytes(table_bytes(200, features=features))
+    expected = outcome(previous_load_csv, path, 16)
+    runs = counted(monkeypatch, "_longest_run")
+
+    def no_row_by_row_parse(*_):
+        raise AssertionError("parsed row by row")
+
+    monkeypatch.setattr(partition_module, "_parse_rows", no_row_by_row_parse)
+    assert outcome(load_csv, path, 16) == expected
+    assert len(runs) == passes
+
+
+@pytest.mark.parametrize("column", [0, 600])
+def test_a_cell_past_the_digit_limit_is_parsed_row_by_row(tmp_path, monkeypatch, column):
+    # A 4,301-digit label is one int() refuses; a feature cell that long float() reads, but only the
+    # row-by-row parse is known to match it.
+    data = table_bytes(200, features=600)
+    cut = data.rfind(b"\n", 0, 64_000) + 1
+    row = [b"0"] * 600 + [b"1"]
+    row[column] = b"0" * 4_300 + b"1"
+    path = tmp_path / "wide.csv"
+    path.write_bytes(data[:cut] + b",".join(row) + b"\n" + data[cut:])
+    parses = counted(monkeypatch, "_parse_rows")
+    assert outcome(load_csv, path, 16) == outcome(previous_load_csv, path, 16)
+    assert len(parses) == 1  # load_csv's: previous_load_csv calls the name this module imported
 
 
 class TestSplitTrainTest:

@@ -2,21 +2,20 @@
 
 Usage (from the repository root):
 
-    PYTHONPATH=src python tools/round_memory.py [--seed N] [--rounds N] [--warmup N]
+    PYTHONPATH=src python tools/round_memory.py
 
 Builds the acceptance suite's desk-scale fixture (fedavg, 10 clients,
-SimCLR, batch 16) and runs its rounds through one ``FederatedRunner``.
-After ``--warmup`` rounds, each round is timed twice: once for the minor
-faults the process takes (``ru_minflt``) and once, on a fresh runner at
-the same point, under ``tracemalloc`` for the peak traced allocation above
-the round's start. The final round, which runs the linear probe, is not
-measured. Prints one line per measured round and then the medians, in KiB
-for the peak.
+SimCLR, batch 16, seed 1) and runs its rounds through one
+``FederatedRunner``. After 2 warm-up rounds, each of the next 20 rounds is
+measured twice: once for the minor faults the process takes
+(``ru_minflt``) and once, on a fresh runner at the same point, under
+``tracemalloc`` for the peak traced allocation above the round's start.
+The final round, which runs the linear probe, is not measured. Prints one
+line per measured round and then the medians, in KiB for the peak.
 """
 
 from __future__ import annotations
 
-import argparse
 import copy
 import resource
 import statistics
@@ -33,6 +32,8 @@ from fedsim.config import parse_config  # noqa: E402
 from fedsim.engine import FederatedRunner, build_datasets  # noqa: E402
 from fedsim.partition import partition  # noqa: E402
 
+SEED, ROUNDS, WARMUP = 1, 20, 2  # WARMUP rounds run before the ROUNDS measured ones
+
 
 def runner_at(cfg, warmup: int):
     """A runner and its state after ``warmup`` rounds."""
@@ -44,34 +45,29 @@ def runner_at(cfg, warmup: int):
     return runner, state
 
 
-def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--seed", type=int, default=1)
-    ap.add_argument("--rounds", type=int, default=20, help="rounds measured")
-    ap.add_argument("--warmup", type=int, default=2, help="rounds run before measuring")
-    args = ap.parse_args(argv)
+def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
-        raw = dict(desk_scale("fedavg", args.seed), output_dir=tmp)
-        raw["rounds"] = args.warmup + args.rounds + 1  # the last round, which probes, is not measured
+        raw = dict(desk_scale("fedavg", SEED), output_dir=tmp)
+        raw["rounds"] = WARMUP + ROUNDS + 1  # the last round, which probes, is not measured
         cfg = parse_config(copy.deepcopy(raw))
 
-        runner, state = runner_at(cfg, args.warmup)
+        runner, state = runner_at(cfg, WARMUP)
         faults = []
-        for _ in range(args.rounds):
+        for _ in range(ROUNDS):
             before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
             state = runner.run_round(state)
             faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 
-        runner, state = runner_at(cfg, args.warmup)
+        runner, state = runner_at(cfg, WARMUP)
         peaks = []
         tracemalloc.start()
-        for _ in range(args.rounds):
+        for _ in range(ROUNDS):
             tracemalloc.reset_peak()
             start = tracemalloc.get_traced_memory()[0]
             state = runner.run_round(state)
             peaks.append((tracemalloc.get_traced_memory()[1] - start) / 1024)
         tracemalloc.stop()
-    for r, (f, p) in enumerate(zip(faults, peaks), start=args.warmup):
+    for r, (f, p) in enumerate(zip(faults, peaks), start=WARMUP):
         print(f"round {r} ru_minflt {f} tracemalloc_peak_kib {p:.1f}")
     print(f"median ru_minflt {statistics.median(faults)} tracemalloc_peak_kib {statistics.median(peaks):.1f}")
     return 0
