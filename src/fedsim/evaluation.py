@@ -44,6 +44,8 @@ class EvalSpec:
             set(self.milestones)
         ):
             raise ValueError("milestones must be strictly increasing and < epochs")
+        if self.lr < 0 or self.momentum < 0 or self.decay_factor < 0:
+            raise ValueError("lr, momentum and decay_factor must be >= 0")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if self.probe_every < 0:
@@ -66,27 +68,22 @@ def accuracy(predictions: Sequence[int], labels: Sequence[int]) -> float:
 def stratified_subset(labels: np.ndarray, fraction: float, rng: np.random.Generator) -> np.ndarray:
     """Pick round(fraction * N) indices, class-stratified, >= 1 per present class.
 
-    Per-class quotas follow largest-remainder allocation of the class counts;
-    classes that would round to zero steal one slot from the largest quota
-    when feasible.
+    Labels must be non-negative, as a ``Dataset``'s are. Per-class quotas
+    follow largest-remainder allocation of the class counts; classes that
+    would round to zero steal one slot from the largest quota when feasible.
     """
     labels = np.asarray(labels, dtype=np.int64)
     n_take = int(round(fraction * labels.size))
-    classes = np.unique(labels)
-    counts = np.array([(labels == c).sum() for c in classes], dtype=np.float64)
-    quotas = allocate_counts(counts, n_take)
-    if n_take >= classes.size:
-        # The quotas total n_take >= classes.size, so while one is 0 the largest is at least 2.
+    rows = [np.flatnonzero(labels == c) for c in np.flatnonzero(np.bincount(labels))]  # per present class, ascending
+    quotas = allocate_counts(np.array([r.size for r in rows], dtype=np.float64), n_take)
+    if n_take >= len(rows):
+        # The quotas total n_take >= the class count, so while one is 0 the largest is at least 2.
         while (quotas == 0).any():
             zero = int(np.flatnonzero(quotas == 0)[0])
             donor = int(np.argmax(quotas))
             quotas[zero] += 1
             quotas[donor] -= 1
-    picked = []
-    for c, q in zip(classes, quotas):
-        idx = np.flatnonzero(labels == c)
-        picked.append(rng.permutation(idx)[: int(q)])
-    return np.sort(np.concatenate(picked))
+    return np.sort(np.concatenate([rng.permutation(idx)[: int(q)] for idx, q in zip(rows, quotas)]))
 
 
 def linear_probe(

@@ -4,10 +4,8 @@ Run with ``pytest tests/test_acceptance.py -s`` to see the per-criterion lines
 as they complete. Tolerances are fixed here, not calibrated elsewhere.
 """
 
-import csv
 import math
 import time
-from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -34,9 +32,18 @@ from fedsim.learners import (
     loss_xent,
     redundancy_loss_from_corr,
 )
-from fedsim.params import ParamSet, load_checkpoint, weighted_sum
+from fedsim.params import ParamSet, weighted_sum
 from fedsim.partition import PartitionSpec, make_blobs, partition
-from helpers import classifier_accuracy
+from helpers import (
+    Client,
+    brute_force_layerwise,
+    brute_force_ntxent,
+    classifier_accuracy,
+    fd_grad,
+    label_entropy,
+    pack,
+    rule,
+)
 
 
 def report(criterion: str, ok: bool, detail: str = "") -> None:
@@ -45,58 +52,8 @@ def report(criterion: str, ok: bool, detail: str = "") -> None:
 
 
 # ---------------------------------------------------------------------------
-# shared oracles
+# fixture and error measure (the scalar oracles are in helpers.py)
 # ---------------------------------------------------------------------------
-
-
-def scalar_cosine(g, c):
-    num = sum(float(x) * float(y) for x, y in zip(g, c))
-    ng = math.sqrt(sum(float(x) ** 2 for x in g))
-    nc = math.sqrt(sum(float(x) ** 2 for x in c))
-    if ng <= 1e-12 and nc <= 1e-12:
-        return 1.0
-    if ng <= 1e-12 or nc <= 1e-12:
-        return 0.0
-    return max(-1.0, min(1.0, num / (ng * nc)))
-
-
-def scalar_layerwise_sum(global_params, updates, base_coeffs):
-    out = {}
-    for name in global_params.names:
-        layer = global_params[name].reshape(-1)
-        acc = [0.0] * layer.size
-        for u, beta in zip(updates, base_coeffs):
-            client = u.params[name].reshape(-1)
-            delta = scalar_cosine(layer, client)
-            for i in range(layer.size):
-                acc[i] += beta * delta * float(client[i])
-        out[name] = np.asarray(acc)
-    return out
-
-
-class Client(NamedTuple):
-    """One client of an oracle round; :func:`pack` stacks a round's clients into one block."""
-
-    client_id: int
-    params: ParamSet
-    num_samples: int
-    train_loss: float
-
-
-def pack(clients):
-    """A round's clients (ascending ids, one layout) as the rows of one ClientUpdates block."""
-    return ClientUpdates(
-        tuple(c.client_id for c in clients),
-        np.stack([c.params.vector for c in clients]),
-        clients[0].params.layout,
-        [c.num_samples for c in clients],
-        [c.train_loss for c in clients],
-    )
-
-
-def rule(strategy, global_params, clients):
-    """The new global under ``strategy``, past any warm-up."""
-    return aggregate(AggregationSpec(strategy), 0, global_params, pack(clients))[0]
 
 
 def random_agg_fixture(rng):
@@ -114,26 +71,9 @@ def random_agg_fixture(rng):
     return draw(), updates
 
 
-def fd_grad(f, x, h=1e-5):
-    g = np.zeros_like(x)
-    for i in range(x.size):
-        xp = x.copy()
-        xp[i] += h
-        xm = x.copy()
-        xm[i] -= h
-        g[i] = (f(xp) - f(xm)) / (2 * h)
-    return g
-
-
 def max_rel_err(analytic, numeric):
     scale = max(np.abs(numeric).max(), 1e-8)
     return float(np.abs(analytic - numeric).max() / scale)
-
-
-def label_entropy(labels):
-    _, counts = np.unique(labels, return_counts=True)
-    p = counts / counts.sum()
-    return float(-(p * np.log(p)).sum())
 
 
 # ---------------------------------------------------------------------------
@@ -150,7 +90,7 @@ def test_01_aggregation_oracle_equivalence():
         k = len(updates)
 
         got = rule("ldawa", global_params, updates)
-        expected = scalar_layerwise_sum(global_params, updates, [1.0 / k] * k)
+        expected = brute_force_layerwise(global_params, updates, [1.0 / k] * k)
         for name in got.names:
             worst_a = max(worst_a, float(np.abs(got[name] - expected[name]).max()))
 
@@ -333,18 +273,6 @@ def test_04_loss_formula_fidelity():
     start = time.perf_counter()
     rng = np.random.default_rng(104)
 
-    # contrastive: per-anchor term with the positive and all other rows as candidates
-    def direct_contrastive(z_a, z_b, tau):
-        rows = [v / np.linalg.norm(v) for v in list(z_a) + list(z_b)]
-        b = len(z_a)
-        total = 0.0
-        for i, u in enumerate(rows):
-            pos = rows[(i + b) % (2 * b)]
-            candidates = [v for j, v in enumerate(rows) if j != i]
-            log_z = math.log(sum(math.exp(float(np.dot(u, v)) / tau) for v in candidates))
-            total += -(float(np.dot(u, pos)) / tau) + log_z
-        return total / (2 * b)
-
     worst_nt = 0.0
     fixtures = [
         (np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([[1.0, 0.0], [0.0, 1.0]]), 1.0),
@@ -353,7 +281,7 @@ def test_04_loss_formula_fidelity():
     ]
     for z_a, z_b, tau in fixtures:
         got, _, _ = loss_ntxent(z_a, z_b, tau)
-        worst_nt = max(worst_nt, abs(got - direct_contrastive(z_a, z_b, tau)))
+        worst_nt = max(worst_nt, abs(got - brute_force_ntxent(z_a, z_b, tau)))
 
     # redundancy: diagonal and off-diagonal sums over the standardized correlation
     def direct_redundancy(z_a, z_b, lam):

@@ -1,7 +1,6 @@
 """Aggregation strategies: coefficients, divergence scaling, dispatch, warm-up."""
 
 import math
-from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -21,43 +20,15 @@ from fedsim.aggregation import (
 )
 from fedsim.divergence import Divergence, divergence
 from fedsim.params import IncompatibleModelError, ParamSet, weighted_sum
+from helpers import Client, brute_force_layerwise, pack, ps, rule
 
 # Deterministic property runs: the same examples on every tier-1 run.
 PROPERTY = settings(derandomize=True, deadline=None, database=None, max_examples=40)
 
 
-def ps(named):
-    return ParamSet.from_arrays({n: np.asarray(v, dtype=np.float64) for n, v in named.items()})
-
-
-class Client(NamedTuple):
-    """One client of a test round; :func:`pack` stacks a round's clients into one block."""
-
-    client_id: int
-    params: ParamSet
-    num_samples: int
-    train_loss: float
-
-
-def pack(clients):
-    """A round's clients (ascending ids, one layout) as the rows of one ClientUpdates block."""
-    return ClientUpdates(
-        tuple(c.client_id for c in clients),
-        np.stack([c.params.vector for c in clients]),
-        clients[0].params.layout,
-        [c.num_samples for c in clients],
-        [c.train_loss for c in clients],
-    )
-
-
 def per_layer(coeffs, n_layers):
     """A length-K coefficient list as the (K, L) matrix that applies it to every layer."""
     return np.repeat(np.asarray(coeffs, dtype=np.float64)[:, None], n_layers, axis=1)
-
-
-def rule(strategy, global_params, clients):
-    """The new global under ``strategy``, past any warm-up."""
-    return aggregate(AggregationSpec(strategy), 0, global_params, pack(clients))[0]
 
 
 def divergence_of(global_params, clients):
@@ -83,17 +54,6 @@ def random_fixture(rng, n_clients=None, n_layers=None, max_params=8):
     return global_params, updates
 
 
-def brute_force_cosine(g, c):
-    num = sum(float(x) * float(y) for x, y in zip(g, c))
-    ng = math.sqrt(sum(float(x) ** 2 for x in g))
-    nc = math.sqrt(sum(float(x) ** 2 for x in c))
-    if ng <= 1e-12 and nc <= 1e-12:
-        return 1.0
-    if ng <= 1e-12 or nc <= 1e-12:
-        return 0.0
-    return max(-1.0, min(1.0, num / (ng * nc)))
-
-
 # The strategy table of the aggregation module docstring, restated.
 ORACLE_RULES = {
     "fedavg": ("samples", None),
@@ -117,39 +77,6 @@ def brute_force_base(updates, base):
     top = max(-u.train_loss for u in updates)
     ex = [math.exp(-u.train_loss - top) for u in updates]
     return [e / sum(ex) for e in ex]
-
-
-def brute_force_layerwise(global_params, updates, base_coeffs, scale="layer", renormalize=False):
-    """Scalar-loop expansion of layer l = sum_k beta_k * s_k(l) * w_k(l).
-
-    ``scale`` is None (s = 1), "model" (whole-model cosine) or "layer"
-    (per-layer cosine); ``renormalize`` divides each layer's coefficients of
-    a divergence-scaled rule by their sum unless that sum is within 1e-12
-    of zero.
-    """
-    flat_global = global_params.vector.tolist()
-    result = {}
-    for name in global_params.names:
-        layer = global_params[name].reshape(-1).tolist()
-        coeffs = []
-        for u, beta in zip(updates, base_coeffs):
-            if scale == "layer":
-                s = brute_force_cosine(layer, u.params[name].reshape(-1).tolist())
-            elif scale == "model":
-                s = brute_force_cosine(flat_global, u.params.vector.tolist())
-            else:
-                s = 1.0
-            coeffs.append(beta * s)
-        total = sum(coeffs)
-        if renormalize and scale is not None and abs(total) > 1e-12:
-            coeffs = [c / total for c in coeffs]
-        acc = [0.0] * len(layer)
-        for u, c in zip(updates, coeffs):
-            client_layer = u.params[name].reshape(-1).tolist()
-            for i in range(len(layer)):
-                acc[i] += c * client_layer[i]
-        result[name] = acc
-    return result
 
 
 class TestCoeffsFedavg:

@@ -183,6 +183,10 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="dataset: test_samples_per_class must be >= 1"):
             parse_config(minimal_raw(tmp_path, dataset={"test_samples_per_class": 0}))
 
+    def test_probe_rates_may_be_zero(self, tmp_path):
+        cfg = parse_config(minimal_raw(tmp_path, evaluation={"lr": 0, "momentum": 0, "decay_factor": 0}))
+        assert (cfg.evaluation.lr, cfg.evaluation.momentum, cfg.evaluation.decay_factor) == (0.0, 0.0, 0.0)
+
     @pytest.mark.parametrize(
         "over",
         [None, {}, {"trainer": {"method": "barlow_twins", "batch_size": 8}},
@@ -726,6 +730,13 @@ def _probe(ckpt):
     return ["probe", "--config", CONFIG, "--checkpoint", ckpt]
 
 
+def _validate(*overrides):
+    return ["validate", "--config", CONFIG] + [arg for o in overrides for arg in ("--set", o)]
+
+
+SUPERVISED = ('trainer.method="supervised"', "model.projector_dims=[]")
+
+
 def _aggregate(global_ckpt, client, *extra):
     return ["aggregate", "--global", global_ckpt, "--client", client, "--strategy", "fairavg",
             "--output", "{tmp}/agg.bin", *extra]
@@ -745,6 +756,63 @@ ERROR_PATHS = {
         ["validate", "--config", CONFIG, "--set", "aggregation.fedu_threshold=0.3"], 1,
         "aggregation: fedu_threshold applies only to strategy 'ldawa_fedu', not 'fedavg'",
     ),
+    "config_top_level_list": (
+        ["validate", "--config", "{tmp}/meta.json"], 1, "meta.json: top level must be a JSON object",
+    ),
+    "config_unknown_activation": (_validate('model.activation="swish"'), 1, "model: unknown activation 'swish'"),
+    "config_one_width_projector": (
+        _validate("model.projector_dims=[3]"), 1, "model: projector_dims must list input and output widths",
+    ),
+    "config_zero_width": (_validate("model.encoder_dims=[4, 0, 3]"), 1, "model: all layer widths must be positive"),
+    "config_one_head_class": (
+        _validate(*SUPERVISED, "model.head_classes=1"), 1, "model: head_classes must be >= 2",
+    ),
+    "config_head_below_num_classes": (
+        _validate(*SUPERVISED, "model.head_classes=2"), 1,
+        "model.head_classes (2) is smaller than dataset.num_classes (3)",
+    ),
+    "config_csv_without_encoder_dims": (
+        _validate('model={"projector_dims": [3, 3]}', CSV_DATASET), 1, "model.encoder_dims: required for csv datasets",
+    ),
+    "config_unknown_trainer_method": (_validate('trainer.method="byol"'), 1, "trainer: unknown trainer method 'byol'"),
+    "config_negative_local_epochs": (
+        _validate("trainer.local_epochs=-1"), 1, "trainer: local_epochs must be >= 0",
+    ),
+    "config_negative_warmup_rounds": (
+        _validate("aggregation.warmup_rounds=-1"), 1, "aggregation: warmup_rounds must be >= 0",
+    ),
+    "config_unknown_partition_scheme": (
+        _validate('partition.scheme="shards"'), 1, "partition: unknown scheme 'shards'",
+    ),
+    "config_no_clients": (_validate("partition.num_clients=0"), 1, "partition: num_clients must be >= 1"),
+    "config_dirichlet_without_alpha": (
+        _validate('partition.scheme="dirichlet"'), 1, "partition: dirichlet partitioning requires alpha > 0",
+    ),
+    "config_negative_min_samples": (
+        _validate("partition.min_samples=-1"), 1, "partition: min_samples must be >= 0",
+    ),
+    "config_negative_partition_seed": (_validate("partition.seed=-1"), 1, "partition: seed must be non-negative"),
+    "config_single_class_without_reuse": (
+        _validate('partition.scheme="single_class"', "partition.num_clients=4", "clients_per_round=4"), 1,
+        "partition.num_clients (4) exceeds dataset.num_classes (3); set partition.allow_class_reuse",
+    ),
+    "config_one_blobs_class": (_validate("dataset.num_classes=1"), 1, "dataset: num_classes must be >= 2"),
+    "config_one_csv_class": (
+        _validate(CSV_DATASET.replace('"num_classes": 3', '"num_classes": 1')), 1, "dataset: num_classes must be >= 2",
+    ),
+    "config_negative_spread": (_validate("dataset.spread=-1"), 1, "dataset: spread must be >= 0"),
+    "config_negative_dataset_seed": (_validate("dataset.seed=-1"), 1, "dataset: seed must be non-negative"),
+    "config_negative_run_seed": (_validate("run_seed=-1"), 1, "config: run_seed must be non-negative"),
+    "config_zero_probe_batch": (_validate("evaluation.batch_size=0"), 1, "evaluation: batch_size must be >= 1"),
+    "config_negative_eval_seed": (
+        _validate("evaluation.eval_seed=-1"), 1, "evaluation: eval_seed must be non-negative",
+    ),
+    **{
+        f"config_negative_probe_{field}": (
+            _validate(f"evaluation.{field}=-0.5"), 1, "evaluation: lr, momentum and decay_factor must be >= 0",
+        )
+        for field in ("lr", "momentum", "decay_factor")
+    },
     "config_missing_file": (["run", "--config", "{tmp}/absent.json"], 2, "absent.json"),
     "run_bad_csv": (
         ["run", "--config", CONFIG, "--set", "trainer.method=supervised", "--set", "model.encoder_dims=[2, 4]",
@@ -816,6 +884,9 @@ ERROR_PATHS = {
     ),
     "aggregate_metadata_nested_too_deep": (
         _aggregate("{tmp}/good.bin", "{tmp}/good.bin", "--metadata", "{tmp}/deep.json"), 1, "deep.json: invalid JSON",
+    ),
+    "aggregate_negative_warmup_rounds": (
+        _aggregate("{tmp}/good.bin", "{tmp}/good.bin", "--warmup-rounds", "-1"), 1, "error: warmup_rounds must be >= 0",
     ),
     "aggregate_negative_round": (
         _aggregate("{tmp}/good.bin", "{tmp}/good.bin", "--round", "-1"), 1, "--round must be >= 0",

@@ -16,12 +16,9 @@ from hypothesis import strategies as st
 from fedsim.aggregation import ClientUpdates
 from fedsim.divergence import SNAP_TOL, ZERO_NORM_TOL, Divergence, divergence
 from fedsim.params import IncompatibleModelError, ParamSet, segments
+from helpers import ps
 
 ROOT = Path(__file__).resolve().parent.parent
-
-
-def ps(named):
-    return ParamSet.from_arrays({n: np.asarray(v, dtype=np.float64) for n, v in named.items()})
 
 
 def pack(models, client_ids):

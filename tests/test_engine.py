@@ -3,6 +3,7 @@
 import dataclasses
 import gc
 import json
+import math
 import tracemalloc
 import weakref
 
@@ -22,9 +23,10 @@ from fedsim.engine import (
     sample_clients,
 )
 from fedsim.evaluation import linear_probe
-from fedsim.learners import ClientTrainingError, init_params, projector_start
+from fedsim.learners import ClientTrainingError, projector_start
 from fedsim.params import ParamSet, load_checkpoint
-from fedsim.partition import load_csv, make_blobs, partition
+from fedsim.partition import load_csv, partition
+from helpers import ps
 
 
 def scripted(client_ids, models, num_samples, train_loss):
@@ -83,10 +85,6 @@ def csv_config(tmp_path, dataset):
             "output_dir": str(tmp_path / "csvrun"),
         }
     )
-
-
-def ps(named):
-    return ParamSet.from_arrays({n: np.asarray(v, dtype=np.float64) for n, v in named.items()})
 
 
 class TestSampleClients:
@@ -416,6 +414,17 @@ class TestRunExperiment:
         res_b = run_experiment(cfg_b)
         assert res_a.rounds_csv.read_bytes() == res_b.rounds_csv.read_bytes()
         assert res_a.final_checkpoint.read_bytes() == res_b.final_checkpoint.read_bytes()
+
+    def test_agg_time_cells_are_written_only_when_timings_are_recorded(self, tmp_path):
+        timed = run_experiment(base_config(tmp_path, rounds=3, record_timings=True, output_dir=str(tmp_path / "t")))
+        plain = run_experiment(base_config(tmp_path, rounds=3))
+
+        def agg_time_cells(result):
+            return [line.split(",")[5] for line in result.rounds_csv.read_text().splitlines()[1:]]
+
+        times = [float(cell) for cell in agg_time_cells(timed)]
+        assert len(times) == 3 and all(math.isfinite(t) and t > 0 for t in times)
+        assert agg_time_cells(plain) == ["0.0"] * 3
 
     def test_round_purity_reproduces_recorded_global(self, tmp_path):
         from fedsim.aggregation import aggregate

@@ -1,7 +1,12 @@
 """Linear probe and accuracy metrics."""
 
 import math
+import os
+import subprocess
+import sys
+import textwrap
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +24,8 @@ from fedsim.learners import ModelSpec, init_params, loss_xent
 from fedsim.params import ParamSet
 from fedsim.partition import Dataset, make_blobs
 from helpers import classifier_accuracy
+
+ROOT = Path(__file__).resolve().parent.parent
 
 # scaled-down schedule that still converges on the tiny fixtures below
 FAST_PROBE = EvalSpec(epochs=60, milestones=(40, 50), lr=0.1, eval_seed=3)
@@ -220,7 +227,6 @@ def test_a_cross_device_sized_probe_stays_under_its_traced_peak():
     train = Dataset(rng.normal(size=(12_800, 32)), np.arange(12_800) % 16, 16)
     test = Dataset(rng.normal(size=(3_200, 32)), np.arange(3_200) % 16, 16)
     probe = EvalSpec(epochs=1, milestones=())
-    linear_probe(params, encoder, train, test, probe, [1.0])  # the first np.unique imports numpy.ma: ~1.1 MB traced
     tracemalloc.start()
     try:
         linear_probe(params, encoder, train, test, probe, [1.0])
@@ -228,6 +234,28 @@ def test_a_cross_device_sized_probe_stays_under_its_traced_peak():
     finally:
         tracemalloc.stop()
     assert peak <= 11e6
+
+
+def test_a_probe_does_not_import_numpy_ma():
+    # np.unique imports numpy.ma on its first call in a process, about 1.1 MB traced.
+    script = textwrap.dedent(
+        """
+        import sys
+        import numpy as np
+        from fedsim.evaluation import EvalSpec, linear_probe
+        from fedsim.learners import ModelSpec, init_params
+        from fedsim.partition import make_blobs
+
+        encoder = ModelSpec((2, 4))
+        ds = make_blobs(3, 10, 2, 0.5, seed=1)
+        linear_probe(init_params(encoder, np.random.default_rng(0)), encoder, ds, ds,
+                     EvalSpec(epochs=1, milestones=()), [1.0, 0.5])
+        print("numpy.ma" in sys.modules)
+        """
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["False"]
 
 
 class TestClassifierAccuracy:

@@ -34,23 +34,11 @@ from fedsim.learners import (
 )
 from fedsim.params import IncompatibleModelError, ParamSet, segments
 from fedsim.partition import Dataset, make_blobs
+from helpers import brute_force_ntxent, fd_grad
 
-FD_STEP = 1e-5
 FD_RTOL = 1e-4
 
 PROPERTY = settings(derandomize=True, deadline=None, database=None, max_examples=30)
-
-
-def fd_grad(f, x, h=FD_STEP):
-    """Central finite differences of a scalar function of a flat vector."""
-    g = np.zeros_like(x)
-    for i in range(x.size):
-        xp = x.copy()
-        xp[i] += h
-        xm = x.copy()
-        xm[i] -= h
-        g[i] = (f(xp) - f(xm)) / (2 * h)
-    return g
 
 
 def assert_grad_close(analytic, numeric):
@@ -322,23 +310,6 @@ def test_row_max_is_the_last_axis_max(a, transposed):
     if transposed:
         a = a.T
     np.testing.assert_array_equal(learners._row_max(a), a.max(axis=-1, keepdims=True))
-
-
-def brute_force_ntxent(z_a, z_b, tau):
-    """Direct per-anchor evaluation of the normalized temperature-scaled loss.
-
-    For each anchor u the candidates are its positive and every other row of
-    both views; the anchor term is -(u.v+ / tau) + log sum exp(u.v / tau).
-    """
-    rows = [v / np.linalg.norm(v) for v in list(z_a) + list(z_b)]
-    b = len(z_a)
-    total = 0.0
-    for i, u in enumerate(rows):
-        pos = rows[(i + b) % (2 * b)]
-        candidates = [v for j, v in enumerate(rows) if j != i]
-        log_z = math.log(sum(math.exp(float(np.dot(u, v)) / tau) for v in candidates))
-        total += -(float(np.dot(u, pos)) / tau) + log_z
-    return total / (2 * b)
 
 
 class TestNtxent:

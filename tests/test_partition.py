@@ -28,12 +28,7 @@ from fedsim.partition import (
     save_partition_manifest,
     split_train_test,
 )
-
-
-def label_entropy(labels):
-    _, counts = np.unique(labels, return_counts=True)
-    p = counts / counts.sum()
-    return float(-(p * np.log(p)).sum())
+from helpers import label_entropy
 
 
 def assert_disjoint(parts):
@@ -151,6 +146,13 @@ class TestDirichlet:
         assert assert_disjoint(parts) == set(range(20))
         assert [len(p) for p in parts] == [5, 5, 5, 5]
         assert partition(ds, spec) == parts
+
+    def test_a_class_with_no_samples_draws_nothing(self):
+        # A class no row holds takes no Dirichlet draw, so it cannot shift the later classes' draws.
+        ds = make_blobs(3, 20, 2, 1.0, seed=5)
+        skipped = Dataset(ds.features, ds.labels + 1, 4)
+        spec = PartitionSpec("dirichlet", 4, alpha=0.5, seed=7)
+        assert partition(skipped, spec) == partition(ds, spec)
 
     def test_determinism(self):
         ds = make_blobs(5, 30, 2, 1.0, seed=2)
