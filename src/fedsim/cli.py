@@ -149,6 +149,8 @@ def _cmd_aggregate(args) -> int:
     strategy = args.strategy
     if args.round_index < 0:
         raise ConfigError(f"--round must be >= 0, got {args.round_index}")
+    if args.warmup_rounds < 0:
+        raise ConfigError(f"--warmup-rounds must be >= 0, got {args.warmup_rounds}")
     spec = AggregationSpec(strategy=strategy, warmup_rounds=args.warmup_rounds)
     rule = effective_strategy(spec, args.round_index)
     if rule in METADATA_STRATEGIES and not args.metadata:

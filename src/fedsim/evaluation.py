@@ -7,7 +7,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .learners import ModelSpec, backward, encode, forward, init_params, loss_xent, require_layers, sgd_step
+from .learners import (
+    ForwardPass, ModelSpec, _log_softmax, _xent_grad, backward, encode, forward, init_params, require_layers, sgd_step,
+)
 from .params import ParamSet, segments
 from .partition import Dataset, allocate_counts
 
@@ -135,18 +137,31 @@ def linear_probe(
 
 def _train_head(head: ModelSpec, init: ParamSet, feats: np.ndarray, labels: np.ndarray, spec: EvalSpec,
                 rng: np.random.Generator) -> np.ndarray:
-    """``head``'s vector trained from ``init`` on frozen ``feats``: momentum SGD, no weight decay, ``rng`` shuffles."""
+    """``head``'s vector trained from ``init`` on frozen ``feats``: momentum SGD, no weight decay, ``rng`` shuffles.
+
+    ``labels`` are int64 and lie in the head's classes, as a ``Dataset``'s do: no step checks them or computes
+    the loss. Every step writes into arrays made once here, C-ordered; a batch of m rows uses their first m rows.
+    """
     w, (v, g, step) = init.vector.copy(), np.zeros((3, init.num_params))  # step: sgd_step's scratch
     params, grads = segments(w, init.layout), segments(g, init.layout)
-    x = np.empty((min(spec.batch_size, len(feats)), feats.shape[1]))  # every batch is gathered here, C-ordered
+    n = len(feats)
+    b, c = min(spec.batch_size, n), head.encoder_dims[-1]
+    x, logits, temp, sums = np.empty((b, feats.shape[1])), np.empty((b, c)), np.empty((b, c)), np.empty((b, 1))
+    cuts = {  # per batch size, a full batch's and an epoch's last: the arrays' first m rows
+        m: (x[:m], ForwardPass([None], [logits[:m]]), (temp[:m], sums[:m])) for m in {b, (n - 1) % b + 1}
+    }
+    offsets = np.arange(n) % b * c  # each shuffled row's first index in its batch's flattened logits
+    at = np.empty(n, dtype=np.int64)  # each shuffled row's label's index there
     for epoch in range(spec.epochs):
         lr = spec.lr * spec.decay_factor ** int(np.searchsorted(np.asarray(spec.milestones), epoch, side="right"))
-        order = rng.permutation(len(feats))
-        for start in range(0, len(feats), spec.batch_size):
+        order = rng.permutation(n)
+        np.add(np.take(labels, order, out=at, mode="clip"), offsets, out=at)
+        for start in range(0, n, spec.batch_size):
             idx = order[start : start + spec.batch_size]
-            batch = np.take(feats, idx, axis=0, out=x[: len(idx)], mode="clip")  # idx is in range; "raise" buffers
-            fp = forward(params, head, batch)
-            _, grad = loss_xent(fp.pre[-1], labels[idx])
-            backward(params, head, fp, grad, out=grads)
+            batch, out, scratch = cuts[len(idx)]
+            np.take(feats, idx, axis=0, out=batch, mode="clip")  # idx is in range; "raise" buffers
+            fp = forward(params, head, batch, out)
+            logp = _log_softmax(fp.pre[-1], fp.pre[-1], scratch)
+            backward(params, head, fp, _xent_grad(logp, at[start : start + spec.batch_size], logp), out=grads)
             sgd_step(w, g, v, lr, spec.momentum, weight_decay=0.0, out=step)
     return w

@@ -275,6 +275,32 @@ def _row_max(a: np.ndarray) -> np.ndarray:
     return np.maximum.reduce(a.reshape(-1, c).T.copy()).reshape(*a.shape[:-1], 1)
 
 
+def _log_softmax(logits: np.ndarray, out=None, scratch=None) -> np.ndarray:
+    """Each row of ``logits`` less its log-sum-exp, taken after shifting the row by its max.
+
+    Fresh temporaries follow ``logits``' memory order, and so does the
+    rounding of the row sums. Given ``out`` (``logits``' shape; it may be
+    ``logits``) and ``scratch``, C-ordered arrays of ``logits``' shape and of
+    its row sums' (keepdims), the log-softmax is written into ``out`` and the exps and sums into ``scratch``.
+    """
+    temp, sums = (None, None) if scratch is None else scratch
+    shifted = np.subtract(logits, _row_max(logits), out=out)
+    sums = np.add.reduce(np.exp(shifted, out=temp), axis=-1, keepdims=True, out=sums)
+    return np.subtract(shifted, np.log(sums, out=sums), out=shifted)
+
+
+def _xent_grad(logp: np.ndarray, at: np.ndarray, out=None) -> np.ndarray:
+    """Mean cross-entropy's gradient (softmax - onehot)/batch from the log-softmax ``logp``.
+
+    ``at`` holds each label's index in the flattened logits. The
+    gradient is written into ``out`` (fresh if None; it may be ``logp``),
+    which must be C-ordered: on any other layout the label subtraction would land in a copy.
+    """
+    grad = np.exp(logp, out=np.empty(logp.shape) if out is None else out)
+    grad.reshape(-1)[at] -= 1.0
+    return np.divide(grad, logp.shape[-2], out=grad)
+
+
 def loss_xent(logits: np.ndarray, labels: np.ndarray) -> tuple[float | np.ndarray, np.ndarray]:
     """Mean softmax cross-entropy and its gradient (softmax - onehot)/batch.
 
@@ -288,13 +314,10 @@ def loss_xent(logits: np.ndarray, labels: np.ndarray) -> tuple[float | np.ndarra
     n, c = logits.shape[-2:]
     if labels.size and (labels.min() < 0 or labels.max() >= c):
         raise ValueError(f"label outside [0, {c})")
-    shifted = logits - _row_max(logits)
-    logp = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-    at = (np.arange(labels.size), labels.reshape(-1))  # each label's entry of the flat (rows, classes)
-    loss = -(np.add.reduce(logp.reshape(-1, c)[at].reshape(labels.shape), axis=-1) / n)
-    grad = np.exp(logp, out=np.empty(logp.shape))  # C-ordered, so the reshape below is a view
-    grad.reshape(-1, c)[at] -= 1.0
-    return loss, np.divide(grad, n, out=grad)
+    logp = _log_softmax(logits)
+    at = np.arange(0, labels.size * c, c) + labels.reshape(-1)  # each label's index in the flattened logits
+    loss = -(np.add.reduce(logp.reshape(-1)[at].reshape(labels.shape), axis=-1) / n)
+    return loss, _xent_grad(logp, at)
 
 
 def _require_finite(*embeddings: np.ndarray) -> None:

@@ -110,6 +110,16 @@ def brute_force_ntxent(z_a, z_b, tau):
     return total / (2 * b)
 
 
+def parent_loss_xent(logits, labels):
+    """loss_xent's formula before its row max and label terms were rewritten, verbatim."""
+    n, c = logits.shape[-2:]
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    logp = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    onehot = labels[..., None] == np.arange(c)
+    loss = -np.take_along_axis(logp, labels[..., None], axis=-1)[..., 0].mean(axis=-1)
+    return loss, (np.exp(logp) - onehot) / n
+
+
 def fd_grad(f, x, h=1e-5):
     """Central finite differences of a scalar function of a flat vector."""
     g = np.zeros_like(x)

@@ -886,7 +886,8 @@ ERROR_PATHS = {
         _aggregate("{tmp}/good.bin", "{tmp}/good.bin", "--metadata", "{tmp}/deep.json"), 1, "deep.json: invalid JSON",
     ),
     "aggregate_negative_warmup_rounds": (
-        _aggregate("{tmp}/good.bin", "{tmp}/good.bin", "--warmup-rounds", "-1"), 1, "error: warmup_rounds must be >= 0",
+        _aggregate("{tmp}/good.bin", "{tmp}/good.bin", "--warmup-rounds", "-1"), 1,
+        "error: --warmup-rounds must be >= 0, got -1",
     ),
     "aggregate_negative_round": (
         _aggregate("{tmp}/good.bin", "{tmp}/good.bin", "--round", "-1"), 1, "--round must be >= 0",

@@ -20,10 +20,10 @@ from fedsim.evaluation import (
     linear_probe,
     stratified_subset,
 )
-from fedsim.learners import ModelSpec, init_params, loss_xent
+from fedsim.learners import ModelSpec, init_params
 from fedsim.params import ParamSet
 from fedsim.partition import Dataset, make_blobs
-from helpers import classifier_accuracy
+from helpers import classifier_accuracy, parent_loss_xent
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -165,7 +165,10 @@ class TestLinearProbe:
 
 
 def hand_written_head(feats, labels, c, spec, rng):
-    """The probe head as evaluation once trained it, by hand: its weight then its bias, flat."""
+    """The probe head as evaluation once trained it, by hand: its weight then its bias, flat.
+
+    The gradient is ``parent_loss_xent``'s, so no learners code is shared with the probe it checks.
+    """
     d = feats.shape[1]
     bound = 1.0 / math.sqrt(d)
     weight = rng.uniform(-bound, bound, size=(d, c))
@@ -179,7 +182,7 @@ def hand_written_head(feats, labels, c, spec, rng):
         for start in range(0, n, spec.batch_size):
             idx = order[start : start + spec.batch_size]
             logits = feats[idx] @ weight + bias
-            _, grad = loss_xent(logits, labels[idx])
+            _, grad = parent_loss_xent(logits, labels[idx])
             vel_w = spec.momentum * vel_w + feats[idx].T @ grad
             vel_b = spec.momentum * vel_b + grad.sum(axis=0)
             weight = weight - lr * vel_w
@@ -205,6 +208,9 @@ def probe_cases(draw):
 @settings(derandomize=True, deadline=None, database=None, max_examples=100)
 @given(probe_cases())
 @example((EvalSpec(epochs=3, milestones=(1,), batch_size=8), 3, 1, 40, 0.9, 0))  # width 1, 36 samples in steps of 8
+@example((EvalSpec(epochs=2, milestones=(), batch_size=64), 3, 4, 40, 1.0, 1))  # one partial batch of 40
+@example((EvalSpec(epochs=2, milestones=(1,), batch_size=8), 4, 3, 33, 1.0, 2))  # a final batch of one row
+@example((EvalSpec(epochs=2, milestones=(), batch_size=16), 12, 1, 60, 1.0, 3))  # width 1, 12 classes: pairwise row sums
 def test_head_trains_to_the_hand_written_loops_bytes(case):
     spec, c, d, n, fraction, seed = case
     data = np.random.default_rng(seed)

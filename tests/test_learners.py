@@ -34,7 +34,7 @@ from fedsim.learners import (
 )
 from fedsim.params import IncompatibleModelError, ParamSet, segments
 from fedsim.partition import Dataset, make_blobs
-from helpers import brute_force_ntxent, fd_grad
+from helpers import brute_force_ntxent, fd_grad, parent_loss_xent
 
 FD_RTOL = 1e-4
 
@@ -242,16 +242,6 @@ class TestCrossEntropy:
             assert_grad_close(grad.reshape(-1), fd)
 
 
-def parent_loss_xent(logits, labels):
-    """loss_xent's formula before its row max and label terms were rewritten, verbatim."""
-    n, c = logits.shape[-2:]
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    logp = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-    onehot = labels[..., None] == np.arange(c)
-    loss = -np.take_along_axis(logp, labels[..., None], axis=-1)[..., 0].mean(axis=-1)
-    return loss, (np.exp(logp) - onehot) / n
-
-
 @st.composite
 def xent_cases(draw):
     """(logits, labels): (n, c) or (K, n, c) logits with planted ties, signed zeros, infinities or huge values.
@@ -296,6 +286,25 @@ def test_loss_xent_keeps_the_parent_formulas_bytes(case):
     assert type(loss) is type(want_loss)
     assert np.asarray(loss).tobytes() == np.asarray(want_loss).tobytes()
     assert grad.shape == want_grad.shape and grad.tobytes() == want_grad.tobytes()
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=300)
+@given(xent_cases(), st.integers(0, 5))
+def test_in_place_xent_grad_keeps_the_parent_formulas_bytes(case, spare):
+    # As the probe's step runs them: an n-row batch's logits, log-softmax and gradient share the first n rows
+    # of one C-ordered block, and the temporaries the first n rows of their own blocks.
+    logits, labels = case
+    c = logits.shape[-1]
+    logits, labels = logits.reshape(-1, c), labels.reshape(-1)
+    n = len(labels)
+    block, temp, sums = np.full((n + spare, c), np.nan), np.full((n + spare, c), np.nan), np.full((n + spare, 1), np.nan)
+    block[:n] = logits
+    with np.errstate(all="ignore"):  # infinities make NaNs in both
+        logp = learners._log_softmax(block[:n], block[:n], (temp[:n], sums[:n]))
+        grad = learners._xent_grad(logp, np.arange(n) * c + labels, logp)
+        want = parent_loss_xent(logits, labels)[1]
+    assert np.shares_memory(grad, block) and grad.tobytes() == want.tobytes()
+    assert np.isnan(block[n:]).all() and np.isnan(temp[n:]).all() and np.isnan(sums[n:]).all()
 
 
 @settings(derandomize=True, deadline=None, database=None, max_examples=200)
