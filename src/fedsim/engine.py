@@ -153,7 +153,7 @@ class FederatedRunner:
         self.test_ds = test_ds
         self.client_data = [train_ds.subset(p) for p in parts]
         self.train_fn = train_fn  # None: _default_train, looked up per round (a stored bound method is a cycle)
-        self.workspace = Workspace()  # the arrays every round's local training writes into
+        self.workspace = Workspace()  # the arrays every round's local training writes into; fresh for the last probe
 
     def _default_train(self, round_index: int, clients: list[tuple[int, Dataset, ParamSet]]) -> ClientUpdates:
         sessions = [
@@ -211,6 +211,8 @@ class FederatedRunner:
             fedu_adopted=adopted,
         )
         if self._should_probe(r):
+            if r == cfg.rounds - 1:  # the run's last probe: free the training arrays first
+                self.workspace = Workspace()
             try:
                 (record.probe_acc,) = linear_probe(
                     new_global, cfg.model, self.train_ds, self.test_ds, cfg.evaluation,

@@ -301,6 +301,11 @@ def _xent_grad(logp: np.ndarray, at: np.ndarray, out=None) -> np.ndarray:
     return np.divide(grad, logp.shape[-2], out=grad)
 
 
+def _xent_loss(logp: np.ndarray, at: np.ndarray) -> float | np.ndarray:
+    """Mean cross-entropy over axis -2 of the log-softmax ``logp``; ``at`` as in :func:`_xent_grad`, one per row."""
+    return -(np.add.reduce(logp.reshape(-1)[at].reshape(logp.shape[:-1]), axis=-1) / logp.shape[-2])
+
+
 def loss_xent(logits: np.ndarray, labels: np.ndarray) -> tuple[float | np.ndarray, np.ndarray]:
     """Mean softmax cross-entropy and its gradient (softmax - onehot)/batch.
 
@@ -311,13 +316,12 @@ def loss_xent(logits: np.ndarray, labels: np.ndarray) -> tuple[float | np.ndarra
     labels = np.asarray(labels, dtype=np.int64)
     if logits.ndim < 2 or logits.shape[:-1] != labels.shape:
         raise ValueError(f"logits of shape {logits.shape} for labels of shape {labels.shape}")
-    n, c = logits.shape[-2:]
+    c = logits.shape[-1]
     if labels.size and (labels.min() < 0 or labels.max() >= c):
         raise ValueError(f"label outside [0, {c})")
     logp = _log_softmax(logits)
     at = np.arange(0, labels.size * c, c) + labels.reshape(-1)  # each label's index in the flattened logits
-    loss = -(np.add.reduce(logp.reshape(-1)[at].reshape(labels.shape), axis=-1) / n)
-    return loss, _xent_grad(logp, at)
+    return _xent_loss(logp, at), _xent_grad(logp, at)
 
 
 def _require_finite(*embeddings: np.ndarray) -> None:
@@ -507,41 +511,46 @@ class _Session:
     y: np.ndarray
     rng: np.random.Generator
     sizes: list[int]
-    perm: np.ndarray | None = None  # the current epoch's shuffle
+
+
+def _batches(a: np.ndarray, m: int, b: int) -> np.ndarray:
+    """The first m * b rows (axis -2) of ``a`` as m batches of b: a view that is C-ordered along its last three axes."""
+    return a[..., : m * b, :].reshape(*a.shape[:-2], m, b, a.shape[-1])
 
 
 class Workspace:
     """One round's local training, and the arrays it writes into, kept from one :func:`train_clients` call to the next.
 
-    The round's sessions are the K rows of one (K, P) weight block with
-    its velocity and gradient blocks, sorted by (steps desc, last batch size
-    desc): the rows taking step t of an epoch are a prefix, and those sharing
-    a batch size at it a contiguous run, so every group is a slice, never a
-    gather. The per-batch arrays (inputs, SSL views and mask draws, dz, each
-    layer's outputs and activations) are sized (views, K, batch_size, width);
-    rows lo:hi at batch size b use their ``[..., lo:hi, :b]`` views. A
-    supervised round makes no views, no dz and one gradient block,
-    ``sgd_step``'s scratch. A round of another K, batch size or model makes
-    them anew. Every step overwrites them, so nothing returned is a view of
-    them.
+    The round's sessions are the K rows of one (K, P) weight block with its velocity and gradient
+    blocks, sorted by (steps desc, last batch size desc): the rows taking step t of an epoch are a
+    prefix, and those sharing a batch size at it a contiguous run, so every group's rows are a slice
+    of the blocks. A step gathers a group's batch in one call, at indices into the round's rows that
+    each epoch writes from the clients' shuffles; supervised labels are checked once a round, by
+    :func:`_train_round`. The per-batch arrays (inputs, SSL views and mask draws, dz, each layer's
+    outputs and activations, the log-softmax's exps and row sums) are sized (views, K * batch_size,
+    width); rows lo:hi at batch size b use their first (hi - lo) * b rows as one C-ordered (hi - lo,
+    b, width) block. A supervised round makes no views, no dz and one gradient block, ``sgd_step``'s
+    scratch. A round of another K, batch size or model makes them anew. Every step overwrites them,
+    so nothing returned is a view of them.
     """
 
     _size: tuple = ()  # (width, model, is_ssl, rows, batch size) of the arrays
 
     def _fit(self, k: int, width: int, model: ModelSpec, trainer: TrainerSpec) -> None:
         """Make the arrays anew unless they hold k rows of ``width`` parameters at ``trainer``'s batch size."""
-        b = trainer.batch_size
-        size = (width, model, trainer.is_ssl, k, b)
+        n = k * trainer.batch_size
+        size = (width, model, trainer.is_ssl, k, trainer.batch_size)
         if self._size == size:
             return
         self._size, lead, layers = size, (2,) if trainer.is_ssl else (), _layers(model)  # lead: a views axis
         self.rows = np.empty((3, k, width))  # weights, velocities, gradients
         self.dw = np.empty((2 if lead else 1, k, width))  # each SSL view's gradients; dw[0] is sgd_step's scratch too
-        self.x = np.empty((k, b, model.input_dim))
-        self.views = np.empty((2, 2, k, b, model.input_dim)) if lead else None  # SSL views, then their mask draws
-        self.dz = np.empty((2, k, b, layers[-1][3])) if lead else None  # both views' output gradients
-        self.pre = [np.empty((*lead, k, b, fan_out)) for *_, fan_out, _ in layers]
-        self.act = [np.empty((*lead, k, b, fan_in)) if activated else None for *_, fan_in, _, activated in layers]
+        self.x = np.empty((n, model.input_dim))
+        self.views = np.empty((2, 2, n, model.input_dim)) if lead else None  # SSL views, then their mask draws
+        self.dz = np.empty((2, n, layers[-1][3])) if lead else None  # both views' output gradients
+        self.pre = [np.empty((*lead, n, fan_out)) for *_, fan_out, _ in layers]
+        self.act = [np.empty((*lead, n, fan_in)) if activated else None for *_, fan_in, _, activated in layers]
+        self.xent = None if lead else (np.empty((n, layers[-1][3])), np.empty((n, 1)))  # log-softmax exps, row sums
 
     def _train(self, sessions: list[_Session], inits: list[np.ndarray], layout: Layout,
                trainer: TrainerSpec, model: ModelSpec) -> np.ndarray:
@@ -549,7 +558,7 @@ class Workspace:
 
         The trained weights are left in ``rows[0]``. The first ValueError of any row propagates.
         """
-        k = len(sessions)
+        k, supervised = len(sessions), not trainer.is_ssl
         self._fit(k, len(inits[0]), model, trainer)
         w, v, g = self.rows
         np.stack(inits, out=w)
@@ -557,15 +566,28 @@ class Workspace:
         total = np.zeros(k)
         self._sessions = sessions
         self._params, self._grads, self._view_grads = (segments(a, layout) for a in (w, g, self.dw))
+        steps = [list(self._groups(t)) for t in range(len(sessions[0].sizes))]  # row 0 takes every step
+        x = np.concatenate([s.x for s in sessions])  # the round's rows
+        idx = np.zeros((k, len(steps), trainer.batch_size), dtype=np.int64)  # [k, t, :b]: row k's batch at step t
+        starts = np.cumsum([0] + [len(s.x) for s in sessions])
+        if supervised:
+            y, at, offsets = np.concatenate([s.y for s in sessions]), np.empty_like(idx), np.zeros_like(idx)
+            for t, groups in enumerate(steps):  # each sample's first index in its group's flattened logits
+                for lo, hi, b in groups:
+                    offsets[lo:hi, t, :b] = np.arange((hi - lo) * b).reshape(hi - lo, b) * model.head_classes
         train = trainer.local_epochs > 0
         hyper = (trainer.lr, trainer.momentum, trainer.weight_decay)
         for epoch in range(max(trainer.local_epochs, 1)):
-            for s in sessions:
-                s.perm = s.rng.permutation(len(s.x))
+            for s, row, start in zip(sessions, idx, starts):
+                used = sum(s.sizes)  # all n, or n - 1 where SSL skips a lone last sample
+                np.add(s.rng.permutation(len(s.x))[:used], start, out=row.reshape(-1)[:used])
+            if supervised:  # each sample's label's index in its group's flattened logits
+                np.add(np.take(y, idx, out=at, mode="clip"), offsets, out=at)  # idx is in range; "raise" buffers
             total[:] = 0.0
-            for t in range(len(sessions[0].sizes)):
-                for lo, hi, b in self._groups(t):  # row 0 takes every step, so there is always a group
-                    loss = self._group_loss(lo, hi, t * trainer.batch_size, b, trainer, model)
+            for t, groups in enumerate(steps):
+                for lo, hi, b in groups:
+                    batch = (slice(lo, hi), t, slice(None, b))
+                    loss = self._group_loss(lo, hi, b, x, idx[batch], at[batch] if supervised else None, trainer, model)
                     if train:
                         sgd_step(w[lo:hi], g[lo:hi], v[lo:hi], *hyper, out=self.dw[0, lo:hi])
                     total[lo:hi] += loss * b
@@ -584,33 +606,35 @@ class Workspace:
             yield lo, hi, b
             lo = hi
 
-    def _group_loss(self, lo: int, hi: int, start: int, b: int, trainer: TrainerSpec, model: ModelSpec) -> np.ndarray:
-        """Rows lo:hi's losses on their batches at ``start``; the gradients are written into the gradient rows.
+    def _group_loss(self, lo: int, hi: int, b: int, x: np.ndarray, rows: np.ndarray, at: np.ndarray | None,
+                    trainer: TrainerSpec, model: ModelSpec) -> np.ndarray:
+        """Rows lo:hi's losses on their batches, the (hi - lo, b) ``rows`` of ``x``; gradients go in the gradient rows.
 
-        The two SSL views take one pass as a (2, K, B, D) stack, and each gradient's two halves are added.
+        A supervised group's cross-entropy runs in place in its logits, at its labels' flat ``at`` indices. The two
+        SSL views take one pass as a (2, K, B, D) stack, and each gradient's two halves are added.
         """
-        batches = [(s, s.perm[start : start + b]) for s in self._sessions[lo:hi]]
-        x = np.stack([s.x[idx] for s, idx in batches], out=self.x[lo:hi, :b])
-        if trainer.method == "supervised":
-            labels = np.stack([s.y[idx] for s, idx in batches])
-        else:
-            views = self.views[:, :, lo:hi, :b]
-            make_views(x, trainer.augment_noise_std, trainer.augment_mask_prob, [s.rng for s, _ in batches], out=views)
+        m = hi - lo
+        x = np.take(x, rows, axis=0, out=_batches(self.x, m, b), mode="clip")
+        if trainer.is_ssl:
+            views = _batches(self.views, m, b)
+            make_views(x, trainer.augment_noise_std, trainer.augment_mask_prob, [s.rng for s in self._sessions[lo:hi]],
+                       out=views)
             x = views[0]  # both views, as one stack
-        cut = (..., slice(lo, hi), slice(None, b), slice(None))
         params = {name: a[lo:hi] for name, a in self._params.items()}
-        out = ForwardPass([a if a is None else a[cut] for a in self.act], [a[cut] for a in self.pre])
+        out = ForwardPass([a if a is None else _batches(a, m, b) for a in self.act],
+                          [_batches(a, m, b) for a in self.pre])
         fp = forward(params, model, x, out)
-        if trainer.method == "supervised":
-            loss, grad_logits = loss_xent(fp.pre[-1], labels)
-            backward(params, model, fp, grad_logits, {name: a[lo:hi] for name, a in self._grads.items()})
+        if not trainer.is_ssl:
+            logp = _log_softmax(fp.pre[-1], fp.pre[-1], [_batches(a, m, b) for a in self.xent])
+            loss = _xent_loss(logp, at)
+            backward(params, model, fp, _xent_grad(logp, at, logp), {name: a[lo:hi] for name, a in self._grads.items()})
             return loss
         if trainer.method == "simclr":
             loss, ga, gb = loss_ntxent(*fp.pre[-1], trainer.temperature)
         else:
             loss, ga, gb = loss_barlow(*fp.pre[-1], trainer.lambda_offdiag)
         view_grads = {name: a[:, lo:hi] for name, a in self._view_grads.items()}
-        backward(params, model, fp, np.stack([ga, gb], out=self.dz[cut]), view_grads)
+        backward(params, model, fp, np.stack([ga, gb], out=_batches(self.dz, m, b)), view_grads)
         np.add(self.dw[0, lo:hi], self.dw[1, lo:hi], out=self.rows[2, lo:hi])  # every layer's two halves at once
         return loss
 
@@ -619,7 +643,7 @@ def _train_round(clients, trainer: TrainerSpec, model: ModelSpec, first: ParamSe
     """Check and train ``clients`` as one block: (final weights, mean final-epoch losses) in round order.
 
     Every ``init`` must be compatible with ``first``, the round's first
-    client's. The first ValueError of any client propagates.
+    client's, and every supervised label in the head's classes. The first ValueError of any client propagates.
     """
     sessions: list[_Session] = []
     for _, data, init, rng in clients:
@@ -636,6 +660,8 @@ def _train_round(clients, trainer: TrainerSpec, model: ModelSpec, first: ParamSe
     extra = dict(first.layout).keys() - layer_names(model)
     if extra:  # training would write no gradient for them
         raise IncompatibleModelError(f"layers {sorted(extra)} are not in the model")
+    if not trainer.is_ssl and any(s.y.min() < 0 or s.y.max() >= model.head_classes for s in sessions):
+        raise ValueError(f"label outside [0, {model.head_classes})")  # here, once: no step checks them
 
     order = sorted(range(len(sessions)), key=lambda k: (-len(sessions[k].sizes), -sessions[k].sizes[-1]))
     total = ws._train([sessions[k] for k in order], [clients[k][2].vector for k in order], first.layout, trainer, model)
@@ -649,11 +675,13 @@ def train_clients(clients, trainer: TrainerSpec, model: ModelSpec, workspace: Wo
     ``clients`` lists ``(client_id, data, init, rng)`` in round order
     (ascending client id, as :class:`ClientUpdates` requires). The
     clients are the rows of one (K, P) weight block (see :class:`Workspace`).
-    Each step runs the forward pass, loss, backward pass and SGD step once
-    per group of rows that share a batch size; a client that has finished
-    its epoch is not touched. Every client draws its permutations and views
-    from its own ``rng`` as it would alone, so each row is bit-identical to
-    training that client by itself (K=1).
+    Each epoch writes every client's shuffle as indices into the round's rows, so
+    a step gathers a group's batch in one call, then runs the forward pass, loss,
+    backward pass and SGD step once per group of rows that share a batch size; a
+    client that has finished its epoch is not touched. Supervised labels are
+    checked against the head's classes once a round, not at each step. Each
+    client draws its permutations and views from its own ``rng`` as it would
+    alone, so each row is bit-identical to training that client by itself (K=1).
 
     Returns the block's rows in round order as one :class:`ClientUpdates`:
     the final parameters, the sample counts and the mean losses over the

@@ -194,6 +194,21 @@ class TestRunRound:
             tracemalloc.stop()
         assert peak < 2**20
 
+    def test_only_the_last_rounds_probe_runs_without_the_training_arrays(self, monkeypatch, tmp_path):
+        # the run's peak memory is its last probe's: the workspace it will not use again is freed first
+        cfg = base_config(tmp_path, rounds=3, evaluation={"epochs": 4, "milestones": [2], "probe_every": 1})
+        train_ds, test_ds = build_datasets(cfg)
+        runner = FederatedRunner(cfg, train_ds, partition(train_ds, cfg.partition), test_ds)
+        held = []
+
+        def probe(*args):
+            held.append(hasattr(runner.workspace, "rows"))
+            return linear_probe(*args)
+
+        monkeypatch.setattr(engine, "linear_probe", probe)
+        runner.run(runner.initial_state())
+        assert held == [True, True, False]
+
     def test_noop_training_under_fairavg_is_identity(self, tmp_path):
         cfg = base_config(
             tmp_path,

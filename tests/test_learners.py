@@ -787,6 +787,19 @@ class TestTrainLocal:
             )
         assert info.value.client_id == 8
 
+    def test_out_of_range_label_names_its_client(self):
+        # the Dataset holds labels in [0, 5), the head has 3 classes: the round checks them once, not each step
+        rng = np.random.default_rng(24)
+        model = ModelSpec((4, 6, 5), head_classes=3)
+        init = init_params(model, rng)
+        good = Dataset(rng.normal(size=(10, 4)), rng.integers(0, 3, 10), 5)
+        bad = Dataset(rng.normal(size=(10, 4)), [0, 1, 2, 0, 1, 2, 0, 1, 3, 2], 5)
+        trainer = TrainerSpec(method="supervised", batch_size=4)
+        with pytest.raises(ClientTrainingError, match=r"^label outside \[0, 3\)$") as info:
+            train_clients([(cid, d, init, np.random.default_rng(cid)) for cid, d in ((3, good), (4, bad), (5, good))],
+                          trainer, model)
+        assert info.value.client_id == 4
+
     def test_layers_outside_the_model_rejected(self):
         # training writes gradients for the model's layers only: another layer would be
         # stepped with whatever a kept workspace last held in its rows
@@ -988,6 +1001,69 @@ class TestTrainClientsProperties:
             assert up.num_samples == alone.num_samples == len(d)
             assert up.params.vector.tobytes() == alone.params.vector.tobytes()
             assert up.train_loss == alone.train_loss
+
+
+def hand_written_round(clients, trainer, model):
+    """Each client of a supervised round trained alone by a plain loop: (weights, mean final-epoch losses).
+
+    Every batch is ``x[perm[start:start + b]]``, and its gradient is ``parent_loss_xent``'s, so the
+    loop shares neither the round's gather nor its cross-entropy.
+    """
+    weights, losses = [], []
+    for _, data, init, rng in clients:
+        w, v, n = init.vector.copy(), np.zeros(init.num_params), len(data)
+        params = segments(w, init.layout)
+        for _ in range(max(trainer.local_epochs, 1)):
+            perm, total = rng.permutation(n), 0.0
+            for start in range(0, n, trainer.batch_size):
+                idx = perm[start : start + trainer.batch_size]
+                fp = forward(params, model, data.features[idx])
+                loss, grad = parent_loss_xent(fp.pre[-1], data.labels[idx])
+                grads = backward(params, model, fp, grad)
+                if trainer.local_epochs:
+                    g = np.concatenate([grads[name].reshape(-1) for name, _ in init.layout])
+                    v *= trainer.momentum
+                    v += g + trainer.weight_decay * w
+                    w -= trainer.lr * v
+                total += loss * len(idx)
+        weights.append(w)
+        losses.append(total / n)
+    return np.stack(weights), np.array(losses)
+
+
+class TestSupervisedRoundBytes:
+    """A supervised round's gathered batches and in-place cross-entropy give a plain per-client loop's bytes."""
+
+    @settings(derandomize=True, deadline=None, database=None, max_examples=60)
+    @given(
+        sizes=st.lists(st.integers(1, 20), min_size=1, max_size=8),
+        batch_size=st.integers(1, 9),
+        local_epochs=st.integers(0, 2),
+        classes=st.integers(2, 6),
+        activation=st.sampled_from(["relu", "tanh"]),
+        seed=st.integers(0, 2**16),
+    )
+    # every n divisible by the batch; final batches of one row; 16 classes, whose row sums numpy adds pairwise
+    @example(sizes=[8, 4, 12, 4], batch_size=4, local_epochs=2, classes=3, activation="relu", seed=1)
+    @example(sizes=[9, 5, 1, 13], batch_size=4, local_epochs=1, classes=4, activation="tanh", seed=2)
+    @example(sizes=[40, 33, 7], batch_size=9, local_epochs=1, classes=16, activation="relu", seed=3)
+    def test_round_gives_the_hand_written_loops_bytes(self, sizes, batch_size, local_epochs, classes, activation,
+                                                       seed):
+        rng = np.random.default_rng(seed)
+        model = ModelSpec((3, 5, 4), head_classes=classes, activation=activation)
+        trainer = TrainerSpec(method="supervised", batch_size=batch_size, local_epochs=local_epochs, lr=0.05,
+                              weight_decay=1e-3)
+        inits = [init_params(model, rng) for _ in sizes]
+        data = [Dataset(rng.normal(size=(n, 3)), rng.integers(0, classes, n), classes) for n in sizes]
+
+        def clients():
+            return [(10 + k, d, init, np.random.default_rng([seed, k])) for k, (d, init) in
+                    enumerate(zip(data, inits))]
+
+        got = train_clients(clients(), trainer, model)
+        want_weights, want_losses = hand_written_round(clients(), trainer, model)
+        assert got.weights.tobytes() == want_weights.tobytes()
+        assert got.train_loss.tobytes() == want_losses.tobytes()
 
 
 ROUND = st.fixed_dictionaries({
