@@ -42,10 +42,10 @@ class EvalSpec:
             raise ValueError("label fractions must lie in (0, 1]")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
-        if any(b >= self.epochs for b in self.milestones) or list(self.milestones) != sorted(
+        if any(not 0 <= b < self.epochs for b in self.milestones) or list(self.milestones) != sorted(
             set(self.milestones)
         ):
-            raise ValueError("milestones must be strictly increasing and < epochs")
+            raise ValueError("milestones must be strictly increasing and lie in [0, epochs)")
         if self.lr < 0 or self.momentum < 0 or self.decay_factor < 0:
             raise ValueError("lr, momentum and decay_factor must be >= 0")
         if self.batch_size < 1:

@@ -435,7 +435,7 @@ def desk_scale_raw(strategy, seed, out_dir, rounds=30):
     }
 
 
-def test_06_determinism_across_runs_and_workers(tmp_path):
+def test_06_determinism_across_runs(tmp_path):
     raw = desk_scale_raw("ldawa", 1, tmp_path / "a", rounds=6)
     cfg_a = parse_config(raw)
     raw_b = dict(raw, output_dir=str(tmp_path / "b"))

@@ -804,6 +804,10 @@ ERROR_PATHS = {
     "config_negative_dataset_seed": (_validate("dataset.seed=-1"), 1, "dataset: seed must be non-negative"),
     "config_negative_run_seed": (_validate("run_seed=-1"), 1, "config: run_seed must be non-negative"),
     "config_zero_probe_batch": (_validate("evaluation.batch_size=0"), 1, "evaluation: batch_size must be >= 1"),
+    "config_negative_milestone": (
+        _validate("evaluation.milestones=[-1]"), 1,
+        "evaluation: milestones must be strictly increasing and lie in [0, epochs)",
+    ),
     "config_negative_eval_seed": (
         _validate("evaluation.eval_seed=-1"), 1, "evaluation: eval_seed must be non-negative",
     ),
