@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import logging
 import sys
 from itertools import zip_longest
 from pathlib import Path
@@ -22,11 +21,9 @@ from pathlib import Path
 import numpy as np
 
 from .aggregation import METADATA_STRATEGIES, AggregationSpec, ClientUpdates, aggregate, effective_strategy
-from .config import SCALARS, ConfigError, apply_overrides, load_config_file, parse_config
-from .engine import ROUNDS_CSV_PREFIX, build_datasets, run_experiment
-from .evaluation import linear_probe
+# The other commands import what they run in their bodies, so a cold ``aggregate`` loads no config or training.
 from .params import IncompatibleModelError, load_checkpoint, save_checkpoint
-from .partition import _csv_rows
+from .scalars import SCALARS, ConfigError
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -76,6 +73,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_cfg(args, output_dir: str | None = None):
+    from .config import apply_overrides, load_config_file, parse_config
     raw = apply_overrides(load_config_file(args.config), args.overrides)
     if output_dir is not None:
         raw["output_dir"] = output_dir  # --output wins over any --set output_dir
@@ -83,6 +81,7 @@ def _load_cfg(args, output_dir: str | None = None):
 
 
 def _cmd_run(args) -> int:
+    from .engine import run_experiment
     cfg = _load_cfg(args, args.output)
     result = run_experiment(cfg)
     print(f"run complete: {cfg.rounds} rounds -> {result.output_dir}")
@@ -96,6 +95,8 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_probe(args) -> int:
+    from .engine import build_datasets
+    from .evaluation import linear_probe
     cfg = _load_cfg(args)
     params = load_checkpoint(args.checkpoint)
     train_ds, test_ds = build_datasets(cfg)
@@ -151,6 +152,9 @@ def _cmd_aggregate(args) -> int:
         raise ConfigError(f"--round must be >= 0, got {args.round_index}")
     if args.warmup_rounds < 0:
         raise ConfigError(f"--warmup-rounds must be >= 0, got {args.warmup_rounds}")
+    report = args.report or f"{args.output}.divergence.json"
+    if Path(report).resolve() == Path(args.output).resolve():
+        raise ConfigError(f"--report and --output name the same file: {args.output}")
     spec = AggregationSpec(strategy=strategy, warmup_rounds=args.warmup_rounds)
     rule = effective_strategy(spec, args.round_index)
     if rule in METADATA_STRATEGIES and not args.metadata:
@@ -168,7 +172,7 @@ def _cmd_aggregate(args) -> int:
         raise ConfigError(f"{args.metadata}: {exc}") from exc
     new_global, div = aggregate(spec, args.round_index, global_params, updates)
     save_checkpoint(new_global, args.output)
-    with open(args.report or f"{args.output}.divergence.json", "w", encoding="utf-8") as fh:
+    with open(report, "w", encoding="utf-8") as fh:
         fh.write(div.to_json())
     print(f"aggregated {len(block)} clients with {strategy} -> {args.output}")
     return EXIT_OK
@@ -176,6 +180,8 @@ def _cmd_aggregate(args) -> int:
 
 def _read_rounds_csv(path: Path) -> list[dict]:
     """The data rows as dicts keyed by the header; a short row's missing cells read None, blank rows are skipped."""
+    from .engine import ROUNDS_CSV_PREFIX
+    from .partition import _csv_rows
     with open(path, newline="", encoding="utf-8") as fh:
         try:
             fields, *rows = list(_csv_rows(csv.reader(fh), path)) or [[]]
@@ -227,10 +233,9 @@ _COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        logging.basicConfig(
-            level=logging.INFO if args.verbose else logging.WARNING,
-            format="%(levelname)s %(name)s: %(message)s",
-        )
+        if args.verbose:  # src/ logs nothing at WARNING or above, so without -v nothing is configured
+            import logging
+            logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
         # Every stage checks finiteness and names the cause; numpy's warnings would only precede that line.
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             return _COMMANDS[args.command](args)

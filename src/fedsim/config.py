@@ -21,15 +21,12 @@ from .aggregation import RULES, AggregationSpec
 from .evaluation import EvalSpec
 from .learners import ModelSpec, TrainerSpec, validate_model_for_trainer
 from .partition import PartitionSpec, _require_rows
+from .scalars import SCALARS, ConfigError  # ConfigError is re-exported as fedsim.config.ConfigError
 
 # Strategies that get the two-round fedavg warm-up by default: the per-layer ones.
 WARMUP_DEFAULT_STRATEGIES = tuple(s for s, (_, scale) in RULES.items() if scale == "layer")
 DEFAULT_WARMUP_ROUNDS = 2
 DEFAULT_FEDU_THRESHOLD = 0.5
-
-
-class ConfigError(ValueError):
-    """A configuration field is missing, unknown, or invalid."""
 
 
 @dataclass(frozen=True)
@@ -107,22 +104,6 @@ Coercer = Callable[[Any, str], Any]  # (JSON value, "section.key") -> field valu
 _ALIASES = {"lambda_offdiag": "lambda"}  # field name -> JSON key, where they differ
 
 
-def _exact(kind: type, expected: str) -> Coercer:
-    def coerce(value, path: str):
-        if type(value) is kind:  # so a bool is never an int
-            return value
-        raise ConfigError(f"{path}: expected {expected}, got {value!r}")
-
-    return coerce
-
-
-def _float(value, path: str) -> float:
-    # Not NaN, not infinite, and no integer past the float range.
-    if (type(value) is float or type(value) is int) and abs(value) <= sys.float_info.max:
-        return float(value)
-    raise ConfigError(f"{path}: expected a finite number, got {value!r}")
-
-
 def _threshold(value, path: str) -> float:
     # A positive JSON number (Infinity included) or exactly "inf": JSON proper has no infinity literal.
     if value == "inf" or type(value) is float or (type(value) is int and abs(value) <= sys.float_info.max):
@@ -138,11 +119,6 @@ def _path(value, path: str) -> str:
 
 # Fields whose coercer is not read off the annotation.
 _SPECIAL = {(AggregationSpec, "fedu_threshold"): _threshold, (ExperimentConfig, "output_dir"): _path}
-
-# The JSON value rules (the aggregation metadata reader shares them).
-SCALARS = {
-    int: _exact(int, "an integer"), bool: _exact(bool, "true or false"), str: _exact(str, "a string"), float: _float,
-}
 
 
 def _coercer(hint) -> Coercer:

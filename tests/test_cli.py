@@ -3,8 +3,11 @@
 import copy
 import csv
 import json
+import os
 import re
 import struct
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -584,6 +587,14 @@ class TestMalformedInputs:
                      "--strategy", "fedavg", "--metadata", str(meta), "--output", str(out)]) == 0
         assert load_checkpoint(out) == mix([p1, p2], [0.75, 0.25])
 
+    def test_report_on_the_output_writes_nothing(self, tmp_path, capsys):
+        g, _ = checkpoint(tmp_path, "g.bin", {"w": [1.0]})
+        (tmp_path / "sub").mkdir()
+        argv = ["aggregate", "--global", g, "--client", g, "--strategy", "fairavg", "--output", str(tmp_path / "x.bin")]
+        assert main([*argv, "--report", str(tmp_path / "sub" / ".." / "x.bin")]) == 1
+        assert capsys.readouterr().err == f"error: --report and --output name the same file: {tmp_path / 'x.bin'}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["g.bin", "sub"]
+
 
 class TestProbeCommand:
     def test_probe_final_checkpoint(self, tmp_path, capsys):
@@ -896,6 +907,10 @@ ERROR_PATHS = {
     "aggregate_negative_round": (
         _aggregate("{tmp}/good.bin", "{tmp}/good.bin", "--round", "-1"), 1, "--round must be >= 0",
     ),
+    "aggregate_report_is_output": (
+        _aggregate("{tmp}/good.bin", "{tmp}/good.bin", "--report", "{tmp}/nocol/../agg.bin"), 1,
+        "error: --report and --output name the same file",
+    ),
     "compare_missing_rounds_csv": (
         ["compare", "{tmp}/norun", "--output", "{tmp}/merged.csv"], 1, "norun/rounds.csv: no rounds.csv in",
     ),
@@ -972,3 +987,41 @@ class TestErrorContract:
         assert exc.value.code == 0
         captured = capsys.readouterr()
         assert captured.out.startswith("usage: fedsim") and captured.err == ""
+
+
+def fedsim_python(*args):
+    """A fresh interpreter running ``python *args`` on this checkout's sources; its completed process."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    return subprocess.run([sys.executable, *args], env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+                          text=True, check=True)
+
+
+class TestImports:
+    """Each command imports only the modules it runs, and only ``-v`` configures logging."""
+
+    def test_aggregate_loads_only_the_aggregation_path(self, tmp_path):
+        g, _ = checkpoint(tmp_path, "g.bin", {"w": [1.0, 2.0], "b": [0.5]})
+        c, _ = checkpoint(tmp_path, "c.bin", {"w": [2.0, 1.0], "b": [0.25]})
+        argv = ["aggregate", "--global", g, "--client", c, "--client", g, "--strategy", "ldawa",
+                "--output", str(tmp_path / "agg.bin")]
+        script = (
+            "import json, sys\n"
+            "from fedsim.cli import main\n"
+            f"code = main({argv!r})\n"
+            "fedsim = sorted(m for m in sys.modules if m.startswith('fedsim'))\n"
+            "print(json.dumps([code, fedsim, 'logging' in sys.modules]))"
+        )
+        code, modules, logging_loaded = json.loads(fedsim_python("-c", script).stdout.splitlines()[-1])
+        assert code == 0
+        assert modules == ["fedsim", "fedsim.aggregation", "fedsim.cli", "fedsim.divergence", "fedsim.params",
+                           "fedsim.scalars"]
+        assert not logging_loaded
+
+    @pytest.mark.parametrize("verbose", [True, False], ids=["verbose", "quiet"])
+    def test_only_verbose_logs_each_round(self, tmp_path, verbose):
+        config = write_config(tmp_path, minimal_raw(tmp_path, rounds=3))
+        out = fedsim_python("-m", "fedsim.cli", *(["-v"] if verbose else []), "run", "--config", config)
+        assert out.stdout == f"run complete: 3 rounds -> {tmp_path / 'out'}\n"
+        rounds = [f"INFO fedsim.engine: round {r} [fedavg] mu_delta=" for r in range(3)] if verbose else []
+        lines = out.stderr.splitlines()
+        assert len(lines) == len(rounds) and all(line.startswith(want) for line, want in zip(lines, rounds))

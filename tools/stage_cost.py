@@ -1,4 +1,4 @@
-"""Traced memory and wall time of the stages of two fixed runs.
+"""Traced memory and wall time of the stages of two fixed runs, and of a cold ``fedsim aggregate``.
 
 Usage (from the repository root):
 
@@ -31,13 +31,23 @@ clients, SimCLR, batch 16, seed 1) through one ``FederatedRunner``. After 2
 warm-up rounds, each of the next 20 rounds runs under ``tracemalloc``. One
 ``round`` line each gives its traced peak above the round's start, in KiB,
 and a last line their median. The final round, which probes, is not run.
+
+The cold aggregate writes a global and 16 client checkpoints shaped like
+fedbench's ``offline_aggregate`` (encoder 128 -> 256 -> 512, projector
+512 -> 64; 197k parameters) and times 9 calls of ``python -m fedsim.cli
+aggregate --strategy ldawa``, each a fresh interpreter, as that workload's
+``setup_s`` does. The ``cold`` line gives their median and minimum wall time
+in ms and the number of fedsim modules one such call imports. The calls run
+the fedsim that this tool imported: their ``PYTHONPATH`` is its source root.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
+import os
 import statistics
+import subprocess
 import sys
 import tempfile
 import time
@@ -48,15 +58,20 @@ import numpy as np
 
 from artifact_hashes import desk_scale
 
+import fedsim
 from fedsim.config import parse_config
 from fedsim.engine import FederatedRunner, build_datasets, sample_clients
 from fedsim.evaluation import linear_probe
+from fedsim.learners import ModelSpec, init_params
+from fedsim.params import ParamSet, save_checkpoint
 from fedsim.partition import partition
 
 CLASSES, ROWS_PER_CLASS, FEATURES = 16, 1000, 32
 SEED, ROUNDS = 1, 30  # the CSV run's last round is the one that probes
 REPEATS = 5  # timed calls of the CSV run's training rounds and of its probe
 WARMUP, TRACED = 2, 20  # the desk-scale run's rounds before tracing and traced
+COLD_CALLS, COLD_CLIENTS = 9, 16  # the cold aggregate's timed calls and client checkpoints
+COLD_MODEL = ModelSpec(encoder_dims=(128, 256, 512), projector_dims=(512, 64))  # offline_aggregate's model
 
 
 def write_csv(path: Path, seed: int) -> None:
@@ -178,10 +193,33 @@ def desk_scale_run(tmp: Path) -> None:
     print(f"median tracemalloc_peak_kib {statistics.median(peaks):.1f}")
 
 
+def cold_aggregate(tmp: Path) -> None:
+    rng = np.random.default_rng([SEED, 0xC01D])
+    glob = init_params(COLD_MODEL, rng)
+    save_checkpoint(glob, tmp / "global.bin")
+    argv = ["aggregate", "--global", str(tmp / "global.bin"), "--strategy", "ldawa", "--output", str(tmp / "cold.bin")]
+    for k in range(COLD_CLIENTS):
+        vector = glob.vector * rng.uniform(0.5, 1.0) + rng.normal(scale=0.05, size=glob.num_params)
+        save_checkpoint(ParamSet(vector, glob.layout), tmp / f"client{k:02d}.bin")
+        argv += ["--client", str(tmp / f"client{k:02d}.bin")]
+    env = dict(os.environ, PYTHONPATH=str(Path(fedsim.__file__).resolve().parent.parent))
+    times = []
+    for _ in range(COLD_CALLS):
+        start = time.perf_counter()
+        subprocess.run([sys.executable, "-m", "fedsim.cli", *argv], env=env, stdout=subprocess.DEVNULL, check=True)
+        times.append(time.perf_counter() - start)
+    count = ("import sys; from fedsim.cli import main; main(sys.argv[1:]); "
+             "print(sum(m.split('.')[0] == 'fedsim' for m in sys.modules))")
+    modules = subprocess.run([sys.executable, "-c", count, *argv], env=env, capture_output=True, text=True, check=True)
+    print(f"cold aggregate_calls {COLD_CALLS} median_ms {statistics.median(times) * 1e3:.1f} "
+          f"min_ms {min(times) * 1e3:.1f} clients {COLD_CLIENTS} fedsim_modules {modules.stdout.split()[-1]}")
+
+
 def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         csv_run(Path(tmp))
         desk_scale_run(Path(tmp))
+        cold_aggregate(Path(tmp))
     return 0
 
 
