@@ -147,7 +147,6 @@ def _load_metadata(path, n_clients: int) -> list[tuple[int, float]]:
 
 
 def _cmd_aggregate(args) -> int:
-    strategy = args.strategy
     if args.round_index < 0:
         raise ConfigError(f"--round must be >= 0, got {args.round_index}")
     if args.warmup_rounds < 0:
@@ -155,7 +154,7 @@ def _cmd_aggregate(args) -> int:
     report = args.report or f"{args.output}.divergence.json"
     if Path(report).resolve() == Path(args.output).resolve():
         raise ConfigError(f"--report and --output name the same file: {args.output}")
-    spec = AggregationSpec(strategy=strategy, warmup_rounds=args.warmup_rounds)
+    spec = AggregationSpec(strategy=args.strategy, warmup_rounds=args.warmup_rounds)
     rule = effective_strategy(spec, args.round_index)
     if rule in METADATA_STRATEGIES and not args.metadata:
         raise ConfigError(f"round {args.round_index} applies {rule!r}, which needs per-client --metadata")
@@ -171,17 +170,17 @@ def _cmd_aggregate(args) -> int:
     except ValueError as exc:  # the block is built to fit, so only the metadata can break a rule
         raise ConfigError(f"{args.metadata}: {exc}") from exc
     new_global, div = aggregate(spec, args.round_index, global_params, updates)
-    save_checkpoint(new_global, args.output)
-    with open(report, "w", encoding="utf-8") as fh:
-        fh.write(div.to_json())
-    print(f"aggregated {len(block)} clients with {strategy} -> {args.output}")
+    doc = div.to_json(global_params, updates)  # before any write: a distance that overflows leaves no file
+    with open(report, "w", encoding="utf-8") as fh:  # and a report that cannot be opened leaves no checkpoint
+        save_checkpoint(new_global, args.output)
+        fh.write(doc)
+    print(f"aggregated {len(block)} clients with {args.strategy} -> {args.output}")
     return EXIT_OK
 
 
 def _read_rounds_csv(path: Path) -> list[dict]:
     """The data rows as dicts keyed by the header; a short row's missing cells read None, blank rows are skipped."""
-    from .engine import ROUNDS_CSV_PREFIX
-    from .partition import _csv_rows
+    from .partition import ROUNDS_CSV_PREFIX, _csv_rows
     with open(path, newline="", encoding="utf-8") as fh:
         try:
             fields, *rows = list(_csv_rows(csv.reader(fh), path)) or [[]]

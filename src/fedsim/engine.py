@@ -29,6 +29,7 @@ from .evaluation import linear_probe
 from .learners import ClientTrainingError, Workspace, init_params, projector_start, train_clients
 from .params import ParamSet, save_checkpoint
 from .partition import (
+    ROUNDS_CSV_PREFIX,
     Dataset,
     load_csv,
     make_blobs,
@@ -43,16 +44,6 @@ logger = logging.getLogger(__name__)
 _TAG_INIT = 1
 _TAG_SAMPLE = 2
 _TAG_TRAIN = 3
-
-ROUNDS_CSV_PREFIX = [
-    "round",
-    "strategy_effective",
-    "mu_delta_model",
-    "mu_delta_layer",
-    "mean_local_loss",
-    "agg_time_ms",
-    "probe_acc",
-]
 
 
 def derived_rng(run_seed: int, *parts: int) -> np.random.Generator:
@@ -255,7 +246,7 @@ def write_rounds_csv(history: Sequence[RoundRecord], total_clients: int, path, r
     ``agg_time_ms`` column is zeroed unless timing capture was requested;
     this keeps default telemetry byte-identical across repeated runs.
     """
-    header = ROUNDS_CSV_PREFIX + [f"client_{i}_delta" for i in range(total_clients)]
+    header = list(ROUNDS_CSV_PREFIX) + [f"client_{i}_delta" for i in range(total_clients)]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)

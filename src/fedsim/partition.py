@@ -271,6 +271,18 @@ def _body(data: bytes, start: int) -> io.TextIOWrapper:
     return io.TextIOWrapper(stream, encoding="utf-8", newline="")
 
 
+# The columns every rounds.csv starts with: the engine writes them and ``fedsim compare`` reads them.
+ROUNDS_CSV_PREFIX = (
+    "round",
+    "strategy_effective",
+    "mu_delta_model",
+    "mu_delta_layer",
+    "mean_local_loss",
+    "agg_time_ms",
+    "probe_acc",
+)
+
+
 def _csv_rows(reader, path, skipped_lines: int = 0):
     """The reader's rows; a malformed file (say, an over-long field) raises ValueError naming the line."""
     try:

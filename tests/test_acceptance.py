@@ -108,7 +108,7 @@ def test_01_aggregation_oracle_equivalence():
         n_layers = len(global_params.layout)
         unit = Divergence(
             tuple(u.client_id for u in updates), global_params.names,
-            np.ones((k, n_layers)), np.zeros((k, n_layers)), np.ones(k),
+            np.ones((k, n_layers)), np.ones(k),
         )
         block = pack(updates)
         forced = weighted_sum(block.weights, block.layout, coefficient_matrix("ldawa", block, unit))

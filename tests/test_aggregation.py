@@ -1,5 +1,6 @@
 """Aggregation strategies: coefficients, divergence scaling, dispatch, warm-up."""
 
+import json
 import math
 
 import numpy as np
@@ -189,9 +190,7 @@ class TestWeightedLdawa:
         rng = np.random.default_rng(4)
         g, ups = random_fixture(rng)
         k, n_layers = len(ups), len(g.layout)
-        ones = Divergence(
-            tuple(u.client_id for u in ups), g.names, np.ones((k, n_layers)), np.zeros((k, n_layers)), np.ones(k)
-        )
+        ones = Divergence(tuple(u.client_id for u in ups), g.names, np.ones((k, n_layers)), np.ones(k))
         block = pack(ups)
         betas = coeffs_fedavg(block)
         out = weighted_sum(block.weights, g.layout, coefficient_matrix("ldawa_fedavg", block, ones))
@@ -298,6 +297,12 @@ class TestDispatch:
         b, _ = aggregate(AggregationSpec("fairavg"), 0, g, ups)
         assert np.abs(a.vector - b.vector).max() < 1e-12
 
+    def test_a_distance_overflow_does_not_fail_the_round(self):
+        # (2e154)**2 overflows, but no strategy reads a distance: ldawa scales the opposed client by -1.
+        g, ups = ps({"w": [1e154]}), pack([update(0, {"w": [-1e154]})])
+        new_global, div = aggregate(AggregationSpec("ldawa"), 0, g, ups)
+        assert new_global["w"].tolist() == [1e154] and div.layer.tolist() == [[-1.0]]
+
     def test_reports_returned_for_every_strategy(self):
         rng = np.random.default_rng(9)
         g, ups = random_fixture(rng, n_clients=3)
@@ -305,7 +310,9 @@ class TestDispatch:
         for strategy in ("fedavg", "fairavg", "loss", "mdawa", "ldawa", "ldawa_fedavg", "ldawa_loss", "ldawa_fedu"):
             _, div = aggregate(AggregationSpec(strategy), 5, g, ups)
             assert div.client_ids == (0, 1, 2)
-            assert div.layer.shape == div.euclid.shape == (3, len(g.layout)) and div.model.shape == (3,)
+            assert div.layer.shape == (3, len(g.layout)) and div.model.shape == (3,)
+            report = json.loads(div.to_json(g, ups))
+            assert [list(entry["per_layer_euclid"]) for entry in report] == [list(g.names)] * 3
 
     def test_ldawa_fedu_server_side_equals_ldawa_fedavg(self):
         rng = np.random.default_rng(10)
@@ -368,7 +375,7 @@ class TestDispatch:
     def test_renormalize_divides_a_small_column_and_keeps_a_degenerate_one(self):
         # Column sums 1e-9 (above the 1e-12 threshold: divided) and 5e-14 (below it: kept).
         layer = np.array([[2e-9, 1e-13], [0.0, 0.0]])
-        div = Divergence((0, 1), ("a", "b"), layer, np.zeros_like(layer), np.ones(2))
+        div = Divergence((0, 1), ("a", "b"), layer, np.ones(2))
         ups = pack([update(0, {"a": [1.0], "b": [1.0]}), update(1, {"a": [1.0], "b": [1.0]})])
         table = coefficient_matrix("ldawa", ups, div, renormalize=True)
         assert table.tolist() == [[1.0, 5e-14], [0.0, 0.0]]
@@ -377,7 +384,7 @@ class TestDispatch:
         # One layer of 8 clients: ``sum(axis=0)`` would add this contiguous column pairwise, where
         # 0.125 + 1.25e-17 rounds back to 0.125 at every step of the ordered sum.
         layer = np.array([[1.0]] + [[1e-16]] * 7)
-        div = Divergence(tuple(range(8)), ("w",), layer, np.zeros_like(layer), np.ones(8))
+        div = Divergence(tuple(range(8)), ("w",), layer, np.ones(8))
         raw = layer / 8  # ldawa's uniform base 1/8 scales exactly
         total = 0.0
         for c in raw[:, 0]:

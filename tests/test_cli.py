@@ -715,6 +715,8 @@ def _contract_fixture(tmp_path):
     (tmp_path / "malformed.bin").write_bytes(MALFORMED_CHECKPOINTS["header_not_utf8"])
     checkpoint(tmp_path, "longer.bin", {"w": [1.0, 2.0, 3.0]})
     checkpoint(tmp_path, "huge.bin", {"w": [1e300, 1e300]})  # finite, but its squared norm overflows
+    checkpoint(tmp_path, "far.bin", {"w": [1e154]})
+    checkpoint(tmp_path, "opposed.bin", {"w": [-1e154]})  # its squared distance to far.bin, (2e154)**2, overflows
     (tmp_path / "nan.bin").write_bytes(binary_blob(one_layer(), struct.pack("<2d", 1.0, float("nan"))))
     (tmp_path / "bad.json").write_text("{")
     (tmp_path / "deep.json").write_text("[" * 100_000)
@@ -893,6 +895,14 @@ ERROR_PATHS = {
         _aggregate("{tmp}/good.bin", "{tmp}/huge.bin", "--strategy", "ldawa"), 1,  # the last --strategy wins
         "error: layer 'w': a dot product, squared norm or squared distance of the divergence is not finite",
     ),
+    "aggregate_distance_overflows": (
+        _aggregate("{tmp}/far.bin", "{tmp}/opposed.bin", "--strategy", "ldawa"), 1,
+        "error: layer 'w': a dot product, squared norm or squared distance of the divergence is not finite",
+    ),
+    "aggregate_report_cannot_be_opened": (
+        _aggregate("{tmp}/good.bin", "{tmp}/good.bin", "--report", "{tmp}/nodir/r.json"), 2,
+        "No such file or directory",
+    ),
     "aggregate_bad_metadata": (
         _aggregate("{tmp}/good.bin", "{tmp}/good.bin", "--metadata", "{tmp}/meta.json"),
         1, "client entry 0: num_samples",
@@ -955,6 +965,8 @@ class TestErrorContract:
         assert cause in captured.err
         assert "Traceback" not in captured.err + captured.out
         assert captured.out == ""
+        if argv[0] == "aggregate":  # a failed aggregation writes neither its checkpoint nor its report
+            assert not (tmp_path / "agg.bin").exists() and not (tmp_path / "agg.bin.divergence.json").exists()
 
     @pytest.mark.parametrize(
         "raised, cause",
@@ -1016,6 +1028,22 @@ class TestImports:
         assert modules == ["fedsim", "fedsim.aggregation", "fedsim.cli", "fedsim.divergence", "fedsim.params",
                            "fedsim.scalars"]
         assert not logging_loaded
+
+    def test_compare_loads_no_engine(self, tmp_path):
+        (tmp_path / "run").mkdir()
+        header = "round,strategy_effective,mu_delta_model,mu_delta_layer,mean_local_loss,agg_time_ms,probe_acc"
+        (tmp_path / "run" / "rounds.csv").write_text(header + "\n0,fedavg,0.5,0.5,1.0,0.0,\n")
+        argv = ["compare", str(tmp_path / "run"), "--output", str(tmp_path / "merged.csv")]
+        script = (
+            "import json, sys\n"
+            "from fedsim.cli import main\n"
+            f"code = main({argv!r})\n"
+            "print(json.dumps([code, sorted(m for m in sys.modules if m.startswith('fedsim'))]))"
+        )
+        code, modules = json.loads(fedsim_python("-c", script).stdout.splitlines()[-1])
+        assert code == 0
+        assert modules == ["fedsim", "fedsim.aggregation", "fedsim.cli", "fedsim.divergence", "fedsim.params",
+                           "fedsim.partition", "fedsim.scalars"]
 
     @pytest.mark.parametrize("verbose", [True, False], ids=["verbose", "quiet"])
     def test_only_verbose_logs_each_round(self, tmp_path, verbose):

@@ -1,4 +1,4 @@
-"""Cosine divergence, the (K, L) divergence table, and mean-divergence telemetry."""
+"""Cosine divergence, the (K, L) divergence table, the report's distances, and mean-divergence telemetry."""
 
 import json
 import math
@@ -56,6 +56,12 @@ def scalar_divergence(g, block):
     return layer, euclid, model
 
 
+def report_euclid(g, updates):
+    """The (K, L) distances of ``aggregate --report``, read back from its JSON (each float round-trips exactly)."""
+    doc = json.loads(divergence(g, updates).to_json(g, updates))
+    return np.array([list(entry["per_layer_euclid"].values()) for entry in doc])
+
+
 def cosine(a, b):
     """The divergence table's only entry for a one-layer client ``b`` against a one-layer global ``a``."""
     return divergence(ps({"t": a}), pack([ps({"t": b})], [0])).layer[0, 0]
@@ -108,7 +114,7 @@ class TestDivergence:
         assert div.client_ids == (1,) and div.names == ("a", "b")
         assert div.layer.tolist() == [[1.0, 1.0]]
         assert div.model.tolist() == [1.0]
-        assert div.euclid.tolist() == [[0.0, 0.0]]
+        assert report_euclid(m, pack([m], [1])).tolist() == [[0.0, 0.0]]
 
     def test_negated_model(self):
         g = ps({"a": [1.0, 2.0], "b": [3.0]})
@@ -151,19 +157,26 @@ class TestDivergence:
     def test_euclid_distances(self):
         g = ps({"a": [0.0, 0.0]})
         c = ps({"a": [3.0, 4.0]})
-        assert one(g, c).euclid[0, 0] == 5.0
+        assert report_euclid(g, pack([c], [0]))[0, 0] == 5.0
 
     @pytest.mark.parametrize(
         "global_, client, where",
         [({"w": [1.0]}, {"w": [1e300]}, "layer 'w'"),  # the client's squared norm
-         ({"w": [1e154]}, {"w": [-1e154]}, "layer 'w'"),  # only the squared distance, (2e154)**2
          ({"a": [1.0], "b": [1.0]}, {"a": [1.2e154], "b": [1.2e154]}, "whole model")],  # each layer's is finite
-        ids=["squared_norm", "squared_distance", "whole_model"],
+        ids=["squared_norm", "whole_model"],
     )
     def test_overflow_names_the_layer_or_the_whole_model(self, global_, client, where):
         # Every input is finite; a float64 overflow in the divergence is a ValueError, not a NaN or a warning.
         with pytest.raises(ValueError, match=rf"^{where}: a dot product, squared norm or squared distance"):
             divergence(ps(global_), pack([ps(client)], [0]))
+
+    def test_a_distance_overflow_fails_only_the_report(self):
+        # Only the squared distance, (2e154)**2, overflows: the round's cosine is exact and only the report fails.
+        g, updates = ps({"w": [1e154]}), pack([ps({"w": [-1e154]})], [0])
+        div = divergence(g, updates)
+        assert div.layer.tolist() == [[-1.0]] and div.model.tolist() == [-1.0]
+        with pytest.raises(ValueError, match=r"^layer 'w': a dot product, squared norm or squared distance"):
+            div.to_json(g, updates)
 
     def test_rows_follow_the_given_models(self):
         g = ps({"a": [1.0, 0.0], "b": [2.0]})
@@ -179,8 +192,8 @@ class TestDivergence:
             divergence(m, pack([m], [0, 1]))
 
     def test_json_serialization(self):
-        div = one(ps({"a": [1.0]}), ps({"a": [2.0]}), client_id=7)
-        (doc,) = json.loads(div.to_json())
+        g, updates = ps({"a": [1.0]}), pack([ps({"a": [2.0]})], [7])
+        (doc,) = json.loads(divergence(g, updates).to_json(g, updates))
         assert doc["client_id"] == 7
         assert set(doc) == {"client_id", "model_delta", "per_layer_delta", "per_layer_euclid"}
         assert doc["per_layer_delta"] == {"a": 1.0} and doc["per_layer_euclid"] == {"a": 1.0}
@@ -191,7 +204,7 @@ def table(model_delta, per_layer=None):
     model = np.asarray(model_delta, dtype=np.float64)
     layer = np.asarray(per_layer if per_layer is not None else model[:, None], dtype=np.float64)
     names = tuple(f"l{i}" for i in range(layer.shape[1]))
-    return Divergence(tuple(range(len(model))), names, layer, np.zeros_like(layer), model)
+    return Divergence(tuple(range(len(model))), names, layer, model)
 
 
 class TestMeanDelta:
@@ -260,7 +273,8 @@ class TestDivergenceProperties:
         assert after.layer.tobytes() == before.layer.tobytes()
         assert after.model.tobytes() == before.model.tobytes()
         others = [i for i in ids if i != k]
-        assert after.euclid[others].tobytes() == before.euclid[others].tobytes()
+        euclid_before, euclid_after = report_euclid(g, pack(clients, ids)), report_euclid(g, pack(scaled, ids))
+        assert euclid_after[others].tobytes() == euclid_before[others].tobytes()
 
 
 # Layer sizes: empty, single values and odd lengths (odd rows start misaligned in a packed block).
@@ -309,7 +323,7 @@ class TestMatchesScalarReference:
         div = divergence(g, updates)
         layer, euclid, model = scalar_divergence(g, updates.weights)
         assert div.layer.tobytes() == layer.tobytes()
-        assert div.euclid.tobytes() == euclid.tobytes()
+        assert report_euclid(g, updates).tobytes() == euclid.tobytes()
         assert div.model.tobytes() == model.tobytes()
 
     def test_same_bytes_under_the_prescott_kernel(self):
@@ -321,7 +335,7 @@ class TestMatchesScalarReference:
             from fedsim.aggregation import ClientUpdates
             from fedsim.divergence import divergence
             from fedsim.params import ParamSet
-            from test_divergence import scalar_divergence
+            from test_divergence import report_euclid, scalar_divergence
 
             rng = np.random.default_rng(12)
             mismatches = 0
@@ -331,8 +345,9 @@ class TestMatchesScalarReference:
                 g = ParamSet(rng.normal(size=sizes.sum()), layout)
                 k = int(rng.integers(2, 9))
                 block = rng.normal(size=(k, g.num_params))
-                div = divergence(g, ClientUpdates(tuple(range(k)), block, layout, [1] * k, [0.0] * k))
-                tables = (div.layer, div.euclid, div.model)
+                updates = ClientUpdates(tuple(range(k)), block, layout, [1] * k, [0.0] * k)
+                div = divergence(g, updates)
+                tables = (div.layer, report_euclid(g, updates), div.model)
                 mismatches += any(a.tobytes() != b.tobytes() for a, b in zip(tables, scalar_divergence(g, block)))
             print(blas_core(), mismatches)
             """
