@@ -172,7 +172,13 @@ def _cmd_aggregate(args) -> int:
     new_global, div = aggregate(spec, args.round_index, global_params, updates)
     doc = div.to_json(global_params, updates)  # before any write: a distance that overflows leaves no file
     with open(report, "w", encoding="utf-8") as fh:  # and a report that cannot be opened leaves no checkpoint
-        save_checkpoint(new_global, args.output)
+        try:
+            save_checkpoint(new_global, args.output)
+        except BaseException:  # nor a checkpoint that cannot be written a report
+            fh.close()
+            if Path(report).is_file():  # a pipe or device the report named stays
+                Path(report).unlink()
+            raise
         fh.write(doc)
     print(f"aggregated {len(block)} clients with {args.strategy} -> {args.output}")
     return EXIT_OK

@@ -521,17 +521,17 @@ def _batches(a: np.ndarray, m: int, b: int) -> np.ndarray:
 class Workspace:
     """One round's local training, and the arrays it writes into, kept from one :func:`train_clients` call to the next.
 
-    The round's sessions are the K rows of one (K, P) weight block with its velocity and gradient
-    blocks, sorted by (steps desc, last batch size desc): the rows taking step t of an epoch are a
-    prefix, and those sharing a batch size at it a contiguous run, so every group's rows are a slice
-    of the blocks. A step gathers a group's batch in one call, at indices into the round's rows that
-    each epoch writes from the clients' shuffles; supervised labels are checked once a round, by
-    :func:`_train_round`. The per-batch arrays (inputs, SSL views and mask draws, dz, each layer's
-    outputs and activations, the log-softmax's exps and row sums) are sized (views, K * batch_size,
-    width); rows lo:hi at batch size b use their first (hi - lo) * b rows as one C-ordered (hi - lo,
-    b, width) block. A supervised round makes no views, no dz and one gradient block, ``sgd_step``'s
-    scratch. A round of another K, batch size or model makes them anew. Every step overwrites them,
-    so nothing returned is a view of them.
+    The round's sessions are the K rows of the (K, P) blocks of one (4, K, P) array: weights, velocities,
+    gradients, and a spare that holds view b's gradients in an SSL step and is ``sgd_step``'s scratch in every
+    step. They are sorted by (steps desc, last batch size desc): the rows taking step t of an epoch are a prefix,
+    and those sharing a batch size at it a contiguous run, so every group's rows are a slice of the blocks. A
+    step gathers a group's batch in one call, at indices into the round's rows that each epoch writes from the
+    clients' shuffles; supervised labels are checked once a round, by :func:`_train_round`. The per-batch arrays
+    (inputs, SSL views and mask draws, each layer's outputs and activations, the log-softmax's exps and row sums)
+    are sized (views, K * batch_size, width); rows lo:hi at batch size b use their first (hi - lo) * b rows as one
+    C-ordered (hi - lo, b, width) block. The loss gradient overwrites the pass's output once the loss has read it.
+    A supervised round makes no views. A round of another K, batch size or model makes them anew. Every step
+    overwrites them, so nothing returned is a view of them.
     """
 
     _size: tuple = ()  # (width, model, is_ssl, rows, batch size) of the arrays
@@ -543,11 +543,9 @@ class Workspace:
         if self._size == size:
             return
         self._size, lead, layers = size, (2,) if trainer.is_ssl else (), _layers(model)  # lead: a views axis
-        self.rows = np.empty((3, k, width))  # weights, velocities, gradients
-        self.dw = np.empty((2 if lead else 1, k, width))  # each SSL view's gradients; dw[0] is sgd_step's scratch too
+        self.rows = np.empty((4, k, width))  # weights, velocities, gradients, spare
         self.x = np.empty((n, model.input_dim))
         self.views = np.empty((2, 2, n, model.input_dim)) if lead else None  # SSL views, then their mask draws
-        self.dz = np.empty((2, n, layers[-1][3])) if lead else None  # both views' output gradients
         self.pre = [np.empty((*lead, n, fan_out)) for *_, fan_out, _ in layers]
         self.act = [np.empty((*lead, n, fan_in)) if activated else None for *_, fan_in, _, activated in layers]
         self.xent = None if lead else (np.empty((n, layers[-1][3])), np.empty((n, 1)))  # log-softmax exps, row sums
@@ -560,12 +558,12 @@ class Workspace:
         """
         k, supervised = len(sessions), not trainer.is_ssl
         self._fit(k, len(inits[0]), model, trainer)
-        w, v, g = self.rows
+        w, v, g, spare = self.rows
         np.stack(inits, out=w)
         v.fill(0.0)
         total = np.zeros(k)
         self._sessions = sessions
-        self._params, self._grads, self._view_grads = (segments(a, layout) for a in (w, g, self.dw))
+        self._params, self._grads = segments(w, layout), segments(self.rows[2:], layout)  # grads: (2, K, *shape)
         steps = [list(self._groups(t)) for t in range(len(sessions[0].sizes))]  # row 0 takes every step
         x = np.concatenate([s.x for s in sessions])  # the round's rows
         idx = np.zeros((k, len(steps), trainer.batch_size), dtype=np.int64)  # [k, t, :b]: row k's batch at step t
@@ -589,7 +587,7 @@ class Workspace:
                     batch = (slice(lo, hi), t, slice(None, b))
                     loss = self._group_loss(lo, hi, b, x, idx[batch], at[batch] if supervised else None, trainer, model)
                     if train:
-                        sgd_step(w[lo:hi], g[lo:hi], v[lo:hi], *hyper, out=self.dw[0, lo:hi])
+                        sgd_step(w[lo:hi], g[lo:hi], v[lo:hi], *hyper, out=spare[lo:hi])
                     total[lo:hi] += loss * b
                 if train:
                     _require_finite_layers(w[:hi], layout)
@@ -610,8 +608,9 @@ class Workspace:
                     trainer: TrainerSpec, model: ModelSpec) -> np.ndarray:
         """Rows lo:hi's losses on their batches, the (hi - lo, b) ``rows`` of ``x``; gradients go in the gradient rows.
 
-        A supervised group's cross-entropy runs in place in its logits, at its labels' flat ``at`` indices. The two
-        SSL views take one pass as a (2, K, B, D) stack, and each gradient's two halves are added.
+        A supervised group's cross-entropy runs in place in its logits, at its labels' flat ``at`` indices. The two SSL
+        views take one pass as a (2, K, B, D) stack, their loss gradients overwrite its projections, and view b's
+        gradients, written into the spare rows, are added into view a's.
         """
         m = hi - lo
         x = np.take(x, rows, axis=0, out=_batches(self.x, m, b), mode="clip")
@@ -624,18 +623,18 @@ class Workspace:
         out = ForwardPass([a if a is None else _batches(a, m, b) for a in self.act],
                           [_batches(a, m, b) for a in self.pre])
         fp = forward(params, model, x, out)
+        grads = {name: a[:, lo:hi] if trainer.is_ssl else a[0, lo:hi] for name, a in self._grads.items()}
         if not trainer.is_ssl:
             logp = _log_softmax(fp.pre[-1], fp.pre[-1], [_batches(a, m, b) for a in self.xent])
             loss = _xent_loss(logp, at)
-            backward(params, model, fp, _xent_grad(logp, at, logp), {name: a[lo:hi] for name, a in self._grads.items()})
+            backward(params, model, fp, _xent_grad(logp, at, logp), grads)
             return loss
         if trainer.method == "simclr":
             loss, ga, gb = loss_ntxent(*fp.pre[-1], trainer.temperature)
         else:
             loss, ga, gb = loss_barlow(*fp.pre[-1], trainer.lambda_offdiag)
-        view_grads = {name: a[:, lo:hi] for name, a in self._view_grads.items()}
-        backward(params, model, fp, np.stack([ga, gb], out=_batches(self.dz, m, b)), view_grads)
-        np.add(self.dw[0, lo:hi], self.dw[1, lo:hi], out=self.rows[2, lo:hi])  # every layer's two halves at once
+        backward(params, model, fp, np.stack([ga, gb], out=fp.pre[-1]), grads)
+        np.add(self.rows[2, lo:hi], self.rows[3, lo:hi], out=self.rows[2, lo:hi])  # view a's plus view b's
         return loss
 
 

@@ -110,6 +110,31 @@ def brute_force_ntxent(z_a, z_b, tau):
     return total / (2 * b)
 
 
+def brute_force_barlow(z_a, z_b, lam):
+    """Direct evaluation: standardize, correlate, then the two penalty sums."""
+    n, d = z_a.shape
+    def standardize(z):
+        out = np.empty_like(z)
+        for j in range(d):
+            col = z[:, j]
+            mu = col.mean()
+            sd = math.sqrt(((col - mu) ** 2).mean())
+            out[:, j] = (col - mu) / (sd + 1e-8)
+        return out
+    a, b = standardize(z_a), standardize(z_b)
+    corr = np.zeros((d, d))
+    for i in range(d):
+        for j in range(d):
+            corr[i, j] = float(np.dot(a[:, i], b[:, j])) / n
+    total = 0.0
+    for i in range(d):
+        total += (1.0 - corr[i, i]) ** 2
+        for j in range(d):
+            if j != i:
+                total += lam * corr[i, j] ** 2
+    return total
+
+
 def parent_loss_xent(logits, labels):
     """loss_xent's formula before its row max and label terms were rewritten, verbatim."""
     n, c = logits.shape[-2:]

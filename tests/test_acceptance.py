@@ -36,6 +36,7 @@ from fedsim.params import ParamSet, weighted_sum
 from fedsim.partition import PartitionSpec, make_blobs, partition
 from helpers import (
     Client,
+    brute_force_barlow,
     brute_force_layerwise,
     brute_force_ntxent,
     classifier_accuracy,
@@ -283,33 +284,12 @@ def test_04_loss_formula_fidelity():
         got, _, _ = loss_ntxent(z_a, z_b, tau)
         worst_nt = max(worst_nt, abs(got - brute_force_ntxent(z_a, z_b, tau)))
 
-    # redundancy: diagonal and off-diagonal sums over the standardized correlation
-    def direct_redundancy(z_a, z_b, lam):
-        n, d = z_a.shape
-        def std(z):
-            out = np.empty_like(z)
-            for j in range(d):
-                col = z[:, j]
-                mu = col.mean()
-                sd = math.sqrt(((col - mu) ** 2).mean())
-                out[:, j] = (col - mu) / (sd + 1e-8)
-            return out
-        a, b = std(z_a), std(z_b)
-        total = 0.0
-        for i in range(d):
-            cii = float(np.dot(a[:, i], b[:, i])) / n
-            total += (1.0 - cii) ** 2
-            for j in range(d):
-                if j != i:
-                    total += lam * (float(np.dot(a[:, i], b[:, j])) / n) ** 2
-        return total
-
     worst_bt = 0.0
     for _ in range(5):
         z_a, z_b = rng.normal(size=(5, 3)), rng.normal(size=(5, 3))
         lam = float(rng.uniform(0.0, 0.2))
         got, _, _ = loss_barlow(z_a, z_b, lam)
-        worst_bt = max(worst_bt, abs(got - direct_redundancy(z_a, z_b, lam)))
+        worst_bt = max(worst_bt, abs(got - brute_force_barlow(z_a, z_b, lam)))
 
     identity_loss = redundancy_loss_from_corr(np.eye(6), 0.005)
 

@@ -8,6 +8,7 @@ import re
 import struct
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -595,6 +596,21 @@ class TestMalformedInputs:
         assert capsys.readouterr().err == f"error: --report and --output name the same file: {tmp_path / 'x.bin'}\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["g.bin", "sub"]
 
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_a_checkpoint_that_fails_removes_only_a_report_file(self, tmp_path, capsys):
+        g, _ = checkpoint(tmp_path, "g.bin", {"w": [1.0]})
+        pipe = tmp_path / "report.pipe"
+        os.mkfifo(pipe)
+        reader = threading.Thread(target=pipe.read_bytes)  # opening a pipe to write waits for its reader
+        reader.start()
+        argv = ["aggregate", "--global", g, "--client", g, "--strategy", "fairavg",
+                "--output", str(tmp_path / "nodir" / "x.bin"), "--report", str(pipe)]
+        assert main(argv) == 2
+        reader.join(timeout=10)
+        assert not reader.is_alive()
+        assert "No such file or directory" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["g.bin", "report.pipe"]
+
 
 class TestProbeCommand:
     def test_probe_final_checkpoint(self, tmp_path, capsys):
@@ -901,6 +917,11 @@ ERROR_PATHS = {
     ),
     "aggregate_report_cannot_be_opened": (
         _aggregate("{tmp}/good.bin", "{tmp}/good.bin", "--report", "{tmp}/nodir/r.json"), 2,
+        "No such file or directory",
+    ),
+    "aggregate_output_cannot_be_written": (
+        _aggregate("{tmp}/good.bin", "{tmp}/good.bin", "--output", "{tmp}/nodir/agg.bin",
+                   "--report", "{tmp}/agg.bin.divergence.json"), 2,
         "No such file or directory",
     ),
     "aggregate_bad_metadata": (

@@ -34,7 +34,7 @@ from fedsim.learners import (
 )
 from fedsim.params import IncompatibleModelError, ParamSet, segments
 from fedsim.partition import Dataset, make_blobs
-from helpers import brute_force_ntxent, fd_grad, parent_loss_xent
+from helpers import brute_force_barlow, brute_force_ntxent, fd_grad, parent_loss_xent
 
 FD_RTOL = 1e-4
 
@@ -381,31 +381,6 @@ class TestNtxent:
             fdb = fd_grad(lambda v: loss_ntxent(z_a, v.reshape(b, d), tau)[0], z_b.reshape(-1))
             assert_grad_close(ga.reshape(-1), fda)
             assert_grad_close(gb.reshape(-1), fdb)
-
-
-def brute_force_barlow(z_a, z_b, lam):
-    """Direct evaluation: standardize, correlate, then the two penalty sums."""
-    n, d = z_a.shape
-    def standardize(z):
-        out = np.empty_like(z)
-        for j in range(d):
-            col = z[:, j]
-            mu = col.mean()
-            sd = math.sqrt(((col - mu) ** 2).mean())
-            out[:, j] = (col - mu) / (sd + 1e-8)
-        return out
-    a, b = standardize(z_a), standardize(z_b)
-    corr = np.zeros((d, d))
-    for i in range(d):
-        for j in range(d):
-            corr[i, j] = float(np.dot(a[:, i], b[:, j])) / n
-    total = 0.0
-    for i in range(d):
-        total += (1.0 - corr[i, i]) ** 2
-        for j in range(d):
-            if j != i:
-                total += lam * corr[i, j] ** 2
-    return total
 
 
 class TestBarlow:
@@ -1129,16 +1104,24 @@ class TestWorkspace:
         for kept, fresh in results:
             assert kept.weights.tobytes() == fresh.tobytes()
 
-    @pytest.mark.parametrize("method, blocks", [("supervised", 1), ("simclr", 2), ("barlow_twins", 2)])
-    def test_only_an_ssl_round_makes_views_and_a_second_gradient_block(self, method, blocks):
+    @pytest.mark.parametrize("method", ["supervised", "simclr", "barlow_twins"])
+    def test_a_round_holds_one_four_row_block_and_only_an_ssl_round_makes_views(self, method):
         spec = {"method": method, "activation": "relu", "hidden": 5, "sizes": [6, 9], "batch_size": 4,
                 "local_epochs": 1}
         clients, trainer, model = self.round(0, 0, spec)
         workspace = Workspace()
         self.train(0, 0, clients, trainer, model, workspace)
-        assert workspace.dw.shape == (blocks, 2, clients[0][2].num_params)
-        assert (workspace.views is None) == (method == "supervised")
-        assert (workspace.dz is None) == (method == "supervised")
+        ssl = method != "supervised"
+        assert workspace.rows.shape == (4, 2, clients[0][2].num_params)  # weights, velocities, gradients, spare
+        assert not hasattr(workspace, "dw") and not hasattr(workspace, "dz")
+        assert (workspace.views is None) == (not ssl)
+        # Besides the block it holds only per-batch arrays: the inputs, the views, each layer's output and
+        # activation (the loss gradient overwrites the last output), and the log-softmax's exps and row sums.
+        held = [a for v in vars(workspace).values() for a in (v if isinstance(v, (list, tuple)) else [v])
+                if isinstance(a, np.ndarray)]
+        layers = learners._layers(model)
+        assert len(held) == 2 + ssl + len(layers) + sum(activated for *_, activated in layers) + 2 * (not ssl)
+        assert all(a is workspace.rows or a.shape[-2] == 2 * trainer.batch_size for a in held)
 
 
 class TestSpecValidation:

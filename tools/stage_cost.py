@@ -28,17 +28,24 @@ rounds also aggregate, so the per-group time spreads that over the groups.
 
 The desk-scale SimCLR run is the acceptance suite's fixture (fedavg, 10
 clients, SimCLR, batch 16, seed 1) through one ``FederatedRunner``. After 2
-warm-up rounds, each of the next 20 rounds runs under ``tracemalloc``. One
-``round`` line each gives its traced peak above the round's start, in KiB,
-and a last line their median. The final round, which probes, is not run.
+warm-up rounds, a ``workspace_bytes`` line gives the bytes of the arrays the
+runner's ``Workspace`` holds. Each of the next 20 rounds runs under
+``tracemalloc``. One ``round`` line each gives its traced peak above the
+round's start, in KiB, and a last line their median. The final round, which
+probes, is not run.
 
 The cold aggregate writes a global and 16 client checkpoints shaped like
 fedbench's ``offline_aggregate`` (encoder 128 -> 256 -> 512, projector
 512 -> 64; 197k parameters) and times 9 calls of ``python -m fedsim.cli
 aggregate --strategy ldawa``, each a fresh interpreter, as that workload's
 ``setup_s`` does. The ``cold`` line gives their median and minimum wall time
-in ms and the number of fedsim modules one such call imports. The calls run
-the fedsim that this tool imported: their ``PYTHONPATH`` is its source root.
+in ms, the number of fedsim modules one such call imports, and the max RSS
+of one more call in MB (``ru_maxrss`` / 1024, as fedbench's
+``peak_rss_mb``). A child's ``ru_maxrss`` starts at the peak RSS of the
+process that spawned it, and this tool's is larger than a cold call's, so
+that call is spawned by a fresh interpreter, which reads it through
+``os.wait4``. The calls run the fedsim that this tool imported: their
+``PYTHONPATH`` is its source root.
 """
 
 from __future__ import annotations
@@ -172,6 +179,12 @@ def csv_run(tmp: Path) -> None:
           f"steps {steps} accuracy {' '.join(f'{a:.4f}' for a in sorted(accs))}")
 
 
+def workspace_bytes(workspace) -> int:
+    """The bytes of the arrays ``workspace`` holds, in lists and tuples too; its dicts hold views of them."""
+    held = [a for v in vars(workspace).values() for a in (v if isinstance(v, (list, tuple)) else [v])]
+    return sum(a.nbytes for a in held if isinstance(a, np.ndarray))
+
+
 def desk_scale_run(tmp: Path) -> None:
     raw = dict(desk_scale("fedavg", SEED), rounds=WARMUP + TRACED + 1, output_dir=str(tmp / "desk_scale"))
     cfg = parse_config(raw)
@@ -180,6 +193,7 @@ def desk_scale_run(tmp: Path) -> None:
     state = runner.initial_state()
     for _ in range(WARMUP):
         state = runner.run_round(state)
+    print(f"workspace_bytes {workspace_bytes(runner.workspace)}")
     peaks = []
     tracemalloc.start()
     for _ in range(TRACED):
@@ -211,8 +225,14 @@ def cold_aggregate(tmp: Path) -> None:
     count = ("import sys; from fedsim.cli import main; main(sys.argv[1:]); "
              "print(sum(m.split('.')[0] == 'fedsim' for m in sys.modules))")
     modules = subprocess.run([sys.executable, "-c", count, *argv], env=env, capture_output=True, text=True, check=True)
+    launch = ("import os, subprocess, sys; child = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL); "
+              "_, status, usage = os.wait4(child.pid, 0); print(usage.ru_maxrss); "
+              "sys.exit(os.waitstatus_to_exitcode(status))")
+    launched = subprocess.run([sys.executable, "-c", launch, sys.executable, "-m", "fedsim.cli", *argv], env=env,
+                              capture_output=True, text=True, check=True)
     print(f"cold aggregate_calls {COLD_CALLS} median_ms {statistics.median(times) * 1e3:.1f} "
-          f"min_ms {min(times) * 1e3:.1f} clients {COLD_CLIENTS} fedsim_modules {modules.stdout.split()[-1]}")
+          f"min_ms {min(times) * 1e3:.1f} clients {COLD_CLIENTS} fedsim_modules {modules.stdout.split()[-1]} "
+          f"max_rss_mb {int(launched.stdout) / 1024:.1f}")
 
 
 def main() -> int:
