@@ -152,8 +152,11 @@ def _cmd_aggregate(args) -> int:
     if args.warmup_rounds < 0:
         raise ConfigError(f"--warmup-rounds must be >= 0, got {args.warmup_rounds}")
     report = args.report or f"{args.output}.divergence.json"
-    if Path(report).resolve() == Path(args.output).resolve():
+    target = Path(report).resolve()
+    if target == Path(args.output).resolve():
         raise ConfigError(f"--report and --output name the same file: {args.output}")
+    if any(target == Path(p).resolve() for p in (args.global_ckpt, *args.clients, args.metadata) if p):
+        raise ConfigError(f"--report names an input file: {report}")
     spec = AggregationSpec(strategy=args.strategy, warmup_rounds=args.warmup_rounds)
     rule = effective_strategy(spec, args.round_index)
     if rule in METADATA_STRATEGIES and not args.metadata:
@@ -203,8 +206,10 @@ def _read_rounds_csv(path: Path) -> list[dict]:
 def _cmd_compare(args) -> int:
     delta_col = "mu_delta_model" if args.delta_mode == "model" else "mu_delta_layer"
     rows = []
-    for run_dir in args.run_dirs:
-        path = Path(run_dir) / "rounds.csv"
+    inputs = [Path(run_dir) / "rounds.csv" for run_dir in args.run_dirs]
+    if any(path.resolve() == Path(args.output).resolve() for path in inputs):
+        raise ConfigError(f"--output names an input's rounds.csv: {args.output}")
+    for run_dir, path in zip(args.run_dirs, inputs):
         if not path.exists():
             raise ConfigError(f"{path}: no rounds.csv in {run_dir}")
         for rec in _read_rounds_csv(path):

@@ -275,28 +275,27 @@ def _row_max(a: np.ndarray) -> np.ndarray:
     return np.maximum.reduce(a.reshape(-1, c).T.copy()).reshape(*a.shape[:-1], 1)
 
 
-def _log_softmax(logits: np.ndarray, out=None, scratch=None) -> np.ndarray:
+def _log_softmax(logits: np.ndarray, out: np.ndarray, scratch) -> np.ndarray:
     """Each row of ``logits`` less its log-sum-exp, taken after shifting the row by its max.
 
-    Fresh temporaries follow ``logits``' memory order, and so does the
-    rounding of the row sums. Given ``out`` (``logits``' shape; it may be
-    ``logits``) and ``scratch``, C-ordered arrays of ``logits``' shape and of
-    its row sums' (keepdims), the log-softmax is written into ``out`` and the exps and sums into ``scratch``.
+    The log-softmax is written into ``out`` (``logits``' shape; it may be
+    ``logits``), the exps and row sums into ``scratch``: C-ordered arrays of
+    ``logits``' shape and of its row sums' (keepdims).
     """
-    temp, sums = (None, None) if scratch is None else scratch
+    temp, sums = scratch
     shifted = np.subtract(logits, _row_max(logits), out=out)
     sums = np.add.reduce(np.exp(shifted, out=temp), axis=-1, keepdims=True, out=sums)
     return np.subtract(shifted, np.log(sums, out=sums), out=shifted)
 
 
-def _xent_grad(logp: np.ndarray, at: np.ndarray, out=None) -> np.ndarray:
+def _xent_grad(logp: np.ndarray, at: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Mean cross-entropy's gradient (softmax - onehot)/batch from the log-softmax ``logp``.
 
     ``at`` holds each label's index in the flattened logits. The
-    gradient is written into ``out`` (fresh if None; it may be ``logp``),
-    which must be C-ordered: on any other layout the label subtraction would land in a copy.
+    gradient is written into ``out`` (it may be ``logp``), which must
+    be C-ordered: on any other layout the label subtraction would land in a copy.
     """
-    grad = np.exp(logp, out=np.empty(logp.shape) if out is None else out)
+    grad = np.exp(logp, out=out)
     grad.reshape(-1)[at] -= 1.0
     return np.divide(grad, logp.shape[-2], out=grad)
 
@@ -304,24 +303,6 @@ def _xent_grad(logp: np.ndarray, at: np.ndarray, out=None) -> np.ndarray:
 def _xent_loss(logp: np.ndarray, at: np.ndarray) -> float | np.ndarray:
     """Mean cross-entropy over axis -2 of the log-softmax ``logp``; ``at`` as in :func:`_xent_grad`, one per row."""
     return -(np.add.reduce(logp.reshape(-1)[at].reshape(logp.shape[:-1]), axis=-1) / logp.shape[-2])
-
-
-def loss_xent(logits: np.ndarray, labels: np.ndarray) -> tuple[float | np.ndarray, np.ndarray]:
-    """Mean softmax cross-entropy and its gradient (softmax - onehot)/batch.
-
-    ``logits`` is (B, C) with (B,) labels, or (K, B, C) with (K, B) labels
-    for K clients; the loss is then one value per client.
-    """
-    logits = np.asarray(logits, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.int64)
-    if logits.ndim < 2 or logits.shape[:-1] != labels.shape:
-        raise ValueError(f"logits of shape {logits.shape} for labels of shape {labels.shape}")
-    c = logits.shape[-1]
-    if labels.size and (labels.min() < 0 or labels.max() >= c):
-        raise ValueError(f"label outside [0, {c})")
-    logp = _log_softmax(logits)
-    at = np.arange(0, labels.size * c, c) + labels.reshape(-1)  # each label's index in the flattened logits
-    return _xent_loss(logp, at), _xent_grad(logp, at)
 
 
 def _require_finite(*embeddings: np.ndarray) -> None:

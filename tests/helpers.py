@@ -7,7 +7,7 @@ import numpy as np
 
 from fedsim.aggregation import AggregationSpec, ClientUpdates, aggregate
 from fedsim.evaluation import accuracy
-from fedsim.learners import ModelSpec, forward
+from fedsim.learners import ModelSpec, _log_softmax, _xent_grad, _xent_loss, forward
 from fedsim.params import ParamSet
 from fedsim.partition import Dataset
 
@@ -136,13 +136,23 @@ def brute_force_barlow(z_a, z_b, lam):
 
 
 def parent_loss_xent(logits, labels):
-    """loss_xent's formula before its row max and label terms were rewritten, verbatim."""
+    """The cross-entropy's formula before its row max and label terms were rewritten, verbatim."""
     n, c = logits.shape[-2:]
     shifted = logits - logits.max(axis=-1, keepdims=True)
     logp = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
     onehot = labels[..., None] == np.arange(c)
     loss = -np.take_along_axis(logp, labels[..., None], axis=-1)[..., 0].mean(axis=-1)
     return loss, (np.exp(logp) - onehot) / n
+
+
+def training_xent(logits, labels):
+    """Mean cross-entropy and its gradient as supervised training runs them: learners' log-softmax, loss and
+    gradient, in place in a C-ordered copy of ``logits``, at each label's index in the flattened logits."""
+    logits = np.array(logits, dtype=np.float64, order="C")
+    c = logits.shape[-1]
+    logp = _log_softmax(logits, logits, (np.empty(logits.shape), np.empty((*logits.shape[:-1], 1))))
+    at = np.arange(0, labels.size * c, c) + labels.reshape(-1)
+    return _xent_loss(logp, at), _xent_grad(logp, at, logp)
 
 
 def fd_grad(f, x, h=1e-5):

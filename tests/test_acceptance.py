@@ -29,7 +29,6 @@ from fedsim.learners import (
     init_params,
     loss_barlow,
     loss_ntxent,
-    loss_xent,
     redundancy_loss_from_corr,
 )
 from fedsim.params import ParamSet, weighted_sum
@@ -43,7 +42,9 @@ from helpers import (
     fd_grad,
     label_entropy,
     pack,
+    parent_loss_xent,
     rule,
+    training_xent,
 )
 
 
@@ -184,8 +185,8 @@ def test_03_gradient_verification():
         n, c = int(rng.integers(2, 7)), int(rng.integers(2, 6))
         logits = rng.normal(size=(n, c))
         labels = rng.integers(0, c, n)
-        _, grad = loss_xent(logits, labels)
-        fd = fd_grad(lambda v: loss_xent(v.reshape(n, c), labels)[0], logits.reshape(-1))
+        _, grad = training_xent(logits, labels)
+        fd = fd_grad(lambda v: training_xent(v.reshape(n, c), labels)[0], logits.reshape(-1))
         worst["xent"] = max(worst["xent"], max_rel_err(grad.reshape(-1), fd))
 
     for _ in range(10):
@@ -242,13 +243,13 @@ def test_03_gradient_verification():
     for _ in range(10):
         params = init_params(spec, rng)
         x, y = rng.normal(size=(5, 3)), rng.integers(0, 3, 5)
-        _, glog = loss_xent(forward(params, spec, x).pre[-1], y)
+        _, glog = parent_loss_xent(forward(params, spec, x).pre[-1], y)
         grads = backward(params, spec, forward(params, spec, x), glog)
         for name, shape in params.layout:
             def f(v, name=name, shape=shape):
                 arrays = {n: params[n] for n in params.names}
                 arrays[name] = v.reshape(shape)
-                return loss_xent(forward(arrays, spec, x).pre[-1], y)[0]
+                return parent_loss_xent(forward(arrays, spec, x).pre[-1], y)[0]
 
             fd = fd_grad(f, params[name].reshape(-1).copy())
             worst["head chain"] = max(worst["head chain"], max_rel_err(grads[name].reshape(-1), fd))

@@ -289,6 +289,17 @@ class TestDispatch:
         out, _ = aggregate(AggregationSpec("fairavg"), 0, g, pack(ups))
         np.testing.assert_array_equal(out["w"], [1.0, 1.0])
 
+    def test_each_layer_sums_its_rows_in_row_order(self):
+        # The two 1e16 / 3 terms cancel exactly only when they meet first, so the float64 sum shows the row order.
+        values = [1.0, 1e16, -1e16]
+        total = 0.0
+        for v in values:
+            total += (1 / 3) * v
+        assert total != 1 / 3  # the reversed order's sum: the fixture tells the two orders apart
+        out, _ = aggregate(AggregationSpec("fairavg"), 0, ps({"w": [1.0]}),
+                           pack([update(k, {"w": [v]}) for k, v in enumerate(values)]))
+        assert out["w"].tolist() == [total]
+
     def test_fedavg_equal_counts_equals_fairavg(self):
         rng = np.random.default_rng(8)
         g, ups = random_fixture(rng)

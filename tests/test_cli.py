@@ -596,6 +596,27 @@ class TestMalformedInputs:
         assert capsys.readouterr().err == f"error: --report and --output name the same file: {tmp_path / 'x.bin'}\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["g.bin", "sub"]
 
+    @pytest.mark.parametrize("flag", ["--global", "--client", "--metadata"])
+    def test_report_on_an_input_writes_nothing(self, tmp_path, capsys, flag):
+        g, _ = checkpoint(tmp_path, "g.bin", {"w": [1.0]})
+        c0, _ = checkpoint(tmp_path, "c0.bin", {"w": [2.0]})
+        c1, _ = checkpoint(tmp_path, "c1.bin", {"w": [3.0]})
+        meta = tmp_path / "meta.json"
+        meta.write_text(json.dumps([{"num_samples": 1}] * 2))
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        named = {"--global": g, "--client": c0, "--metadata": str(meta)}[flag]
+        argv = ["aggregate", "--global", g, "--client", c0, "--client", c1, "--strategy", "ldawa",
+                "--metadata", str(meta), "--output", str(tmp_path / "out.bin")]
+        assert main([*argv, "--report", named]) == 1
+        assert capsys.readouterr().err == f"error: --report names an input file: {named}\n"
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+    def test_output_on_the_global_updates_it_in_place(self, tmp_path):
+        g, _ = checkpoint(tmp_path, "g.bin", {"w": [1.0]})
+        c0, p0 = checkpoint(tmp_path, "c0.bin", {"w": [2.0]})
+        assert main(["aggregate", "--global", g, "--client", c0, "--strategy", "fairavg", "--output", g]) == 0
+        assert load_checkpoint(g) == p0
+
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
     def test_a_checkpoint_that_fails_removes_only_a_report_file(self, tmp_path, capsys):
         g, _ = checkpoint(tmp_path, "g.bin", {"w": [1.0]})
@@ -721,6 +742,16 @@ class TestCompareCommand:
         assert main(["compare", str(run), "--output", str(out)]) == 0
         assert out.read_text().splitlines()[1:] == ["short,0,,0.5,,", "short,1,0.75,0.25,2.0,3.0"]
 
+    def test_output_on_an_input_rounds_csv_writes_nothing(self, tmp_path, capsys):
+        run = tmp_path / "run1"
+        run.mkdir()
+        header = "round,strategy_effective,mu_delta_model,mu_delta_layer,mean_local_loss,agg_time_ms,probe_acc"
+        (run / "rounds.csv").write_text(header + "\n0,fedavg,0.5,0.5,1.0,0.0,\n")
+        assert main(["compare", str(run), str(run), "--output", str(run / "rounds.csv")]) == 1
+        assert capsys.readouterr().err == f"error: --output names an input's rounds.csv: {run / 'rounds.csv'}\n"
+        assert main(["compare", str(run), "--output", str(tmp_path / "merged.csv")]) == 0
+        assert (run / "rounds.csv").read_text() == header + "\n0,fedavg,0.5,0.5,1.0,0.0,\n"
+
 
 def _contract_fixture(tmp_path):
     """A valid config, checkpoint and run directory for the error cases to break one piece of."""
@@ -744,6 +775,9 @@ def _contract_fixture(tmp_path):
     (tmp_path / "nocol").mkdir()
     (tmp_path / "nocol" / "rounds.csv").write_text("round,foo\n0,1\n")
     (tmp_path / "norun").mkdir()
+    (tmp_path / "run").mkdir()
+    header = "round,strategy_effective,mu_delta_model,mu_delta_layer,mean_local_loss,agg_time_ms,probe_acc"
+    (tmp_path / "run" / "rounds.csv").write_text(header + "\n0,fedavg,0.5,0.5,1.0,0.0,\n")
     (tmp_path / "latin1.csv").write_bytes(b"x0,x1,label\n0.5,-1.0,0\n0.5,\xff,1\n")
     (tmp_path / "latin1run").mkdir()
     (tmp_path / "latin1run" / "rounds.csv").write_bytes(b"round,strategy_effective\n0,fed\xffavg\n")
@@ -941,6 +975,14 @@ ERROR_PATHS = {
     "aggregate_report_is_output": (
         _aggregate("{tmp}/good.bin", "{tmp}/good.bin", "--report", "{tmp}/nocol/../agg.bin"), 1,
         "error: --report and --output name the same file",
+    ),
+    "aggregate_report_is_input": (
+        _aggregate("{tmp}/good.bin", "{tmp}/good.bin", "--report", "{tmp}/nocol/../good.bin"), 1,
+        "error: --report names an input file: ",
+    ),
+    "compare_output_is_input": (
+        ["compare", "{tmp}/run", "--output", "{tmp}/nocol/../run/rounds.csv"], 1,
+        "error: --output names an input's rounds.csv: ",
     ),
     "compare_missing_rounds_csv": (
         ["compare", "{tmp}/norun", "--output", "{tmp}/merged.csv"], 1, "norun/rounds.csv: no rounds.csv in",
