@@ -29,6 +29,31 @@ def test_the_package_namespace_holds_only_submodules():
     assert all(inspect.ismodule(obj) and obj.__name__ == f"fedsim.{name}" for name, obj in public.items()), public
 
 
+# The names the package namespace once re-exported, each at its one home: fedsim.<module>.<name>.
+FORMER_EXPORTS = {
+    "aggregation": ("AggregationSpec", "ClientUpdates", "STRATEGIES", "aggregate", "coefficient_matrix",
+                    "coeffs_fedavg", "coeffs_loss"),
+    "config": ("ExperimentConfig", "parse_config"),
+    "divergence": ("Divergence",),
+    "engine": ("FederatedRunner", "RunState", "fedu_start", "run_experiment", "sample_clients"),
+    "evaluation": ("EvalSpec", "accuracy", "linear_probe"),
+    "learners": ("ModelSpec", "TrainerSpec", "forward", "init_params", "loss_barlow", "loss_ntxent",
+                 "make_views", "sgd_step", "train_clients"),
+    "params": ("ParamSet", "load_checkpoint", "save_checkpoint", "weighted_sum"),
+    "partition": ("Dataset", "PartitionSpec", "load_csv", "make_blobs"),
+}
+
+
+@pytest.mark.parametrize("module,name", [(m, n) for m, names in FORMER_EXPORTS.items() for n in names])
+def test_each_former_export_lives_only_in_its_submodule(module, name):
+    home = importlib.import_module(f"fedsim.{module}")
+    obj = getattr(home, name)
+    assert getattr(obj, "__module__", home.__name__) == home.__name__  # defined there, not imported from elsewhere
+    assert name not in vars(fedsim) and name not in dir(fedsim)
+    with pytest.raises(AttributeError):
+        getattr(fedsim, name)
+
+
 def test_unknown_name_raises_attribute_error_naming_it():
     with pytest.raises(AttributeError, match="module 'fedsim' has no attribute 'no_such_name'"):
         fedsim.no_such_name
