@@ -20,8 +20,8 @@ divides each column of a divergence-scaled C by its sum, leaving columns
 whose sum is within 1e-12 of zero as they are; it defaults off). Clients
 then start from a smaller global, so on later rounds their cosine to it is
 lower than under fedavg; acceptance 7b checks this. A round's clients are
-the rows of one :class:`ClientUpdates` block in ascending client_id order,
-accumulated in row order, so results are bit-reproducible.
+the rows of :class:`ClientUpdates` in ascending client_id order, accumulated
+in row order in one block or in chunks, so results are bit-reproducible.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .divergence import Divergence, divergence
+from .divergence import Divergence, DivergenceTerms
 from .params import Layout, ParamSet, weighted_sum
 
 # strategy -> (base rule, scale rule); the table in the module docstring.
@@ -62,7 +62,8 @@ class ClientUpdates:
     the model of client ``client_ids[k]``, with its sample count and mean
     local loss at ``num_samples[k]`` and ``train_loss[k]``. The ids strictly
     ascend and the counts total at most ``MAX_TOTAL_SAMPLES``. Every rule
-    is checked once, here.
+    is checked once, here. ``weights`` is None when the rows arrive in
+    chunks instead (see :func:`aggregate`).
     """
 
     client_ids: tuple
@@ -73,14 +74,15 @@ class ClientUpdates:
 
     def __post_init__(self) -> None:
         ids, k = tuple(self.client_ids), len(self.client_ids)
-        weights = np.ascontiguousarray(self.weights, dtype=np.float64)
+        weights = None if self.weights is None else np.ascontiguousarray(self.weights, dtype=np.float64)
         num_samples, train_loss = np.array(self.num_samples), np.array(self.train_loss, dtype=np.float64)
         width = sum(math.prod(shape) for _, shape in self.layout)
         if not k:
             raise ValueError("no client updates")
-        if weights.shape != (k, width) or num_samples.shape != (k,) or train_loss.shape != (k,):
+        shape = getattr(weights, "shape", (k, width))  # no weights: the rows come in chunks
+        if shape != (k, width) or num_samples.shape != (k,) or train_loss.shape != (k,):
             raise ValueError(
-                f"{k} client ids and a layout of {width} parameters for weights of shape {weights.shape}, "
+                f"{k} client ids and a layout of {width} parameters for weights of shape {shape}, "
                 f"num_samples of shape {num_samples.shape} and train_loss of shape {train_loss.shape}"
             )
         if not all(a < b for a, b in zip(ids, ids[1:])):
@@ -93,11 +95,11 @@ class ClientUpdates:
                 raise ValueError(f"client {cid}: train_loss is not finite")
         if sum(counts) > MAX_TOTAL_SAMPLES:
             raise ValueError(f"num_samples total {sum(counts)} exceeds 2**53, beyond which float64 is inexact")
-        arrays = (weights, num_samples, train_loss)
-        for name, value in zip(("client_ids", "weights", "num_samples", "train_loss"), (ids, *arrays)):
+        for name, value in zip(("client_ids", "weights", "num_samples", "train_loss"),
+                               (ids, weights, num_samples, train_loss)):
             object.__setattr__(self, name, value)
-        for array in arrays:
-            array.setflags(write=False)
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -176,16 +178,28 @@ def coefficient_matrix(
 
 
 def aggregate(
-    spec: AggregationSpec, round_index: int, global_params: ParamSet, updates: ClientUpdates
+    spec: AggregationSpec, round_index: int, global_params: ParamSet, updates: ClientUpdates, chunks=None
 ) -> tuple[ParamSet, Divergence]:
     """Run one aggregation round.
 
     Returns the new global model and the divergence of every client against
     the incoming global (computed for telemetry regardless of strategy),
-    which checks the block's layout once. While ``round_index <
+    which checks the layout once. While ``round_index <
     spec.warmup_rounds`` the fedavg rule is applied no matter what
-    ``spec.strategy`` says.
+    ``spec.strategy`` says. The rows come as ``chunks``, (k, P) blocks in
+    row order that are each used up before the next is drawn (``fedsim
+    aggregate`` refills one buffer), or as the one chunk ``updates.weights``.
+    A chunk adds its rows' divergence, then C[k, l] * row_k(l) in row order,
+    so the bits ignore the chunking. ``renormalize`` needs every column sum
+    first, so it takes the one chunk.
     """
-    div = divergence(global_params, updates)
-    coeffs = coefficient_matrix(effective_strategy(spec, round_index), updates, div, spec.renormalize)
-    return weighted_sum(updates.weights, updates.layout, coeffs), div
+    if spec.renormalize and chunks is not None:
+        raise ValueError("renormalize needs every row's divergence first: pass the rows as updates.weights")
+    terms, strategy = DivergenceTerms(global_params, updates), effective_strategy(spec, round_index)
+    acc = np.zeros(global_params.num_params)
+    for chunk in (updates.weights,) if chunks is None else chunks:
+        rows = terms.add(chunk)  # first: the coefficients read its rows' divergence
+        coeffs = coefficient_matrix(strategy, updates, terms.div, spec.renormalize)[rows]
+        weighted_sum(chunk, updates.layout, coeffs, out=acc)
+    div = terms.finish()  # before the sum is checked finite, as one block's divergence is
+    return ParamSet(acc, updates.layout), div

@@ -22,12 +22,16 @@ import numpy as np
 
 from .aggregation import METADATA_STRATEGIES, AggregationSpec, ClientUpdates, aggregate, effective_strategy
 # The other commands import what they run in their bodies, so a cold ``aggregate`` loads no config or training.
+from .divergence import distances
 from .params import IncompatibleModelError, load_checkpoint, save_checkpoint
 from .scalars import SCALARS, ConfigError
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_RUNTIME = 2
+
+# ``aggregate`` reads its clients this many at a time into one buffer: memory flat in K, and no slower than one block.
+CHUNK_ROWS = 4
 
 
 class _Parser(argparse.ArgumentParser):
@@ -152,28 +156,38 @@ def _cmd_aggregate(args) -> int:
     if args.warmup_rounds < 0:
         raise ConfigError(f"--warmup-rounds must be >= 0, got {args.warmup_rounds}")
     report = args.report or f"{args.output}.divergence.json"
-    target = Path(report).resolve()
-    if target == Path(args.output).resolve():
+    target, output = Path(report).resolve(), Path(args.output).resolve()
+    if target == output:
         raise ConfigError(f"--report and --output name the same file: {args.output}")
-    if any(target == Path(p).resolve() for p in (args.global_ckpt, *args.clients, args.metadata) if p):
+    inputs = [Path(p).resolve() for p in (*args.clients, args.metadata) if p]
+    if target in inputs or target == Path(args.global_ckpt).resolve():
         raise ConfigError(f"--report names an input file: {report}")
+    if output in inputs:
+        raise ConfigError(f"--output names a --client or --metadata file: {args.output}")
     spec = AggregationSpec(strategy=args.strategy, warmup_rounds=args.warmup_rounds)
     rule = effective_strategy(spec, args.round_index)
     if rule in METADATA_STRATEGIES and not args.metadata:
         raise ConfigError(f"round {args.round_index} applies {rule!r}, which needs per-client --metadata")
 
+    k = len(args.clients)
+    num_samples, train_loss = zip(*(_load_metadata(args.metadata, k) if args.metadata else [(1, 0.0)] * k))
     global_params = load_checkpoint(args.global_ckpt)
-    block = np.empty((len(args.clients), global_params.num_params))
-    for row, path in zip(block, args.clients):
-        load_checkpoint(path, like=global_params, out=row)
-    meta = _load_metadata(args.metadata, len(block)) if args.metadata else [(1, 0.0)] * len(block)
-    num_samples, train_loss = zip(*meta)
-    try:
-        updates = ClientUpdates(tuple(range(len(block))), block, global_params.layout, num_samples, train_loss)
-    except ValueError as exc:  # the block is built to fit, so only the metadata can break a rule
+    try:  # the rows come in chunks, not in ``updates``, so only the metadata can break a rule
+        updates = ClientUpdates(tuple(range(k)), None, global_params.layout, num_samples, train_loss)
+    except ValueError as exc:
         raise ConfigError(f"{args.metadata}: {exc}") from exc
-    new_global, div = aggregate(spec, args.round_index, global_params, updates)
-    doc = div.to_json(global_params, updates)  # before any write: a distance that overflows leaves no file
+    buffer, sq_distances = np.empty((min(k, CHUNK_ROWS), global_params.num_params)), []
+
+    def chunks():  # each refills the buffer, which aggregate uses up before it draws the next
+        for start in range(0, k, len(buffer)):
+            rows = buffer[: k - start]
+            for row, path in zip(rows, args.clients[start:]):
+                load_checkpoint(path, like=global_params, out=row)
+            sq_distances.append(distances(global_params, rows))
+            yield rows
+
+    new_global, div = aggregate(spec, args.round_index, global_params, updates, chunks())
+    doc = div.to_json(np.concatenate(sq_distances))  # before any write: a distance that overflows leaves no file
     with open(report, "w", encoding="utf-8") as fh:  # and a report that cannot be opened leaves no checkpoint
         try:
             save_checkpoint(new_global, args.output)
@@ -183,7 +197,7 @@ def _cmd_aggregate(args) -> int:
                 Path(report).unlink()
             raise
         fh.write(doc)
-    print(f"aggregated {len(block)} clients with {args.strategy} -> {args.output}")
+    print(f"aggregated {k} clients with {args.strategy} -> {args.output}")
     return EXIT_OK
 
 

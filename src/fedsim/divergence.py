@@ -72,18 +72,15 @@ class Divergence:
             return float(np.mean([np.mean(row) for row in self.layer]))
         raise ValueError(f"mean: unknown mode {mode!r} (expected 'model' or 'layer')")
 
-    def to_json(self, global_params: ParamSet, updates: ClientUpdates) -> str:
-        """The ``aggregate --report`` document of this round: per client, its cosines and each layer's distance."""
-        flat = tuple((name, (math.prod(shape),)) for name, shape in global_params.layout)
-        pairs = zip(segments(global_params.vector, flat).values(), segments(updates.weights, flat).values())
-        euclid = np.empty(self.layer.shape)
-        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is the ValueError below, not a warning
-            for l, (g, c) in enumerate(pairs):
-                d = np.empty(g.size)  # aligned as a fresh ``g - c`` is (ddot's order may follow alignment); reused
-                euclid[:, l] = [np.subtract(g, row, out=d).dot(d) for row in c]
-                if not np.isfinite(euclid[:, l]).all():
-                    raise ValueError(f"layer {self.names[l]!r}: {_NOT_FINITE}")
-        rows = zip(self.client_ids, self.model.tolist(), self.layer.tolist(), np.sqrt(euclid).tolist())
+    def to_json(self, sq_distances: np.ndarray) -> str:
+        """The ``aggregate --report`` document of this round: per client, its cosines and each layer's distance.
+
+        ``sq_distances`` are the (K, L) squared distances of :func:`distances`; one not finite raises ValueError.
+        """
+        finite = np.isfinite(sq_distances).all(axis=0).tolist()
+        if not all(finite):
+            raise ValueError(f"layer {self.names[finite.index(False)]!r}: {_NOT_FINITE}")
+        rows = zip(self.client_ids, self.model.tolist(), self.layer.tolist(), np.sqrt(sq_distances).tolist())
         doc = [
             {"client_id": cid, "model_delta": model, "per_layer_delta": dict(zip(self.names, layer)),
              "per_layer_euclid": dict(zip(self.names, euclid))}
@@ -92,26 +89,63 @@ class Divergence:
         return json.dumps(doc, indent=2) + "\n"
 
 
-def divergence(global_params: ParamSet, updates: ClientUpdates) -> Divergence:
-    """Divergence of each row of ``updates.weights`` against the global, per layer and whole-model.
+class DivergenceTerms:
+    """One round's :class:`Divergence` ``div``, filled by :meth:`add` a chunk of rows at a time, in row order.
 
-    Row k belongs to ``updates.client_ids[k]``. Per layer, ``np.vecdot`` takes all K rows at once and
-    runs BLAS ``ddot`` on each, as ``np.dot(g, c)`` and ``np.linalg.norm(c)`` do, so the bits are the
-    same. The global goes first, as in ``np.dot(g, c)``: some kernels round swapped operands differently.
-    A dot product or squared norm that is not finite (float64 overflows on weights near 1e154) raises
-    ValueError naming its layer, or the whole model.
+    The global's squared norms are taken once, here. ``np.vecdot`` runs BLAS ``ddot`` on each row, global
+    first, as ``np.dot(g, c)`` and ``np.linalg.norm(c)`` do (some kernels round swapped operands differently),
+    so a row's cosines have the same bits in any chunk. A dot product or squared norm that is not finite
+    (float64 overflows on weights near 1e154) leaves NaN cosines, and :meth:`finish` names its layer.
     """
-    global_params.require_compatible(updates)
-    block, v = updates.weights, global_params.vector
+
+    def __init__(self, global_params: ParamSet, updates: ClientUpdates) -> None:
+        global_params.require_compatible(updates)
+        v, k = global_params.vector, len(updates.client_ids)
+        self.flat = tuple((name, (math.prod(shape),)) for name, shape in global_params.layout)
+        self.g = [*segments(v, self.flat).values(), v]  # each layer's segment, then the whole vector
+        self.g_sq = np.array([g.dot(g) for g in self.g])
+        self.terms = np.zeros((2, k, len(self.g)))  # each row's dot with each of ``g``, and its squared norm
+        self.div = Divergence(updates.client_ids, global_params.names, np.zeros((k, len(self.flat))), np.zeros(k))
+        self.rows = 0
+
+    def add(self, chunk: np.ndarray) -> slice:
+        """The slice of ``chunk``'s rows in the round, their cosines written to ``div``."""
+        rows = slice(self.rows, self.rows + len(chunk))
+        dots, c_sq = self.terms[:, rows]
+        with np.errstate(over="ignore", invalid="ignore"):  # a term that is not finite is ``finish``'s ValueError
+            for l, (g, c) in enumerate(zip(self.g, [*segments(chunk, self.flat).values(), chunk])):
+                dots[:, l], c_sq[:, l] = np.vecdot(g, c), np.vecdot(c, c)
+            cosines = _cosines(dots, self.g_sq, c_sq)
+        self.div.layer[rows], self.div.model[rows] = cosines[:, :-1], cosines[:, -1]
+        self.rows = rows.stop
+        return rows
+
+    def finish(self) -> Divergence:
+        """``div``, once every row is added; a term that is not finite raises ValueError naming its layer."""
+        finite = (np.isfinite(self.terms).all(axis=(0, 1)) & np.isfinite(self.g_sq)).tolist()
+        if not all(finite):
+            where = [*(f"layer {name!r}" for name in self.div.names), "whole model"][finite.index(False)]
+            raise ValueError(f"{where}: {_NOT_FINITE}")
+        return self.div
+
+
+def divergence(global_params: ParamSet, updates: ClientUpdates) -> Divergence:
+    """Divergence of each row of ``updates.weights`` against the global: one chunk of :class:`DivergenceTerms`."""
+    terms = DivergenceTerms(global_params, updates)
+    terms.add(updates.weights)
+    return terms.finish()
+
+
+def distances(global_params: ParamSet, block: np.ndarray) -> np.ndarray:
+    """``block``'s (k, L) squared distances to the global, each ``d.dot(d)`` for ``d = g - c``: ``to_json`` checks them.
+
+    One fresh ``d`` per layer is aligned as ``g - c`` is (ddot's order may follow alignment), so each has the
+    bits of ``np.linalg.norm(g - c)`` squared.
+    """
     flat = tuple((name, (math.prod(shape),)) for name, shape in global_params.layout)
-    g_sq = np.empty(len(flat))
-    dots, c_sq = terms = np.empty((2, len(block), len(flat)))
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is the ValueError below, not a warning
-        for l, (g, c) in enumerate(zip(segments(v, flat).values(), segments(block, flat).values())):
-            g_sq[l], dots[:, l], c_sq[:, l] = g.dot(g), np.vecdot(g, c), np.vecdot(c, c)
-        whole = np.vecdot(v, block), v.dot(v), np.vecdot(block, block)
-    finite = [*(np.isfinite(terms).all(axis=(0, 1)) & np.isfinite(g_sq)), all(np.isfinite(t).all() for t in whole)]
-    if not all(finite):
-        where = [*(f"layer {name!r}" for name in global_params.names), "whole model"][finite.index(False)]
-        raise ValueError(f"{where}: {_NOT_FINITE}")
-    return Divergence(updates.client_ids, global_params.names, _cosines(dots, g_sq, c_sq), _cosines(*whole))
+    out = np.empty((len(block), len(flat)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for l, (g, c) in enumerate(zip(segments(global_params.vector, flat).values(), segments(block, flat).values())):
+            d = np.empty(g.size)
+            out[:, l] = [np.subtract(g, row, out=d).dot(d) for row in c]
+    return out

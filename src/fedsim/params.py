@@ -139,12 +139,13 @@ def _require_finite(vector: np.ndarray, layout: Layout) -> None:
         raise ValueError(f"layer {bad!r} contains non-finite values")
 
 
-def weighted_sum(block: np.ndarray, layout: Layout, coeffs) -> ParamSet:
+def weighted_sum(block: np.ndarray, layout: Layout, coeffs, out: np.ndarray | None = None) -> ParamSet | None:
     """Layer-by-layer linear combination of a (K, P) block's rows: layer l = sum_k C[k, l] * row_k(l).
 
     ``coeffs`` is the (K, L) matrix C with one coefficient per (row, layer).
     Each layer accumulates from zeros, one row at a time in row order, so
     callers that need bit-reproducible output must fix that order themselves.
+    With ``out``, the rows are added to that vector instead, and None returned.
     """
     table = np.asarray(coeffs, dtype=np.float64)
     width = sum(math.prod(shape) for _, shape in layout)
@@ -154,11 +155,11 @@ def weighted_sum(block: np.ndarray, layout: Layout, coeffs) -> ParamSet:
         raise ValueError(
             f"weighted_sum: coefficients of shape {table.shape} for {len(block)} models of {len(layout)} layers"
         )
-    acc = np.zeros(block.shape[1])
+    acc = np.zeros(block.shape[1]) if out is None else out
     for acc_l, rows_l, column in zip(segments(acc, layout).values(), segments(block, layout).values(), table.T):
         for c, row in zip(column, rows_l):
             acc_l += c * row
-    return ParamSet(acc, layout)
+    return ParamSet(acc, layout) if out is None else None
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from fedsim.aggregation import (
     coeffs_loss,
     effective_strategy,
 )
-from fedsim.divergence import Divergence, divergence
+from fedsim.divergence import Divergence, distances, divergence
 from fedsim.params import IncompatibleModelError, ParamSet, weighted_sum
 from helpers import Client, brute_force_layerwise, pack, ps, rule
 
@@ -250,6 +250,27 @@ class TestSinglePath:
 
 
     @PROPERTY
+    @given(seed=st.integers(0, 2**32 - 1), sizes=st.lists(st.integers(1, 4), min_size=1, max_size=4))
+    def test_chunks_keep_the_block_bytes(self, seed, sizes):
+        # The rows as chunks of any sizes, with no block in ``updates``: the global and divergence of one block.
+        g, ups = random_fixture(np.random.default_rng(seed), n_clients=sum(sizes))
+        block = pack(ups)
+        meta = ClientUpdates(block.client_ids, None, block.layout, block.num_samples, block.train_loss)
+        bounds = np.cumsum([0, *sizes]).tolist()
+        for strategy in STRATEGIES:
+            want, want_div = aggregate(AggregationSpec(strategy), 0, g, block)
+            got, div = aggregate(AggregationSpec(strategy), 0, g, meta, (block.weights[a:b] for a, b in
+                                                                       zip(bounds, bounds[1:])))
+            assert got.vector.tobytes() == want.vector.tobytes()
+            assert div.layer.tobytes() == want_div.layer.tobytes() and div.model.tobytes() == want_div.model.tobytes()
+
+    def test_renormalize_takes_the_one_block(self):
+        g, ups = random_fixture(np.random.default_rng(3), n_clients=2)
+        block = pack(ups)
+        with pytest.raises(ValueError, match="^renormalize needs every row's divergence first"):
+            aggregate(AggregationSpec("ldawa", renormalize=True), 0, g, block, [block.weights])
+
+    @PROPERTY
     @given(seed=st.integers(0, 2**32 - 1))
     def test_renormalized_columns_sum_to_one(self, seed):
         g, ups = random_fixture(np.random.default_rng(seed))
@@ -322,7 +343,7 @@ class TestDispatch:
             _, div = aggregate(AggregationSpec(strategy), 5, g, ups)
             assert div.client_ids == (0, 1, 2)
             assert div.layer.shape == (3, len(g.layout)) and div.model.shape == (3,)
-            report = json.loads(div.to_json(g, ups))
+            report = json.loads(div.to_json(distances(g, ups.weights)))
             assert [list(entry["per_layer_euclid"]) for entry in report] == [list(g.names)] * 3
 
     def test_ldawa_fedu_server_side_equals_ldawa_fedavg(self):
@@ -457,6 +478,12 @@ class TestClientUpdatesValidation:
         assert ups.num_samples.tolist() == [2, 5] and ups.train_loss.tolist() == [0.5, 1.5]
         for array in (ups.weights, ups.num_samples, ups.train_loss):
             assert not array.flags.writeable
+
+    def test_no_block_when_the_rows_come_in_chunks(self):
+        ups = ClientUpdates((0, 1), None, self.LAYOUT, (1, 2), (0.0, 0.5))
+        assert ups.weights is None and not ups.num_samples.flags.writeable and not ups.train_loss.flags.writeable
+        with pytest.raises(ValueError, match="^client 1: num_samples must be >= 1$"):
+            ClientUpdates((0, 1), None, self.LAYOUT, (1, 0), (0.0, 0.0))
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="no client updates"):

@@ -3,22 +3,26 @@
 import copy
 import csv
 import json
+import math
 import os
 import re
 import struct
 import subprocess
 import sys
+import tempfile
 import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fedsim import engine, evaluation
-from fedsim.aggregation import STRATEGIES
-from fedsim.cli import main
+from fedsim.aggregation import STRATEGIES, AggregationSpec, ClientUpdates, aggregate
+from fedsim.cli import CHUNK_ROWS, main
+from fedsim.divergence import distances
 from fedsim.config import ConfigError, apply_overrides, parse_config, resolved_dict
 from fedsim.engine import build_datasets
 from fedsim.learners import ModelSpec, init_params
@@ -466,6 +470,72 @@ class TestAggregateCommand:
         assert len(entries) == 2 and {e["client_id"] for e in entries} == {0, 1}
 
 
+# Layers on both sides of 8,192 parameters, and a small one; each model takes a few, in order.
+STREAM_LAYERS = [(3,), (8191,), (8192,), (8193,), (2, 4097), (5, 7)]
+
+
+class TestStreamedAggregate:
+    """``fedsim aggregate`` reads its clients a chunk at a time; the bytes are those of one in-memory block."""
+
+    @PROPERTY
+    @given(
+        strategy=st.sampled_from(STRATEGIES),
+        k=st.integers(1, 20),
+        shapes=st.lists(st.sampled_from(STREAM_LAYERS), min_size=1, max_size=3),
+        round_index=st.integers(0, 3),
+        warmup=st.integers(0, 3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(strategy="ldawa", k=1, shapes=[(8193,)], round_index=0, warmup=0, seed=0)  # one chunk of one row
+    @example(strategy="ldawa_loss", k=CHUNK_ROWS, shapes=[(8192,), (3,)], round_index=1, warmup=0, seed=1)
+    @example(strategy="mdawa", k=2 * CHUNK_ROWS + 1, shapes=[(8191,), (2, 4097)], round_index=0, warmup=2, seed=2)
+    def test_checkpoints_on_disk_give_the_block_bytes(self, strategy, k, shapes, round_index, warmup, seed):
+        rng = np.random.default_rng(seed)
+        layout = tuple((f"l{i}", shape) for i, shape in enumerate(shapes))
+        g = ParamSet(rng.normal(size=sum(math.prod(shape) for shape in shapes)), layout)
+        block = g.vector * rng.uniform(-1.0, 2.0, size=(k, 1)) + rng.normal(scale=0.3, size=(k, g.num_params))
+        num_samples, train_loss = rng.integers(1, 100, size=k).tolist(), rng.uniform(0.0, 3.0, size=k).tolist()
+        spec = AggregationSpec(strategy, warmup_rounds=warmup)
+        new_global, div = aggregate(spec, round_index, g, ClientUpdates(tuple(range(k)), block, layout, num_samples,
+                                                                       train_loss))
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            save_checkpoint(g, tmp / "g.bin")
+            save_checkpoint(new_global, tmp / "expected.bin")
+            argv = ["aggregate", "--global", str(tmp / "g.bin"), "--strategy", strategy, "--round", str(round_index),
+                    "--warmup-rounds", str(warmup), "--metadata", str(tmp / "meta.json"),
+                    "--output", str(tmp / "out.bin"), "--report", str(tmp / "report.json")]
+            (tmp / "meta.json").write_text(json.dumps([{"num_samples": n, "train_loss": loss}
+                                                       for n, loss in zip(num_samples, train_loss)]))
+            for i, row in enumerate(block):
+                save_checkpoint(ParamSet(row, layout), tmp / f"c{i}.bin")
+                argv += ["--client", str(tmp / f"c{i}.bin")]
+            assert main(argv) == 0
+            assert (tmp / "out.bin").read_bytes() == (tmp / "expected.bin").read_bytes()
+            assert (tmp / "report.json").read_text() == div.to_json(distances(g, block))
+
+    def test_memory_does_not_grow_with_the_client_count(self, tmp_path, capsys):
+        # tracemalloc sees numpy's buffers: one (K, P) block of the clients would be the whole bound four times over.
+        k, layout = 48, (("a", (100, 200)), ("b", (20_000,)))
+        rng = np.random.default_rng(4)
+        g = ParamSet(rng.normal(size=40_000), layout)
+        save_checkpoint(g, tmp_path / "g.bin")
+        argv = ["aggregate", "--global", str(tmp_path / "g.bin"), "--strategy", "ldawa",
+                "--output", str(tmp_path / "out.bin")]
+        for i in range(k):
+            save_checkpoint(ParamSet(g.vector + rng.normal(size=g.num_params), layout), tmp_path / f"c{i}.bin")
+            argv += ["--client", str(tmp_path / f"c{i}.bin")]
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            assert main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert capsys.readouterr().out == f"aggregated {k} clients with ldawa -> {tmp_path / 'out.bin'}\n"
+        assert peak < k * g.num_params * 8 / 4
+
+
 def binary_blob(header, payload=b"", header_len=None):
     raw = header if isinstance(header, bytes) else json.dumps(header).encode()
     size = len(raw) if header_len is None else header_len
@@ -609,6 +679,21 @@ class TestMalformedInputs:
                 "--metadata", str(meta), "--output", str(tmp_path / "out.bin")]
         assert main([*argv, "--report", named]) == 1
         assert capsys.readouterr().err == f"error: --report names an input file: {named}\n"
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+    @pytest.mark.parametrize("flag", ["--client", "--metadata"])
+    def test_output_on_a_client_or_the_metadata_writes_nothing(self, tmp_path, capsys, flag):
+        g, _ = checkpoint(tmp_path, "g.bin", {"w": [1.0]})
+        c0, _ = checkpoint(tmp_path, "c0.bin", {"w": [2.0]})
+        c1, _ = checkpoint(tmp_path, "c1.bin", {"w": [3.0]})
+        meta = tmp_path / "meta.json"
+        meta.write_text(json.dumps([{"num_samples": 1}] * 2))
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        named = {"--client": c1, "--metadata": str(meta)}[flag]
+        argv = ["aggregate", "--global", g, "--client", c0, "--client", c1, "--strategy", "fedavg",
+                "--metadata", str(meta), "--report", str(tmp_path / "r.json")]
+        assert main([*argv, "--output", named]) == 1
+        assert capsys.readouterr().err == f"error: --output names a --client or --metadata file: {named}\n"
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
     def test_output_on_the_global_updates_it_in_place(self, tmp_path):
@@ -757,6 +842,7 @@ def _contract_fixture(tmp_path):
     """A valid config, checkpoint and run directory for the error cases to break one piece of."""
     write_config(tmp_path, minimal_raw(tmp_path))
     checkpoint(tmp_path, "good.bin", {"w": [1.0, 2.0]})
+    checkpoint(tmp_path, "other.bin", {"w": [3.0, 4.0]})
     save_checkpoint(init_params(ModelSpec((4, 6, 3), projector_dims=(3, 3)), np.random.default_rng(0)),
                     tmp_path / "model.bin")  # the config's model
     (tmp_path / "malformed.bin").write_bytes(MALFORMED_CHECKPOINTS["header_not_utf8"])
@@ -979,6 +1065,15 @@ ERROR_PATHS = {
     "aggregate_report_is_input": (
         _aggregate("{tmp}/good.bin", "{tmp}/good.bin", "--report", "{tmp}/nocol/../good.bin"), 1,
         "error: --report names an input file: ",
+    ),
+    "aggregate_output_is_client": (
+        _aggregate("{tmp}/good.bin", "{tmp}/other.bin", "--output", "{tmp}/nocol/../other.bin"), 1,
+        "error: --output names a --client or --metadata file: ",
+    ),
+    "aggregate_output_is_metadata": (
+        _aggregate("{tmp}/good.bin", "{tmp}/good.bin", "--metadata", "{tmp}/meta.json", "--output",
+                   "{tmp}/nocol/../meta.json"), 1,
+        "error: --output names a --client or --metadata file: ",
     ),
     "compare_output_is_input": (
         ["compare", "{tmp}/run", "--output", "{tmp}/nocol/../run/rounds.csv"], 1,

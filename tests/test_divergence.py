@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedsim.aggregation import ClientUpdates
-from fedsim.divergence import SNAP_TOL, ZERO_NORM_TOL, Divergence, divergence
+from fedsim.divergence import SNAP_TOL, ZERO_NORM_TOL, Divergence, DivergenceTerms, distances, divergence
 from fedsim.params import IncompatibleModelError, ParamSet, segments
 from helpers import ps
 
@@ -58,7 +58,7 @@ def scalar_divergence(g, block):
 
 def report_euclid(g, updates):
     """The (K, L) distances of ``aggregate --report``, read back from its JSON (each float round-trips exactly)."""
-    doc = json.loads(divergence(g, updates).to_json(g, updates))
+    doc = json.loads(divergence(g, updates).to_json(distances(g, updates.weights)))
     return np.array([list(entry["per_layer_euclid"].values()) for entry in doc])
 
 
@@ -176,7 +176,30 @@ class TestDivergence:
         div = divergence(g, updates)
         assert div.layer.tolist() == [[-1.0]] and div.model.tolist() == [-1.0]
         with pytest.raises(ValueError, match=r"^layer 'w': a dot product, squared norm or squared distance"):
-            div.to_json(g, updates)
+            div.to_json(distances(g, updates.weights))
+
+    def test_chunks_give_the_block_bytes(self):
+        rng = np.random.default_rng(5)
+        g = ps({"a": rng.normal(size=9000), "b": rng.normal(size=3)})  # a layer past 8,192 parameters
+        updates = pack([ps({"a": rng.normal(size=9000), "b": rng.normal(size=3)}) for _ in range(7)], range(7))
+        whole = divergence(g, updates)
+        for size in (1, 3, 7):
+            terms = DivergenceTerms(g, updates)
+            for start in range(0, 7, size):
+                assert terms.add(updates.weights[start : start + size]) == slice(start, min(start + size, 7))
+            div = terms.finish()
+            assert div.layer.tobytes() == whole.layer.tobytes() and div.model.tobytes() == whole.model.tobytes()
+
+    def test_chunks_name_the_round_s_first_layer_that_overflows(self):
+        # Row 0 overflows in layer 'b', row 1 in layer 'a': one block names 'a', and so do two chunks of a row each.
+        g = ps({"a": [1.0], "b": [1.0]})
+        updates = pack([ps({"a": [1.0], "b": [1e300]}), ps({"a": [1e300], "b": [1.0]})], [0, 1])
+        terms = DivergenceTerms(g, updates)
+        terms.add(updates.weights[:1])
+        terms.add(updates.weights[1:])
+        for finish in (terms.finish, lambda: divergence(g, updates)):
+            with pytest.raises(ValueError, match=r"^layer 'a': a dot product, squared norm or squared distance"):
+                finish()
 
     def test_rows_follow_the_given_models(self):
         g = ps({"a": [1.0, 0.0], "b": [2.0]})
@@ -193,7 +216,7 @@ class TestDivergence:
 
     def test_json_serialization(self):
         g, updates = ps({"a": [1.0]}), pack([ps({"a": [2.0]})], [7])
-        (doc,) = json.loads(divergence(g, updates).to_json(g, updates))
+        (doc,) = json.loads(divergence(g, updates).to_json(distances(g, updates.weights)))
         assert doc["client_id"] == 7
         assert set(doc) == {"client_id", "model_delta", "per_layer_delta", "per_layer_euclid"}
         assert doc["per_layer_delta"] == {"a": 1.0} and doc["per_layer_euclid"] == {"a": 1.0}

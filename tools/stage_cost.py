@@ -44,8 +44,11 @@ of one more call in MB (``ru_maxrss`` / 1024, as fedbench's
 ``peak_rss_mb``). A child's ``ru_maxrss`` starts at the peak RSS of the
 process that spawned it, and this tool's is larger than a cold call's, so
 that call is spawned by a fresh interpreter, which reads it through
-``os.wait4``. The calls run the fedsim that this tool imported: their
-``PYTHONPATH`` is its source root.
+``os.wait4``. A second ``cold`` line gives the max RSS, read the same way,
+of one call over 4x the clients (64 checkpoints): ``fedsim aggregate``
+reads its clients a chunk at a time, so the two should read alike. The
+calls run the fedsim that this tool imported: their ``PYTHONPATH`` is its
+source root.
 """
 
 from __future__ import annotations
@@ -78,6 +81,7 @@ SEED, ROUNDS = 1, 30  # the CSV run's last round is the one that probes
 REPEATS = 5  # timed calls of the CSV run's training rounds and of its probe
 WARMUP, TRACED = 2, 20  # the desk-scale run's rounds before tracing and traced
 COLD_CALLS, COLD_CLIENTS = 9, 16  # the cold aggregate's timed calls and client checkpoints
+COLD_SCALE = 4  # the second max-RSS call reads this many times the clients
 COLD_MODEL = ModelSpec(encoder_dims=(128, 256, 512), projector_dims=(512, 64))  # offline_aggregate's model
 
 
@@ -211,11 +215,13 @@ def cold_aggregate(tmp: Path) -> None:
     rng = np.random.default_rng([SEED, 0xC01D])
     glob = init_params(COLD_MODEL, rng)
     save_checkpoint(glob, tmp / "global.bin")
-    argv = ["aggregate", "--global", str(tmp / "global.bin"), "--strategy", "ldawa", "--output", str(tmp / "cold.bin")]
-    for k in range(COLD_CLIENTS):
+    base = ["aggregate", "--global", str(tmp / "global.bin"), "--strategy", "ldawa", "--output", str(tmp / "cold.bin")]
+    clients = []
+    for k in range(COLD_CLIENTS * COLD_SCALE):
         vector = glob.vector * rng.uniform(0.5, 1.0) + rng.normal(scale=0.05, size=glob.num_params)
         save_checkpoint(ParamSet(vector, glob.layout), tmp / f"client{k:02d}.bin")
-        argv += ["--client", str(tmp / f"client{k:02d}.bin")]
+        clients += ["--client", str(tmp / f"client{k:02d}.bin")]
+    argv = base + clients[: 2 * COLD_CLIENTS]  # two entries per client: the first COLD_CLIENTS
     env = dict(os.environ, PYTHONPATH=str(Path(fedsim.__file__).resolve().parent.parent))
     times = []
     for _ in range(COLD_CALLS):
@@ -228,11 +234,16 @@ def cold_aggregate(tmp: Path) -> None:
     launch = ("import os, subprocess, sys; child = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL); "
               "_, status, usage = os.wait4(child.pid, 0); print(usage.ru_maxrss); "
               "sys.exit(os.waitstatus_to_exitcode(status))")
-    launched = subprocess.run([sys.executable, "-c", launch, sys.executable, "-m", "fedsim.cli", *argv], env=env,
-                              capture_output=True, text=True, check=True)
+
+    def max_rss_mb(args) -> float:
+        launched = subprocess.run([sys.executable, "-c", launch, sys.executable, "-m", "fedsim.cli", *args], env=env,
+                                  capture_output=True, text=True, check=True)
+        return int(launched.stdout) / 1024
+
     print(f"cold aggregate_calls {COLD_CALLS} median_ms {statistics.median(times) * 1e3:.1f} "
           f"min_ms {min(times) * 1e3:.1f} clients {COLD_CLIENTS} fedsim_modules {modules.stdout.split()[-1]} "
-          f"max_rss_mb {int(launched.stdout) / 1024:.1f}")
+          f"max_rss_mb {max_rss_mb(argv):.1f}")
+    print(f"cold clients {COLD_CLIENTS * COLD_SCALE} max_rss_mb {max_rss_mb(base + clients):.1f}")
 
 
 def main() -> int:
