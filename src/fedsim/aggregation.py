@@ -62,8 +62,8 @@ class ClientUpdates:
     the model of client ``client_ids[k]``, with its sample count and mean
     local loss at ``num_samples[k]`` and ``train_loss[k]``. The ids strictly
     ascend and the counts total at most ``MAX_TOTAL_SAMPLES``. Every rule
-    is checked once, here. ``weights`` is None when the rows arrive in
-    chunks instead (see :func:`aggregate`).
+    is checked once, here. ``weights`` is None when the rows come as
+    chunks instead (see :class:`~fedsim.divergence.DivergenceTerms`).
     """
 
     client_ids: tuple
@@ -186,9 +186,8 @@ def aggregate(
     the incoming global (computed for telemetry regardless of strategy),
     which checks the layout once. While ``round_index <
     spec.warmup_rounds`` the fedavg rule is applied no matter what
-    ``spec.strategy`` says. The rows come as ``chunks``, (k, P) blocks in
-    row order that are each used up before the next is drawn (``fedsim
-    aggregate`` refills one buffer), or as the one chunk ``updates.weights``.
+    ``spec.strategy`` says. The rows come as ``chunks`` under the protocol
+    of :class:`DivergenceTerms`, or as the one chunk ``updates.weights``.
     A chunk adds its rows' divergence, then C[k, l] * row_k(l) in row order,
     so the bits ignore the chunking. ``renormalize`` needs every column sum
     first, so it takes the one chunk.

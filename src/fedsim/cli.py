@@ -20,9 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .aggregation import METADATA_STRATEGIES, AggregationSpec, ClientUpdates, aggregate, effective_strategy
-# The other commands import what they run in their bodies, so a cold ``aggregate`` loads no config or training.
-from .divergence import distances
+# Each command imports what it runs in its body, so a cold one loads only its own path; ``main`` catches these errors.
 from .params import IncompatibleModelError, load_checkpoint, save_checkpoint
 from .scalars import SCALARS, ConfigError
 
@@ -151,6 +149,8 @@ def _load_metadata(path, n_clients: int) -> list[tuple[int, float]]:
 
 
 def _cmd_aggregate(args) -> int:
+    from .aggregation import METADATA_STRATEGIES, AggregationSpec, ClientUpdates, aggregate, effective_strategy
+    from .divergence import distances
     if args.round_index < 0:
         raise ConfigError(f"--round must be >= 0, got {args.round_index}")
     if args.warmup_rounds < 0:
@@ -178,7 +178,7 @@ def _cmd_aggregate(args) -> int:
         raise ConfigError(f"{args.metadata}: {exc}") from exc
     buffer, sq_distances = np.empty((min(k, CHUNK_ROWS), global_params.num_params)), []
 
-    def chunks():  # each refills the buffer, which aggregate uses up before it draws the next
+    def chunks():  # each refills the one buffer, as DivergenceTerms' chunk protocol allows
         for start in range(0, k, len(buffer)):
             rows = buffer[: k - start]
             for row, path in zip(rows, args.clients[start:]):

@@ -92,10 +92,12 @@ class Divergence:
 class DivergenceTerms:
     """One round's :class:`Divergence` ``div``, filled by :meth:`add` a chunk of rows at a time, in row order.
 
-    The global's squared norms are taken once, here. ``np.vecdot`` runs BLAS ``ddot`` on each row, global
-    first, as ``np.dot(g, c)`` and ``np.linalg.norm(c)`` do (some kernels round swapped operands differently),
-    so a row's cosines have the same bits in any chunk. A dot product or squared norm that is not finite
-    (float64 overflows on weights near 1e154) leaves NaN cosines, and :meth:`finish` names its layer.
+    The one statement of the chunk protocol: a chunk is a (k >= 1, P) block of the round's next k rows in ``updates``'
+    layout, used up before the next is drawn. :meth:`add` raises ValueError for any other chunk or one past K rows
+    (K = ``len(updates.client_ids)``), :meth:`finish` for fewer. The global's squared norms are taken once.
+    ``np.vecdot`` runs BLAS ``ddot`` on each row, global first, as ``np.dot(g, c)`` and ``np.linalg.norm(c)`` do
+    (some kernels round swapped operands differently), so a row's cosines have the same bits in any chunk. A term
+    that is not finite (float64 overflows on weights near 1e154) leaves NaN cosines; :meth:`finish` names its layer.
     """
 
     def __init__(self, global_params: ParamSet, updates: ClientUpdates) -> None:
@@ -110,7 +112,10 @@ class DivergenceTerms:
 
     def add(self, chunk: np.ndarray) -> slice:
         """The slice of ``chunk``'s rows in the round, their cosines written to ``div``."""
-        rows = slice(self.rows, self.rows + len(chunk))
+        shape, room, width = np.shape(chunk), len(self.div.model) - self.rows, len(self.g[-1])
+        if len(shape) != 2 or not 0 < shape[0] <= room or shape[1] != width:
+            raise ValueError(f"a chunk of shape {shape} after {self.rows} rows: expected up to ({room}, {width})")
+        rows = slice(self.rows, self.rows + shape[0])
         dots, c_sq = self.terms[:, rows]
         with np.errstate(over="ignore", invalid="ignore"):  # a term that is not finite is ``finish``'s ValueError
             for l, (g, c) in enumerate(zip(self.g, [*segments(chunk, self.flat).values(), chunk])):
@@ -121,19 +126,16 @@ class DivergenceTerms:
         return rows
 
     def finish(self) -> Divergence:
-        """``div``, once every row is added; a term that is not finite raises ValueError naming its layer."""
+        """``div``, read-only, once every row is added; a term that is not finite raises ValueError naming its layer."""
+        if self.rows != len(self.div.model):
+            raise ValueError(f"the chunks gave {self.rows} rows for {len(self.div.model)} client ids")
         finite = (np.isfinite(self.terms).all(axis=(0, 1)) & np.isfinite(self.g_sq)).tolist()
         if not all(finite):
             where = [*(f"layer {name!r}" for name in self.div.names), "whole model"][finite.index(False)]
             raise ValueError(f"{where}: {_NOT_FINITE}")
+        for table in (self.div.layer, self.div.model):
+            table.setflags(write=False)
         return self.div
-
-
-def divergence(global_params: ParamSet, updates: ClientUpdates) -> Divergence:
-    """Divergence of each row of ``updates.weights`` against the global: one chunk of :class:`DivergenceTerms`."""
-    terms = DivergenceTerms(global_params, updates)
-    terms.add(updates.weights)
-    return terms.finish()
 
 
 def distances(global_params: ParamSet, block: np.ndarray) -> np.ndarray:

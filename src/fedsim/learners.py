@@ -429,17 +429,17 @@ def loss_barlow(
     return loss, grad_a, grad_b
 
 
-def make_views(batch: np.ndarray, noise_std: float, mask_prob: float, rngs, out=None) -> tuple[np.ndarray, np.ndarray]:
+def make_views(batch: np.ndarray, noise_std: float, mask_prob: float, rngs, out) -> tuple[np.ndarray, np.ndarray]:
     """Two independently perturbed copies of each batch: additive Gaussian noise, then zero-masking.
 
     ``batch`` is a (K, B, D) stack of K clients' batches and ``rngs`` their
     K generators. Each client draws view a's noise and mask, then view b's,
     from its own generator, so its views are bit-identical to making them
-    alone. Given ``out``, a (2, 2, K, B, D) array, the views are written
-    into ``out[0]`` and the mask draws into ``out[1]``.
+    alone. ``out`` is a (2, 2, K, B, D) array: the views are written into
+    ``out[0]`` and the mask draws into ``out[1]``.
     """
     batch = np.asarray(batch, dtype=np.float64)
-    noise, mask = np.empty((2, 2, *batch.shape)) if out is None else out
+    noise, mask = out
     for k, g in enumerate(rngs):
         for view in range(2):
             g.standard_normal(out=noise[view, k])
@@ -649,7 +649,7 @@ def _train_round(clients, trainer: TrainerSpec, model: ModelSpec, first: ParamSe
     return ws.rows[0, back], total[back] / [sum(s.sizes) for s in sessions]
 
 
-def train_clients(clients, trainer: TrainerSpec, model: ModelSpec, workspace: Workspace | None = None) -> ClientUpdates:
+def train_clients(clients, trainer: TrainerSpec, model: ModelSpec, workspace: Workspace) -> ClientUpdates:
     """Train a round's clients together, each for ``local_epochs`` epochs of shuffled mini-batches.
 
     ``clients`` lists ``(client_id, data, init, rng)`` in round order
@@ -667,7 +667,7 @@ def train_clients(clients, trainer: TrainerSpec, model: ModelSpec, workspace: Wo
     the final parameters, the sample counts and the mean losses over the
     final epoch (with ``local_epochs == 0``, a single evaluation pass
     supplies the loss and the parameters are untouched). Training writes
-    into ``workspace`` (a fresh :class:`Workspace` if None); the result never aliases it.
+    into ``workspace``; the result never aliases it.
 
     If the round fails, each ``rng`` is put back where the round started
     and the clients are trained again one at a time, in round order.
@@ -676,16 +676,16 @@ def train_clients(clients, trainer: TrainerSpec, model: ModelSpec, workspace: Wo
     """
     if not clients:
         raise ValueError("train_clients: no clients")
-    first, ws = clients[0][2], workspace or Workspace()
+    first = clients[0][2]
     states = [rng.bit_generator.state for *_, rng in clients]
     try:
-        weights, losses = _train_round(clients, trainer, model, first, ws)
+        weights, losses = _train_round(clients, trainer, model, first, workspace)
     except ValueError:
         for (*_, rng), state in zip(clients, states):
             rng.bit_generator.state = state
         for client in clients:
             try:
-                _train_round([client], trainer, model, first, ws)
+                _train_round([client], trainer, model, first, workspace)
             except ValueError as exc:
                 raise ClientTrainingError(client[0], str(exc)) from exc
         raise  # every client trains alone: the failure is the block's, not a client's

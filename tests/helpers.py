@@ -8,7 +8,7 @@ import numpy as np
 from fedsim.aggregation import AggregationSpec, ClientUpdates, aggregate
 from fedsim.evaluation import accuracy
 from fedsim.learners import ModelSpec, _log_softmax, _xent_grad, _xent_loss, forward
-from fedsim.params import ParamSet
+from fedsim.params import ParamSet, weighted_sum
 from fedsim.partition import Dataset
 
 
@@ -42,6 +42,13 @@ def pack(clients):
         [c.num_samples for c in clients],
         [c.train_loss for c in clients],
     )
+
+
+def summed(block, layout, coeffs):
+    """``weighted_sum`` of a (K, P) block's rows added into a zero vector, as a ParamSet."""
+    out = np.zeros(block.shape[1])
+    weighted_sum(block, layout, coeffs, out)
+    return ParamSet(out, layout)
 
 
 def rule(strategy, global_params, clients):

@@ -31,7 +31,7 @@ from fedsim.learners import (
     loss_ntxent,
     redundancy_loss_from_corr,
 )
-from fedsim.params import ParamSet, weighted_sum
+from fedsim.params import ParamSet
 from fedsim.partition import PartitionSpec, make_blobs, partition
 from helpers import (
     Client,
@@ -44,6 +44,7 @@ from helpers import (
     pack,
     parent_loss_xent,
     rule,
+    summed,
     training_xent,
 )
 
@@ -113,7 +114,7 @@ def test_01_aggregation_oracle_equivalence():
             np.ones((k, n_layers)), np.ones(k),
         )
         block = pack(updates)
-        forced = weighted_sum(block.weights, block.layout, coefficient_matrix("ldawa", block, unit))
+        forced = summed(block.weights, block.layout, coefficient_matrix("ldawa", block, unit))
         fair, _ = aggregate(AggregationSpec("fairavg"), 0, global_params, block)
         equal_n = pack([u._replace(num_samples=7) for u in updates])
         fed, _ = aggregate(AggregationSpec("fedavg"), 0, global_params, equal_n)

@@ -19,9 +19,9 @@ from fedsim.aggregation import (
     coeffs_loss,
     effective_strategy,
 )
-from fedsim.divergence import Divergence, distances, divergence
+from fedsim.divergence import Divergence, distances
 from fedsim.params import IncompatibleModelError, ParamSet, weighted_sum
-from helpers import Client, brute_force_layerwise, pack, ps, rule
+from helpers import Client, brute_force_layerwise, pack, ps, rule, summed
 
 # Deterministic property runs: the same examples on every tier-1 run.
 PROPERTY = settings(derandomize=True, deadline=None, database=None, max_examples=40)
@@ -33,7 +33,7 @@ def per_layer(coeffs, n_layers):
 
 
 def divergence_of(global_params, clients):
-    return divergence(global_params, pack(clients))
+    return aggregate(AggregationSpec("fairavg"), 0, global_params, pack(clients))[1]
 
 
 def update(client_id, named, n=1, loss=0.0):
@@ -182,7 +182,7 @@ class TestWeightedLdawa:
         k = len(ups)
         div = divergence_of(g, ups)
         table = [[c * d for d in row] for c, row in zip([1.0 / k] * k, div.layer.tolist())]
-        a = weighted_sum(pack(ups).weights, g.layout, table)
+        a = summed(pack(ups).weights, g.layout, table)
         b = rule("ldawa", g, ups)
         assert np.abs(a.vector - b.vector).max() < 1e-12
 
@@ -193,8 +193,8 @@ class TestWeightedLdawa:
         ones = Divergence(tuple(u.client_id for u in ups), g.names, np.ones((k, n_layers)), np.ones(k))
         block = pack(ups)
         betas = coeffs_fedavg(block)
-        out = weighted_sum(block.weights, g.layout, coefficient_matrix("ldawa_fedavg", block, ones))
-        plain = weighted_sum(block.weights, g.layout, per_layer(betas, n_layers))
+        out = summed(block.weights, g.layout, coefficient_matrix("ldawa_fedavg", block, ones))
+        plain = summed(block.weights, g.layout, per_layer(betas, n_layers))
         assert np.abs(out.vector - plain.vector).max() < 1e-12
 
     def test_loss_weighted_matches_brute_force(self):
@@ -210,7 +210,7 @@ class TestWeightedLdawa:
     def test_length_mismatch_rejected(self):
         g, ups = random_fixture(np.random.default_rng(6))
         with pytest.raises(ValueError, match="coefficients"):
-            weighted_sum(pack(ups).weights, g.layout, [1.0])
+            weighted_sum(pack(ups).weights, g.layout, [1.0], np.zeros(g.num_params))
 
 
 class TestSinglePath:
@@ -264,6 +264,31 @@ class TestSinglePath:
             assert got.vector.tobytes() == want.vector.tobytes()
             assert div.layer.tobytes() == want_div.layer.tobytes() and div.model.tobytes() == want_div.model.tobytes()
 
+    @pytest.mark.parametrize(
+        "cut, message",
+        [(lambda w: [w[:2]], r"the chunks gave 2 rows for 3 client ids"),
+         (lambda w: [w[:2], w[1:]], r"a chunk of shape \(2, {p}\) after 2 rows: expected up to \(1, {p}\)"),
+         (lambda w: [np.hstack([w, w[:, :1]])], r"a chunk of shape \(3, {q}\) after 0 rows: expected up to \(3, {p}\)"),
+         (lambda w: [w[:, :-1]], r"a chunk of shape \(3, {r}\) after 0 rows: expected up to \(3, {p}\)"),
+         (lambda w: list(w), r"a chunk of shape \({p},\) after 0 rows: expected up to \(3, {p}\)"),
+         (lambda w: [w[:0], w], r"a chunk of shape \(0, {p}\) after 0 rows: expected up to \(3, {p}\)")],
+        ids=["fewer_rows", "more_rows", "wider", "narrower", "flat_rows", "empty"],
+    )
+    def test_chunks_that_break_the_protocol_return_no_global(self, cut, message):
+        # With 3 ids and 2 rows, fairavg would return 2/3 of the two rows' mean and a cosine of 0 for the third.
+        g, ups = random_fixture(np.random.default_rng(30), n_clients=3)
+        block, p = pack(ups), g.num_params
+        meta = ClientUpdates(block.client_ids, None, block.layout, block.num_samples, block.train_loss)
+        with pytest.raises(ValueError, match="^" + message.format(p=p, q=p + 1, r=p - 1) + "$"):
+            aggregate(AggregationSpec("fairavg"), 0, g, meta, cut(block.weights))
+
+    def test_the_returned_divergence_is_read_only(self):
+        g, ups = random_fixture(np.random.default_rng(31), n_clients=2)
+        _, div = aggregate(AggregationSpec("ldawa"), 0, g, pack(ups))
+        for table in (div.layer, div.model):
+            with pytest.raises(ValueError, match="read-only"):
+                table[0] = 0.0
+
     def test_renormalize_takes_the_one_block(self):
         g, ups = random_fixture(np.random.default_rng(3), n_clients=2)
         block = pack(ups)
@@ -275,7 +300,7 @@ class TestSinglePath:
     def test_renormalized_columns_sum_to_one(self, seed):
         g, ups = random_fixture(np.random.default_rng(seed))
         ups = pack(ups)
-        div = divergence(g, ups)
+        _, div = aggregate(AggregationSpec("ldawa"), 0, g, ups)
         for strategy, (_, scale) in RULES.items():
             if scale is None:
                 continue
@@ -430,7 +455,7 @@ class TestDispatch:
         g, ups = random_fixture(rng)
         block = pack(ups)
         got, _ = aggregate(AggregationSpec("loss"), 0, g, block)
-        direct = weighted_sum(block.weights, g.layout, per_layer(coeffs_loss(block), len(g.layout)))
+        direct = summed(block.weights, g.layout, per_layer(coeffs_loss(block), len(g.layout)))
         assert got == direct
 
 

@@ -13,12 +13,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedsim.aggregation import ClientUpdates
-from fedsim.divergence import SNAP_TOL, ZERO_NORM_TOL, Divergence, DivergenceTerms, distances, divergence
+from fedsim.aggregation import AggregationSpec, ClientUpdates, aggregate
+from fedsim.divergence import SNAP_TOL, ZERO_NORM_TOL, Divergence, DivergenceTerms, distances
 from fedsim.params import IncompatibleModelError, ParamSet, segments
 from helpers import ps
 
 ROOT = Path(__file__).resolve().parent.parent
+
+
+def one_chunk(g, updates):
+    """The divergence of ``updates.weights`` against ``g`` as one chunk, as ``aggregate`` takes an engine round."""
+    terms = DivergenceTerms(g, updates)
+    terms.add(updates.weights)
+    return terms.finish()
 
 
 def pack(models, client_ids):
@@ -58,13 +65,13 @@ def scalar_divergence(g, block):
 
 def report_euclid(g, updates):
     """The (K, L) distances of ``aggregate --report``, read back from its JSON (each float round-trips exactly)."""
-    doc = json.loads(divergence(g, updates).to_json(distances(g, updates.weights)))
+    doc = json.loads(one_chunk(g, updates).to_json(distances(g, updates.weights)))
     return np.array([list(entry["per_layer_euclid"].values()) for entry in doc])
 
 
 def cosine(a, b):
     """The divergence table's only entry for a one-layer client ``b`` against a one-layer global ``a``."""
-    return divergence(ps({"t": a}), pack([ps({"t": b})], [0])).layer[0, 0]
+    return one_chunk(ps({"t": a}), pack([ps({"t": b})], [0])).layer[0, 0]
 
 
 class TestCosine:
@@ -104,7 +111,7 @@ class TestCosine:
 
 def one(g, c, client_id=0):
     """Divergence of a single client."""
-    return divergence(g, pack([c], [client_id]))
+    return one_chunk(g, pack([c], [client_id]))
 
 
 class TestDivergence:
@@ -168,12 +175,12 @@ class TestDivergence:
     def test_overflow_names_the_layer_or_the_whole_model(self, global_, client, where):
         # Every input is finite; a float64 overflow in the divergence is a ValueError, not a NaN or a warning.
         with pytest.raises(ValueError, match=rf"^{where}: a dot product, squared norm or squared distance"):
-            divergence(ps(global_), pack([ps(client)], [0]))
+            one_chunk(ps(global_), pack([ps(client)], [0]))
 
     def test_a_distance_overflow_fails_only_the_report(self):
         # Only the squared distance, (2e154)**2, overflows: the round's cosine is exact and only the report fails.
         g, updates = ps({"w": [1e154]}), pack([ps({"w": [-1e154]})], [0])
-        div = divergence(g, updates)
+        div = one_chunk(g, updates)
         assert div.layer.tolist() == [[-1.0]] and div.model.tolist() == [-1.0]
         with pytest.raises(ValueError, match=r"^layer 'w': a dot product, squared norm or squared distance"):
             div.to_json(distances(g, updates.weights))
@@ -182,7 +189,7 @@ class TestDivergence:
         rng = np.random.default_rng(5)
         g = ps({"a": rng.normal(size=9000), "b": rng.normal(size=3)})  # a layer past 8,192 parameters
         updates = pack([ps({"a": rng.normal(size=9000), "b": rng.normal(size=3)}) for _ in range(7)], range(7))
-        whole = divergence(g, updates)
+        whole = one_chunk(g, updates)
         for size in (1, 3, 7):
             terms = DivergenceTerms(g, updates)
             for start in range(0, 7, size):
@@ -197,14 +204,14 @@ class TestDivergence:
         terms = DivergenceTerms(g, updates)
         terms.add(updates.weights[:1])
         terms.add(updates.weights[1:])
-        for finish in (terms.finish, lambda: divergence(g, updates)):
+        for finish in (terms.finish, lambda: aggregate(AggregationSpec("ldawa"), 0, g, updates)):
             with pytest.raises(ValueError, match=r"^layer 'a': a dot product, squared norm or squared distance"):
                 finish()
 
     def test_rows_follow_the_given_models(self):
         g = ps({"a": [1.0, 0.0], "b": [2.0]})
         c1, c2 = ps({"a": [0.0, 1.0], "b": [1.0]}), ps({"a": [1.0, 0.0], "b": [-3.0]})
-        div = divergence(g, pack([c2, c1], [3, 7]))
+        div = one_chunk(g, pack([c2, c1], [3, 7]))
         assert div.client_ids == (3, 7)
         assert div.layer.tolist() == [[1.0, -1.0], [0.0, 1.0]]
         assert div.layer.tolist()[0] == one(g, c2).layer.tolist()[0]
@@ -212,11 +219,11 @@ class TestDivergence:
     def test_client_id_count_must_match(self):
         m = ps({"a": [1.0]})
         with pytest.raises(ValueError, match=r"2 client ids and a layout of 1 parameters for weights of shape \(1, 1\)"):
-            divergence(m, pack([m], [0, 1]))
+            one_chunk(m, pack([m], [0, 1]))
 
     def test_json_serialization(self):
         g, updates = ps({"a": [1.0]}), pack([ps({"a": [2.0]})], [7])
-        (doc,) = json.loads(divergence(g, updates).to_json(distances(g, updates.weights)))
+        (doc,) = json.loads(one_chunk(g, updates).to_json(distances(g, updates.weights)))
         assert doc["client_id"] == 7
         assert set(doc) == {"client_id", "model_delta", "per_layer_delta", "per_layer_euclid"}
         assert doc["per_layer_delta"] == {"a": 1.0} and doc["per_layer_euclid"] == {"a": 1.0}
@@ -255,7 +262,7 @@ class TestMeanDelta:
     def test_empty_rejected(self):
         m = ps({"a": [1.0]})
         with pytest.raises(ValueError):
-            divergence(m, ClientUpdates((), np.zeros((0, 1)), m.layout, [], []))
+            one_chunk(m, ClientUpdates((), np.zeros((0, 1)), m.layout, [], []))
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError, match="mode"):
@@ -292,7 +299,7 @@ class TestDivergenceProperties:
         scaled = list(clients)
         scaled[k] = ParamSet(scale * clients[k].vector, g.layout)
         ids = list(range(len(clients)))
-        before, after = divergence(g, pack(clients, ids)), divergence(g, pack(scaled, ids))
+        before, after = one_chunk(g, pack(clients, ids)), one_chunk(g, pack(scaled, ids))
         assert after.layer.tobytes() == before.layer.tobytes()
         assert after.model.tobytes() == before.model.tobytes()
         others = [i for i in ids if i != k]
@@ -343,7 +350,7 @@ class TestMatchesScalarReference:
     @given(case=grid_rounds())
     def test_same_bytes_as_one_dot_per_client_and_layer(self, case):
         g, updates = case
-        div = divergence(g, updates)
+        div = one_chunk(g, updates)
         layer, euclid, model = scalar_divergence(g, updates.weights)
         assert div.layer.tobytes() == layer.tobytes()
         assert report_euclid(g, updates).tobytes() == euclid.tobytes()
@@ -356,9 +363,8 @@ class TestMatchesScalarReference:
             import numpy as np
             from artifact_hashes import blas_core
             from fedsim.aggregation import ClientUpdates
-            from fedsim.divergence import divergence
             from fedsim.params import ParamSet
-            from test_divergence import report_euclid, scalar_divergence
+            from test_divergence import one_chunk, report_euclid, scalar_divergence
 
             rng = np.random.default_rng(12)
             mismatches = 0
@@ -369,7 +375,7 @@ class TestMatchesScalarReference:
                 k = int(rng.integers(2, 9))
                 block = rng.normal(size=(k, g.num_params))
                 updates = ClientUpdates(tuple(range(k)), block, layout, [1] * k, [0.0] * k)
-                div = divergence(g, updates)
+                div = one_chunk(g, updates)
                 tables = (div.layer, report_euclid(g, updates), div.model)
                 mismatches += any(a.tobytes() != b.tobytes() for a, b in zip(tables, scalar_divergence(g, block)))
             print(blas_core(), mismatches)

@@ -273,12 +273,12 @@ class TestClassifierAccuracy:
             classifier_accuracy(params, spec, ds)
 
     def test_perfect_on_trained_fixture(self):
-        from fedsim.learners import TrainerSpec, train_clients
+        from fedsim.learners import TrainerSpec, Workspace, train_clients
 
         ds = make_blobs(2, 40, 4, spread=0.2, seed=2)
         spec = ModelSpec((4, 8), head_classes=2)
         params = init_params(spec, np.random.default_rng(3))
         trainer = TrainerSpec(method="supervised", batch_size=16, local_epochs=30, lr=0.1)
-        up = train_clients([(0, ds, params, np.random.default_rng(4))], trainer, spec)
+        up = train_clients([(0, ds, params, np.random.default_rng(4))], trainer, spec, Workspace())
         assert classifier_accuracy(ParamSet(up.weights[0], up.layout), spec, ds) > 0.95
 

@@ -229,7 +229,7 @@ class TestCrossEntropy:
 def xent_cases(draw):
     """(logits, labels): (n, c) or (K, n, c) logits with planted ties, signed zeros, infinities or huge values.
 
-    The logits are C-ordered, a strided slice of a larger buffer (as a Workspace passes them), or transposed.
+    The logits are C-ordered, as training passes them.
     """
     k, n, c = draw(st.sampled_from([None, *range(1, 21)])), draw(st.integers(1, 40)), draw(st.integers(2, 16))
     shape = (n, c) if k is None else (k, n, c)
@@ -248,14 +248,6 @@ def xent_cases(draw):
     elif kind == "inf":
         rows[picked, first[picked]] = rng.choice([np.inf, -np.inf], len(picked))
     labels = rng.integers(0, c, shape[:-1])
-    layout = draw(st.sampled_from(["c_order", "strided", "transposed"]))
-    if layout == "strided":
-        buffer = np.full((*([k + 2] if k else []), n + 3, c + 1), np.nan)
-        view = buffer[1 : k + 1, 1 : n + 1, :c] if k else buffer[1 : n + 1, :c]
-        view[...] = logits
-        logits = view
-    elif layout == "transposed":
-        logits = np.ascontiguousarray(logits.swapaxes(-1, -2)).swapaxes(-1, -2)
     return logits, labels
 
 
@@ -263,7 +255,6 @@ def xent_cases(draw):
 @given(xent_cases())
 def test_xent_keeps_the_parent_formulas_bytes(case):
     logits, labels = case
-    logits = np.ascontiguousarray(logits)  # as training passes them
     with np.errstate(all="ignore"):  # infinities make NaNs in both
         loss, grad = training_xent(logits, labels)
         want_loss, want_grad = parent_loss_xent(logits, labels)
@@ -279,7 +270,7 @@ def test_in_place_xent_grad_keeps_the_parent_formulas_bytes(case, spare):
     # of one C-ordered block, and the temporaries the first n rows of their own blocks.
     logits, labels = case
     c = logits.shape[-1]
-    logits, labels = np.ascontiguousarray(logits.reshape(-1, c)), labels.reshape(-1)  # the block's layout
+    logits, labels = logits.reshape(-1, c), labels.reshape(-1)  # the block's layout
     n = len(labels)
     block, temp, sums = np.full((n + spare, c), np.nan), np.full((n + spare, c), np.nan), np.full((n + spare, 1), np.nan)
     block[:n] = logits
@@ -473,30 +464,35 @@ class TestFullBackprop:
                 assert_grad_close(grads[name].reshape(-1), fd)
 
 
+def views(batch, noise_std, mask_prob, rngs):
+    """``make_views`` of a (K, B, D) stack into a fresh (2, 2, K, B, D) array."""
+    return make_views(batch, noise_std, mask_prob, rngs, np.empty((2, 2, *batch.shape)))
+
+
 class TestMakeViews:
     """``make_views`` takes a (K, B, D) stack and K generators; these cases use one client."""
 
     def test_no_perturbation_is_identity(self):
         rng = np.random.default_rng(13)
         batch = rng.normal(size=(1, 5, 3))
-        a, b = make_views(batch, 0.0, 0.0, [np.random.default_rng(0)])
+        a, b = views(batch, 0.0, 0.0, [np.random.default_rng(0)])
         np.testing.assert_array_equal(a, batch)
         np.testing.assert_array_equal(b, batch)
 
     def test_full_masking_zeroes_everything(self):
         batch = np.ones((1, 4, 3))
-        a, b = make_views(batch, 0.5, 1.0, [np.random.default_rng(1)])
+        a, b = views(batch, 0.5, 1.0, [np.random.default_rng(1)])
         assert (a == 0).all() and (b == 0).all()
 
     def test_deterministic_given_seed(self):
         batch = np.ones((1, 4, 3))
-        a1, b1 = make_views(batch, 0.3, 0.2, [np.random.default_rng(42)])
-        a2, b2 = make_views(batch, 0.3, 0.2, [np.random.default_rng(42)])
+        a1, b1 = views(batch, 0.3, 0.2, [np.random.default_rng(42)])
+        a2, b2 = views(batch, 0.3, 0.2, [np.random.default_rng(42)])
         assert np.array_equal(a1, a2) and np.array_equal(b1, b2)
 
     def test_views_differ_from_each_other(self):
         batch = np.ones((1, 4, 3))
-        a, b = make_views(batch, 0.5, 0.0, [np.random.default_rng(2)])
+        a, b = views(batch, 0.5, 0.0, [np.random.default_rng(2)])
         assert a.shape == b.shape == batch.shape
         assert not np.array_equal(a, b)
 
@@ -505,7 +501,7 @@ class TestMakeViews:
         # Reference: each client alone draws normal, uniform, normal, uniform.
         batch = np.random.default_rng(5).normal(size=(3, 4, 2))
         batch[0] = -0.0  # -0.0 plus a zero noise must give +0.0, as Generator.normal's 0.0 + scale * z does
-        a, b = make_views(batch, noise_std, 0.25, [np.random.default_rng(k) for k in range(3)])
+        a, b = views(batch, noise_std, 0.25, [np.random.default_rng(k) for k in range(3)])
         for k in range(3):
             rng = np.random.default_rng(k)
             for view in (a, b):
@@ -605,7 +601,7 @@ class TestOutputBuffers:
         batch = np.random.default_rng(42).normal(size=(3, self.B, 2))
         out = nan_views((2, 2, 3, self.B, 2), self.B)
         a, b = make_views(batch, 0.3, 0.25, [np.random.default_rng(k) for k in range(3)], out=out)
-        ref = make_views(batch, 0.3, 0.25, [np.random.default_rng(k) for k in range(3)])
+        ref = views(batch, 0.3, 0.25, [np.random.default_rng(k) for k in range(3)])
         assert a.base is not None and np.shares_memory(a, out) and np.shares_memory(b, out)
         assert np.stack([a, b]).tobytes() == np.stack(ref).tobytes() == out[0].tobytes()
 
@@ -650,7 +646,7 @@ def rows(updates):
 
 def train_one(data, init, trainer, model, rng):
     """One client trained alone: a round of K=1."""
-    (up,) = rows(train_clients([(0, data, init, rng)], trainer, model))
+    (up,) = rows(train_clients([(0, data, init, rng)], trainer, model, Workspace()))
     return up
 
 
@@ -742,7 +738,7 @@ class TestTrainLocal:
         with pytest.raises(ClientTrainingError, match="^cannot normalize a zero embedding row$") as info:
             train_clients(
                 [(cid, d, init, np.random.default_rng(k)) for k, (cid, d, init) in enumerate(clients)],
-                self.ssl_trainer(), model,
+                self.ssl_trainer(), model, Workspace(),
             )
         assert info.value.client_id == 8
 
@@ -756,7 +752,7 @@ class TestTrainLocal:
         trainer = TrainerSpec(method="supervised", batch_size=4)
         with pytest.raises(ClientTrainingError, match=r"^label outside \[0, 3\)$") as info:
             train_clients([(cid, d, init, np.random.default_rng(cid)) for cid, d in ((3, good), (4, bad), (5, good))],
-                          trainer, model)
+                          trainer, model, Workspace())
         assert info.value.client_id == 4
 
     def test_layers_outside_the_model_rejected(self):
@@ -801,7 +797,7 @@ class TestReplayAttribution:
         init = init_params(self.MODEL, np.random.default_rng(0))
         return train_clients(
             [(k, data, init, np.random.default_rng(seed)) for k, (data, seed) in enumerate(clients)],
-            self.TRAINER, self.MODEL,
+            self.TRAINER, self.MODEL, Workspace(),
         )
 
     def named(self, clients):
@@ -951,11 +947,11 @@ class TestTrainClientsProperties:
             return np.random.default_rng([seed, k])
 
         together = train_clients(
-            [(cid, d, init, session(k)) for k, (cid, d, init) in enumerate(clients)], trainer, model
+            [(cid, d, init, session(k)) for k, (cid, d, init) in enumerate(clients)], trainer, model, Workspace()
         )
         assert together.weights.shape == (len(clients), glob.num_params) and not together.weights.flags.writeable
         for k, ((cid, d, init), up) in enumerate(zip(clients, rows(together))):
-            (alone,) = rows(train_clients([(cid, d, init, session(k))], trainer, model))
+            (alone,) = rows(train_clients([(cid, d, init, session(k))], trainer, model, Workspace()))
             assert up.client_id == alone.client_id == cid
             assert up.num_samples == alone.num_samples == len(d)
             assert up.params.vector.tobytes() == alone.params.vector.tobytes()
@@ -1019,7 +1015,7 @@ class TestSupervisedRoundBytes:
             return [(10 + k, d, init, np.random.default_rng([seed, k])) for k, (d, init) in
                     enumerate(zip(data, inits))]
 
-        got = train_clients(clients(), trainer, model)
+        got = train_clients(clients(), trainer, model, Workspace())
         want_weights, want_losses = hand_written_round(clients(), trainer, model)
         assert got.weights.tobytes() == want_weights.tobytes()
         assert got.train_loss.tobytes() == want_losses.tobytes()
@@ -1056,7 +1052,7 @@ class TestWorkspace:
                    for k, n in enumerate(spec["sizes"])]
         return clients, trainer, model
 
-    def train(self, seed, r, clients, trainer, model, workspace=None):
+    def train(self, seed, r, clients, trainer, model, workspace):
         sessions = [(cid, d, init, np.random.default_rng([seed, r, k])) for k, (cid, d, init) in enumerate(clients)]
         return train_clients(sessions, trainer, model, workspace)
 
@@ -1080,7 +1076,7 @@ class TestWorkspace:
                 self.fail(seed, workspace)
             clients, trainer, model = self.round(seed, r, spec)
             kept = self.train(seed, r, clients, trainer, model, workspace)
-            fresh = self.train(seed, r, clients, trainer, model)
+            fresh = self.train(seed, r, clients, trainer, model, Workspace())
             assert kept.weights.tobytes() == fresh.weights.tobytes()
             assert kept.train_loss.tobytes() == fresh.train_loss.tobytes()
             results.append((kept, fresh.weights))

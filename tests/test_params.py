@@ -19,6 +19,7 @@ from fedsim.params import (
     save_checkpoint,
     weighted_sum,
 )
+from helpers import summed
 
 
 PROPERTY = settings(derandomize=True, deadline=None, database=None, max_examples=100)
@@ -164,7 +165,7 @@ class TestParamSet:
 
 def wsum(models, coeffs):
     """``weighted_sum`` over the stacked vectors of ``models``, which share one layout."""
-    return weighted_sum(np.stack([m.vector for m in models]), models[0].layout, coeffs)
+    return summed(np.stack([m.vector for m in models]), models[0].layout, coeffs)
 
 
 def repeat_reference(block, layout, table):
@@ -203,12 +204,12 @@ class TestWeightedSum:
 
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
-            weighted_sum(np.zeros((0, 1)), (("w", (1,)),), np.zeros((0, 1)))
+            weighted_sum(np.zeros((0, 1)), (("w", (1,)),), np.zeros((0, 1)), np.zeros(1))
 
     def test_block_wider_or_narrower_than_layout_rejected(self):
         for width in (1, 3):
             with pytest.raises(ValueError, match=rf"expected a \(K >= 1, 2\) block, got shape \(2, {width}\)"):
-                weighted_sum(np.ones((2, width)), (("w", (2,)),), [[0.5], [0.5]])
+                weighted_sum(np.ones((2, width)), (("w", (2,)),), [[0.5], [0.5]], np.zeros(2))
 
     def test_uniform_coefficients_equal_elementwise_mean(self):
         rng = np.random.default_rng(3)
@@ -228,7 +229,7 @@ class TestWeightedSum:
         block = np.array(data.draw(st.lists(WEIGHTS, min_size=k * size, max_size=k * size))).reshape(k, size)
         n = k * len(layout)
         table = np.array(data.draw(st.lists(COEFFS, min_size=n, max_size=n))).reshape(k, len(layout))
-        out = weighted_sum(block, layout, table)
+        out = summed(block, layout, table)
         assert out.layout == tuple(layout)
         assert out.vector.tobytes() == repeat_reference(block, layout, table).tobytes()
 

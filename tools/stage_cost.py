@@ -1,4 +1,4 @@
-"""Traced memory and wall time of the stages of two fixed runs, and of a cold ``fedsim aggregate``.
+"""Traced memory and wall time of the stages of two fixed runs and of cold ``fedsim aggregate`` and ``compare`` calls.
 
 Usage (from the repository root):
 
@@ -46,7 +46,9 @@ process that spawned it, and this tool's is larger than a cold call's, so
 that call is spawned by a fresh interpreter, which reads it through
 ``os.wait4``. A second ``cold`` line gives the max RSS, read the same way,
 of one call over 4x the clients (64 checkpoints): ``fedsim aggregate``
-reads its clients a chunk at a time, so the two should read alike. The
+reads its clients a chunk at a time, so the two should read alike. A
+third ``cold`` line gives the number of fedsim modules one cold ``fedsim
+compare`` imports, run on a one-row ``rounds.csv`` this tool writes. The
 calls run the fedsim that this tool imported: their ``PYTHONPATH`` is its
 source root.
 """
@@ -74,7 +76,7 @@ from fedsim.engine import FederatedRunner, build_datasets, sample_clients
 from fedsim.evaluation import linear_probe
 from fedsim.learners import ModelSpec, init_params
 from fedsim.params import ParamSet, save_checkpoint
-from fedsim.partition import partition
+from fedsim.partition import ROUNDS_CSV_PREFIX, partition
 
 CLASSES, ROWS_PER_CLASS, FEATURES = 16, 1000, 32
 SEED, ROUNDS = 1, 30  # the CSV run's last round is the one that probes
@@ -211,7 +213,7 @@ def desk_scale_run(tmp: Path) -> None:
     print(f"median tracemalloc_peak_kib {statistics.median(peaks):.1f}")
 
 
-def cold_aggregate(tmp: Path) -> None:
+def cold_calls(tmp: Path) -> None:
     rng = np.random.default_rng([SEED, 0xC01D])
     glob = init_params(COLD_MODEL, rng)
     save_checkpoint(glob, tmp / "global.bin")
@@ -230,7 +232,12 @@ def cold_aggregate(tmp: Path) -> None:
         times.append(time.perf_counter() - start)
     count = ("import sys; from fedsim.cli import main; main(sys.argv[1:]); "
              "print(sum(m.split('.')[0] == 'fedsim' for m in sys.modules))")
-    modules = subprocess.run([sys.executable, "-c", count, *argv], env=env, capture_output=True, text=True, check=True)
+
+    def fedsim_modules(args) -> str:
+        """The number of fedsim modules one call of ``fedsim <args>`` imports, in a fresh interpreter."""
+        out = subprocess.run([sys.executable, "-c", count, *args], env=env, capture_output=True, text=True, check=True)
+        return out.stdout.split()[-1]
+
     launch = ("import os, subprocess, sys; child = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL); "
               "_, status, usage = os.wait4(child.pid, 0); print(usage.ru_maxrss); "
               "sys.exit(os.waitstatus_to_exitcode(status))")
@@ -241,16 +248,20 @@ def cold_aggregate(tmp: Path) -> None:
         return int(launched.stdout) / 1024
 
     print(f"cold aggregate_calls {COLD_CALLS} median_ms {statistics.median(times) * 1e3:.1f} "
-          f"min_ms {min(times) * 1e3:.1f} clients {COLD_CLIENTS} fedsim_modules {modules.stdout.split()[-1]} "
+          f"min_ms {min(times) * 1e3:.1f} clients {COLD_CLIENTS} fedsim_modules {fedsim_modules(argv)} "
           f"max_rss_mb {max_rss_mb(argv):.1f}")
     print(f"cold clients {COLD_CLIENTS * COLD_SCALE} max_rss_mb {max_rss_mb(base + clients):.1f}")
+    run = tmp / "run"
+    run.mkdir()
+    (run / "rounds.csv").write_text(",".join(ROUNDS_CSV_PREFIX) + "\n0,fedavg,0.5,0.5,1.0,0.0,\n")  # one row
+    print(f"cold compare fedsim_modules {fedsim_modules(['compare', str(run), '--output', str(tmp / 'merged.csv')])}")
 
 
 def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         csv_run(Path(tmp))
         desk_scale_run(Path(tmp))
-        cold_aggregate(Path(tmp))
+        cold_calls(Path(tmp))
     return 0
 
 
