@@ -99,8 +99,8 @@ def linear_probe(
     learners' passes and ``sgd_step``, with the milestone learning-rate schedule.
     The encoder's layers and every fraction are checked before any head
     trains; every fraction's training features are encoded first, then the
-    test set once (that order keeps a one-fraction probe's peak memory at
-    the training pass). Deterministic given
+    test set once. ``encode`` works in blocks of rows, so beyond the features
+    it keeps the probe holds one block's hidden layers. Deterministic given
     ``spec.eval_seed``, and each fraction's accuracy is the same alone or
     among others. ``encoder_params`` must hold the encoder layers of
     ``model_spec``; any other layers are ignored.

@@ -230,15 +230,28 @@ def forward(params: Mapping[str, np.ndarray], spec: ModelSpec, batch: np.ndarray
     return ForwardPass(inputs, pre)
 
 
-def encode(params: Mapping[str, np.ndarray], spec: ModelSpec, x: np.ndarray) -> np.ndarray:
-    """``forward(params, spec, x).pre[-1]`` for a (B, D) ``x``, when no backward pass follows.
+# ``encode`` runs this many rows at a time: its transient is one block's hidden layers, flat in the row count.
+ENCODE_ROWS = 1024
 
-    An activated layer's input is the layer before's output, activated in
-    place, so the pass holds one array per layer where ``forward`` holds two.
+
+def encode(params: Mapping[str, np.ndarray], spec: ModelSpec, x: np.ndarray) -> np.ndarray:
+    """``forward(params, spec, x).pre[-1]`` for a (B, D) ``x``, when no backward pass follows, in blocks of rows.
+
+    Blocks are ``ENCODE_ROWS`` rows, the last taking the rest but never one row
+    (numpy takes a one-row product through gemv, which rounds otherwise). Each
+    block's last layer goes into its rows of the one (B, d_out) result; each
+    hidden layer reuses one (block, width) array, activated in place as the
+    next layer's input. So the pass holds its output plus one block, and its
+    bytes are the plain pass's where the BLAS rounds a row alike in any block.
     """
-    pre = [np.empty((len(x), fan_out)) for *_, fan_out, _ in _layers(spec)]
-    aliased = ForwardPass([pre[i - 1] if activated else None for i, (*_, activated) in enumerate(_layers(spec))], pre)
-    return forward(params, spec, x, aliased).pre[-1]
+    layers, starts = _layers(spec), range(0, max(len(x) - 1, 1), ENCODE_ROWS)  # an empty x runs once: width check
+    out = np.empty((len(x), layers[-1][3]))
+    hidden = [np.empty((min(len(x), ENCODE_ROWS + 1), fan_out)) for *_, fan_out, _ in layers[:-1]]
+    for start, stop in zip(starts, [*starts[1:], len(x)]):
+        pre = [h[: stop - start] for h in hidden] + [out[start:stop]]
+        inputs = [pre[i - 1] if activated else None for i, (*_, activated) in enumerate(layers)]
+        forward(params, spec, x[start:stop], ForwardPass(inputs, pre))
+    return out
 
 
 def backward(

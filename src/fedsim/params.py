@@ -142,7 +142,7 @@ def _require_finite(vector: np.ndarray, layout: Layout) -> None:
 def weighted_sum(block: np.ndarray, layout: Layout, coeffs, out: np.ndarray) -> None:
     """Add a layer-by-layer linear combination of a (K, P) block's rows to ``out``: layer l += sum_k C[k, l] * row_k(l).
 
-    ``coeffs`` is the (K, L) matrix C with one coefficient per (row, layer).
+    ``out`` is a float64 (P,) vector and ``coeffs`` the (K, L) matrix C with one coefficient per (row, layer).
     Each layer of ``out`` accumulates one row at a time in row order, so
     callers that need bit-reproducible output must fix that order themselves.
     """
@@ -150,6 +150,8 @@ def weighted_sum(block: np.ndarray, layout: Layout, coeffs, out: np.ndarray) -> 
     width = sum(math.prod(shape) for _, shape in layout)
     if block.ndim != 2 or not len(block) or block.shape[1] != width:
         raise ValueError(f"weighted_sum: expected a (K >= 1, {width}) block, got shape {block.shape}")
+    if out.dtype != np.float64 or out.shape != (width,):
+        raise ValueError(f"weighted_sum: expected a float64 ({width},) out, got {out.dtype} of shape {out.shape}")
     if table.shape != (len(block), len(layout)):
         raise ValueError(
             f"weighted_sum: coefficients of shape {table.shape} for {len(block)} models of {len(layout)} layers"

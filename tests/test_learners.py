@@ -1,6 +1,7 @@
 """Forward/backward passes, loss gradients vs finite differences, local training."""
 
 import math
+import tracemalloc
 from typing import NamedTuple
 
 import numpy as np
@@ -38,6 +39,7 @@ from helpers import brute_force_barlow, brute_force_ntxent, fd_grad, parent_loss
 FD_RTOL = 1e-4
 
 PROPERTY = settings(derandomize=True, deadline=None, database=None, max_examples=30)
+BLOCK = learners.ENCODE_ROWS
 
 
 def assert_grad_close(analytic, numeric):
@@ -99,6 +101,42 @@ class TestForward:
         spec = ModelSpec(tuple(dims), activation=activation)
         params, x = init_params(spec, rng), rng.normal(size=(rows, dims[0]))
         assert encode(params, spec, x).tobytes() == forward(params, spec, x).pre[-1].tobytes()
+
+    @pytest.mark.parametrize("rows", [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3])
+    @PROPERTY
+    @given(dims=st.lists(st.integers(1, 12), min_size=2, max_size=4), activation=st.sampled_from(["relu", "tanh"]),
+           seed=st.integers(0, 2**16))
+    @example(dims=[1, 1], activation="relu", seed=0)
+    @example(dims=[12, 1, 12, 1], activation="tanh", seed=1)
+    def test_encode_keeps_the_bytes_of_a_plain_pass_across_its_row_blocks(self, rows, dims, activation, seed):
+        rng = np.random.default_rng(seed)
+        spec = ModelSpec(tuple(dims), activation=activation)
+        params, x = init_params(spec, rng), rng.normal(size=(rows, dims[0]))
+        assert encode(params, spec, x).tobytes() == forward(params, spec, x).pre[-1].tobytes()
+
+    def test_encode_of_a_fortran_ordered_x_gives_the_bytes_of_a_plain_pass_on_that_x(self):
+        # Such an x reaches the BLAS transposed, and its width-1 layer through gemv's other form, so a plain pass on
+        # it need not round as one on its C-ordered copy does. Its row blocks are Fortran-ordered too, and encode
+        # keeps the bytes of the plain pass on the same x.
+        rng = np.random.default_rng(2)
+        spec = ModelSpec((9, 1, 8), activation="tanh")
+        params, x = init_params(spec, rng), np.asfortranarray(rng.normal(size=(2 * BLOCK + 3, 9)))
+        assert encode(params, spec, x).tobytes() == forward(params, spec, x).pre[-1].tobytes()
+
+    def test_encode_holds_its_output_plus_one_block(self):
+        # tracemalloc sees numpy's buffers; one pass over all 20,000 rows would hold a 20.5 MB (20,000, 128) hidden layer.
+        spec = ModelSpec((16, 128, 8))
+        rng = np.random.default_rng(3)
+        params, x = init_params(spec, rng), rng.normal(size=(20_000, 16))
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            out = encode(params, spec, x)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        # The last block takes up to BLOCK + 1 rows; the slack, about 70 KB here, is numpy's buffers and small objects.
+        assert peak <= out.nbytes + (BLOCK + 1) * 128 * 8 + 256 * 1024
 
     def test_layer_names_order(self):
         spec = ModelSpec((3, 4, 2), projector_dims=(2, 2))

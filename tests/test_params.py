@@ -211,6 +211,12 @@ class TestWeightedSum:
             with pytest.raises(ValueError, match=rf"expected a \(K >= 1, 2\) block, got shape \(2, {width}\)"):
                 weighted_sum(np.ones((2, width)), (("w", (2,)),), [[0.5], [0.5]], np.zeros(2))
 
+    def test_out_of_another_width_or_dtype_rejected(self):
+        for out in (np.zeros(3), np.zeros(1), np.zeros((1, 2)), np.zeros(2, dtype=np.float32)):
+            with pytest.raises(ValueError, match=rf"^weighted_sum: expected a float64 \(2,\) out, got {out.dtype} "):
+                weighted_sum(np.ones((1, 2)), (("w", (2,)),), [[1.0]], out)
+            assert not out.any()
+
     def test_uniform_coefficients_equal_elementwise_mean(self):
         rng = np.random.default_rng(3)
         for _ in range(10):
