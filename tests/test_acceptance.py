@@ -47,6 +47,7 @@ from helpers import (
     summed,
     training_xent,
 )
+from workloads import desk_scale_raw  # fedbench's; pyproject puts fedbench/ on the test path
 
 
 def report(criterion: str, ok: bool, detail: str = "") -> None:
@@ -375,50 +376,8 @@ def test_05_partition_invariants():
 # ---------------------------------------------------------------------------
 
 
-def desk_scale_raw(strategy, seed, out_dir, rounds=30):
-    """Cross-silo single-class setup: 8-class blobs, 10 clients, 1 local epoch.
-
-    The trainer hyperparameters are chosen so clients drift measurably per
-    round (the statistic being compared is meaningless in the no-drift
-    regime where every divergence sits at 1.0).
-    """
-    return {
-        "dataset": {
-            "type": "blobs",
-            "num_classes": 8,
-            "samples_per_class": 200,
-            "dim": 16,
-            "spread": 1.0,
-            "seed": seed,
-            "test_samples_per_class": 40,
-        },
-        "partition": {
-            "scheme": "single_class",
-            "num_clients": 10,
-            "seed": seed,
-            "allow_class_reuse": True,
-        },
-        "clients_per_round": 10,
-        "rounds": rounds,
-        "trainer": {
-            "method": "simclr",
-            "temperature": 0.5,
-            "lr": 0.1,
-            "batch_size": 16,
-            "local_epochs": 1,
-            "augment_noise_std": 0.3,
-            "augment_mask_prob": 0.0,
-        },
-        "model": {"encoder_dims": [16, 64, 32], "projector_dims": [32, 32]},
-        "aggregation": {"strategy": strategy, "warmup_rounds": 2},
-        "evaluation": {"epochs": 30, "milestones": [20, 26], "lr": 0.1, "probe_every": 0},
-        "run_seed": seed,
-        "output_dir": str(out_dir),
-    }
-
-
 def test_06_determinism_across_runs(tmp_path):
-    raw = desk_scale_raw("ldawa", 1, tmp_path / "a", rounds=6)
+    raw = dict(desk_scale_raw("ldawa", 1, rounds=6), output_dir=str(tmp_path / "a"))
     cfg_a = parse_config(raw)
     raw_b = dict(raw, output_dir=str(tmp_path / "b"))
     cfg_b = parse_config(raw_b)
@@ -432,36 +391,39 @@ def test_06_determinism_across_runs(tmp_path):
 
 
 @pytest.fixture(scope="module")
-def desk_scale_runs(tmp_path_factory):
+def desk_runs(tmp_path_factory):
+    # The desk-scale fixture's trainer hyperparameters are chosen so clients
+    # drift measurably per round: the statistic 7b compares is meaningless in
+    # the no-drift regime where every divergence sits at 1.0.
     base = tmp_path_factory.mktemp("desk_scale")
     t0 = time.perf_counter()
     runs = {}
     for strategy in ("fedavg", "ldawa"):
         for seed in (1, 2, 3):
-            cfg = parse_config(desk_scale_raw(strategy, seed, base / f"{strategy}_{seed}"))
+            cfg = parse_config(dict(desk_scale_raw(strategy, seed), output_dir=str(base / f"{strategy}_{seed}")))
             runs[(strategy, seed)] = run_experiment(cfg)
     return runs, time.perf_counter() - t0
 
 
-def test_07a_desk_scale_runtime(desk_scale_runs):
-    _, elapsed = desk_scale_runs
+def test_07a_desk_scale_runtime(desk_runs):
+    _, elapsed = desk_runs
     report("7a desk-scale runtime", elapsed < 300.0, f"{elapsed:.1f}s for 6 runs")
     assert elapsed < 300.0
 
 
 @pytest.fixture(scope="module")
-def desk_scale_renormalized_runs(tmp_path_factory):
+def desk_renormalized_runs(tmp_path_factory):
     """Control runs for 7b: the ldawa desk-scale runs with ``renormalize: true``."""
     base = tmp_path_factory.mktemp("desk_scale_renormalized")
     runs = {}
     for seed in (1, 2, 3):
-        raw = desk_scale_raw("ldawa", seed, base / f"ldawa_{seed}")
+        raw = dict(desk_scale_raw("ldawa", seed), output_dir=str(base / f"ldawa_{seed}"))
         raw["aggregation"] = dict(raw["aggregation"], renormalize=True)
         runs[seed] = run_experiment(parse_config(raw))
     return runs
 
 
-def test_07b_divergence_statistic_direction(desk_scale_runs, desk_scale_renormalized_runs):
+def test_07b_divergence_statistic_direction(desk_runs, desk_renormalized_runs):
     """Layer-wise divergence scaling lowers the post-warm-up mean client cosine.
 
     ldawa scales each layer by delta_k(l) <= 1 without renormalizing, so the
@@ -470,7 +432,7 @@ def test_07b_divergence_statistic_direction(desk_scale_runs, desk_scale_renormal
     counts only if that cause shows too: ldawa's final global norm is below
     fedavg's, and renormalizing ldawa closes the gap to a tenth or less.
     """
-    runs, _ = desk_scale_runs
+    runs, _ = desk_runs
 
     def post_warmup_mean(result):
         return float(np.mean([r.div.mean("model") for r in result.state.history if r.round_index >= 2]))
@@ -482,7 +444,7 @@ def test_07b_divergence_statistic_direction(desk_scale_runs, desk_scale_renormal
     details = []
     for seed in (1, 2, 3):
         fedavg, ldawa = runs[("fedavg", seed)], runs[("ldawa", seed)]
-        renormalized = desk_scale_renormalized_runs[seed]
+        renormalized = desk_renormalized_runs[seed]
         mu_fedavg = post_warmup_mean(fedavg)
         mu_ldawa = post_warmup_mean(ldawa)
         gap = mu_ldawa - mu_fedavg
@@ -506,8 +468,8 @@ def test_07b_divergence_statistic_direction(desk_scale_runs, desk_scale_renormal
     )
 
 
-def test_07c_probe_accuracy_beats_chance(desk_scale_runs):
-    runs, _ = desk_scale_runs
+def test_07c_probe_accuracy_beats_chance(desk_runs):
+    runs, _ = desk_runs
     n_test = 8 * 40
     chance = 1.0 / 8.0
     floor = chance + 3.0 * math.sqrt(chance * (1 - chance) / n_test)
@@ -617,7 +579,7 @@ def test_10_fedu_policy_boundary(tmp_path):
     adopts = [fedu_start(spec, g, c)[0] is g for g, c in map(models, (0.4, 0.5, 0.6))]
     boundary_ok = adopts == [True, True, False]
 
-    raw_inf = desk_scale_raw("ldawa", 1, tmp_path / "inf", rounds=4)
+    raw_inf = dict(desk_scale_raw("ldawa", 1, rounds=4), output_dir=str(tmp_path / "inf"))
     raw_inf["aggregation"] = {"strategy": "ldawa_fedu", "warmup_rounds": 2, "fedu_threshold": "inf"}
     raw_off = dict(raw_inf, output_dir=str(tmp_path / "off"))
     raw_off["aggregation"] = {"strategy": "ldawa_fedu", "warmup_rounds": 2, "fedu_threshold": None}

@@ -27,6 +27,7 @@ from fedsim.learners import ClientTrainingError, projector_start
 from fedsim.params import ParamSet, load_checkpoint
 from fedsim.partition import load_csv, partition
 from helpers import ps
+from workloads import desk_scale_raw
 
 
 def scripted(client_ids, models, num_samples, train_loss):
@@ -171,17 +172,7 @@ class TestRunRound:
         # Local training writes into the runner's workspace, sized by the first
         # round; a later round allocates only its results and small temporaries
         # (about 0.5 MiB; 2.6 MiB when every step allocated its own arrays).
-        cfg = base_config(
-            tmp_path,
-            dataset={"num_classes": 8, "samples_per_class": 200, "dim": 16, "spread": 1.0,
-                     "test_samples_per_class": 40},
-            partition={"scheme": "single_class", "num_clients": 10, "seed": 1, "allow_class_reuse": True},
-            clients_per_round=10,
-            rounds=4,
-            trainer={"temperature": 0.5, "lr": 0.1, "batch_size": 16, "augment_noise_std": 0.3},
-            model={"encoder_dims": [16, 64, 32], "projector_dims": [32, 32]},
-            aggregation={"strategy": "fedavg", "warmup_rounds": 2},
-        )
+        cfg = parse_config(dict(desk_scale_raw("fedavg", 1, rounds=4), output_dir=str(tmp_path / "run")))
         train_ds, test_ds = build_datasets(cfg)
         runner = FederatedRunner(cfg, train_ds, partition(train_ds, cfg.partition), test_ds)
         state = runner.run_round(runner.run_round(runner.initial_state()))

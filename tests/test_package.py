@@ -178,3 +178,12 @@ def test_the_fields_the_benchmark_reads_stay():
     assert {"rounds_csv", "final_checkpoint"} <= fields(RunResult)
     layer = ParamSet.from_arrays({"w": [[1.0, 2.0], [3.0, 4.0]], "b": [5.0]}).layers[0]
     assert (layer.name, layer.shape, list(layer.values), layer.size) == ("w", (2, 2), [1.0, 2.0, 3.0, 4.0], 4)
+
+
+def test_the_tools_import_under_the_path_ci_gives_them():
+    # CI runs each tool as ``PYTHONPATH=src python tools/<tool>.py`` from the root, and the tools take their
+    # fixtures from fedbench/workloads.py, so a rename under src/ or fedbench/ that breaks one fails here.
+    script = f"import sys; sys.path.insert(0, {str(ROOT / 'tools')!r}); import artifact_hashes, stage_cost"
+    env = dict(os.environ, PYTHONPATH="src")
+    out = subprocess.run([sys.executable, "-c", script], cwd=ROOT, env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr

@@ -8,23 +8,30 @@ The first line is ``# blas-core <name>``: the OpenBLAS kernel numpy runs on
 (``unknown`` if it cannot be read), followed by `` OPENBLAS_CORETYPE=<value>``
 when that variable is set: a forced kernel can report a name that is not its
 own (``Prescott`` reads as ``Katmai``). Divergence reduces through BLAS dot
-products, whose bits differ between kernels, so compare two outputs only
-when their first lines match. Each further line is
+products, whose bits differ between kernels, and numpy's exp, log and tanh
+loops give other bits under another SIMD dispatch, which the header does not
+show: with ``NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR"`` 48 of
+the 113 artifact lines differ (every ``rounds.csv`` and
+``checkpoint_final.bin`` of the SimCLR, supervised and tanh variants) while
+the header still reads ``SkylakeX`` (numpy 2.4.6, OpenBLAS 0.3.31, an
+AVX-512 x86_64 host). So compare two outputs only when their first lines
+match and they ran on the same numpy build with the same SIMD dispatch: the
+same CPU features and ``NPY_DISABLE_CPU_FEATURES``. Each further line is
 ``<variant> seed=<n> <file> <sha256>`` for ``rounds.csv``,
 ``checkpoint_init.bin`` and ``checkpoint_final.bin`` of every run: the
-desk-scale SimCLR runs under fedavg, ldawa, mdawa and ldawa_fedu, a Barlow
-Twins run on a Dirichlet partition (uneven clients, ragged and lone trailing
-batches), a small supervised cross-device run from a generated CSV file,
-and deeper tanh versions of the SimCLR ldawa and supervised runs (three
-encoder layers; the SimCLR one with a two-layer projector and two local
-epochs), and the supervised run under ldawa_fedu (a head model has no
-projector, so the FedU policy's "own projector" is empty), each at seeds
-1, 2 and 3. Then come lines ``offline <strategy> round=<r>
-<file> <sha256>`` for the output checkpoint and the ``--report`` JSON of
-``fedsim aggregate`` on six hand-built client checkpoints, for every
-strategy at rounds 0 and 5 with two warm-up rounds. A change that must not
-alter results leaves the output of this script identical: run it on both
-trees and diff the files.
+desk-scale SimCLR runs (fedbench's ``desk_scale_raw``) under fedavg, ldawa,
+mdawa and ldawa_fedu, a Barlow Twins run on a Dirichlet partition (uneven
+clients, ragged and lone trailing batches), a small supervised cross-device
+run from a generated CSV file, and deeper tanh versions of the SimCLR ldawa
+and supervised runs (three encoder layers; the SimCLR one with a two-layer
+projector and two local epochs), and the supervised run under ldawa_fedu (a
+head model has no projector, so the FedU policy's "own projector" is empty),
+each at seeds 1, 2 and 3. Then come lines ``offline <strategy> round=<r>
+output <sha256>`` and ``offline <strategy> round=<r> report <sha256>`` for
+the output checkpoint and the ``--report`` JSON of ``fedsim aggregate`` on
+six hand-built client checkpoints, for every strategy at rounds 0 and 5 with
+two warm-up rounds. A change that must not alter results leaves the output
+of this script identical: run it on both trees and diff the files.
 """
 
 from __future__ import annotations
@@ -49,44 +56,16 @@ from fedsim.engine import run_experiment
 from fedsim.learners import ModelSpec, init_params
 from fedsim.params import ParamSet, save_checkpoint
 
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "fedbench"))
+from workloads import desk_scale_raw  # noqa: E402
+
 SEEDS = (1, 2, 3)
 ARTIFACTS = ("rounds.csv", "checkpoint_init.bin", "checkpoint_final.bin")
 
 
-def desk_scale(strategy: str, seed: int) -> dict:
-    """The acceptance suite's cross-silo single-class SimCLR run."""
-    return {
-        "dataset": {
-            "type": "blobs",
-            "num_classes": 8,
-            "samples_per_class": 200,
-            "dim": 16,
-            "spread": 1.0,
-            "seed": seed,
-            "test_samples_per_class": 40,
-        },
-        "partition": {"scheme": "single_class", "num_clients": 10, "seed": seed, "allow_class_reuse": True},
-        "clients_per_round": 10,
-        "rounds": 30,
-        "trainer": {
-            "method": "simclr",
-            "temperature": 0.5,
-            "lr": 0.1,
-            "batch_size": 16,
-            "local_epochs": 1,
-            "augment_noise_std": 0.3,
-            "augment_mask_prob": 0.0,
-        },
-        "model": {"encoder_dims": [16, 64, 32], "projector_dims": [32, 32]},
-        "aggregation": {"strategy": strategy, "warmup_rounds": 2},
-        "evaluation": {"epochs": 30, "milestones": [20, 26], "lr": 0.1, "probe_every": 0},
-        "run_seed": seed,
-    }
-
-
 def barlow(seed: int) -> dict:
     """Barlow Twins, two local epochs, uneven Dirichlet clients sampled 6 of 12 per round."""
-    raw = desk_scale("ldawa", seed)
+    raw = desk_scale_raw("ldawa", seed)
     raw["dataset"]["samples_per_class"] = 61
     raw["partition"] = {"scheme": "dirichlet", "num_clients": 12, "alpha": 0.5, "seed": seed}
     raw["clients_per_round"] = 6
@@ -120,13 +99,13 @@ def supervised_csv(seed: int, path: Path) -> dict:
 
 def variants(seed: int, work: Path):
     for strategy in ("fedavg", "ldawa", "mdawa"):
-        yield strategy, desk_scale(strategy, seed)
-    fedu = desk_scale("ldawa_fedu", seed)
+        yield strategy, desk_scale_raw(strategy, seed)
+    fedu = desk_scale_raw("ldawa_fedu", seed)
     fedu["aggregation"]["fedu_threshold"] = 1.0  # about one client session in five keeps its projector
     yield "ldawa_fedu", fedu
     yield "barlow_twins", barlow(seed)
     yield "supervised_csv", supervised_csv(seed, work / f"train_{seed}.csv")
-    deep = desk_scale("ldawa", seed)
+    deep = desk_scale_raw("ldawa", seed)
     deep["model"] = {"encoder_dims": [16, 32, 24, 16], "projector_dims": [16, 16, 8], "activation": "tanh"}
     deep["rounds"] = 8
     deep["trainer"]["local_epochs"] = 2
