@@ -13,9 +13,11 @@ hand and validated against central finite differences in the test suite.
 
 The passes and losses also take a leading client axis: K clients' (K, B, D)
 batches through their (K, *shape) layers give K independent results, each
-bit-identical to the one-client call. ``train_clients`` trains a round's
-clients that way, as the rows of one (K, P) weight block, and names a failing
-client by training the round's clients again one at a time.
+bit-identical to the one-client call. The SSL losses take both views as one
+(2, K, B, D) stack, the view axis leading, and return one gradient of its
+shape. ``train_clients`` trains a round's clients that way, as the rows of
+one (K, P) weight block, and names a failing client by training the round's
+clients again one at a time.
 """
 
 from __future__ import annotations
@@ -318,37 +320,35 @@ def _xent_loss(logp: np.ndarray, at: np.ndarray) -> float | np.ndarray:
     return -(np.add.reduce(logp.reshape(-1)[at].reshape(logp.shape[:-1]), axis=-1) / logp.shape[-2])
 
 
-def _require_finite(*embeddings: np.ndarray) -> None:
-    if not all(np.isfinite(z).all() for z in embeddings):
+def _require_finite(z: np.ndarray) -> None:
+    if not np.isfinite(z).all():
         raise ValueError("non-finite embedding: the model diverged")
 
 
-def _two_views(z_a: np.ndarray, z_b: np.ndarray, loss: str) -> tuple[np.ndarray, np.ndarray, int]:
-    """Both views' embeddings as float64 and their batch size; ``loss`` names the loss that needs 2 rows."""
-    z_a, z_b = np.asarray(z_a, dtype=np.float64), np.asarray(z_b, dtype=np.float64)
-    if z_a.shape != z_b.shape:
-        raise ValueError("view embeddings must have the same shape")
-    if z_a.shape[-2] < 2:
+def _two_views(views: np.ndarray, loss: str) -> tuple[np.ndarray, int]:
+    """The (2, ..., B, D) stack of both views' embeddings as float64 and its batch size; ``loss`` names the loss."""
+    views = np.asarray(views, dtype=np.float64)
+    if views.ndim < 3 or len(views) != 2:
+        raise ValueError(f"{loss} loss needs a (2, ..., B, D) stack of two views, not shape {views.shape}")
+    if views.shape[-2] < 2:
         raise ValueError(f"{loss} loss needs a batch of at least 2")
-    return z_a, z_b, z_a.shape[-2]
+    return views, views.shape[-2]
 
 
-def loss_ntxent(
-    z_a: np.ndarray, z_b: np.ndarray, temperature: float
-) -> tuple[float | np.ndarray, np.ndarray, np.ndarray]:
-    """Symmetric normalized temperature-scaled contrastive loss.
+def loss_ntxent(views: np.ndarray, temperature: float) -> tuple[float | np.ndarray, np.ndarray]:
+    """Symmetric normalized temperature-scaled contrastive loss of a (2, ..., B, D) stack of two views.
 
     Rows are L2-normalized internally. Each of the 2B normalized embeddings
     anchors one term whose positive is the matching row of the other view and
     whose negatives are all remaining rows of both views; the loss is the
-    mean over anchors. Returns exact gradients with respect to the raw
-    (unnormalized) inputs. (K, B, D) embeddings of K clients give one loss
-    per client.
+    mean over anchors. Returns the loss and the exact gradient of the raw
+    (unnormalized) stack, of its shape. (2, K, B, D) views of K clients give
+    one loss per client.
     """
-    z_a, z_b, b = _two_views(z_a, z_b, "contrastive")
+    views, b = _two_views(views, "contrastive")
     tau = float(temperature)
 
-    z = np.concatenate([z_a, z_b], axis=-2)  # (..., 2B, D): both views' rows, normalized in place
+    z = np.concatenate(views, axis=-2)  # (..., 2B, D): both views' rows, normalized in place
     norms = np.linalg.norm(z, axis=-1, keepdims=True)
     if not (norms > 0).all():
         _require_finite(z)  # a NaN row fails the test above too
@@ -364,7 +364,7 @@ def loss_ntxent(
     lse = row_max[..., 0] + np.log(np.exp(sim - row_max).sum(axis=-1))
     loss = (lse - sim[..., anchors, pos]).mean(axis=-1)
     if not np.isfinite(loss).all():
-        _require_finite(z_a, z_b)  # an inf row normalizes to NaN
+        _require_finite(views)  # an inf row normalizes to NaN
 
     # d(loss)/d(sim): softmax over each anchor's candidates minus the positive.
     soft = np.exp(sim - lse[..., None])
@@ -375,7 +375,7 @@ def loss_ntxent(
     grad_s = ((soft + soft.mT) @ s) / tau
     # Through row normalization u = z/|z|: dz = (g - (g.u) u)/|z|, every row of both views at once.
     grad = (grad_s - (grad_s * s).sum(axis=-1, keepdims=True) * s) / norms
-    return loss, grad[..., :b, :], grad[..., b:, :]
+    return loss, np.moveaxis(grad.reshape(*grad.shape[:-2], 2, b, -1), -3, 0)  # (2, ..., B, D), a view, not a copy
 
 
 def _standardize(z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -413,43 +413,37 @@ def redundancy_loss_from_corr(corr: np.ndarray, lambda_offdiag: float) -> float 
     return ((1.0 - diag) ** 2).sum(axis=-1) + lambda_offdiag * (off**2).sum(axis=-1)
 
 
-def loss_barlow(
-    z_a: np.ndarray, z_b: np.ndarray, lambda_offdiag: float
-) -> tuple[float | np.ndarray, np.ndarray, np.ndarray]:
-    """Redundancy-reduction loss on the batch cross-correlation matrix.
+def loss_barlow(views: np.ndarray, lambda_offdiag: float) -> tuple[float | np.ndarray, np.ndarray]:
+    """Redundancy-reduction loss on the batch cross-correlation matrix of a (2, ..., B, D) stack of two views.
 
     Embedding dimensions are standardized across the batch (mean 0, unit
     std, ddof 0) before correlating, so diagonal entries live in [-1, 1].
-    Returns exact gradients with respect to the raw inputs, including the
-    path through the standardization. (K, B, D) embeddings of K clients are
-    standardized per client and give one loss per client.
+    Returns the loss and the exact gradient of the raw stack, of its shape,
+    including the path through the standardization. (2, K, B, D) views of K
+    clients are standardized per view and client and give one loss per client.
     """
-    z_a, z_b, n = _two_views(z_a, z_b, "redundancy")
+    views, n = _two_views(views, "redundancy")
     lam = float(lambda_offdiag)
 
-    a_hat, a_centered, a_std = _standardize(z_a)
-    b_hat, b_centered, b_std = _standardize(z_b)
-    corr = (a_hat.mT @ b_hat) / n
+    hat, centered, std = _standardize(views)
+    corr = (hat[0].mT @ hat[1]) / n
     loss = redundancy_loss_from_corr(corr, lam)
 
     dims = np.arange(corr.shape[-1])
     grad_corr = 2.0 * lam * corr
     grad_corr[..., dims, dims] = -2.0 * (1.0 - corr[..., dims, dims])
-    grad_a_hat = (b_hat @ grad_corr.mT) / n
-    grad_b_hat = (a_hat @ grad_corr) / n
-    grad_a = _standardize_backward(grad_a_hat, a_centered, a_std)
-    grad_b = _standardize_backward(grad_b_hat, b_centered, b_std)
-    return loss, grad_a, grad_b
+    grad_hat = np.stack([hat[1] @ grad_corr.mT, hat[0] @ grad_corr]) / n
+    return loss, _standardize_backward(grad_hat, centered, std)
 
 
-def make_views(batch: np.ndarray, noise_std: float, mask_prob: float, rngs, out) -> tuple[np.ndarray, np.ndarray]:
+def make_views(batch: np.ndarray, noise_std: float, mask_prob: float, rngs, out) -> np.ndarray:
     """Two independently perturbed copies of each batch: additive Gaussian noise, then zero-masking.
 
     ``batch`` is a (K, B, D) stack of K clients' batches and ``rngs`` their
     K generators. Each client draws view a's noise and mask, then view b's,
     from its own generator, so its views are bit-identical to making them
-    alone. ``out`` is a (2, 2, K, B, D) array: the views are written into
-    ``out[0]`` and the mask draws into ``out[1]``.
+    alone. ``out`` is a (2, 2, K, B, D) array: the (2, K, B, D) views are
+    written into ``out[0]``, which is returned, and the mask draws into ``out[1]``.
     """
     batch = np.asarray(batch, dtype=np.float64)
     noise, mask = out
@@ -461,7 +455,7 @@ def make_views(batch: np.ndarray, noise_std: float, mask_prob: float, rngs, out)
     noise += 0.0  # Generator.normal's loc + scale * z, down to the sign of zero
     noise += batch
     noise *= np.greater_equal(mask, mask_prob, out=mask)
-    return noise[0], noise[1]
+    return noise
 
 
 def sgd_step(
@@ -523,7 +517,7 @@ class Workspace:
     clients' shuffles; supervised labels are checked once a round, by :func:`_train_round`. The per-batch arrays
     (inputs, SSL views and mask draws, each layer's outputs and activations, the log-softmax's exps and row sums)
     are sized (views, K * batch_size, width); rows lo:hi at batch size b use their first (hi - lo) * b rows as one
-    C-ordered (hi - lo, b, width) block. The loss gradient overwrites the pass's output once the loss has read it.
+    C-ordered (hi - lo, b, width) block. Only the cross-entropy's gradient overwrites the pass's output, the logits.
     A supervised round makes no views. A round of another K, batch size or model makes them anew. Every step
     overwrites them, so nothing returned is a view of them.
     """
@@ -603,16 +597,14 @@ class Workspace:
         """Rows lo:hi's losses on their batches, the (hi - lo, b) ``rows`` of ``x``; gradients go in the gradient rows.
 
         A supervised group's cross-entropy runs in place in its logits, at its labels' flat ``at`` indices. The two SSL
-        views take one pass as a (2, K, B, D) stack, their loss gradients overwrite its projections, and view b's
-        gradients, written into the spare rows, are added into view a's.
+        views take one pass as a (2, K, B, D) stack, and their loss returns one gradient of that shape; view b's
+        parameter gradients, written into the spare rows, are added into view a's.
         """
         m = hi - lo
         x = np.take(x, rows, axis=0, out=_batches(self.x, m, b), mode="clip")
-        if trainer.is_ssl:
-            views = _batches(self.views, m, b)
-            make_views(x, trainer.augment_noise_std, trainer.augment_mask_prob, [s.rng for s in self._sessions[lo:hi]],
-                       out=views)
-            x = views[0]  # both views, as one stack
+        if trainer.is_ssl:  # both views, as one stack
+            x = make_views(x, trainer.augment_noise_std, trainer.augment_mask_prob,
+                           [s.rng for s in self._sessions[lo:hi]], out=_batches(self.views, m, b))
         params = {name: a[lo:hi] for name, a in self._params.items()}
         out = ForwardPass([a if a is None else _batches(a, m, b) for a in self.act],
                           [_batches(a, m, b) for a in self.pre])
@@ -624,10 +616,10 @@ class Workspace:
             backward(params, model, fp, _xent_grad(logp, at, logp), grads)
             return loss
         if trainer.method == "simclr":
-            loss, ga, gb = loss_ntxent(*fp.pre[-1], trainer.temperature)
+            loss, grad = loss_ntxent(fp.pre[-1], trainer.temperature)
         else:
-            loss, ga, gb = loss_barlow(*fp.pre[-1], trainer.lambda_offdiag)
-        backward(params, model, fp, np.stack([ga, gb], out=fp.pre[-1]), grads)
+            loss, grad = loss_barlow(fp.pre[-1], trainer.lambda_offdiag)
+        backward(params, model, fp, grad, grads)
         np.add(self.rows[2, lo:hi], self.rows[3, lo:hi], out=self.rows[2, lo:hi])  # view a's plus view b's
         return loss
 

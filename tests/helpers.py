@@ -56,6 +56,16 @@ def rule(strategy, global_params, clients):
     return aggregate(AggregationSpec(strategy), 0, global_params, pack(clients))[0]
 
 
+def overridden(raw, over):
+    """``raw`` with ``over``'s entries: a dict entry updates ``raw``'s dict under its key, any other replaces it."""
+    for key, value in over.items():
+        if isinstance(value, dict) and isinstance(raw.get(key), dict):
+            raw[key].update(value)
+        else:
+            raw[key] = value
+    return raw
+
+
 def brute_force_cosine(g, c):
     num = sum(float(x) * float(y) for x, y in zip(g, c))
     ng = math.sqrt(sum(float(x) ** 2 for x in g))

@@ -193,43 +193,30 @@ def test_03_gradient_verification():
 
     for _ in range(10):
         b, d = int(rng.integers(2, 5)), int(rng.integers(2, 5))
-        z_a, z_b = rng.normal(size=(b, d)), rng.normal(size=(b, d))
+        z = rng.normal(size=(2, b, d))  # both views, one stack
         tau = float(rng.uniform(0.2, 1.5))
-        _, ga, gb = loss_ntxent(z_a, z_b, tau)
-        fda = fd_grad(lambda v: loss_ntxent(v.reshape(b, d), z_b, tau)[0], z_a.reshape(-1))
-        fdb = fd_grad(lambda v: loss_ntxent(z_a, v.reshape(b, d), tau)[0], z_b.reshape(-1))
-        worst["contrastive"] = max(
-            worst["contrastive"],
-            max_rel_err(ga.reshape(-1), fda),
-            max_rel_err(gb.reshape(-1), fdb),
-        )
+        _, grad = loss_ntxent(z, tau)
+        fd = fd_grad(lambda v: loss_ntxent(v.reshape(z.shape), tau)[0], z.reshape(-1))
+        worst["contrastive"] = max(worst["contrastive"], max_rel_err(grad.reshape(-1), fd))
 
     for _ in range(10):
         b, d = int(rng.integers(3, 7)), int(rng.integers(2, 5))
-        z_a, z_b = rng.normal(size=(b, d)), rng.normal(size=(b, d))
+        z = rng.normal(size=(2, b, d))
         lam = float(rng.uniform(0.0, 0.1))
-        _, ga, gb = loss_barlow(z_a, z_b, lam)
-        fda = fd_grad(lambda v: loss_barlow(v.reshape(b, d), z_b, lam)[0], z_a.reshape(-1))
-        fdb = fd_grad(lambda v: loss_barlow(z_a, v.reshape(b, d), lam)[0], z_b.reshape(-1))
-        worst["redundancy"] = max(
-            worst["redundancy"],
-            max_rel_err(ga.reshape(-1), fda),
-            max_rel_err(gb.reshape(-1), fdb),
-        )
+        _, grad = loss_barlow(z, lam)
+        fd = fd_grad(lambda v: loss_barlow(v.reshape(z.shape), lam)[0], z.reshape(-1))
+        worst["redundancy"] = max(worst["redundancy"], max_rel_err(grad.reshape(-1), fd))
 
     spec = ModelSpec((3, 4, 3), projector_dims=(3, 2), activation="tanh")
     for _ in range(10):
         params = init_params(spec, rng)
-        x_a, x_b = rng.normal(size=(4, 3)), rng.normal(size=(4, 3))
+        x = rng.normal(size=(2, 4, 3))  # both views' inputs, one pass
 
         def chain_loss(p):
-            fa, fb = forward(p, spec, x_a), forward(p, spec, x_b)
-            return loss_ntxent(fa.pre[-1], fb.pre[-1], 0.5)[0]
+            return loss_ntxent(forward(p, spec, x).pre[-1], 0.5)[0]
 
-        fa, fb = forward(params, spec, x_a), forward(params, spec, x_b)
-        _, ga, gb = loss_ntxent(fa.pre[-1], fb.pre[-1], 0.5)
-        grads_a = backward(params, spec, fa, ga)
-        grads_b = backward(params, spec, fb, gb)
+        fp = forward(params, spec, x)
+        grads = backward(params, spec, fp, loss_ntxent(fp.pre[-1], 0.5)[1])  # one gradient per view
         for name, shape in params.layout:
             def f(v, name=name, shape=shape):
                 arrays = {n: params[n] for n in params.names}
@@ -237,8 +224,7 @@ def test_03_gradient_verification():
                 return chain_loss(arrays)
 
             fd = fd_grad(f, params[name].reshape(-1).copy())
-            analytic = (grads_a[name] + grads_b[name]).reshape(-1)
-            worst["chain"] = max(worst["chain"], max_rel_err(analytic, fd))
+            worst["chain"] = max(worst["chain"], max_rel_err(grads[name].sum(axis=0).reshape(-1), fd))
 
     # a supervised model: backward takes d(loss)/d(logits) and goes through the head into the encoder
     spec = ModelSpec((3, 4, 3), activation="tanh", head_classes=3)
@@ -278,21 +264,21 @@ def test_04_loss_formula_fidelity():
     rng = np.random.default_rng(104)
 
     worst_nt = 0.0
-    fixtures = [
-        (np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([[1.0, 0.0], [0.0, 1.0]]), 1.0),
-        (rng.normal(size=(3, 4)), rng.normal(size=(3, 4)), 0.5),
-        (rng.normal(size=(4, 2)), rng.normal(size=(4, 2)), 0.25),
+    fixtures = [  # (2, B, D) stacks of both views
+        (np.array([[[1.0, 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.0, 1.0]]]), 1.0),
+        (rng.normal(size=(2, 3, 4)), 0.5),
+        (rng.normal(size=(2, 4, 2)), 0.25),
     ]
-    for z_a, z_b, tau in fixtures:
-        got, _, _ = loss_ntxent(z_a, z_b, tau)
-        worst_nt = max(worst_nt, abs(got - brute_force_ntxent(z_a, z_b, tau)))
+    for z, tau in fixtures:
+        got, _ = loss_ntxent(z, tau)
+        worst_nt = max(worst_nt, abs(got - brute_force_ntxent(*z, tau)))
 
     worst_bt = 0.0
     for _ in range(5):
-        z_a, z_b = rng.normal(size=(5, 3)), rng.normal(size=(5, 3))
+        z = rng.normal(size=(2, 5, 3))
         lam = float(rng.uniform(0.0, 0.2))
-        got, _, _ = loss_barlow(z_a, z_b, lam)
-        worst_bt = max(worst_bt, abs(got - brute_force_barlow(z_a, z_b, lam)))
+        got, _ = loss_barlow(z, lam)
+        worst_bt = max(worst_bt, abs(got - brute_force_barlow(*z, lam)))
 
     identity_loss = redundancy_loss_from_corr(np.eye(6), 0.005)
 

@@ -27,7 +27,7 @@ from fedsim.config import ConfigError, apply_overrides, parse_config, resolved_d
 from fedsim.engine import build_datasets
 from fedsim.learners import ModelSpec, init_params
 from fedsim.params import ParamSet, load_checkpoint, save_checkpoint
-from helpers import summed
+from helpers import overridden, summed
 
 
 def mix(models, coeffs):
@@ -48,12 +48,7 @@ def minimal_raw(tmp_path, **over):
         "run_seed": 5,
         "output_dir": str(tmp_path / "out"),
     }
-    for key, value in over.items():
-        if isinstance(value, dict) and isinstance(raw.get(key), dict):
-            raw[key].update(value)
-        else:
-            raw[key] = value
-    return raw
+    return overridden(raw, over)
 
 
 def write_config(tmp_path, raw, name="config.json"):

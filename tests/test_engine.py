@@ -26,7 +26,7 @@ from fedsim.evaluation import linear_probe
 from fedsim.learners import ClientTrainingError, projector_start
 from fedsim.params import ParamSet, load_checkpoint
 from fedsim.partition import load_csv, partition
-from helpers import ps
+from helpers import overridden, ps
 from workloads import desk_scale_raw
 
 
@@ -50,12 +50,7 @@ def base_config(tmp_path, **over):
         "run_seed": 11,
         "output_dir": str(tmp_path / "run"),
     }
-    for key, value in over.items():
-        if isinstance(value, dict) and isinstance(raw.get(key), dict):
-            raw[key].update(value)
-        else:
-            raw[key] = value
-    return parse_config(raw)
+    return parse_config(overridden(raw, over))
 
 
 def write_csv(path, n, seed) -> str:

@@ -1,6 +1,7 @@
 """Forward/backward passes, loss gradients vs finite differences, local training."""
 
 import math
+import re
 import tracemalloc
 from typing import NamedTuple
 
@@ -337,38 +338,38 @@ def test_row_max_is_the_last_axis_max(a, transposed):
 class TestNtxent:
     def test_tied_maxima_keep_the_parent_bytes(self, monkeypatch):
         # At tau 0.5, a0's candidates read (0, 2, 2) and a1's (0, 0, 0): every row's maximum is tied.
-        z_a, z_b = np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([[1.0, 0.0], [1.0, 0.0]])
-        got = loss_ntxent(z_a, z_b, 0.5)
+        z = np.array([[[1.0, 0.0], [0.0, 1.0]], [[1.0, 0.0], [1.0, 0.0]]])
+        got = loss_ntxent(z, 0.5)
         monkeypatch.setattr(learners, "_row_max", lambda a: a.max(axis=-1, keepdims=True))
-        want = loss_ntxent(z_a, z_b, 0.5)
+        want = loss_ntxent(z, 0.5)
         assert [np.asarray(x).tobytes() for x in got] == [np.asarray(x).tobytes() for x in want]
 
     def test_matches_direct_formula_on_orthonormal_fixture(self):
         z = np.array([[1.0, 0.0], [0.0, 1.0]])
-        loss, _, _ = loss_ntxent(z, z, 1.0)
+        loss, _ = loss_ntxent(np.stack([z, z]), 1.0)
         assert loss == pytest.approx(brute_force_ntxent(z, z, 1.0), abs=1e-12)
 
     def test_matches_direct_formula_on_random_fixtures(self):
         rng = np.random.default_rng(4)
         for _ in range(10):
             b, d = int(rng.integers(2, 6)), int(rng.integers(2, 5))
-            z_a, z_b = rng.normal(size=(b, d)), rng.normal(size=(b, d))
+            z = rng.normal(size=(2, b, d))
             tau = float(rng.uniform(0.2, 2.0))
-            loss, _, _ = loss_ntxent(z_a, z_b, tau)
-            assert loss == pytest.approx(brute_force_ntxent(z_a, z_b, tau), abs=1e-10)
+            loss, _ = loss_ntxent(z, tau)
+            assert loss == pytest.approx(brute_force_ntxent(*z, tau), abs=1e-10)
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(5)
-        z_a, z_b = rng.normal(size=(4, 3)), rng.normal(size=(4, 3))
-        base, _, _ = loss_ntxent(z_a, z_b, 0.5)
-        scaled, _, _ = loss_ntxent(10.0 * z_a, 10.0 * z_b, 0.5)
+        z = rng.normal(size=(2, 4, 3))
+        base, _ = loss_ntxent(z, 0.5)
+        scaled, _ = loss_ntxent(10.0 * z, 0.5)
         assert abs(base - scaled) < 1e-10
-        rows, _, _ = loss_ntxent(z_a * rng.uniform(0.5, 3.0, size=(4, 1)), z_b, 0.5)
+        rows, _ = loss_ntxent(np.stack([z[0] * rng.uniform(0.5, 3.0, size=(4, 1)), z[1]]), 0.5)
         assert abs(base - rows) < 1e-10
 
     def test_batch_of_one_rejected(self):
         with pytest.raises(ValueError, match="at least 2"):
-            loss_ntxent(np.ones((1, 3)), np.ones((1, 3)), 0.5)
+            loss_ntxent(np.ones((2, 1, 3)), 0.5)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize(
@@ -379,21 +380,47 @@ class TestNtxent:
     def test_degenerate_row_named(self, row, cause):
         z = np.ones((3, 2))
         z[1] = row
-        for z_a, z_b in ((z, np.ones((3, 2))), (np.ones((3, 2)), z)):
+        for views in (np.stack([z, np.ones((3, 2))]), np.stack([np.ones((3, 2)), z])):
             with pytest.raises(ValueError, match=cause):
-                loss_ntxent(z_a, z_b, 0.5)
+                loss_ntxent(views, 0.5)
 
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(6)
         for _ in range(10):
             b, d = int(rng.integers(2, 5)), int(rng.integers(2, 5))
-            z_a, z_b = rng.normal(size=(b, d)), rng.normal(size=(b, d))
+            z = rng.normal(size=(2, b, d))
             tau = float(rng.uniform(0.3, 1.5))
-            _, ga, gb = loss_ntxent(z_a, z_b, tau)
-            fda = fd_grad(lambda v: loss_ntxent(v.reshape(b, d), z_b, tau)[0], z_a.reshape(-1))
-            fdb = fd_grad(lambda v: loss_ntxent(z_a, v.reshape(b, d), tau)[0], z_b.reshape(-1))
-            assert_grad_close(ga.reshape(-1), fda)
-            assert_grad_close(gb.reshape(-1), fdb)
+            _, grad = loss_ntxent(z, tau)
+            fd = fd_grad(lambda v: loss_ntxent(v.reshape(z.shape), tau)[0], z.reshape(-1))
+            assert_grad_close(grad.reshape(-1), fd)
+
+
+class TestViewStack:
+    """Both SSL losses take the two views as one (2, ..., B, D) stack and return one gradient of its shape."""
+
+    LOSSES = [(loss_ntxent, 0.5), (loss_barlow, 0.05)]
+
+    @pytest.mark.parametrize("loss_fn, arg", LOSSES)
+    @pytest.mark.parametrize("shape", [(3,), (2, 3), (3, 4, 2)])
+    def test_a_shape_that_is_not_a_stack_of_two_views_is_named(self, loss_fn, arg, shape):
+        with pytest.raises(ValueError, match=rf"not shape {re.escape(str(shape))}$"):
+            loss_fn(np.ones(shape), arg)
+
+    @pytest.mark.parametrize("loss_fn, arg", LOSSES)
+    @pytest.mark.parametrize("shape", [(2, 4, 3), (2, 3, 4, 3), (2, 2, 3, 4, 3)])
+    def test_the_gradient_has_the_stack_shape(self, loss_fn, arg, shape):
+        views = np.random.default_rng(14).normal(size=shape)
+        loss, grad = loss_fn(views, arg)
+        assert np.shape(loss) == shape[1:-2] and grad.shape == shape
+
+    @pytest.mark.parametrize("loss_fn, arg", LOSSES)
+    def test_each_client_has_the_bytes_of_its_own_call(self, loss_fn, arg):
+        views = np.random.default_rng(15).normal(size=(2, 3, 5, 4))
+        losses, grad = loss_fn(views, arg)
+        for k in range(3):
+            loss_k, grad_k = loss_fn(views[:, k], arg)
+            assert losses[k].tobytes() == np.asarray(loss_k).tobytes()
+            assert grad[:, k].tobytes() == grad_k.tobytes()
 
 
 class TestBarlow:
@@ -406,7 +433,7 @@ class TestBarlow:
         hat = (z - z.mean(axis=0)) / z.std(axis=0)  # the batch cross-correlation loss_barlow penalises
         corr = hat.T @ hat / len(z)
         np.testing.assert_allclose(corr, np.eye(2), atol=1e-7)
-        loss, _, _ = loss_barlow(z, z, 0.5)
+        loss, _ = loss_barlow(np.stack([z, z]), 0.5)
         assert loss < 1e-10
 
     def test_lambda_zero_ignores_off_diagonals(self):
@@ -419,38 +446,36 @@ class TestBarlow:
         rng = np.random.default_rng(8)
         for _ in range(10):
             n, d = int(rng.integers(3, 7)), int(rng.integers(2, 5))
-            z_a, z_b = rng.normal(size=(n, d)), rng.normal(size=(n, d))
+            z = rng.normal(size=(2, n, d))
             lam = float(rng.uniform(0.0, 0.1))
-            loss, _, _ = loss_barlow(z_a, z_b, lam)
-            assert loss == pytest.approx(brute_force_barlow(z_a, z_b, lam), abs=1e-10)
+            loss, _ = loss_barlow(z, lam)
+            assert loss == pytest.approx(brute_force_barlow(*z, lam), abs=1e-10)
 
     def test_affine_rescaling_invariance(self):
         rng = np.random.default_rng(9)
-        z_a, z_b = rng.normal(size=(6, 4)), rng.normal(size=(6, 4))
-        base, _, _ = loss_barlow(z_a, z_b, 0.01)
+        z = rng.normal(size=(2, 6, 4))
+        base, _ = loss_barlow(z, 0.01)
         scale = rng.uniform(0.5, 4.0, size=4)
         shift = rng.normal(size=4)
-        rescaled, _, _ = loss_barlow(z_a * scale + shift, z_b, 0.01)
+        rescaled, _ = loss_barlow(np.stack([z[0] * scale + shift, z[1]]), 0.01)
         assert abs(base - rescaled) < 1e-8
 
     def test_constant_dimension_is_finite(self):
         z = np.ones((4, 3))
         z[:, 1] = np.arange(4)
-        loss, ga, gb = loss_barlow(z, z, 0.1)
+        loss, grad = loss_barlow(np.stack([z, z]), 0.1)
         assert math.isfinite(loss)
-        assert np.isfinite(ga).all() and np.isfinite(gb).all()
+        assert np.isfinite(grad).all()
 
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(10)
         for _ in range(10):
             n, d = int(rng.integers(3, 7)), int(rng.integers(2, 5))
-            z_a, z_b = rng.normal(size=(n, d)), rng.normal(size=(n, d))
+            z = rng.normal(size=(2, n, d))
             lam = float(rng.uniform(0.0, 0.1))
-            _, ga, gb = loss_barlow(z_a, z_b, lam)
-            fda = fd_grad(lambda v: loss_barlow(v.reshape(n, d), z_b, lam)[0], z_a.reshape(-1))
-            fdb = fd_grad(lambda v: loss_barlow(z_a, v.reshape(n, d), lam)[0], z_b.reshape(-1))
-            assert_grad_close(ga.reshape(-1), fda)
-            assert_grad_close(gb.reshape(-1), fdb)
+            _, grad = loss_barlow(z, lam)
+            fd = fd_grad(lambda v: loss_barlow(v.reshape(z.shape), lam)[0], z.reshape(-1))
+            assert_grad_close(grad.reshape(-1), fd)
 
 
 class TestFullBackprop:
@@ -459,25 +484,21 @@ class TestFullBackprop:
         spec = ModelSpec((3, 4, 3), projector_dims=(3, 2), activation="tanh")
         for _ in range(5):
             params = init_params(spec, rng)
-            x_a = rng.normal(size=(4, 3))
-            x_b = rng.normal(size=(4, 3))
+            x = rng.normal(size=(2, 4, 3))  # both views' inputs, one pass
 
             def full_loss(p):
-                fa, fb = forward(p, spec, x_a), forward(p, spec, x_b)
-                return loss_ntxent(fa.pre[-1], fb.pre[-1], 0.5)[0]
+                return loss_ntxent(forward(p, spec, x).pre[-1], 0.5)[0]
 
-            fa, fb = forward(params, spec, x_a), forward(params, spec, x_b)
-            _, ga, gb = loss_ntxent(fa.pre[-1], fb.pre[-1], 0.5)
-            grads_a = backward(params, spec, fa, ga)
-            grads_b = backward(params, spec, fb, gb)
+            fp = forward(params, spec, x)
+            _, grad = loss_ntxent(fp.pre[-1], 0.5)
+            grads = backward(params, spec, fp, grad)  # one gradient per view, along the leading axis
             for name, shape in params.layout:
                 def f(v, name=name, shape=shape):
                     arrays = {n: params[n] for n in params.names}
                     arrays[name] = v.reshape(shape)
                     return full_loss(arrays)
                 fd = fd_grad(f, params[name].reshape(-1).copy())
-                analytic = (grads_a[name] + grads_b[name]).reshape(-1)
-                assert_grad_close(analytic, fd)
+                assert_grad_close(grads[name].sum(axis=0).reshape(-1), fd)
 
     def test_supervised_chain_gradients_match_finite_differences(self):
         rng = np.random.default_rng(12)
@@ -638,10 +659,12 @@ class TestOutputBuffers:
     def test_views_write_the_allocating_bytes(self):
         batch = np.random.default_rng(42).normal(size=(3, self.B, 2))
         out = nan_views((2, 2, 3, self.B, 2), self.B)
-        a, b = make_views(batch, 0.3, 0.25, [np.random.default_rng(k) for k in range(3)], out=out)
+        got = make_views(batch, 0.3, 0.25, [np.random.default_rng(k) for k in range(3)], out=out)
         ref = views(batch, 0.3, 0.25, [np.random.default_rng(k) for k in range(3)])
-        assert a.base is not None and np.shares_memory(a, out) and np.shares_memory(b, out)
-        assert np.stack([a, b]).tobytes() == np.stack(ref).tobytes() == out[0].tobytes()
+        # the views are out[0] itself, the (2, K, B, D) stack the forward pass takes
+        assert isinstance(got, np.ndarray) and np.shares_memory(got, out[0])
+        assert (got.shape, got.strides, got.ctypes.data) == (out[0].shape, out[0].strides, out[0].ctypes.data)
+        assert got.tobytes() == ref.tobytes() == out[0].tobytes()
 
     @pytest.mark.parametrize("shape", [(7,), (3, 7)])
     def test_sgd_step_writes_the_allocating_bytes(self, shape):
@@ -875,15 +898,13 @@ class TestBatchedGradients:
 
     def test_loss_gradients_per_client(self):
         rng = np.random.default_rng(31)
-        z_a, z_b = rng.normal(size=(2, self.K, self.B, self.D))
+        z = rng.normal(size=(2, self.K, self.B, self.D))
         for loss_fn, arg in ((loss_ntxent, 0.5), (loss_barlow, 0.05)):
-            losses, ga, gb = loss_fn(z_a, z_b, arg)
+            losses, grad = loss_fn(z, arg)
             assert losses.shape == (self.K,)
             # the clients do not interact, so the gradient of the summed loss is each client's own
-            fda = fd_grad(lambda v: loss_fn(v.reshape(z_a.shape), z_b, arg)[0].sum(), z_a.reshape(-1))
-            fdb = fd_grad(lambda v: loss_fn(z_a, v.reshape(z_b.shape), arg)[0].sum(), z_b.reshape(-1))
-            assert_grad_close(ga.reshape(-1), fda)
-            assert_grad_close(gb.reshape(-1), fdb)
+            fd = fd_grad(lambda v: loss_fn(v.reshape(z.shape), arg)[0].sum(), z.reshape(-1))
+            assert_grad_close(grad.reshape(-1), fd)
         logits = rng.normal(size=(self.K, self.B, 4))
         labels = rng.integers(0, 4, size=(self.K, self.B))
         losses, grad = training_xent(logits, labels)
@@ -900,20 +921,19 @@ class TestBatchedGradients:
             spec = ModelSpec((self.D, 4, 3), projector_dims=(3, 2), activation="tanh")
         layout = init_params(spec, rng).layout
         block = np.stack([init_params(spec, rng).vector for _ in range(self.K)])
-        x_a, x_b = rng.normal(size=(2, self.K, self.B, self.D))
+        x = rng.normal(size=(2, self.K, self.B, self.D))  # both SSL views; supervised takes the first
         y = rng.integers(0, 3, size=(self.K, self.B))
 
         def passes(w):
             params = segments(w, layout)
             if method == "supervised":
-                fp = forward(params, spec, x_a)
+                fp = forward(params, spec, x[0])
                 loss, glog = parent_loss_xent(fp.pre[-1], y)
                 return loss.sum(), backward(params, spec, fp, glog)
-            fa, fb = forward(params, spec, x_a), forward(params, spec, x_b)
+            fp = forward(params, spec, x)
             loss_fn, arg = (loss_ntxent, 0.5) if method == "simclr" else (loss_barlow, 0.05)
-            loss, ga, gb = loss_fn(fa.pre[-1], fb.pre[-1], arg)
-            grads_a, grads_b = backward(params, spec, fa, ga), backward(params, spec, fb, gb)
-            return loss.sum(), {name: grads_a[name] + grads_b[name] for name in grads_a}
+            loss, grad = loss_fn(fp.pre[-1], arg)
+            return loss.sum(), {name: g.sum(axis=0) for name, g in backward(params, spec, fp, grad).items()}
 
         _, grads = passes(block)
         analytic = np.concatenate([grads[name].reshape(self.K, -1) for name, _ in layout], axis=1)
@@ -933,10 +953,13 @@ class TestBatchedGradients:
         both = forward(params, spec, views)
         fa, fb = forward(params, spec, views[0]), forward(params, spec, views[1])
         assert both.pre[-1].tobytes() == np.stack([fa.pre[-1], fb.pre[-1]]).tobytes()
-        _, ga, gb = loss_fn(fa.pre[-1], fb.pre[-1], arg)
-        grads_a, grads_b = backward(params, spec, fa, ga), backward(params, spec, fb, gb)
-        for name, g in backward(params, spec, both, np.stack([ga, gb])).items():
+        _, grad = loss_fn(both.pre[-1], arg)
+        grads_a, grads_b = backward(params, spec, fa, grad[0]), backward(params, spec, fb, grad[1])
+        # the loss's gradient is a strided view; backward reads it as it would a C-ordered copy
+        contiguous = backward(params, spec, both, np.ascontiguousarray(grad))
+        for name, g in backward(params, spec, both, grad).items():
             assert (g[0] + g[1]).tobytes() == (grads_a[name] + grads_b[name]).tobytes()
+            assert g.tobytes() == contiguous[name].tobytes()
 
 
 def own_projector(glob: ParamSet, own: ParamSet) -> ParamSet:
